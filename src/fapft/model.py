@@ -8,7 +8,9 @@ the sequence, and a linear head produces logits.
 
 All math runs in float64 numpy with a fixed reduction order, so results are
 bit-deterministic. Parameters live in a plain ``name -> ndarray`` dict whose
-names match the ``toy_vit`` descriptor schema.
+names match the ``toy_vit`` descriptor schema. Backward computes gradients
+for the trainable tensors only and stops at the shallowest one; a pass can
+also start from a cached hidden state when the blocks below it are frozen.
 """
 
 from __future__ import annotations
@@ -20,7 +22,15 @@ import numpy as np
 
 from .errors import InvalidValue
 
-__all__ = ["ModelDims", "init_params", "reinit_head", "loss_only", "loss_and_grads", "predict"]
+__all__ = [
+    "ModelDims",
+    "init_params",
+    "reinit_head",
+    "hidden_state",
+    "loss_only",
+    "loss_and_grads",
+    "predict",
+]
 
 _LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -64,24 +74,6 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
         out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
         bad = np.abs(out) > 2.0 * std
     return out
-
-
-def _block_names(i: int) -> list[str]:
-    p = f"blocks.{i}"
-    return [
-        f"{p}.norm1.weight",
-        f"{p}.norm1.bias",
-        f"{p}.attn.qkv.weight",
-        f"{p}.attn.qkv.bias",
-        f"{p}.attn.proj.weight",
-        f"{p}.attn.proj.bias",
-        f"{p}.norm2.weight",
-        f"{p}.norm2.bias",
-        f"{p}.mlp.fc1.weight",
-        f"{p}.mlp.fc1.bias",
-        f"{p}.mlp.fc2.weight",
-        f"{p}.mlp.fc2.bias",
-    ]
 
 
 def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
@@ -142,6 +134,11 @@ def reinit_head(
 # ---------------------------------------------------------------------------
 
 
+def _flat(a):
+    """Rows of ``a``'s last axis, so a sum over the leading axes is one GEMM."""
+    return a.reshape(-1, a.shape[-1])
+
+
 def _layernorm_fwd(x, gain, bias):
     mu = x.mean(axis=-1, keepdims=True)
     xc = x - mu
@@ -151,21 +148,35 @@ def _layernorm_fwd(x, gain, bias):
     return xhat * gain + bias, (xhat, inv, gain)
 
 
-def _layernorm_bwd(dout, cache):
+def _layernorm_dx(dout, cache):
     xhat, inv, gain = cache
-    dgain = (dout * xhat).sum(axis=tuple(range(dout.ndim - 1)))
-    dbias = dout.sum(axis=tuple(range(dout.ndim - 1)))
     dxhat = dout * gain
-    dx = inv * (
+    return inv * (
         dxhat
         - dxhat.mean(axis=-1, keepdims=True)
         - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
     )
-    return dx, dgain, dbias
+
+
+def _layernorm_grads(grads, todo, prefix, dout, cache):
+    """Gain and bias gradients of a (batch, seq, dim) LayerNorm, for the names in ``todo``."""
+    if f"{prefix}.weight" in todo:
+        grads[f"{prefix}.weight"] = (dout * cache[0]).sum(axis=(0, 1))
+    if f"{prefix}.bias" in todo:
+        grads[f"{prefix}.bias"] = dout.sum(axis=(0, 1))
+
+
+def _linear_grads(grads, todo, prefix, dout, inp):
+    """Gradients of ``inp @ weight.T + bias`` over (batch, seq) rows, for names in ``todo``."""
+    if f"{prefix}.weight" in todo:
+        grads[f"{prefix}.weight"] = _flat(dout).T @ _flat(inp)
+    if f"{prefix}.bias" in todo:
+        grads[f"{prefix}.bias"] = dout.sum(axis=(0, 1))
 
 
 def _gelu_fwd(x):
-    u = _GELU_C * (x + _GELU_A * x**3)
+    # x * x * x, not x**3: numpy's float64 pow is far slower than two products
+    u = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(u)
     return 0.5 * x * (1.0 + t), (x, t)
 
@@ -192,11 +203,10 @@ def _merge_heads(x):
     return x.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _forward(params, x, dims: ModelDims, keep_cache: bool):
-    h = x + params["pos_embed"]
-    caches = []
+def _blocks_fwd(params, h, dims: ModelDims, start: int, stop: int, caches=None):
+    """Blocks ``start .. stop-1`` on hidden state ``h``; ``caches[i]`` gets block i's cache."""
     scale = 1.0 / math.sqrt(dims.model_dim // dims.heads)
-    for i in range(dims.depth):
+    for i in range(start, stop):
         p = f"blocks.{i}"
         n1, ln1 = _layernorm_fwd(h, params[f"{p}.norm1.weight"], params[f"{p}.norm1.bias"])
         qkv = n1 @ params[f"{p}.attn.qkv.weight"].T + params[f"{p}.attn.qkv.bias"]
@@ -204,10 +214,8 @@ def _forward(params, x, dims: ModelDims, keep_cache: bool):
             _split_heads(part, dims.heads)
             for part in np.split(qkv, 3, axis=-1)
         )
-        scores = np.einsum("bhtd,bhsd->bhts", q, k) * scale
-        attn = _softmax(scores)
-        mixed = np.einsum("bhts,bhsd->bhtd", attn, v)
-        o = _merge_heads(mixed)
+        attn = _softmax((q @ k.swapaxes(-1, -2)) * scale)
+        o = _merge_heads(attn @ v)
         att_out = o @ params[f"{p}.attn.proj.weight"].T + params[f"{p}.attn.proj.bias"]
         h_mid = h + att_out
 
@@ -218,26 +226,31 @@ def _forward(params, x, dims: ModelDims, keep_cache: bool):
         g, gelu_cache = _gelu_fwd(f1)
         f2 = g @ params[f"{p}.mlp.fc2.weight"].T + params[f"{p}.mlp.fc2.bias"]
         h = h_mid + f2
-        if keep_cache:
-            caches.append(
-                {
-                    "ln1": ln1,
-                    "n1": n1,
-                    "q": q,
-                    "k": k,
-                    "v": v,
-                    "attn": attn,
-                    "o": o,
-                    "ln2": ln2,
-                    "n2": n2,
-                    "gelu": gelu_cache,
-                    "g": g,
-                }
-            )
+        if caches is not None:
+            caches[i] = {
+                "ln1": ln1,
+                "n1": n1,
+                "q": q,
+                "k": k,
+                "v": v,
+                "attn": attn,
+                "o": o,
+                "ln2": ln2,
+                "n2": n2,
+                "gelu": gelu_cache,
+                "g": g,
+            }
+    return h
+
+
+def _forward(params, x, dims: ModelDims, start: int | None, caches=None):
+    """Logits from raw tokens ``x``, or from the hidden state ``x`` entering block ``start``."""
+    h = x + params["pos_embed"] if start is None else x
+    h = _blocks_fwd(params, h, dims, start or 0, dims.depth, caches)
     z, lnf = _layernorm_fwd(h, params["norm.weight"], params["norm.bias"])
     pooled = z.mean(axis=1)
     logits = pooled @ params["head.weight"].T + params["head.bias"]
-    return logits, caches, lnf, pooled
+    return logits, lnf, pooled
 
 
 def _prepare(params, x):
@@ -246,9 +259,22 @@ def _prepare(params, x):
     return p64, x64
 
 
-def predict(params, x, dims: ModelDims) -> np.ndarray:
+def hidden_state(params, x, dims: ModelDims, stop: int) -> np.ndarray:
+    """The float64 hidden state entering block ``stop``: tokens plus positional
+    embedding, through blocks ``0 .. stop-1``.
+
+    While ``pos_embed`` and those blocks are frozen it is a constant of each
+    sample, so a trainer can compute it once and pass it as ``x`` with
+    ``start=stop`` to :func:`predict` and :func:`loss_and_grads`.
+    """
     p64, x64 = _prepare(params, x)
-    logits, _, _, _ = _forward(p64, x64, dims, keep_cache=False)
+    return _blocks_fwd(p64, x64 + p64["pos_embed"], dims, 0, stop)
+
+
+def predict(params, x, dims: ModelDims, start: int | None = None) -> np.ndarray:
+    """Class predictions; ``start`` as in :func:`loss_and_grads`."""
+    p64, x64 = _prepare(params, x)
+    logits, _, _ = _forward(p64, x64, dims, start)
     return np.argmax(logits, axis=-1)
 
 
@@ -263,16 +289,41 @@ def _mean_cross_entropy(logits, y) -> float:
 
 def loss_only(params, x, y, dims: ModelDims) -> float:
     p64, x64 = _prepare(params, x)
-    logits, _, _, _ = _forward(p64, x64, dims, keep_cache=False)
+    logits, _, _ = _forward(p64, x64, dims, None)
     return _mean_cross_entropy(logits, y)
 
 
-def loss_and_grads(params, x, y, dims: ModelDims):
-    """Mean softmax cross-entropy and its gradient for every parameter."""
+def loss_and_grads(
+    params, x, y, dims: ModelDims, trainable=None, start: int | None = None
+):
+    """Mean softmax cross-entropy and its gradient for each trainable tensor.
+
+    ``trainable=None`` means every tensor the pass runs through. Backward
+    skips the weight-gradient products of frozen tensors and stops once every
+    trainable tensor has its gradient, so it never runs below the shallowest
+    trainable layer. With ``start``, ``x`` is the hidden state entering block
+    ``start`` (see :func:`hidden_state`); ``pos_embed`` and the blocks below
+    ``start`` are then outside the pass and cannot be trainable.
+    """
     p64, x64 = _prepare(params, x)
     y = np.asarray(y)
-    logits, caches, lnf, pooled = _forward(p64, x64, dims, keep_cache=True)
-    b, t = x64.shape[0], dims.seq_len
+    first = start or 0
+    reached = {
+        name
+        for name in param_shapes(dims)
+        if not (
+            (name == "pos_embed" and start is not None)
+            or (name.startswith("blocks.") and int(name.split(".")[1]) < first)
+        )
+    }
+    todo = reached if trainable is None else set(trainable)
+    if not todo <= reached:
+        raise InvalidValue(
+            f"tensors outside a pass from block {first}: {sorted(todo - reached)}"
+        )
+    caches: dict[int, dict] = {}
+    logits, lnf, pooled = _forward(p64, x64, dims, start, caches)
+    t = dims.seq_len
     scale = 1.0 / math.sqrt(dims.model_dim // dims.heads)
 
     probs = _softmax(logits)
@@ -280,54 +331,66 @@ def loss_and_grads(params, x, y, dims: ModelDims):
     loss = _mean_cross_entropy(logits, y)
 
     grads: dict[str, np.ndarray] = {}
+
+    def done():
+        return len(grads) == len(todo)
+
     dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
-    grads["head.weight"] = dlogits.T @ pooled
-    grads["head.bias"] = dlogits.sum(axis=0)
+    if "head.weight" in todo:
+        grads["head.weight"] = dlogits.T @ pooled
+    if "head.bias" in todo:
+        grads["head.bias"] = dlogits.sum(axis=0)
+    if done():
+        return loss, grads
     dpooled = dlogits @ p64["head.weight"]
     dz = np.repeat(dpooled[:, None, :], t, axis=1) / t
-    dh, grads["norm.weight"], grads["norm.bias"] = _layernorm_bwd(dz, lnf)
+    _layernorm_grads(grads, todo, "norm", dz, lnf)
+    if done():
+        return loss, grads
+    dh = _layernorm_dx(dz, lnf)
 
-    for i in reversed(range(dims.depth)):
+    for i in reversed(range(first, dims.depth)):
         p = f"blocks.{i}"
         c = caches[i]
         # feed-forward residual unit
-        df2 = dh
-        grads[f"{p}.mlp.fc2.weight"] = np.einsum("btd,btf->df", df2, c["g"])
-        grads[f"{p}.mlp.fc2.bias"] = df2.sum(axis=(0, 1))
-        dg = df2 @ p64[f"{p}.mlp.fc2.weight"]
-        df1 = _gelu_bwd(dg, c["gelu"])
-        grads[f"{p}.mlp.fc1.weight"] = np.einsum("btf,btd->fd", df1, c["n2"])
-        grads[f"{p}.mlp.fc1.bias"] = df1.sum(axis=(0, 1))
+        _linear_grads(grads, todo, f"{p}.mlp.fc2", dh, c["g"])
+        if done():
+            return loss, grads
+        df1 = _gelu_bwd(dh @ p64[f"{p}.mlp.fc2.weight"], c["gelu"])
+        _linear_grads(grads, todo, f"{p}.mlp.fc1", df1, c["n2"])
+        if done():
+            return loss, grads
         dn2 = df1 @ p64[f"{p}.mlp.fc1.weight"]
-        dmid_from_ln, grads[f"{p}.norm2.weight"], grads[f"{p}.norm2.bias"] = (
-            _layernorm_bwd(dn2, c["ln2"])
-        )
-        dh_mid = dh + dmid_from_ln
+        _layernorm_grads(grads, todo, f"{p}.norm2", dn2, c["ln2"])
+        if done():
+            return loss, grads
+        dh_mid = dh + _layernorm_dx(dn2, c["ln2"])
 
         # attention residual unit
-        datt = dh_mid
-        grads[f"{p}.attn.proj.weight"] = np.einsum("btd,bte->de", datt, c["o"])
-        grads[f"{p}.attn.proj.bias"] = datt.sum(axis=(0, 1))
-        do = _split_heads(datt @ p64[f"{p}.attn.proj.weight"], dims.heads)
-        dattn = np.einsum("bhtd,bhsd->bhts", do, c["v"])
-        dv = np.einsum("bhts,bhtd->bhsd", c["attn"], do)
+        _linear_grads(grads, todo, f"{p}.attn.proj", dh_mid, c["o"])
+        if done():
+            return loss, grads
+        do = _split_heads(dh_mid @ p64[f"{p}.attn.proj.weight"], dims.heads)
         a = c["attn"]
+        dattn = do @ c["v"].swapaxes(-1, -2)
+        dv = a.swapaxes(-1, -2) @ do
         dscores = a * (dattn - (dattn * a).sum(axis=-1, keepdims=True))
-        dq = np.einsum("bhts,bhsd->bhtd", dscores, c["k"]) * scale
-        dk = np.einsum("bhts,bhtd->bhsd", dscores, c["q"]) * scale
+        dq = (dscores @ c["k"]) * scale
+        dk = (dscores.swapaxes(-1, -2) @ c["q"]) * scale
         dqkv = np.concatenate(
             [_merge_heads(dq), _merge_heads(dk), _merge_heads(dv)], axis=-1
         )
-        grads[f"{p}.attn.qkv.weight"] = np.einsum("btq,btd->qd", dqkv, c["n1"])
-        grads[f"{p}.attn.qkv.bias"] = dqkv.sum(axis=(0, 1))
+        _linear_grads(grads, todo, f"{p}.attn.qkv", dqkv, c["n1"])
+        if done():
+            return loss, grads
         dn1 = dqkv @ p64[f"{p}.attn.qkv.weight"]
-        dh_from_ln, grads[f"{p}.norm1.weight"], grads[f"{p}.norm1.bias"] = (
-            _layernorm_bwd(dn1, c["ln1"])
-        )
-        dh = dh_mid + dh_from_ln
+        _layernorm_grads(grads, todo, f"{p}.norm1", dn1, c["ln1"])
+        if done():
+            return loss, grads
+        dh = dh_mid + _layernorm_dx(dn1, c["ln1"])
 
     grads["pos_embed"] = dh.sum(axis=0)
     return loss, grads

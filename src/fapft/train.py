@@ -6,7 +6,10 @@ variant to train on, and an optional freeze plan. Identical configs produce
 byte-identical final checkpoints.
 
 Frozen tensors receive no updates and carry no optimizer state, so they stay
-bitwise equal to their initialization for any number of epochs.
+bitwise equal to their initialization for any number of epochs. They also
+cost no backward work, and when ``pos_embed`` and the lowest blocks are
+frozen, the hidden state entering the first trainable block is computed once
+per run and every step starts there.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from .errors import (
 )
 from .model import (
     ModelDims,
+    hidden_state,
     init_params,
     loss_and_grads,
     loss_only,
@@ -186,6 +190,9 @@ class OptimizerConfig:
     weight_decay: float = 0.05
 
     def __post_init__(self):
+        for name in ("learning_rate", "beta1", "beta2", "epsilon", "weight_decay"):
+            if not math.isfinite(getattr(self, name)):
+                raise InvalidValue(f"{name} must be finite")
         if self.learning_rate <= 0 or self.epsilon <= 0:
             raise InvalidValue("learning_rate and epsilon must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -283,6 +290,9 @@ class TrainConfig:
             )
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed train config: {exc}") from exc
+        except InvalidValue as exc:
+            # a bad value read from a file is bad data, not a numerical failure
+            raise FormatError(f"invalid train config: {exc}") from exc
         if data.get("freeze"):
             plan = plan_from_json(data["freeze"], config.descriptor())
             config = replace(config, freeze=plan)
@@ -442,8 +452,25 @@ def _final_checkpoint(params64, config: TrainConfig) -> Checkpoint:
     return Checkpoint(tensors, metadata)
 
 
-def _accuracy(params, x, y, dims) -> float:
-    return float((predict(params, x, dims) == y).mean())
+def _frozen_prefix(trainable: set[str], dims: ModelDims) -> int | None:
+    """Shallowest block with a trainable tensor (``depth`` if none), or None
+    when ``pos_embed`` trains and no hidden state is constant."""
+    if "pos_embed" in trainable:
+        return None
+    blocks = (int(n.split(".")[1]) for n in trainable if n.startswith("blocks."))
+    return min(blocks, default=dims.depth)
+
+
+def _hidden_in_chunks(params, x, dims: ModelDims, stop: int, chunk: int) -> np.ndarray:
+    # one pass per chunk, not one GEMM over the split: a large product starts
+    # the BLAS thread pool, whose buffers raise peak RSS
+    return np.concatenate(
+        [hidden_state(params, x[i : i + chunk], dims, stop) for i in range(0, len(x), chunk)]
+    )
+
+
+def _accuracy(params, x, y, dims, start) -> float:
+    return float((predict(params, x, dims, start=start) == y).mean())
 
 
 def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
@@ -452,7 +479,8 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
     ``init=None`` starts from a fresh seed-derived initialization. With an
     init checkpoint, the head is re-initialized when its class count differs
     from the config's. Under a freeze plan, frozen tensors get no optimizer
-    state and no updates.
+    state, no updates and no gradients, and a frozen prefix of the model runs
+    once per split instead of once per step.
     """
     started = time.monotonic()
     dims = config.arch
@@ -472,6 +500,10 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
 
     n_train = len(y_train)
     batch = config.schedule.batch_size
+    first = _frozen_prefix(trainable, dims)
+    if first is not None:
+        x_train = _hidden_in_chunks(params, x_train, dims, first, batch)
+        x_val = _hidden_in_chunks(params, x_val, dims, first, batch)
     steps_per_epoch = max(1, math.ceil(n_train / batch))
     total_steps = config.schedule.epochs * steps_per_epoch
     warmup_steps = config.schedule.warmup_epochs * steps_per_epoch
@@ -485,7 +517,9 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
         loss_sum = 0.0
         for start in range(0, n_train, batch):
             idx = order[start : start + batch]
-            loss, grads = loss_and_grads(params, x_train[idx], y_train[idx], dims)
+            loss, grads = loss_and_grads(
+                params, x_train[idx], y_train[idx], dims, trainable, start=first
+            )
             if not math.isfinite(loss):
                 raise DivergenceError(f"non-finite loss at epoch {epoch}")
             lr = cosine_warmup_lr(
@@ -498,7 +532,7 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
             EpochMetrics(
                 epoch=epoch,
                 train_loss=loss_sum / n_train,
-                val_accuracy=_accuracy(params, x_val, y_val, dims),
+                val_accuracy=_accuracy(params, x_val, y_val, dims, first),
             )
         )
 

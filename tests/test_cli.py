@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
 
+import fapft
 from fapft.cli import main
 from fapft.checkpoint import read_checkpoint, write_checkpoint
 from fapft.schemas import COMMAND_SCHEMAS
@@ -135,6 +140,26 @@ class TestExitCodes:
         # an impossible tolerance forces the numerical gate to fail
         code, out, _ = run_cli(capsys, "grad-check", "--tolerance", "1e-18")
         assert code == 3
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+    def test_non_finite_learning_rate_is_data_error(self, capsys, tmp_path, value):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["optimizer"]["learning_rate"] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))  # json writes NaN / Infinity literals
+        code, _, err = run_cli(capsys, "train", "--config", str(path))
+        assert code == 2
+        assert "learning_rate must be finite" in err
+
+    def test_indivisible_model_dim_is_data_error(self, capsys, tmp_path):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["arch"].update(model_dim=30, heads=4)
+        bad["dataset"]["feature_dim"] = 30
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli(capsys, "train", "--config", str(path))
+        assert code == 2
+        assert "model_dim must be divisible by heads" in err
 
 
 class TestAngles:
@@ -560,6 +585,30 @@ class TestThreadCap:
 
 
 class TestDeterminism:
+    def test_blas_thread_count_does_not_change_bytes(self, tmp_path):
+        # OpenBLAS reads its thread count when it loads, so each setting runs
+        # in its own process; batches of 64 x 8 tokens make the feed-forward
+        # products large enough for OpenBLAS to split them across threads
+        config = json.loads(json.dumps(CONFIG))
+        config["arch"].update(depth=1, model_dim=32, heads=4, ffn_dim=64, seq_len=8)
+        config["dataset"].update(seq_len=8, feature_dim=32)
+        config["schedule"]["batch_size"] = 64
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config))
+        src = str(Path(fapft.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        checkpoints = []
+        for threads in ("1", "2"):
+            out_dir = tmp_path / f"threads{threads}"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run(
+                [sys.executable, "-m", "fapft.cli", "train", "--config", str(config_path),
+                 "--out", str(out_dir)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            checkpoints.append((out_dir / "run.ckpt").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
     def test_params_stdout_identical(self, capsys):
         args = ["params", "--arch", "vit_b16", "--strategy", "attn_only", "--classes", "1000"]
         _, out1, _ = run_cli(capsys, *args)

@@ -1,3 +1,4 @@
+import importlib
 import math
 from dataclasses import replace
 
@@ -5,20 +6,30 @@ import numpy as np
 import pytest
 
 from fapft.angles import compute_angles
-from fapft.arch import describe_arch, linear_probe_plan, manual_strategy
+from fapft.arch import _make_plan, describe_arch, linear_probe_plan, manual_strategy
 from fapft.checkpoint import diff_checkpoints
 from fapft.errors import (
     DivergenceError,
     IncompatiblePlan,
     InvalidValue,
 )
-from fapft.model import ModelDims, init_params, loss_and_grads, param_shapes
+from fapft.model import (
+    ModelDims,
+    _forward,
+    _prepare,
+    hidden_state,
+    init_params,
+    loss_and_grads,
+    param_shapes,
+)
 from fapft.train import (
     OptimizerConfig,
     ScheduleConfig,
     SyntheticSpec,
     TrainConfig,
     _AdamW,
+    _frozen_prefix,
+    _trainable_names,
     cosine_warmup_lr,
     generate_dataset,
     grad_check,
@@ -199,6 +210,89 @@ class TestFreezing:
         vit = describe_arch("vit_b16")
         with pytest.raises(IncompatiblePlan):
             train(config(freeze=manual_strategy(vit, "B")), init=pretrained)
+
+
+DEPTH0 = ModelDims(depth=0, model_dim=16, heads=2, ffn_dim=32, seq_len=4, num_classes=4)
+
+
+def _layers_plan(arch, layer_ids, non_residual=False):
+    layers = [arch.layer_map[lid] for lid in layer_ids]
+    return _make_plan(arch, "TEST", layers, non_residual_trainable=non_residual)
+
+
+def _batch(dims, seed=3):
+    params = {
+        n: a.astype(np.float64)
+        for n, a in init_params(dims, np.random.default_rng(seed)).items()
+    }
+    data = generate_dataset(replace(SPEC, feature_dim=dims.model_dim))
+    xt, yt, _, _ = data.task_split("finetune")
+    return params, xt[:8], yt[:8]
+
+
+class TestFreezeAware:
+    """Gradients of a freeze-aware step, started where ``train`` starts it,
+    equal the all-tensor gradients bit for bit."""
+
+    HEAD = {"head.weight", "head.bias"}
+    NON_RESIDUAL = {"pos_embed", "norm.weight", "norm.bias"}
+    PLANS = {
+        "linear_probe": (DIMS, (), False, DIMS.depth),
+        "first_attn_last_ffn": (DIMS, ("s0.b0.ATTN", f"s0.b{DIMS.depth - 1}.FFN"), False, 0),
+        "deep_only": (DIMS, (f"s0.b{DIMS.depth - 1}.FFN",), False, DIMS.depth - 1),
+        "non_residual": (DIMS, (f"s0.b{DIMS.depth - 1}.FFN",), True, None),
+        # toy_vit descriptors need depth >= 1, so depth 0 names its tensors directly
+        "depth0_probe": (DEPTH0, HEAD, None, 0),
+        "depth0_non_residual": (DEPTH0, HEAD | NON_RESIDUAL, None, None),
+    }
+
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_gradients_equal_full_backward(self, case):
+        dims, selection, non_residual, expected_start = self.PLANS[case]
+        if non_residual is None:
+            trainable = set(selection)
+        else:
+            arch = toy_arch(dims)
+            plan = _layers_plan(arch, selection, non_residual)
+            trainable = _trainable_names(plan, arch, dims)
+        start = _frozen_prefix(trainable, dims)
+        assert start == expected_start
+        params, x, y = _batch(dims)
+        full_loss, full = loss_and_grads(params, x, y, dims, trainable=None)
+        assert set(full) == set(param_shapes(dims))
+        h = x if start is None else hidden_state(params, x, dims, start)
+        loss, grads = loss_and_grads(params, h, y, dims, trainable, start=start)
+        assert loss == full_loss
+        assert set(grads) == trainable
+        for name, grad in grads.items():
+            assert np.array_equal(grad, full[name]), name
+
+    @pytest.mark.parametrize("dims", [DIMS, DEPTH0], ids=["depth2", "depth0"])
+    def test_prefix_started_logits_equal_full_forward(self, dims):
+        params, x, _ = _batch(dims)
+        p64, x64 = _prepare(params, x)
+        full, _, _ = _forward(p64, x64, dims, None)
+        for start in range(dims.depth + 1):
+            h = hidden_state(params, x, dims, start)
+            logits, _, _ = _forward(p64, h, dims, start)
+            assert np.array_equal(logits, full), start
+
+    def test_tensor_outside_started_pass_rejected(self):
+        params, x, y = _batch(DIMS)
+        h = hidden_state(params, x, DIMS, 1)
+        for name in ("pos_embed", "blocks.0.mlp.fc1.weight"):
+            with pytest.raises(InvalidValue, match=name):
+                loss_and_grads(params, h, y, DIMS, {name, "head.weight"}, start=1)
+
+    def test_prefixed_training_matches_unprefixed(self, pretrained, monkeypatch):
+        plan = _layers_plan(toy_arch(), (f"s0.b{DIMS.depth - 1}.FFN",))
+        cfg = config(freeze=plan)
+        prefixed = train(cfg, init=pretrained)
+        module = importlib.import_module("fapft.train")  # ``fapft.train`` is also a function
+        monkeypatch.setattr(module, "_frozen_prefix", lambda trainable, dims: None)
+        plain = train(cfg, init=pretrained)
+        assert prefixed.final_checkpoint.content_hash == plain.final_checkpoint.content_hash
+        assert prefixed.metrics == plain.metrics
 
 
 class TestOptimizer:
