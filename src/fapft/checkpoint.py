@@ -13,16 +13,24 @@ Writes are canonical: tensor entries sorted lexicographically by name, JSON
 keys sorted, no insignificant whitespace, payload in name order, dtype always
 F32. Identical checkpoints therefore produce byte-identical files, and the
 content hash is the SHA-256 of those canonical bytes (lowercase hex).
+
+Reads copy the file once, into one read-only buffer; F32 tensors are views of
+it. When the file is already canonical, its bytes are the canonical bytes, so
+the content hash is taken from them directly. Otherwise, and for checkpoints
+built in memory, the header and then each tensor's bytes are hashed (or
+written) in canonical order, without assembling the whole serialization.
+Writes go to a temporary file beside the target, which then replaces it.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import dataclass, field
 from types import MappingProxyType
-from typing import Mapping
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -33,12 +41,17 @@ __all__ = [
     "Checkpoint",
     "DiffReport",
     "read_checkpoint",
+    "read_checkpoint_metadata",
     "write_checkpoint",
     "diff_checkpoints",
 ]
 
 _READ_DTYPES = {"F16": np.dtype("<f2"), "F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
+_F32 = _READ_DTYPES["F32"]
 _METADATA_KEY = "__metadata__"
+# a read places the payload at this byte alignment in its buffer, so tensor
+# views are aligned arrays; numpy runs slower loops on unaligned ones
+_PAYLOAD_ALIGN = 64
 
 
 def _validate_name(name) -> str:
@@ -51,6 +64,36 @@ def _validate_name(name) -> str:
     return name
 
 
+def _canonical_header(shapes: Iterable[tuple[str, tuple[int, ...]]], metadata) -> bytes:
+    """Length prefix plus compact sorted JSON header for F32 tensors in name order."""
+    header: dict[str, object] = {}
+    offset = 0
+    for name, shape in sorted(shapes):
+        nbytes = int(np.prod(shape, dtype=np.int64)) * _F32.itemsize
+        header[name] = {
+            "dtype": "F32",
+            "shape": list(shape),
+            "data_offsets": [offset, offset + nbytes],
+        }
+        offset += nbytes
+    if metadata:
+        header[_METADATA_KEY] = dict(sorted(metadata.items()))
+    raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return struct.pack("<Q", len(raw)) + raw
+
+
+def _sha256(parts) -> str:
+    digest = hashlib.sha256()
+    for part in parts:
+        digest.update(part)
+    return digest.hexdigest()
+
+
+def _payload_view(tensor: Tensor) -> np.ndarray:
+    """A tensor's little-endian float32 bytes as a flat uint8 view (no copy on LE hosts)."""
+    return tensor.array.astype(_F32, copy=False).reshape(-1).view(np.uint8)
+
+
 class Checkpoint:
     """An immutable named map of tensors plus a string metadata map.
 
@@ -58,7 +101,7 @@ class Checkpoint:
     (``pft.arch_id``, ``pft.seed``, ``pft.epoch``, ``pft.producer``, ...).
     """
 
-    __slots__ = ("_tensors", "_metadata", "_hash")
+    __slots__ = ("_tensors", "_metadata", "_hash", "_file")
 
     def __init__(
         self,
@@ -79,6 +122,8 @@ class Checkpoint:
         self._tensors = clean
         self._metadata = meta
         self._hash: str | None = None
+        # the bytes of a canonical file this checkpoint was read from, if any
+        self._file: np.ndarray | None = None
 
     @property
     def tensors(self) -> Mapping[str, Tensor]:
@@ -92,36 +137,23 @@ class Checkpoint:
     def names(self) -> list[str]:
         return sorted(self._tensors)
 
+    def _canonical_parts(self) -> list:
+        """The canonical serialization as buffers, in order, without copying payloads."""
+        if self._file is not None:
+            return [self._file]
+        header = _canonical_header(
+            ((name, t.shape) for name, t in self._tensors.items()), self._metadata
+        )
+        return [header] + [_payload_view(self._tensors[n]) for n in sorted(self._tensors)]
+
     def canonical_bytes(self) -> bytes:
         """Canonical serialization; the basis of both files and hashes."""
-        header: dict[str, object] = {}
-        payload_parts: list[bytes] = []
-        offset = 0
-        for name in sorted(self._tensors):
-            tensor = self._tensors[name]
-            raw = tensor.tobytes()
-            header[name] = {
-                "dtype": "F32",
-                "shape": list(tensor.shape),
-                "data_offsets": [offset, offset + len(raw)],
-            }
-            payload_parts.append(raw)
-            offset += len(raw)
-        if self._metadata:
-            header[_METADATA_KEY] = dict(sorted(self._metadata.items()))
-        header_bytes = json.dumps(
-            header, sort_keys=True, separators=(",", ":")
-        ).encode("utf-8")
-        return (
-            struct.pack("<Q", len(header_bytes))
-            + header_bytes
-            + b"".join(payload_parts)
-        )
+        return b"".join(self._canonical_parts())
 
     @property
     def content_hash(self) -> str:
         if self._hash is None:
-            self._hash = hashlib.sha256(self.canonical_bytes()).hexdigest()
+            self._hash = _sha256(self._canonical_parts())
         return self._hash
 
     def same_content(self, other: "Checkpoint") -> bool:
@@ -131,15 +163,45 @@ class Checkpoint:
         return f"Checkpoint({len(self._tensors)} tensors, hash={self.content_hash[:12]})"
 
 
+def write_atomic(path, parts: Iterable) -> None:
+    """Write ``parts`` (buffers, in order) to ``path`` all at once or not at all.
+
+    The data goes to a temporary file in the target's directory, which then
+    replaces ``path`` with ``os.replace``; readers see the old file or the new
+    one, never a partial write. On failure the temporary file is removed and
+    ``OSError`` becomes ``IoError``. (There is no fsync: a crash of the whole
+    machine may still lose the new file.)
+    """
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    try:
+        with open(fd, "wb", buffering=0) as fh:
+            for part in parts:
+                view = memoryview(part)
+                while view:
+                    view = view[fh.write(view):]
+        os.replace(tmp, path)
+    except BaseException as exc:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        if isinstance(exc, OSError):
+            raise IoError(f"cannot write {path}: {exc}") from exc
+        raise
+
+
 def write_checkpoint(ckpt: Checkpoint, path) -> str:
     """Write the canonical serialization to ``path``; returns the content hash."""
-    data = ckpt.canonical_bytes()
-    try:
-        with open(path, "wb") as fh:
-            fh.write(data)
-    except OSError as exc:
-        raise IoError(f"cannot write checkpoint to {path}: {exc}") from exc
-    return hashlib.sha256(data).hexdigest()
+    parts = ckpt._canonical_parts()
+    write_atomic(path, parts)
+    if ckpt._hash is None:
+        ckpt._hash = _sha256(parts)
+    return ckpt._hash
 
 
 def _parse_header(blob: bytes, payload_size: int):
@@ -229,39 +291,91 @@ def _parse_header(blob: bytes, payload_size: int):
     return metadata, entries
 
 
+def _header_length(fh, size: int) -> int:
+    """Read and check the 8-byte header length at the start of an open file."""
+    prefix = fh.read(8)
+    if len(prefix) < 8:
+        raise CorruptFile(f"file is {size} bytes; need at least an 8-byte header length")
+    (header_len,) = struct.unpack("<Q", prefix)
+    if 8 + header_len > size:
+        raise CorruptFile(f"header length {header_len} exceeds file size {size}")
+    return header_len
+
+
+def _read_file(path) -> tuple[np.ndarray, int]:
+    """The whole file in one read-only buffer, and its header length.
+
+    The buffer is placed so that the payload starts at a multiple of
+    ``_PAYLOAD_ALIGN`` bytes in memory.
+    """
+    try:
+        with open(path, "rb", buffering=0) as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header_len = _header_length(fh, size)
+            raw = np.empty(size + _PAYLOAD_ALIGN, dtype=np.uint8)
+            pad = -(raw.ctypes.data + 8 + header_len) % _PAYLOAD_ALIGN
+            buf = raw[pad : pad + size]
+            view = memoryview(buf)
+            fh.seek(0)
+            filled = 0
+            while filled < size:
+                got = fh.readinto(view[filled:])
+                if not got:
+                    break
+                filled += got
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
+    if filled < size:
+        raise IoError(f"short read from {path}: {filled} of {size} bytes")
+    buf.setflags(write=False)
+    return buf, header_len
+
+
 def read_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint file.
 
     F16 and F64 payloads are converted to the float32 working precision
     (exactly, where the value is representable). Non-finite stored values are
-    rejected.
+    rejected. F32 tensors are read-only views of one private copy of the file.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
-
-    if len(blob) < 8:
-        raise CorruptFile(f"file is {len(blob)} bytes; need at least an 8-byte header length")
-    (header_len,) = struct.unpack("<Q", blob[:8])
-    if 8 + header_len > len(blob):
-        raise CorruptFile(
-            f"header length {header_len} exceeds file size {len(blob)}"
-        )
-    payload = blob[8 + header_len :]
-    metadata, entries = _parse_header(blob[8 : 8 + header_len], len(payload))
+    buf, header_len = _read_file(path)
+    start = 8 + header_len
+    header = buf[8:start].tobytes()
+    metadata, entries = _parse_header(header, buf.size - start)
 
     tensors: dict[str, Tensor] = {}
     for name, (dtype, shape, begin, end) in entries.items():
-        arr = np.frombuffer(payload[begin:end], dtype=dtype).reshape(shape)
-        if dtype != np.dtype("<f4"):
+        count = (end - begin) // dtype.itemsize
+        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start + begin)
+        arr = arr.reshape(shape)
+        if dtype != _F32:
             arr = arr.astype(np.float32)
         try:
             tensors[name] = Tensor(arr, name=name)
         except InvalidValue as exc:
             raise InvalidValue(f"{path}: {exc}") from exc
-    return Checkpoint(tensors, metadata)
+    ckpt = Checkpoint(tensors, metadata)
+    # the rebuilt header names every tensor F32 with offsets in name order, so
+    # an equal raw header means the whole file is the canonical serialization
+    shapes = ((name, shape) for name, (_, shape, _, _) in entries.items())
+    if _canonical_header(shapes, metadata)[8:] == header:
+        ckpt._file = buf
+    return ckpt
+
+
+def read_checkpoint_metadata(path) -> dict[str, str]:
+    """The metadata map of a checkpoint file; reads and validates the header only."""
+    try:
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            header_len = _header_length(fh, size)
+            header = fh.read(header_len)
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
+    if len(header) < header_len:
+        raise IoError(f"short read from {path}: header of {header_len} bytes")
+    metadata, _ = _parse_header(header, size - 8 - header_len)
+    return metadata
 
 
 @dataclass
@@ -295,7 +409,7 @@ def diff_checkpoints(a: Checkpoint, b: Checkpoint) -> DiffReport:
         tb = b.tensors[name]
         if ta.shape != tb.shape:
             report.shape_mismatch.append((name, ta.shape, tb.shape))
-        elif ta.tobytes() == tb.tobytes():
+        elif ta.bitwise_equal(tb):
             report.value_equal.append(name)
         else:
             delta = np.abs(

@@ -29,7 +29,13 @@ from .arch import (
     plan_from_json,
     soup_millions_str,
 )
-from .checkpoint import Checkpoint, read_checkpoint, write_checkpoint
+from .checkpoint import (
+    Checkpoint,
+    read_checkpoint,
+    read_checkpoint_metadata,
+    write_atomic,
+    write_checkpoint,
+)
 from .errors import FormatError, IoError, PftError, UsageError
 from .model import predict
 from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
@@ -59,10 +65,7 @@ def _read_text(path) -> str:
 
 
 def _write_text(path, text: str):
-    try:
-        Path(path).write_text(text)
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    write_atomic(path, [text.encode("utf-8")])
 
 
 def _emit_json(obj) -> str:
@@ -238,7 +241,7 @@ def _soup_manifest(recipe, ckpts_hashes, output_hash, classes) -> dict:
     param_total = None
     display = None
     if classes is not None and all(i.plan_path for i in recipe.inputs):
-        arch = arch_from_checkpoint(read_checkpoint(recipe.base))
+        arch = arch_from_checkpoint(read_checkpoint_metadata(recipe.base))
         plans = [
             plan_from_json(_read_text(inp.plan_path), arch) for inp in recipe.inputs
         ]
@@ -303,8 +306,16 @@ def _cmd_soup(args) -> int:
     return 0
 
 
+def _train_config(path) -> TrainConfig:
+    """A config file to train from; unlike ``grad-check``, it needs at least one block."""
+    config = TrainConfig.from_json(_read_text(path))
+    if config.arch.depth < 1:
+        raise FormatError(f"{path}: arch depth must be >= 1 to train")
+    return config
+
+
 def _cmd_train(args) -> int:
-    config = TrainConfig.from_json(_read_text(args.config))
+    config = _train_config(args.config)
     if args.plan:
         arch = config.descriptor()
         config = replace(config, freeze=plan_from_json(_read_text(args.plan), arch))
@@ -323,7 +334,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_pipeline(args) -> int:
-    config = TrainConfig.from_json(_read_text(args.config))
+    config = _train_config(args.config)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -16,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .arch import ArchDescriptor, FreezePlan, describe_arch, plan_from_json
 from .checkpoint import Checkpoint, read_checkpoint
@@ -40,12 +40,13 @@ __all__ = [
 ]
 
 
-def arch_from_checkpoint(ckpt: Checkpoint) -> ArchDescriptor:
-    """Rebuild the descriptor recorded in a toolkit-produced checkpoint."""
-    arch_id = ckpt.metadata.get("pft.arch_id")
+def arch_from_checkpoint(ckpt: Checkpoint | Mapping[str, str]) -> ArchDescriptor:
+    """Rebuild the descriptor recorded in a toolkit-produced checkpoint or its metadata map."""
+    metadata = ckpt.metadata if isinstance(ckpt, Checkpoint) else ckpt
+    arch_id = metadata.get("pft.arch_id")
     if arch_id is None:
         raise FormatError("checkpoint has no pft.arch_id metadata")
-    config = ckpt.metadata.get("pft.arch_config")
+    config = metadata.get("pft.arch_config")
     dims = {}
     if config is not None:
         try:

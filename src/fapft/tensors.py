@@ -53,12 +53,11 @@ class Tensor:
     def size(self) -> int:
         return int(self.array.size)
 
-    def tobytes(self) -> bytes:
-        """Raw little-endian float32 bytes in row-major order."""
-        return self.array.astype("<f4", copy=False).tobytes()
-
     def bitwise_equal(self, other: "Tensor") -> bool:
-        return self.shape == other.shape and self.tobytes() == other.tobytes()
+        """Equal bit patterns (so ``-0.0`` differs from ``+0.0``), compared without copies."""
+        return self.shape == other.shape and np.array_equal(
+            self.array.view(np.uint32), other.array.view(np.uint32)
+        )
 
     def __repr__(self):
         return f"Tensor(name={self.name!r}, shape={self.shape})"

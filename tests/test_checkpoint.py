@@ -1,4 +1,6 @@
+import hashlib
 import json
+import os
 import struct
 
 import numpy as np
@@ -8,6 +10,7 @@ from fapft.checkpoint import (
     Checkpoint,
     diff_checkpoints,
     read_checkpoint,
+    read_checkpoint_metadata,
     write_checkpoint,
 )
 from fapft.errors import (
@@ -169,6 +172,171 @@ class TestRead:
         with pytest.raises(IoError):
             read_checkpoint(tmp_path / "absent.ckpt")
 
+    def test_short_read_is_io_error(self, tmp_path, monkeypatch):
+        p = tmp_path / "shrunk.ckpt"
+        write_checkpoint(random_checkpoint(np.random.default_rng(5)), p)
+        real_fstat = os.fstat
+
+        class Grown:
+            def __init__(self, st):
+                self.st_size = st.st_size + 4
+
+        monkeypatch.setattr(os, "fstat", lambda fd: Grown(real_fstat(fd)))
+        with pytest.raises(IoError, match="short read"):
+            read_checkpoint(p)
+
+    def test_tensors_are_read_only_views_of_one_buffer(self, tmp_path):
+        ckpt = random_checkpoint(np.random.default_rng(7), max_tensors=8)
+        p = tmp_path / "views.ckpt"
+        write_checkpoint(ckpt, p)
+        again = read_checkpoint(p)
+
+        def owner(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return arr
+
+        owners = {id(owner(t.array)) for t in again.tensors.values()}
+        assert len(owners) == 1
+        buf = owner(next(iter(again.tensors.values())).array)
+        assert buf.nbytes >= p.stat().st_size
+        for t in again.tensors.values():
+            assert not t.array.flags.writeable
+            assert np.shares_memory(t.array, buf)
+            assert t.array.ctypes.data % 4 == 0
+
+    def test_overwriting_the_file_leaves_loaded_values(self, tmp_path):
+        p = tmp_path / "reused.ckpt"
+        ckpt = Checkpoint({"w": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))})
+        write_checkpoint(ckpt, p)
+        again = read_checkpoint(p)
+        with open(p, "r+b") as fh:  # same inode, new payload
+            fh.write(Checkpoint({"w": Tensor(-np.ones((2, 3)))}).canonical_bytes())
+        assert np.array_equal(again.tensors["w"].array, ckpt.tensors["w"].array)
+        assert again.content_hash == ckpt.content_hash
+        assert again.canonical_bytes() == ckpt.canonical_bytes()
+
+
+W = np.array([1.5, -2.0], dtype="<f4")
+V = np.array([0.25], dtype="<f4")
+# canonical layout of {"v": V, "w": W}: payload in name order
+V_ENTRY = {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}
+W_ENTRY = {"dtype": "F32", "shape": [2], "data_offsets": [4, 12]}
+PAYLOAD = V.tobytes() + W.tobytes()
+CANONICAL_JSON = {"separators": (",", ":"), "sort_keys": True}
+
+# files that read the same tensors as a canonical file but differ in bytes;
+# each differs from the canonical layout in one respect
+NON_CANONICAL = {
+    "f16_payload": lambda: build_file(
+        {"w": {"dtype": "F16", "shape": [2], "data_offsets": [0, 4]}},
+        W.astype("<f2").tobytes(),
+    ),
+    "f64_payload": lambda: build_file(
+        {"w": {"dtype": "F64", "shape": [2], "data_offsets": [0, 16]}},
+        W.astype("<f8").tobytes(),
+    ),
+    "payload_not_in_name_order": lambda: build_file(
+        {
+            "v": {"dtype": "F32", "shape": [1], "data_offsets": [8, 12]},
+            "w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]},
+        },
+        W.tobytes() + V.tobytes(),
+    ),
+    "header_whitespace": lambda: raw_file(
+        json.dumps({"v": V_ENTRY, "w": W_ENTRY}, sort_keys=True), PAYLOAD
+    ),
+    "header_keys_unsorted": lambda: raw_file(
+        json.dumps({"w": W_ENTRY, "v": V_ENTRY}, separators=(",", ":")), PAYLOAD
+    ),
+    "empty_metadata": lambda: build_file(
+        {"v": V_ENTRY, "w": W_ENTRY, "__metadata__": {}}, PAYLOAD
+    ),
+    "raw_utf8_metadata": lambda: raw_file(
+        json.dumps(
+            {"v": V_ENTRY, "w": W_ENTRY, "__metadata__": {"note": "caf\u00e9"}},
+            ensure_ascii=False,
+            **CANONICAL_JSON,
+        ),
+        PAYLOAD,
+    ),
+}
+
+
+def raw_file(header_text: str, payload: bytes) -> bytes:
+    raw = header_text.encode("utf-8")
+    return struct.pack("<Q", len(raw)) + raw + payload
+
+
+class TestContentHashSource:
+    def test_canonical_file_hash_is_file_sha256(self, tmp_path):
+        blob = build_file(
+            {"v": V_ENTRY, "w": W_ENTRY, "__metadata__": {"note": "caf\u00e9"}}, PAYLOAD
+        )
+        p = tmp_path / "canonical.ckpt"
+        p.write_bytes(blob)
+        again = read_checkpoint(p)
+        assert again.content_hash == hashlib.sha256(blob).hexdigest()
+        rebuilt = Checkpoint(
+            {"v": Tensor(V), "w": Tensor(W)}, {"note": "caf\u00e9"}
+        )
+        assert rebuilt.canonical_bytes() == blob
+
+    @pytest.mark.parametrize("case", sorted(NON_CANONICAL))
+    def test_non_canonical_file_is_reserialized(self, tmp_path, case):
+        blob = NON_CANONICAL[case]()
+        p = tmp_path / f"{case}.ckpt"
+        p.write_bytes(blob)
+        again = read_checkpoint(p)
+        reserialized = again.canonical_bytes()
+        assert reserialized != blob
+        assert again.content_hash == hashlib.sha256(reserialized).hexdigest()
+        assert again.content_hash != hashlib.sha256(blob).hexdigest()
+        in_memory = Checkpoint(
+            {n: Tensor(t.array.copy()) for n, t in again.tensors.items()},
+            dict(again.metadata),
+        )
+        assert again.content_hash == in_memory.content_hash
+        # writing it out makes it canonical: the file's SHA-256 is the same hash
+        q = tmp_path / f"{case}.canonical.ckpt"
+        assert write_checkpoint(again, q) == again.content_hash
+        assert hashlib.sha256(q.read_bytes()).hexdigest() == again.content_hash
+
+
+class TestReadMetadata:
+    def test_matches_full_read(self, tmp_path):
+        ckpt = Checkpoint({"w": Tensor([1.0, 2.0])}, {"pft.arch_id": "toy_vit", "k": "v"})
+        p = tmp_path / "meta.ckpt"
+        write_checkpoint(ckpt, p)
+        assert read_checkpoint_metadata(p) == dict(read_checkpoint(p).metadata)
+        assert read_checkpoint_metadata(p) == {"pft.arch_id": "toy_vit", "k": "v"}
+
+    def test_reads_header_only(self, tmp_path):
+        blob = build_file(
+            {"w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
+             "__metadata__": {"pft.arch_id": "toy_vit"}},
+            np.array([np.nan], dtype="<f4").tobytes(),
+        )
+        p = tmp_path / "nan.ckpt"
+        p.write_bytes(blob)
+        assert read_checkpoint_metadata(p) == {"pft.arch_id": "toy_vit"}
+        with pytest.raises(InvalidValue):
+            read_checkpoint(p)
+
+    def test_header_is_still_validated(self, tmp_path):
+        p = tmp_path / "oob.ckpt"
+        p.write_bytes(
+            build_file({"a": {"dtype": "F32", "shape": [4], "data_offsets": [0, 16]}}, b"\x00" * 8)
+        )
+        with pytest.raises(CorruptFile):
+            read_checkpoint_metadata(p)
+        q = tmp_path / "tiny.ckpt"
+        q.write_bytes(b"\x01\x02")
+        with pytest.raises(CorruptFile):
+            read_checkpoint_metadata(q)
+        with pytest.raises(IoError):
+            read_checkpoint_metadata(tmp_path / "absent.ckpt")
+
 
 class TestWrite:
     def test_deterministic_bytes(self, tmp_path):
@@ -202,6 +370,43 @@ class TestWrite:
         with pytest.raises(IoError):
             write_checkpoint(Checkpoint({}), tmp_path / "no" / "such" / "dir.ckpt")
 
+    def test_failed_replace_keeps_old_file(self, tmp_path, monkeypatch):
+        p = tmp_path / "kept.ckpt"
+        write_checkpoint(random_checkpoint(np.random.default_rng(11)), p)
+        before = p.read_bytes()
+
+        def fail(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(IoError, match="replace refused"):
+            write_checkpoint(random_checkpoint(np.random.default_rng(12)), p)
+        assert p.read_bytes() == before
+        assert os.listdir(tmp_path) == ["kept.ckpt"]
+
+    def test_write_leaves_no_temp_file_and_default_mode(self, tmp_path):
+        p = tmp_path / "out.ckpt"
+        write_checkpoint(random_checkpoint(np.random.default_rng(13)), p)
+        write_checkpoint(random_checkpoint(np.random.default_rng(14)), p)
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")
+        assert sorted(os.listdir(tmp_path)) == ["out.ckpt", "plain"]
+        assert p.stat().st_mode == plain.stat().st_mode
+
+    def test_write_streams_without_serializing(self, tmp_path, monkeypatch):
+        ckpt = random_checkpoint(np.random.default_rng(15))
+        expected = ckpt.canonical_bytes()
+
+        def refuse(self):
+            raise AssertionError("canonical_bytes called")
+
+        monkeypatch.setattr(Checkpoint, "canonical_bytes", refuse)
+        p = tmp_path / "streamed.ckpt"
+        h = write_checkpoint(ckpt, p)
+        assert p.read_bytes() == expected
+        assert h == hashlib.sha256(expected).hexdigest() == ckpt.content_hash
+        assert read_checkpoint(p).content_hash == h
+
     def test_reserved_name_rejected(self):
         with pytest.raises(FormatError):
             Checkpoint({"__metadata__": Tensor([1.0])})
@@ -224,6 +429,8 @@ class TestRoundTrip:
             h = write_checkpoint(ckpt, p)
             again = read_checkpoint(p)
             assert again.content_hash == h
+            assert again.content_hash == hashlib.sha256(ckpt.canonical_bytes()).hexdigest()
+            assert again.canonical_bytes() == p.read_bytes()
             assert dict(again.metadata) == dict(ckpt.metadata)
             assert set(again.tensors) == set(ckpt.tensors)
             for name in ckpt.tensors:
@@ -278,6 +485,14 @@ class TestDiff:
         report = diff_checkpoints(a, b)
         assert report.value_equal == ["u"]
         assert report.value_diff == [("w", 6.0)]  # 2 * max|value|
+
+    def test_signed_zero_is_a_value_difference(self):
+        a = Checkpoint({"w": Tensor([0.0, 1.0])})
+        b = Checkpoint({"w": Tensor([-0.0, 1.0])})
+        report = diff_checkpoints(a, b)
+        assert report.value_equal == []
+        assert report.value_diff == [("w", 0.0)]
+        assert not report.identical
 
     def test_missing_tensor(self):
         a = Checkpoint({"w": Tensor([1.0]), "x": Tensor([2.0])})

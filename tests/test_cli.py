@@ -161,6 +161,43 @@ class TestExitCodes:
         assert code == 2
         assert "model_dim must be divisible by heads" in err
 
+    @pytest.mark.parametrize(
+        "command", [["train"], ["pipeline", "--difficulty", "easy"]], ids=["train", "pipeline"]
+    )
+    def test_depth_zero_train_config_is_data_error(self, capsys, tmp_path, command):
+        bad = json.loads(json.dumps(CONFIG))
+        bad["arch"]["depth"] = 0
+        path = tmp_path / "depth0.json"
+        path.write_text(json.dumps(bad))
+        code, _, err = run_cli(capsys, *command, "--config", str(path))
+        assert code == 2
+        assert "depth must be >= 1" in err
+
+    def test_depth_zero_config_still_grad_checks(self, capsys, tmp_path):
+        head_only = json.loads(json.dumps(CONFIG))
+        head_only["arch"]["depth"] = 0
+        path = tmp_path / "depth0.json"
+        path.write_text(json.dumps(head_only))
+        code, _, _ = run_cli(capsys, "grad-check", "--config", str(path))
+        assert code == 0
+
+    def test_failed_text_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
+        out = tmp_path / "params.json"
+        out.write_text("old\n")
+
+        def fail(src, dst):
+            raise OSError("replace refused")
+
+        monkeypatch.setattr(os, "replace", fail)
+        code, _, err = run_cli(
+            capsys, "params", "--arch", "vit_b16", "--strategy", "full",
+            "--classes", "1000", "--out", str(out),
+        )
+        assert code == 2
+        assert "replace refused" in err
+        assert out.read_text() == "old\n"
+        assert os.listdir(tmp_path) == ["params.json"]
+
 
 class TestAngles:
     def test_self_comparison(self, capsys, workdir):
@@ -384,6 +421,30 @@ class TestSoupCommand:
         assert np.array_equal(
             merged.tensors["norm.weight"].array, expected.astype(np.float32)
         )
+
+    def test_out_may_name_an_input(self, capsys, workdir, tmp_path):
+        from fapft.soup import uniform_soup_checkpoints
+
+        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+        for src, dst in zip((workdir["pre"], workdir["ft"]), paths):
+            dst.write_bytes(src.read_bytes())
+        originals = [read_checkpoint(p) for p in paths]
+        recipe_path = tmp_path / "recipe.json"
+        recipe_path.write_text(
+            json.dumps({"inputs": [{"path": str(p)} for p in paths], "mode": "uniform"})
+        )
+        code, out, _ = run_cli(
+            capsys, "soup", "--recipe", str(recipe_path), "--out", str(paths[0]), "--json"
+        )
+        assert code == 0
+        manifest = json.loads(out)
+        expected = uniform_soup_checkpoints(originals, [1.0, 1.0])
+        merged = read_checkpoint(paths[0])
+        assert merged.content_hash == expected.content_hash == manifest["output_hash"]
+        assert [i["hash"] for i in manifest["inputs"]] == [c.content_hash for c in originals]
+        assert sorted(os.listdir(tmp_path)) == [
+            "a.ckpt", "a.ckpt.manifest.json", "b.ckpt", "recipe.json",
+        ]
 
 
 class TestPlannedSoup:

@@ -55,6 +55,11 @@ class TestTensor:
         t = Tensor([0.1, 0.2])
         assert t.array.dtype == np.float32
 
+    def test_signed_zeros_are_not_bitwise_equal(self):
+        assert not Tensor([-0.0, 1.0]).bitwise_equal(Tensor([0.0, 1.0]))
+        assert Tensor([-0.0, 1.0]).bitwise_equal(Tensor([-0.0, 1.0]))
+        assert not Tensor([1.0, 2.0]).bitwise_equal(Tensor([[1.0, 2.0]]))
+
 
 class TestVecAngle:
     def test_identical_vectors(self):
