@@ -6,26 +6,26 @@ the two resulting vectors is computed. A whole-model angle is computed the
 same way over the concatenation of all residual layers. The classifier head
 (freshly initialized per task, possibly with a different shape) and the
 non-residual modules are excluded and recorded in the report's provenance.
+Each tensor pair is reduced once, in float64 over fixed-length blocks (see
+``tensors.pair_stats``), and its sums count toward both its layer and the
+whole model.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-
-import numpy as np
+from functools import cached_property
 
 from .arch import ArchDescriptor, LayerRef, map_tensors
 from .checkpoint import Checkpoint
 from .errors import (
-    DegenerateVector,
     FormatError,
     IncompatibleCheckpoints,
     IncompatibleReports,
     InvalidValue,
 )
-from .tensors import kendall_tau
+from .tensors import PairStats, kendall_tau, pair_stats
 
 __all__ = [
     "AngleEntry",
@@ -36,42 +36,6 @@ __all__ = [
     "group_rank_table",
     "render_rank_table",
 ]
-
-
-class _AngleAccumulator:
-    """Streaming angle over a concatenation of tensor pairs.
-
-    Accumulates dot products and squared norms in 64-bit with a fixed
-    per-tensor order, so the result is independent of map insertion order.
-    Bitwise-equal and bitwise-negated concatenations resolve to exactly
-    0 and pi.
-    """
-
-    def __init__(self):
-        self.dot = 0.0
-        self.naa = 0.0
-        self.nbb = 0.0
-        self.all_equal = True
-        self.all_negated = True
-
-    def update(self, a: np.ndarray, b: np.ndarray):
-        a64 = a.ravel().astype(np.float64)
-        b64 = b.ravel().astype(np.float64)
-        self.dot += float(np.dot(a64, b64))
-        self.naa += float(np.dot(a64, a64))
-        self.nbb += float(np.dot(b64, b64))
-        self.all_equal = self.all_equal and np.array_equal(a64, b64)
-        self.all_negated = self.all_negated and np.array_equal(a64, -b64)
-
-    def angle(self, label: str) -> float:
-        if self.naa == 0.0 or self.nbb == 0.0:
-            raise DegenerateVector(f"{label}: zero-norm weight vector")
-        if self.all_equal:
-            return 0.0
-        if self.all_negated:
-            return math.pi
-        cos = self.dot / math.sqrt(self.naa * self.nbb)
-        return math.acos(min(1.0, max(-1.0, cos)))
 
 
 @dataclass(frozen=True)
@@ -96,7 +60,7 @@ class AngleReport:
     def angle_of(self, layer_id: str) -> float:
         return self._by_layer[layer_id].angle
 
-    @property
+    @cached_property
     def _by_layer(self) -> dict[str, AngleEntry]:
         return {e.layer_id: e for e in self.entries}
 
@@ -187,13 +151,17 @@ def compute_angles(
     map_tensors(arch, pre.tensors.keys())
     map_tensors(arch, ft.tensors.keys())
 
+    # each pair is reduced once; its sums go to its layer and to the whole
+    # model, both in the fixed per-tensor order, so the result does not
+    # depend on map insertion order
     angles: dict[str, float] = {}
-    whole = _AngleAccumulator()
+    whole = PairStats()
     for layer in arch.layers:
-        acc = _AngleAccumulator()
+        acc = PairStats()
         for a, b in _residual_pairs(pre, ft, layer):
-            acc.update(a, b)
-            whole.update(a, b)
+            stats = pair_stats(a, b)
+            acc += stats
+            whole += stats
         angles[layer.layer_id] = acc.angle(layer.layer_id)
 
     residual_names = {name for layer in arch.layers for name in layer.tensors}

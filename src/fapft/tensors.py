@@ -8,7 +8,7 @@ functions here are pure, so concurrent use needs no locking.
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -20,7 +20,16 @@ from .errors import (
     InvalidValue,
 )
 
-__all__ = ["Tensor", "vec_angle", "kendall_tau", "mean_stack"]
+__all__ = ["Tensor", "PairStats", "pair_stats", "vec_angle", "kendall_tau", "mean_stack"]
+
+# Length of the blocks in which ``pair_stats`` reduces a vector pair. A BLAS
+# may split a long dot product across its threads, and the split changes the
+# order of the sum with the thread count: OpenBLAS 0.3.31 threads a float64
+# dot of more than 10 000 elements. Blocks below that length keep every dot on
+# one thread, so the sums are the same at any BLAS thread count; a vector of
+# at most one block is reduced by one plain dot. Changing the length changes
+# the bits of every angle over a longer vector.
+_BLOCK = 8192
 
 
 class Tensor:
@@ -72,31 +81,88 @@ def _as_flat_f64(x, label: str) -> np.ndarray:
     return arr
 
 
+class PairStats(NamedTuple):
+    """Float64 sums ``a.b``, ``a.a`` and ``b.b`` of a vector pair, and whether
+    ``a == b`` and ``a == -b`` elementwise. The default is the empty pair."""
+
+    ab: float = 0.0
+    aa: float = 0.0
+    bb: float = 0.0
+    equal: bool = True
+    negated: bool = True
+
+    def __add__(self, other: "PairStats") -> "PairStats":
+        """Stats of the concatenation of the two pairs, this one first."""
+        return PairStats(
+            self.ab + other.ab,
+            self.aa + other.aa,
+            self.bb + other.bb,
+            self.equal and other.equal,
+            self.negated and other.negated,
+        )
+
+    def angle(self, label: str | None = None) -> float:
+        """Angle in radians, in [0, pi]; exactly 0.0 for an equal pair and pi for a negated one.
+
+        The cosine is clamped to [-1, 1] so rounding can never produce NaN.
+        ``label`` names the pair in the error raised for a zero norm.
+        """
+        if self.aa == 0.0 or self.bb == 0.0:
+            prefix = f"{label}: " if label else ""
+            raise DegenerateVector(f"{prefix}zero-norm vector has no direction")
+        if self.equal:
+            return 0.0
+        if self.negated:
+            return math.pi
+        cos = self.ab / math.sqrt(self.aa * self.bb)
+        return math.acos(min(1.0, max(-1.0, cos)))
+
+
+def pair_stats(a: np.ndarray, b: np.ndarray) -> PairStats:
+    """Stats of two same-size arrays, taken as flat vectors in row-major order.
+
+    Each block of ``_BLOCK`` elements is cast into two reusable float64
+    buffers and its three dot products are added in block order, so no
+    full-size float64 copy is made. The equality checks compare the inputs
+    themselves, which is exact because the cast to float64 is, and stop at
+    the first block that fails them.
+    """
+    a = a.reshape(-1)
+    b = b.reshape(-1)
+    if a.size != b.size:
+        raise DimensionMismatch(f"length mismatch: {a.size} vs {b.size}")
+    a64 = np.empty(min(a.size, _BLOCK), dtype=np.float64)
+    b64 = np.empty_like(a64)
+    ab = aa = bb = 0.0
+    equal = negated = True
+    for start in range(0, a.size, _BLOCK):
+        a_block = a[start : start + _BLOCK]
+        b_block = b[start : start + _BLOCK]
+        equal = equal and np.array_equal(a_block, b_block)
+        negated = negated and np.array_equal(a_block, -b_block)
+        x = a64[: a_block.size]
+        y = b64[: b_block.size]
+        x[...] = a_block
+        y[...] = b_block
+        ab += float(np.dot(x, y))
+        aa += float(np.dot(x, x))
+        bb += float(np.dot(y, y))
+    return PairStats(ab, aa, bb, equal, negated)
+
+
 def vec_angle(u, v) -> float:
     """Angle in radians, in [0, pi], between two flat vectors.
 
-    Computed as arccos of the cosine similarity with 64-bit accumulation of
-    the dot product and norms; the cosine is clamped to [-1, 1] so rounding
-    can never produce NaN. Bitwise-identical and bitwise-negated inputs
-    short-circuit to exactly 0.0 and pi.
+    Computed as arccos of the cosine similarity from the float64 sums of
+    ``pair_stats``; the cosine is clamped to [-1, 1] so rounding can never
+    produce NaN. Bitwise-identical and bitwise-negated inputs short-circuit
+    to exactly 0.0 and pi.
     """
     a = _as_flat_f64(u, "u")
-    b = _as_flat_f64(v, "v")
-    if a.size != b.size:
-        raise DimensionMismatch(f"length mismatch: {a.size} vs {b.size}")
+    stats = pair_stats(a, _as_flat_f64(v, "v"))
     if a.size == 0:
         raise DegenerateVector("empty vectors have no direction")
-    naa = float(np.dot(a, a))
-    nbb = float(np.dot(b, b))
-    if naa == 0.0 or nbb == 0.0:
-        raise DegenerateVector("zero-norm vector has no direction")
-    if np.array_equal(a, b):
-        return 0.0
-    if np.array_equal(a, -b):
-        return math.pi
-    cos = float(np.dot(a, b)) / math.sqrt(naa * nbb)
-    cos = min(1.0, max(-1.0, cos))
-    return math.acos(cos)
+    return stats.angle()
 
 
 def kendall_tau(a, b) -> float:

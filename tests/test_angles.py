@@ -14,7 +14,12 @@ from fapft.angles import (
 )
 from fapft.arch import describe_arch
 from fapft.checkpoint import Checkpoint
-from fapft.errors import IncompatibleCheckpoints, IncompatibleReports, InvalidValue
+from fapft.errors import (
+    DegenerateVector,
+    IncompatibleCheckpoints,
+    IncompatibleReports,
+    InvalidValue,
+)
 from fapft.tensors import Tensor
 
 
@@ -63,6 +68,90 @@ class TestComputeAngles:
                 assert e.angle == math.pi
             else:
                 assert e.angle == 0.0
+
+    def test_equal_and_negated_tensors_give_neither_zero_nor_pi(self, toy):
+        rng = np.random.default_rng(11)
+        pre = make_ckpt(toy, 5, rng)
+        target = toy.layer_map["s0.b1.FFN"]
+        negated = sorted(target.tensors)[-1]  # the others stay equal
+
+        def flip(names):
+            return Checkpoint(
+                {n: Tensor(-t.array if n in names else t.array, name=n)
+                 for n, t in pre.tensors.items()}
+            )
+
+        report = compute_angles(pre, flip({negated}), toy)
+        assert 0.0 < report.angle_of("s0.b1.FFN") < math.pi
+        assert 0.0 < report.whole_model_angle < math.pi
+        for e in report.entries:
+            if e.layer_id != "s0.b1.FFN":
+                assert e.angle == 0.0
+
+        # the whole model follows the same rule: pi only when every residual
+        # tensor is negated
+        residual = {n for layer in toy.layers for n in layer.tensors}
+        report = compute_angles(pre, flip(residual), toy)
+        assert report.whole_model_angle == math.pi
+        assert all(e.angle == math.pi for e in report.entries)
+
+    @pytest.mark.parametrize(
+        "dims",
+        [dict(depth=3, model_dim=8, heads=2, seq_len=4),
+         # qkv 27 648 and FFN 30 720 elements: several blocks and a tail
+         dict(depth=1, model_dim=96, heads=4, ffn_dim=320, seq_len=4)],
+        ids=["one_block", "several_blocks"],
+    )
+    def test_angles_match_exact_oracle(self, dims):
+        arch = describe_arch("toy_vit", **dims)
+        rng = np.random.default_rng(12)
+        pre = make_ckpt(arch, 5, rng)
+        ft = make_ckpt(arch, 5, rng, mutate=lambda n, d: d + np.float32(0.1) * d[::-1])
+        report = compute_angles(pre, ft, arch)
+
+        def oracle(names):
+            u, v = (
+                np.concatenate([c.tensors[n].array.ravel() for n in sorted(names)])
+                .astype(np.longdouble)
+                for c in (pre, ft)
+            )
+            return math.acos(float((u @ v) / np.sqrt((u @ u) * (v @ v))))
+
+        for layer in arch.layers:
+            assert report.angle_of(layer.layer_id) == pytest.approx(
+                oracle(layer.tensors), rel=1e-12
+            )
+        residual = {n for layer in arch.layers for n in layer.tensors}
+        assert report.whole_model_angle == pytest.approx(oracle(residual), rel=1e-12)
+
+    @pytest.mark.parametrize("seed", [16, 17, 18])
+    def test_one_block_tensors_match_per_tensor_reference(self, seed):
+        # every tensor fits in one block, so each is one plain float64 dot,
+        # summed tensor by tensor into its layer and into the whole model
+        arch = describe_arch("toy_vit", depth=6, model_dim=32, heads=2, seq_len=4)
+        rng = np.random.default_rng(seed)
+        pre = make_ckpt(arch, 5, rng)
+        ft = Checkpoint(
+            {n: Tensor(t.array + np.float32(0.2) * t.array[::-1], name=n)
+             for n, t in pre.tensors.items()}
+        )
+        report = compute_angles(pre, ft, arch)
+
+        def reference(sums):
+            ab, aa, bb = sums
+            return math.acos(min(1.0, max(-1.0, ab / math.sqrt(aa * bb))))
+
+        whole = [0.0, 0.0, 0.0]
+        for layer in arch.layers:
+            sums = [0.0, 0.0, 0.0]
+            for name in sorted(layer.tensors):
+                a = pre.tensors[name].array.astype(np.float64).ravel()
+                b = ft.tensors[name].array.astype(np.float64).ravel()
+                for i, (x, y) in enumerate([(a, b), (a, a), (b, b)]):
+                    sums[i] += float(np.dot(x, y))
+                    whole[i] += float(np.dot(x, y))
+            assert report.angle_of(layer.layer_id) == reference(sums)
+        assert report.whole_model_angle == reference(whole)
 
     def test_perturbed_layer_matches_flat_oracle(self, toy):
         rng = np.random.default_rng(3)
@@ -150,6 +239,15 @@ class TestComputeAngles:
         report = compute_angles(pre, ft, toy)
         assert "head.weight" in report.excluded_tensors
         assert "pos_embed" in report.excluded_tensors
+
+    def test_zero_norm_layer_is_named(self, toy):
+        rng = np.random.default_rng(13)
+        target = toy.layer_map["s0.b1.FFN"]
+        pre = make_ckpt(
+            toy, 5, rng, mutate=lambda n, d: 0.0 * d if n in target.tensors else d
+        )
+        with pytest.raises(DegenerateVector, match="^s0.b1.FFN: "):
+            compute_angles(pre, make_ckpt(toy, 5, rng), toy)
 
     def test_missing_residual_tensor(self, toy):
         rng = np.random.default_rng(8)
@@ -291,3 +389,14 @@ class TestSerialization:
         report = compute_angles(pre, make_ckpt(toy, 5, rng), toy)
         again = report_from_json(report.to_json_text())
         assert again == report
+
+    def test_layer_map_is_built_once(self, toy):
+        rng = np.random.default_rng(15)
+        report = compute_angles(make_ckpt(toy, 5, rng), make_ckpt(toy, 5, rng), toy)
+        fresh = report_from_json(report.to_json_text())
+        angles = [report.angle_of(e.layer_id) for e in report.entries]
+        assert angles == report.angles_in_order()
+        assert report._by_layer is report._by_layer
+        # the cached map takes no part in equality, hashing or serialization
+        assert report == fresh and hash(report) == hash(fresh)
+        assert report.to_json_obj() == fresh.to_json_obj()

@@ -9,9 +9,11 @@ import numpy as np
 import pytest
 
 import fapft
+from fapft.arch import describe_arch
 from fapft.cli import main
-from fapft.checkpoint import read_checkpoint, write_checkpoint
+from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.schemas import COMMAND_SCHEMAS
+from fapft.tensors import Tensor
 from fapft.train import TrainConfig, train
 
 CONFIG = {
@@ -669,6 +671,35 @@ class TestDeterminism:
             )
             checkpoints.append((out_dir / "run.ckpt").read_bytes())
         assert checkpoints[0] == checkpoints[1]
+
+    def test_blas_thread_count_does_not_change_angle_report(self, tmp_path):
+        # the qkv weight (27 648 elements) and each FFN weight (30 720) are
+        # above the length at which OpenBLAS splits a dot across threads, and
+        # neither is a whole number of the angle kernel's blocks
+        dims = dict(depth=1, model_dim=96, heads=4, ffn_dim=320, seq_len=4)
+        arch = describe_arch("toy_vit", **dims)
+        rng = np.random.default_rng(5)
+        pre, ft = {}, {}
+        for name, shape in arch.schema_shapes(4).items():
+            data = rng.normal(size=shape).astype(np.float32)
+            pre[name] = Tensor(data, name=name)
+            ft[name] = Tensor(data + rng.normal(scale=0.05, size=shape), name=name)
+        write_checkpoint(Checkpoint(pre), tmp_path / "pre.ckpt")
+        write_checkpoint(Checkpoint(ft), tmp_path / "ft.ckpt")
+        src = str(Path(fapft.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        reports = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.json"
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": path}
+            subprocess.run(
+                [sys.executable, "-m", "fapft.cli", "angles", "--pre", str(tmp_path / "pre.ckpt"),
+                 "--ft", str(tmp_path / "ft.ckpt"), "--arch", "toy_vit",
+                 "--dims", json.dumps(dims), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            reports.append(out.read_bytes())
+        assert reports[0] == reports[1]
 
     def test_params_stdout_identical(self, capsys):
         args = ["params", "--arch", "vit_b16", "--strategy", "attn_only", "--classes", "1000"]

@@ -10,7 +10,15 @@ from fapft.errors import (
     EmptyInput,
     InvalidValue,
 )
-from fapft.tensors import Tensor, kendall_tau, mean_stack, vec_angle
+from fapft.tensors import (
+    _BLOCK,
+    PairStats,
+    Tensor,
+    kendall_tau,
+    mean_stack,
+    pair_stats,
+    vec_angle,
+)
 
 
 def brute_force_tau_b(a, b):
@@ -30,6 +38,15 @@ def brute_force_tau_b(a, b):
                 tied_b += 1
     n0 = n * (n - 1) // 2
     return c_minus_d / math.sqrt((n0 - tied_a) * (n0 - tied_b))
+
+
+def fsum_dot(x, y) -> float:
+    """Correctly rounded float64 sum of products; float32 products are exact in float64."""
+    return math.fsum(np.asarray(x, np.float64) * np.asarray(y, np.float64))
+
+
+# one element, one whole block, one block plus one, several blocks plus a tail
+ORACLE_SIZES = [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 123]
 
 
 class TestTensor:
@@ -118,6 +135,73 @@ class TestVecAngle:
 
     def test_accepts_tensor_inputs(self):
         assert vec_angle(Tensor([1.0, 0.0]), Tensor([1.0, 0.0])) == 0.0
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_blocked_vectors_match_exact_oracle(self, n):
+        rng = np.random.default_rng(200 + n)
+        u = rng.normal(size=n).astype(np.float32)
+        v = (u + 0.3 * rng.normal(size=n)).astype(np.float32)
+        cos = fsum_dot(u, v) / math.sqrt(fsum_dot(u, u) * fsum_dot(v, v))
+        expected = math.acos(min(1.0, max(-1.0, cos)))
+        assert vec_angle(u, v) == pytest.approx(expected, abs=1e-12)
+        assert vec_angle(u, v) == vec_angle(v, u)
+        assert vec_angle(u, u.copy()) == 0.0
+        assert vec_angle(u, -u) == math.pi
+
+
+class TestPairStats:
+    @pytest.mark.parametrize("n", [1, 7, _BLOCK - 1, _BLOCK])
+    def test_one_block_is_one_plain_dot(self, n):
+        rng = np.random.default_rng(n)
+        a = rng.normal(size=n).astype(np.float32)
+        b = rng.normal(size=n).astype(np.float32)
+        a64, b64 = a.astype(np.float64), b.astype(np.float64)
+        stats = pair_stats(a, b)
+        assert stats.ab == float(np.dot(a64, b64))
+        assert stats.aa == float(np.dot(a64, a64))
+        assert stats.bb == float(np.dot(b64, b64))
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_sums_match_exact_oracle(self, n):
+        rng = np.random.default_rng(100 + n)
+        a = rng.normal(size=n).astype(np.float32)
+        b = (a + 0.1 * rng.normal(size=n)).astype(np.float32)
+        stats = pair_stats(a.reshape(1, -1), b.reshape(1, -1))
+        assert stats.ab == pytest.approx(fsum_dot(a, b), rel=1e-12)
+        assert stats.aa == pytest.approx(fsum_dot(a, a), rel=1e-12)
+        assert stats.bb == pytest.approx(fsum_dot(b, b), rel=1e-12)
+        assert not stats.equal and not stats.negated
+
+    def test_flags_look_past_the_first_block(self):
+        n = 2 * _BLOCK + 5
+        a = np.random.default_rng(3).normal(size=n).astype(np.float32)
+        assert pair_stats(a, a.copy())[3:] == (True, False)
+        assert pair_stats(a, -a)[3:] == (False, True)
+        for index in (_BLOCK, n - 1):  # second block, tail
+            b = a.copy()
+            b[index] += 1.0
+            assert pair_stats(a, b)[3:] == (False, False)
+            c = -a
+            c[index] += 1.0
+            assert pair_stats(a, c)[3:] == (False, False)
+
+    def test_signed_zeros_compare_as_values(self):
+        zeros = np.zeros(3, np.float32)
+        assert pair_stats(zeros, -zeros)[3:] == (True, True)
+
+    def test_concatenation_adds_in_order(self):
+        first = PairStats(1.0, 2.0, 3.0, True, False)
+        second = PairStats(0.5, 0.25, 0.125, False, False)
+        assert PairStats() + first == first
+        assert first + second == PairStats(1.5, 2.25, 3.125, False, False)
+
+    def test_size_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            pair_stats(np.zeros(3, np.float32), np.zeros(4, np.float32))
+
+    def test_zero_norm_names_the_pair(self):
+        with pytest.raises(DegenerateVector, match="^s0.b1.FFN: zero-norm"):
+            PairStats(0.0, 0.0, 1.0).angle("s0.b1.FFN")
 
 
 class TestKendallTau:
