@@ -24,11 +24,10 @@ from fapft import (
     generate_dataset,
     greedy_soup,
     millions_str,
-    plan_series,
+    run_plan_series,
     soup_millions_str,
     soup_param_total,
     train,
-    uniform_soup_checkpoints,
 )
 from fapft.model import predict
 
@@ -55,7 +54,6 @@ full = train(finetune, init=pretrained)
 report = compute_angles(pretrained, full.final_checkpoint, arch)
 print(f"  done in {time.monotonic() - t0:.1f}s")
 
-plans = plan_series(report, arch, "large", [1, 2, 3, 4, 5])
 data = generate_dataset(spec)
 _, _, x_val, y_val = data.task_split("finetune")
 
@@ -66,23 +64,21 @@ def held_out_accuracy(ckpt: Checkpoint) -> float:
 
 
 print("\nfive partial runs, varying only top-k:")
-members = []
-for k, plan in enumerate(plans, start=1):
-    run = train(replace(finetune, freeze=plan), init=pretrained)
-    members.append(run.final_checkpoint)
-    count = plan.trainable_param_count(dims.num_classes)
+series = run_plan_series(pretrained, finetune, report, "large", [1, 2, 3, 4, 5])
+for k, run in enumerate(series.runs, start=1):
+    count = run.config.freeze.trainable_param_count(dims.num_classes)
     print(
         f"  top-{k}: val_acc={run.final_val_accuracy:.4f} "
         f"trainable={count} ({millions_str(count)}M)"
     )
 
-soup = uniform_soup_checkpoints(members)
-print(f"\nuniform soup: val_acc={held_out_accuracy(soup):.4f}")
-total = soup_param_total(plans, dims.num_classes)
-display = soup_millions_str(p.trainable_param_count(dims.num_classes) for p in plans)
+print(f"\nuniform soup: val_acc={held_out_accuracy(series.soup):.4f}")
+total = soup_param_total(series.plans, dims.num_classes)
+display = soup_millions_str(p.trainable_param_count(dims.num_classes) for p in series.plans)
 print(f"soup budget = sum of per-run trainable counts: {total} ({display}M)")
 
 print("\ngreedy soup with a corrupted candidate thrown in:")
+members = [run.final_checkpoint for run in series.runs]
 rng = np.random.default_rng(99)
 corrupted = Checkpoint(
     {

@@ -32,7 +32,6 @@ from .arch import (
     manual_strategy,
     map_tensors,
     millions_str,
-    param_count,
     plan_from_json,
     soup_millions_str,
 )
@@ -61,6 +60,7 @@ from .train import (
     PipelineResult,
     RunResult,
     ScheduleConfig,
+    SeriesResult,
     SyntheticDataset,
     SyntheticSpec,
     TrainConfig,
@@ -68,6 +68,7 @@ from .train import (
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
+    run_plan_series,
     train,
 )
 
@@ -94,7 +95,6 @@ __all__ = [
     "manual_strategy",
     "full_plan",
     "linear_probe_plan",
-    "param_count",
     "map_tensors",
     "plan_from_json",
     "millions_str",
@@ -131,9 +131,11 @@ __all__ = [
     "RunResult",
     "GradCheckResult",
     "PipelineResult",
+    "SeriesResult",
     "generate_dataset",
     "train",
     "grad_check",
     "run_fapft_pipeline",
+    "run_plan_series",
     "cosine_warmup_lr",
 ]

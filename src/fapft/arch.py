@@ -16,7 +16,7 @@ counts of concrete tensor shapes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
 
@@ -40,7 +40,7 @@ __all__ = [
     "manual_strategy",
     "full_plan",
     "linear_probe_plan",
-    "param_count",
+    "toy_vit_arch",
     "map_tensors",
     "millions_str",
     "soup_millions_str",
@@ -310,26 +310,34 @@ def _build_toy_vit(**overrides) -> ArchDescriptor:
             raise InvalidValue(f"toy_vit dimension {key} must be a positive int")
     if dims["model_dim"] % dims["heads"] != 0:
         raise InvalidValue("model_dim must be divisible by heads")
-    stage = StageSpec(
-        index=0,
-        blocks=dims["depth"],
-        dim=dims["model_dim"],
-        heads=dims["heads"],
-        ffn_dim=dims["ffn_dim"],
-    )
+    return toy_vit_arch(**dims)
+
+
+def toy_vit_arch(
+    depth: int, model_dim: int, heads: int, ffn_dim: int, seq_len: int
+) -> ArchDescriptor:
+    """The ``toy_vit`` descriptor for dimensions the caller has already checked.
+
+    It is the one tensor-name schema of the desk-scale model in
+    :mod:`fapft.model`. Depth 0, a head-only model, is allowed here for the
+    model's sake; :func:`describe_arch` asks for at least one block.
+    """
+    stage = StageSpec(index=0, blocks=depth, dim=model_dim, heads=heads, ffn_dim=ffn_dim)
     layers = []
     for b in range(stage.blocks):
         prefix = f"blocks.{b}"
         layers.append(LayerRef(0, b, ATTN, _attn_tensors(prefix, stage)))
         layers.append(LayerRef(0, b, FFN, _ffn_tensors(prefix, stage)))
     non_residual = {
-        "pos_embed": (dims["seq_len"], dims["model_dim"]),
-        "norm.weight": (dims["model_dim"],),
-        "norm.bias": (dims["model_dim"],),
+        "pos_embed": (seq_len, model_dim),
+        "norm.weight": (model_dim,),
+        "norm.bias": (model_dim,),
     }
-    return ArchDescriptor(
-        "toy_vit", [stage], layers, non_residual, dims["model_dim"], dims
-    )
+    dims = {
+        "depth": depth, "model_dim": model_dim, "heads": heads,
+        "ffn_dim": ffn_dim, "seq_len": seq_len,
+    }
+    return ArchDescriptor("toy_vit", [stage], layers, non_residual, model_dim, dims)
 
 
 def describe_arch(arch_id: str, **dims) -> ArchDescriptor:
@@ -534,26 +542,6 @@ def full_plan(arch: ArchDescriptor) -> FreezePlan:
 
 def linear_probe_plan(arch: ArchDescriptor) -> FreezePlan:
     return _make_plan(arch, "LINEAR_PROBE", ())
-
-
-def param_count(arch: ArchDescriptor, plan: FreezePlan, num_classes: int) -> int:
-    """Exact trainable-parameter total of ``plan`` under ``arch``."""
-    if num_classes <= 0:
-        raise InvalidValue(f"num_classes must be positive, got {num_classes}")
-    if plan.arch_id != arch.arch_id:
-        raise IncompatiblePlan(
-            f"plan is for {plan.arch_id!r}, descriptor is {arch.arch_id!r}"
-        )
-    total = 0
-    for lid in plan.trainable_layer_ids:
-        layer = arch.layer_map.get(lid)
-        if layer is None:
-            raise IncompatiblePlan(f"plan names unknown layer {lid!r}")
-        total += layer.param_count
-    total += arch.head_param_count(num_classes)
-    if plan.non_residual_trainable:
-        total += arch.non_residual_param_count
-    return total
 
 
 def map_tensors(arch: ArchDescriptor, tensor_names: Iterable[str]):

@@ -29,6 +29,7 @@ import json
 import os
 import struct
 from dataclasses import dataclass, field
+from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
@@ -42,6 +43,7 @@ __all__ = [
     "DiffReport",
     "read_checkpoint",
     "read_checkpoint_metadata",
+    "read_text",
     "write_checkpoint",
     "diff_checkpoints",
 ]
@@ -156,11 +158,19 @@ class Checkpoint:
             self._hash = _sha256(self._canonical_parts())
         return self._hash
 
-    def same_content(self, other: "Checkpoint") -> bool:
-        return self.content_hash == other.content_hash
-
     def __repr__(self):
         return f"Checkpoint({len(self._tensors)} tensors, hash={self.content_hash[:12]})"
+
+
+def read_text(path) -> str:
+    """A UTF-8 text file: ``OSError`` becomes ``IoError`` and undecodable bytes
+    ``FormatError``, so every text input the toolkit reads is a data error."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
 def write_atomic(path, parts: Iterable) -> None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import replace
@@ -25,27 +26,21 @@ from .arch import (
     linear_probe_plan,
     manual_strategy,
     millions_str,
-    param_count,
     plan_from_json,
-    soup_millions_str,
 )
-from .checkpoint import (
-    Checkpoint,
-    read_checkpoint,
-    read_checkpoint_metadata,
-    write_atomic,
-    write_checkpoint,
-)
+from .checkpoint import Checkpoint, read_checkpoint, read_text, write_atomic, write_checkpoint
 from .errors import FormatError, IoError, PftError, UsageError
 from .model import predict
-from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
-from .soup import SoupRecipe, arch_from_checkpoint, soup_param_total, uniform_soup, greedy_soup
+from .planner import FapftPolicy, default_policy, plan_fapft
+from .soup import SoupRecipe, arch_from_checkpoint, greedy_soup, soup_manifest, uniform_soup
 from .tensors import Tensor
 from .train import (
+    SyntheticSpec,
     TrainConfig,
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
+    run_plan_series,
     train,
 )
 
@@ -55,13 +50,6 @@ __all__ = ["main"]
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse would sys.exit(2); the contract says 1
         raise UsageError(message)
-
-
-def _read_text(path) -> str:
-    try:
-        return Path(path).read_text()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def _write_text(path, text: str):
@@ -93,15 +81,44 @@ def _resolve_arch(arch_id: str, dims_raw: str | None, ckpt: Checkpoint | None = 
     return describe_arch(arch_id)
 
 
-def _parse_topk(raw: str) -> tuple[int, ...]:
+# argparse types: a bad value is a usage error (exit 1) naming the flag
+
+
+def _ints(raw: str) -> tuple[int, ...]:
     try:
         return tuple(int(part) for part in raw.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--topk must be comma-separated ints: {raw!r}") from exc
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {raw!r}") from None
 
 
-def _run_summary(config: TrainConfig, result) -> dict:
-    return {
+def _class_count(raw: str) -> int:
+    try:
+        count = int(raw)
+    except ValueError:
+        count = 0
+    if count <= 0:
+        raise argparse.ArgumentTypeError(f"class counts must be positive ints, got {raw!r}")
+    return count
+
+
+def _class_counts(raw: str) -> tuple[int, ...]:
+    return tuple(_class_count(part) for part in raw.split(","))
+
+
+def _positive_number(raw: str) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {raw!r}")
+    return value
+
+
+def _record_run(out_dir: Path | None, stem: str, result) -> dict:
+    """A run's summary, after writing its artifacts under ``out_dir`` when given."""
+    config = result.config
+    summary = {
         "config_hash": result.config_hash,
         "checkpoint_hash": result.final_checkpoint.content_hash,
         "task": config.task,
@@ -110,13 +127,10 @@ def _run_summary(config: TrainConfig, result) -> dict:
         "final_train_loss": result.metrics[-1].train_loss,
         "final_val_accuracy": result.metrics[-1].val_accuracy,
     }
-
-
-def _write_run_artifacts(out_dir: Path, stem: str, config: TrainConfig, result) -> dict:
-    summary = _run_summary(config, result)
-    write_checkpoint(result.final_checkpoint, out_dir / f"{stem}.ckpt")
-    _write_text(out_dir / f"{stem}.metrics.jsonl", result.metrics_jsonl())
-    _write_text(out_dir / f"{stem}.json", _emit_json(summary))
+    if out_dir:
+        write_checkpoint(result.final_checkpoint, out_dir / f"{stem}.ckpt")
+        _write_text(out_dir / f"{stem}.metrics.jsonl", result.metrics_jsonl())
+        _write_text(out_dir / f"{stem}.json", _emit_json(summary))
     return summary
 
 
@@ -153,7 +167,7 @@ def _cmd_angles(args) -> int:
 
 
 def _cmd_rank(args) -> int:
-    reports = [report_from_json(_read_text(path)) for path in args.reports]
+    reports = [report_from_json(read_text(path)) for path in args.reports]
     matrix = rank_consistency(reports)
     if args.out:
         _write_text(args.out, _emit_json(matrix.to_json_obj()))
@@ -168,26 +182,19 @@ def _cmd_rank(args) -> int:
     return 0
 
 
-def _classes_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(c) for c in raw.split(","))
-    except ValueError as exc:
-        raise UsageError(f"--classes must be comma-separated ints: {raw!r}") from exc
-
-
 def _cmd_plan(args) -> int:
     if args.difficulty and (args.magnitude or args.topk):
         raise UsageError("--difficulty excludes --magnitude/--topk")
     if not args.difficulty and not (args.magnitude and args.topk):
         raise UsageError("supply either --difficulty or --magnitude with --topk")
-    report = report_from_json(_read_text(args.report))
+    report = report_from_json(read_text(args.report))
     arch = _resolve_arch(args.arch, args.dims)
     if args.difficulty:
         policy = default_policy(arch, args.difficulty)
     else:
-        policy = FapftPolicy(args.magnitude, _parse_topk(args.topk))
+        policy = FapftPolicy(args.magnitude, args.topk)
     plan = plan_fapft(report, arch, policy)
-    classes = _classes_list(args.classes)
+    classes = args.classes
     text = plan.to_json_text(classes)
     if args.out:
         _write_text(args.out, text)
@@ -209,18 +216,18 @@ def _cmd_params(args) -> int:
     if (args.plan is None) == (args.strategy is None):
         raise UsageError("supply exactly one of --plan or --strategy")
     if args.plan:
-        plan = plan_from_json(_read_text(args.plan), arch)
+        plan = plan_from_json(read_text(args.plan), arch)
     else:
         tag = args.strategy.lower()
         if tag == "linear_probe":
             plan = linear_probe_plan(arch)
         elif tag in ("full", "a"):
             plan = full_plan(arch)
-        elif tag in MANUAL_STRATEGY_ALIASES or tag.upper() in "BCDEFGHI":
+        elif tag in MANUAL_STRATEGY_ALIASES or tag in tuple("bcdefghi"):
             plan = manual_strategy(arch, args.strategy)
         else:
             raise UsageError(f"unknown --strategy {args.strategy!r}")
-    exact = param_count(arch, plan, args.classes)
+    exact = plan.trainable_param_count(args.classes)
     obj = {
         "arch_id": arch.arch_id,
         "strategy_tag": plan.strategy_tag,
@@ -235,31 +242,6 @@ def _cmd_params(args) -> int:
     else:
         sys.stdout.write(f"{exact}\n{millions_str(exact)}M\n")
     return 0
-
-
-def _soup_manifest(recipe, ckpts_hashes, output_hash, classes) -> dict:
-    param_total = None
-    display = None
-    if classes is not None and all(i.plan_path for i in recipe.inputs):
-        arch = arch_from_checkpoint(read_checkpoint_metadata(recipe.base))
-        plans = [
-            plan_from_json(_read_text(inp.plan_path), arch) for inp in recipe.inputs
-        ]
-        param_total = soup_param_total(plans, classes)
-        display = soup_millions_str(
-            p.trainable_param_count(classes) for p in plans
-        )
-    return {
-        "mode": recipe.mode,
-        "output_hash": output_hash,
-        "inputs": [
-            {"path": inp.path, "hash": h, "weight": inp.weight}
-            for inp, h in zip(recipe.inputs, ckpts_hashes)
-        ],
-        "param_total": param_total,
-        "param_total_display": display,
-        "classes": classes,
-    }
 
 
 def _accuracy_eval(config: TrainConfig):
@@ -280,18 +262,22 @@ def _cmd_soup(args) -> int:
     if recipe.mode == "greedy":
         if not args.eval_config:
             raise UsageError("greedy recipes need --eval-config for held-out accuracy")
-        config = TrainConfig.from_json(_read_text(args.eval_config))
+        config = TrainConfig.from_json(read_text(args.eval_config))
         candidates = [read_checkpoint(i.path) for i in recipe.inputs]
         merged = greedy_soup(candidates, _accuracy_eval(config))
         input_hashes = [c.content_hash for c in candidates]
+        # plans only feed the parameter totals here
+        plans = recipe.plans() if args.classes is not None else None
     else:
-        merged = uniform_soup(recipe)
+        plans = recipe.plans()
+        merged = uniform_soup(recipe, plans)
         # the merge already recorded every input's hash in recipe order
         input_hashes = [
             entry["hash"] for entry in json.loads(merged.metadata["pft.soup_inputs"])
         ]
     output_hash = write_checkpoint(merged, args.out)
-    manifest = _soup_manifest(recipe, input_hashes, output_hash, args.classes)
+    inputs = [(i.path, h, i.weight) for i, h in zip(recipe.inputs, input_hashes)]
+    manifest = soup_manifest(recipe.mode, inputs, output_hash, plans, args.classes)
     manifest_path = args.manifest or f"{args.out}.manifest.json"
     _write_text(manifest_path, _emit_json(manifest))
     if args.json:
@@ -308,7 +294,7 @@ def _cmd_soup(args) -> int:
 
 def _train_config(path) -> TrainConfig:
     """A config file to train from; unlike ``grad-check``, it needs at least one block."""
-    config = TrainConfig.from_json(_read_text(path))
+    config = TrainConfig.from_json(read_text(path))
     if config.arch.depth < 1:
         raise FormatError(f"{path}: arch depth must be >= 1 to train")
     return config
@@ -318,18 +304,15 @@ def _cmd_train(args) -> int:
     config = _train_config(args.config)
     if args.plan:
         arch = config.descriptor()
-        config = replace(config, freeze=plan_from_json(_read_text(args.plan), arch))
+        config = replace(config, freeze=plan_from_json(read_text(args.plan), arch))
     init = read_checkpoint(args.init) if args.init else None
     started = time.monotonic()
     result = train(config, init=init)
     print(f"trained in {time.monotonic() - started:.2f}s", file=sys.stderr)
-    if args.out:
-        out_dir = Path(args.out)
+    out_dir = Path(args.out) if args.out else None
+    if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)
-        summary = _write_run_artifacts(out_dir, "run", config, result)
-    else:
-        summary = _run_summary(config, result)
-    _print_run(summary, args.json)
+    _print_run(_record_run(out_dir, "run", result), args.json)
     return 0
 
 
@@ -342,25 +325,20 @@ def _cmd_pipeline(args) -> int:
     if args.pre:
         pre_ckpt = read_checkpoint(args.pre)
     else:
-        pretrain_config = replace(config, task="pretrain", freeze=None)
-        pre_result = train(pretrain_config)
+        pre_result = train(replace(config, task="pretrain", freeze=None))
         pre_ckpt = pre_result.final_checkpoint
-        if out_dir:
-            _write_run_artifacts(out_dir, "pretrained", pretrain_config, pre_result)
+        _record_run(out_dir, "pretrained", pre_result)
 
-    topk = _parse_topk(args.topk) if args.topk else None
     result = run_fapft_pipeline(
-        pre_ckpt, config, args.difficulty, topk=topk, magnitude=args.magnitude
+        pre_ckpt, config, args.difficulty, topk=args.topk, magnitude=args.magnitude
     )
-
-    finetune_config = replace(config, task="finetune", freeze=None)
     summaries = {
-        "full": _run_summary(finetune_config, result.full),
-        "fapft": _run_summary(replace(finetune_config, freeze=result.plan), result.fapft),
-        "linear_probe": _run_summary(
-            replace(finetune_config, freeze=linear_probe_plan(config.descriptor())),
-            result.linear_probe,
-        ),
+        name: _record_run(out_dir, name, run)
+        for name, run in (
+            ("full", result.full),
+            ("fapft", result.fapft),
+            ("linear_probe", result.linear_probe),
+        )
     }
     classes = config.arch.num_classes
     obj = {
@@ -373,64 +351,38 @@ def _cmd_pipeline(args) -> int:
         "series": [],
         "soup": None,
     }
-
     if out_dir:
         _write_text(out_dir / "angles.json", result.angle_report.to_json_text())
         _write_text(out_dir / "angles.txt", render_rank_table(result.angle_report))
         _write_text(out_dir / "plan.json", result.plan.to_json_text(classes=(classes,)))
-        _write_run_artifacts(out_dir, "full", finetune_config, result.full)
-        _write_run_artifacts(
-            out_dir, "fapft", replace(finetune_config, freeze=result.plan), result.fapft
-        )
-        _write_run_artifacts(
-            out_dir,
-            "linear_probe",
-            replace(finetune_config, freeze=linear_probe_plan(config.descriptor())),
-            result.linear_probe,
-        )
 
     if args.series:
-        arch = config.descriptor()
-        topk_values = [int(k) for k in args.series.split(",")]
-        plans = plan_series(
-            result.angle_report, arch, result.policy.magnitude, topk_values
+        series = run_plan_series(
+            pre_ckpt, config, result.angle_report, result.policy.magnitude, args.series
         )
-        member_ckpts = []
-        for k, plan in zip(topk_values, plans):
-            series_config = replace(finetune_config, freeze=plan)
-            run = train(series_config, init=pre_ckpt)
-            member_ckpts.append(run.final_checkpoint)
-            entry = {
-                "topk": [k],
-                "run": _run_summary(series_config, run),
-                "plan": plan.to_json_obj(classes=(classes,)),
-            }
-            obj["series"].append(entry)
+        for k, run in zip(args.series, series.runs):
+            plan = run.config.freeze
+            obj["series"].append(
+                {
+                    "topk": [k],
+                    "run": _record_run(out_dir, f"series_k{k}", run),
+                    "plan": plan.to_json_obj(classes=(classes,)),
+                }
+            )
             if out_dir:
-                _write_run_artifacts(out_dir, f"series_k{k}", series_config, run)
                 _write_text(
                     out_dir / f"series_k{k}.plan.json",
                     plan.to_json_text(classes=(classes,)),
                 )
-        from .soup import uniform_soup_checkpoints
-
-        soup_ckpt = uniform_soup_checkpoints(member_ckpts)
-        soup_hash = soup_ckpt.content_hash
-        obj["soup"] = {
-            "mode": "uniform",
-            "output_hash": soup_hash,
-            "inputs": [
-                {"path": f"series_k{k}.ckpt", "hash": c.content_hash, "weight": 1.0}
-                for k, c in zip(topk_values, member_ckpts)
-            ],
-            "param_total": soup_param_total(plans, classes),
-            "param_total_display": soup_millions_str(
-                p.trainable_param_count(classes) for p in plans
-            ),
-            "classes": classes,
-        }
+        inputs = [
+            (f"series_k{k}.ckpt", run.final_checkpoint.content_hash, 1.0)
+            for k, run in zip(args.series, series.runs)
+        ]
+        obj["soup"] = soup_manifest(
+            "uniform", inputs, series.soup.content_hash, series.plans, classes
+        )
         if out_dir:
-            write_checkpoint(soup_ckpt, out_dir / "soup.ckpt")
+            write_checkpoint(series.soup, out_dir / "soup.ckpt")
             _write_text(out_dir / "soup.manifest.json", _emit_json(obj["soup"]))
 
     if out_dir:
@@ -486,8 +438,8 @@ def _cmd_report(args) -> int:
         entry = {"file": path.name, "kind": kind}
         if kind == "summary":
             try:
-                data = json.loads(path.read_text())
-            except json.JSONDecodeError:
+                data = json.loads(read_text(path))
+            except (FormatError, json.JSONDecodeError):
                 continue
             if isinstance(data, dict) and "final_val_accuracy" in data:
                 entry["final_val_accuracy"] = data["final_val_accuracy"]
@@ -534,20 +486,9 @@ _GRADCHECK_DEFAULT = {
 
 
 def _cmd_grad_check(args) -> int:
-    if args.config:
-        config = TrainConfig.from_json(_read_text(args.config))
-    else:
-        from .model import ModelDims
-        from .train import OptimizerConfig, ScheduleConfig, SyntheticSpec
-
-        d = _GRADCHECK_DEFAULT
-        config = TrainConfig(
-            arch=ModelDims(**d["arch"]),
-            optimizer=OptimizerConfig(**d["optimizer"]),
-            schedule=ScheduleConfig(**d["schedule"]),
-            seed=d["seed"],
-            dataset=SyntheticSpec(**d["dataset"]),
-        )
+    config = TrainConfig.from_json(
+        read_text(args.config) if args.config else _GRADCHECK_DEFAULT
+    )
     result = grad_check(config, samples=args.samples, step_size=args.step)
     passed = result.max_rel_error <= args.tolerance
     obj = result.to_json_obj()
@@ -567,12 +508,14 @@ def _cmd_grad_check(args) -> int:
 
 
 def _cmd_dataset(args) -> int:
-    from .train import SyntheticSpec
-
-    spec = SyntheticSpec.from_dict(json.loads(_read_text(args.spec)))
-    data = generate_dataset(spec)
     if not args.out:
         raise UsageError("dataset requires --out for the container file")
+    try:
+        raw = json.loads(read_text(args.spec))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"malformed dataset spec JSON: {exc}") from exc
+    spec = SyntheticSpec.from_dict(raw)
+    data = generate_dataset(spec)
     tensors = {
         "pretrain.features": Tensor(data.pretrain_x),
         "pretrain.labels": Tensor(data.pretrain_y.astype("float32")),
@@ -639,15 +582,15 @@ def _build_parser() -> _Parser:
     p.add_argument("--dims")
     p.add_argument("--difficulty", choices=["easy", "challenging"])
     p.add_argument("--magnitude", choices=["large", "small"])
-    p.add_argument("--topk", help="comma-separated per-stage k")
-    p.add_argument("--classes", default="100,1000")
+    p.add_argument("--topk", type=_ints, help="comma-separated per-stage k")
+    p.add_argument("--classes", type=_class_counts, default="100,1000")
     common(p)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("params", help="exact trainable-parameter accounting")
     p.add_argument("--arch", required=True)
     p.add_argument("--dims")
-    p.add_argument("--classes", type=int, required=True)
+    p.add_argument("--classes", type=_class_count, required=True)
     p.add_argument("--plan", help="freeze-plan JSON file")
     p.add_argument("--strategy", help="A..I, full, linear_probe, attn_only, ...")
     common(p)
@@ -656,7 +599,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("soup", help="merge checkpoints per a recipe")
     p.add_argument("--recipe", required=True)
     p.add_argument("--manifest", help="manifest path (default: <out>.manifest.json)")
-    p.add_argument("--classes", type=int, help="class count for param totals")
+    p.add_argument("--classes", type=_class_count, help="class count for param totals")
     p.add_argument("--eval-config", help="train config for greedy held-out accuracy")
     common(p)
     p.set_defaults(func=_cmd_soup)
@@ -672,9 +615,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--config", required=True)
     p.add_argument("--difficulty", required=True, choices=["easy", "challenging"])
     p.add_argument("--pre", help="pre-trained checkpoint (default: pretrain first)")
-    p.add_argument("--topk", help="override per-stage k, comma-separated")
+    p.add_argument("--topk", type=_ints, help="override per-stage k, comma-separated")
     p.add_argument("--magnitude", choices=["large", "small"])
-    p.add_argument("--series", help="comma-separated topk list for a soup series")
+    p.add_argument("--series", type=_ints, help="comma-separated topk list for a soup series")
     common(p)
     p.set_defaults(func=_cmd_pipeline)
 
@@ -686,8 +629,8 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("grad-check", help="finite-difference gradient validation")
     p.add_argument("--config")
     p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--step", type=float, default=1e-5)
-    p.add_argument("--tolerance", type=float, default=1e-4)
+    p.add_argument("--step", type=_positive_number, default=1e-5)
+    p.add_argument("--tolerance", type=_positive_number, default=1e-4)
     common(p)
     p.set_defaults(func=_cmd_grad_check)
 

@@ -15,11 +15,15 @@ also start from a cached hidden state when the blocks below it are frozen.
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 import numpy as np
 
+from .arch import toy_vit_arch
 from .errors import InvalidValue
 
 __all__ = [
@@ -56,14 +60,7 @@ class ModelDims:
             raise InvalidValue("model_dim must be divisible by heads")
 
     def to_dict(self) -> dict:
-        return {
-            "depth": self.depth,
-            "model_dim": self.model_dim,
-            "heads": self.heads,
-            "ffn_dim": self.ffn_dim,
-            "seq_len": self.seq_len,
-            "num_classes": self.num_classes,
-        }
+        return asdict(self)
 
 
 def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
@@ -76,38 +73,19 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
     return out
 
 
-def param_shapes(dims: ModelDims) -> dict[str, tuple[int, ...]]:
-    d, f = dims.model_dim, dims.ffn_dim
-    shapes: dict[str, tuple[int, ...]] = {"pos_embed": (dims.seq_len, d)}
-    for i in range(dims.depth):
-        p = f"blocks.{i}"
-        shapes.update(
-            {
-                f"{p}.norm1.weight": (d,),
-                f"{p}.norm1.bias": (d,),
-                f"{p}.attn.qkv.weight": (3 * d, d),
-                f"{p}.attn.qkv.bias": (3 * d,),
-                f"{p}.attn.proj.weight": (d, d),
-                f"{p}.attn.proj.bias": (d,),
-                f"{p}.norm2.weight": (d,),
-                f"{p}.norm2.bias": (d,),
-                f"{p}.mlp.fc1.weight": (f, d),
-                f"{p}.mlp.fc1.bias": (f,),
-                f"{p}.mlp.fc2.weight": (d, f),
-                f"{p}.mlp.fc2.bias": (d,),
-            }
-        )
-    shapes["norm.weight"] = (d,)
-    shapes["norm.bias"] = (d,)
-    shapes["head.weight"] = (dims.num_classes, d)
-    shapes["head.bias"] = (dims.num_classes,)
-    return shapes
+@functools.lru_cache(maxsize=None)
+def _schema(dims: ModelDims) -> Mapping[str, tuple[int, ...]]:
+    """Tensor names and shapes of the ``toy_vit`` descriptor for ``dims``, with
+    ``pos_embed`` first: the order in which :func:`init_params` draws them."""
+    arch = toy_vit_arch(dims.depth, dims.model_dim, dims.heads, dims.ffn_dim, dims.seq_len)
+    shapes = arch.schema_shapes(dims.num_classes)
+    return MappingProxyType({"pos_embed": shapes.pop("pos_embed"), **shapes})
 
 
 def init_params(dims: ModelDims, rng: np.random.Generator) -> dict[str, np.ndarray]:
     """Fresh float32 parameters drawn in a fixed name order."""
     params: dict[str, np.ndarray] = {}
-    for name, shape in param_shapes(dims).items():
+    for name, shape in _schema(dims).items():
         if name.endswith(".bias"):
             arr = np.zeros(shape)
         elif name in ("norm.weight",) or name.endswith(("norm1.weight", "norm2.weight")):
@@ -310,7 +288,7 @@ def loss_and_grads(
     first = start or 0
     reached = {
         name
-        for name in param_shapes(dims)
+        for name in _schema(dims)
         if not (
             (name == "pos_embed" and start is not None)
             or (name.startswith("blocks.") and int(name.split(".")[1]) < first)

@@ -15,11 +15,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
-from .arch import ArchDescriptor, FreezePlan, describe_arch, plan_from_json
-from .checkpoint import Checkpoint, read_checkpoint
+from .arch import ArchDescriptor, FreezePlan, describe_arch, plan_from_json, soup_millions_str
+from .checkpoint import Checkpoint, read_checkpoint, read_checkpoint_metadata, read_text
 from .errors import (
     EvaluationError,
     FormatError,
@@ -36,6 +35,7 @@ __all__ = [
     "uniform_soup_checkpoints",
     "greedy_soup",
     "soup_param_total",
+    "soup_manifest",
     "arch_from_checkpoint",
 ]
 
@@ -102,13 +102,29 @@ class SoupRecipe:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"malformed recipe: {exc}") from exc
-        return cls(
-            inputs=inputs, mode=data.get("mode", "uniform"), base=data.get("base")
-        )
+        mode, base = data.get("mode", "uniform"), data.get("base")
+        try:
+            return cls(inputs=inputs, mode=mode, base=base)
+        except InvalidValue as exc:
+            # a bad value read from a file is bad data, not a numerical failure
+            raise FormatError(f"invalid recipe: {exc}") from exc
 
     @classmethod
     def from_file(cls, path) -> "SoupRecipe":
-        return cls.from_json(Path(path).read_text())
+        return cls.from_json(read_text(path))
+
+    def plans(self) -> list[FreezePlan] | None:
+        """Each input's freeze plan, resolved against the base checkpoint's
+        architecture; None when the recipe attaches no plans."""
+        if not any(i.plan_path for i in self.inputs):
+            return None
+        arch = arch_from_checkpoint(read_checkpoint_metadata(self.base))
+        plans = []
+        for inp in self.inputs:
+            if inp.plan_path is None:
+                raise FormatError(f"input {inp.path} has no plan but others do")
+            plans.append(plan_from_json(read_text(inp.plan_path), arch))
+        return plans
 
 
 def _check_compatible(ckpts: Sequence[Checkpoint]):
@@ -168,26 +184,25 @@ def _frozen_everywhere(plans: Sequence[FreezePlan], arch: ArchDescriptor):
     return [l for l in arch.layers if l.layer_id not in trained]
 
 
-def uniform_soup(recipe: SoupRecipe) -> Checkpoint:
+def uniform_soup(
+    recipe: SoupRecipe, plans: Sequence[FreezePlan] | None = None
+) -> Checkpoint:
     """Load a recipe's inputs, check them, and average them.
 
     With plans attached, every layer frozen in all runs must still match the
     base checkpoint bitwise in every input; a mismatch means the runs did not
-    share the base they claim and the soup is refused.
+    share the base they claim and the soup is refused. ``plans`` are the
+    recipe's own, when the caller has already read them with
+    :meth:`SoupRecipe.plans`.
     """
     ckpts = _load_inputs(recipe)
     weights = [i.weight for i in recipe.inputs]
 
-    plans = []
-    if any(i.plan_path for i in recipe.inputs):
+    if plans is None:
+        plans = recipe.plans()
+    if plans is not None:
         base = read_checkpoint(recipe.base)
         arch = arch_from_checkpoint(base)
-        for inp in recipe.inputs:
-            if inp.plan_path is None:
-                raise FormatError(f"input {inp.path} has no plan but others do")
-            plans.append(
-                plan_from_json(Path(inp.plan_path).read_text(), arch)
-            )
         for layer in _frozen_everywhere(plans, arch):
             for name in layer.tensors:
                 base_tensor = base.tensors.get(name)
@@ -223,6 +238,33 @@ def soup_param_total(plans: Sequence[FreezePlan], num_classes: int) -> int:
     if len(arch_ids) > 1:
         raise IncompatibleReports(f"mixed architectures: {sorted(arch_ids)}")
     return sum(p.trainable_param_count(num_classes) for p in plans)
+
+
+def soup_manifest(
+    mode: str,
+    inputs: Sequence[tuple[str, str, float]],
+    output_hash: str,
+    plans: Sequence[FreezePlan] | None,
+    classes: int | None,
+) -> dict:
+    """The manifest written beside a soup checkpoint.
+
+    ``inputs`` are (path, content hash, weight) triples in merge order. The
+    parameter totals are filled in when both the runs' plans and a class
+    count are known.
+    """
+    param_total = display = None
+    if plans is not None and classes is not None:
+        param_total = soup_param_total(plans, classes)
+        display = soup_millions_str(p.trainable_param_count(classes) for p in plans)
+    return {
+        "mode": mode,
+        "output_hash": output_hash,
+        "inputs": [{"path": p, "hash": h, "weight": w} for p, h, w in inputs],
+        "param_total": param_total,
+        "param_total_display": display,
+        "classes": classes,
+    }
 
 
 def greedy_soup(

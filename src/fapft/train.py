@@ -18,7 +18,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -38,11 +38,11 @@ from .model import (
     init_params,
     loss_and_grads,
     loss_only,
-    param_shapes,
     predict,
     reinit_head,
 )
-from .planner import FapftPolicy, default_policy, plan_fapft
+from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
+from .soup import uniform_soup_checkpoints
 from .tensors import Tensor
 
 __all__ = [
@@ -52,10 +52,12 @@ __all__ = [
     "RunResult",
     "GradCheckResult",
     "PipelineResult",
+    "SeriesResult",
     "generate_dataset",
     "train",
     "grad_check",
     "run_fapft_pipeline",
+    "run_plan_series",
     "cosine_warmup_lr",
 ]
 
@@ -104,16 +106,7 @@ class SyntheticSpec:
                 raise InvalidValue(f"{name} must be finite and >= 0")
 
     def to_dict(self) -> dict:
-        return {
-            "num_classes": self.num_classes,
-            "seq_len": self.seq_len,
-            "samples_per_class": self.samples_per_class,
-            "feature_dim": self.feature_dim,
-            "class_center_scale": self.class_center_scale,
-            "noise_scale": self.noise_scale,
-            "shift_magnitude": self.shift_magnitude,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data) -> "SyntheticSpec":
@@ -121,6 +114,9 @@ class SyntheticSpec:
             return cls(**data)
         except TypeError as exc:
             raise FormatError(f"malformed dataset spec: {exc}") from exc
+        except InvalidValue as exc:
+            # a bad value read from a file is bad data, not a numerical failure
+            raise FormatError(f"invalid dataset spec: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -245,18 +241,8 @@ class TrainConfig:
     def to_json_obj(self) -> dict:
         return {
             "arch": self.arch.to_dict(),
-            "optimizer": {
-                "learning_rate": self.optimizer.learning_rate,
-                "beta1": self.optimizer.beta1,
-                "beta2": self.optimizer.beta2,
-                "epsilon": self.optimizer.epsilon,
-                "weight_decay": self.optimizer.weight_decay,
-            },
-            "schedule": {
-                "epochs": self.schedule.epochs,
-                "warmup_epochs": self.schedule.warmup_epochs,
-                "batch_size": self.schedule.batch_size,
-            },
+            "optimizer": asdict(self.optimizer),
+            "schedule": asdict(self.schedule),
             "seed": self.seed,
             "dataset": self.dataset.to_dict(),
             "task": self.task,
@@ -363,19 +349,19 @@ class EpochMetrics:
     val_accuracy: float
 
     def to_dict(self) -> dict:
-        return {
-            "epoch": self.epoch,
-            "train_loss": self.train_loss,
-            "val_accuracy": self.val_accuracy,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
 class RunResult:
     final_checkpoint: Checkpoint
     metrics: tuple[EpochMetrics, ...]
-    config_hash: str
+    config: TrainConfig
     wall_time: float  # informational only; never serialized into artifacts
+
+    @property
+    def config_hash(self) -> str:
+        return self.config.config_hash
 
     @property
     def final_val_accuracy(self) -> float:
@@ -390,30 +376,25 @@ class RunResult:
 def _trainable_names(
     plan: FreezePlan | None, arch: ArchDescriptor, dims: ModelDims
 ) -> set[str]:
-    all_names = set(param_shapes(dims))
     if plan is None:
-        return all_names
+        return set(arch.schema_shapes(dims.num_classes))
     if plan.arch_id != arch.arch_id:
         raise IncompatiblePlan(
             f"plan is for {plan.arch_id!r}, run is {arch.arch_id!r}"
         )
-    names: set[str] = set()
+    names = {"head.weight", "head.bias"}
     for lid in plan.trainable_layer_ids:
         layer = arch.layer_map.get(lid)
         if layer is None:
             raise IncompatiblePlan(f"plan names unknown layer {lid!r}")
         names.update(layer.tensors)
-    names.update({"head.weight", "head.bias"})
     if plan.non_residual_trainable:
         names.update(arch.non_residual)
-    unknown = names - all_names
-    if unknown:
-        raise IncompatiblePlan(f"plan tensors missing from the model: {sorted(unknown)}")
     return names
 
 
-def _params_from_init(init: Checkpoint, dims: ModelDims, seed: int):
-    shapes = param_shapes(dims)
+def _params_from_init(init: Checkpoint, arch: ArchDescriptor, dims: ModelDims, seed: int):
+    shapes = arch.schema_shapes(dims.num_classes)
     params: dict[str, np.ndarray] = {}
     head_matches = (
         "head.weight" in init.tensors
@@ -491,7 +472,7 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
     if init is None:
         params32 = init_params(dims, np.random.default_rng([config.seed, _STREAM_INIT]))
     else:
-        params32 = _params_from_init(init, dims, config.seed)
+        params32 = _params_from_init(init, arch, dims, config.seed)
     # 64-bit master weights during the run; storage stays 32-bit at both ends
     params = {n: a.astype(np.float64) for n, a in params32.items()}
 
@@ -539,7 +520,7 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
     return RunResult(
         final_checkpoint=_final_checkpoint(params, config),
         metrics=tuple(metrics),
-        config_hash=config.config_hash,
+        config=config,
         wall_time=time.monotonic() - started,
     )
 
@@ -677,3 +658,39 @@ def run_fapft_pipeline(
         full=full,
         linear_probe=probe,
     )
+
+
+@dataclass(frozen=True)
+class SeriesResult:
+    """One partial fine-tune per top-k value, in series order, and their uniform soup.
+
+    Each run's plan is ``run.config.freeze``.
+    """
+
+    runs: tuple[RunResult, ...]
+    soup: Checkpoint
+
+    @property
+    def plans(self) -> tuple[FreezePlan, ...]:
+        return tuple(run.config.freeze for run in self.runs)
+
+
+def run_plan_series(
+    pre_ckpt: Checkpoint,
+    config: TrainConfig,
+    report: AngleReport,
+    magnitude: str,
+    topk_values: list,
+) -> SeriesResult:
+    """Train a top-k plan series from one pre-trained checkpoint and average it.
+
+    Every run fine-tunes ``pre_ckpt`` with ``config``'s hyper-parameters
+    under the plan that ``plan_series`` selects from ``report`` for one
+    top-k value; only the trainable layers differ between runs. The soup is
+    the uniform average of the final checkpoints (Model Soups, Wortsman et al.
+    2022).
+    """
+    finetune = replace(config, task="finetune", freeze=None)
+    plans = plan_series(report, finetune.descriptor(), magnitude, topk_values)
+    runs = tuple(train(replace(finetune, freeze=plan), init=pre_ckpt) for plan in plans)
+    return SeriesResult(runs, uniform_soup_checkpoints([r.final_checkpoint for r in runs]))

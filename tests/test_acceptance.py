@@ -57,6 +57,7 @@ from fapft.train import (
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
+    run_plan_series,
     train,
 )
 
@@ -529,19 +530,12 @@ def test_criterion_9_soup_properties():
     pre = train(pre_config).final_checkpoint
     finetune = replace(pre_config, task="finetune", seed=6)
     full = train(finetune, init=pre)
-    arch = toy_arch(dims)
-    report = compute_angles(pre, full.final_checkpoint, arch)
-    plans = plan_series(report, arch, "large", [1, 2, 3, 4, 5])
-    members = []
-    accuracies = []
-    for plan in plans:
-        run = train(replace(finetune, freeze=plan), init=pre)
-        members.append(run.final_checkpoint)
-        accuracies.append(run.final_val_accuracy)
-    series_soup = uniform_soup_checkpoints(members)
+    report = compute_angles(pre, full.final_checkpoint, toy_arch(dims))
+    series = run_plan_series(pre, finetune, report, "large", [1, 2, 3, 4, 5])
+    accuracies = [run.final_val_accuracy for run in series.runs]
     data = generate_dataset(spec)
     _, _, x_val, y_val = data.task_split("finetune")
-    params = {name: t.array for name, t in series_soup.tensors.items()}
+    params = {name: t.array for name, t in series.soup.tensors.items()}
     soup_acc = float((predict(params, x_val, dims) == y_val).mean())
 
     elapsed = time.monotonic() - started

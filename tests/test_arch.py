@@ -7,12 +7,10 @@ from fapft.arch import (
     manual_strategy,
     map_tensors,
     millions_str,
-    param_count,
     plan_from_json,
     soup_millions_str,
 )
 from fapft.errors import (
-    IncompatiblePlan,
     InvalidValue,
     UnknownArchitecture,
     UnmappedTensor,
@@ -181,32 +179,34 @@ class TestManualStrategies:
 
 
 class TestParamCount:
-    def test_matches_plan_cache(self):
+    def test_matches_descriptor_sums(self):
         arch = describe_arch("swin_b")
         for tag in "ABCDEFGHI":
             plan = manual_strategy(arch, tag)
             for n in (1, 100, 1000):
-                assert param_count(arch, plan, n) == plan.trainable_param_count(n)
+                expected = sum(arch.layer_map[lid].param_count for lid in plan.trainable_layer_ids)
+                expected += arch.head_param_count(n)
+                if plan.non_residual_trainable:
+                    expected += arch.non_residual_param_count
+                assert plan.trainable_param_count(n) == expected
+        assert full_plan(arch).trainable_param_count(10) == arch.full_param_count(10)
 
     def test_swin_attn_ffn_cells(self):
         arch = describe_arch("swin_b")
         attn = manual_strategy(arch, "B")
         ffn = manual_strategy(arch, "C")
-        assert millions_str(param_count(arch, attn, 1000)) == "29.08"
-        assert millions_str(param_count(arch, attn, 100)) == "28.16"
-        assert millions_str(param_count(arch, ffn, 1000)) == "56.95"
-        assert millions_str(param_count(arch, ffn, 100)) == "56.02"
-        assert millions_str(param_count(arch, full_plan(arch), 1000)) == "87.77"
-        assert millions_str(param_count(arch, full_plan(arch), 100)) == "86.85"
+        assert millions_str(attn.trainable_param_count(1000)) == "29.08"
+        assert millions_str(attn.trainable_param_count(100)) == "28.16"
+        assert millions_str(ffn.trainable_param_count(1000)) == "56.95"
+        assert millions_str(ffn.trainable_param_count(100)) == "56.02"
+        assert millions_str(full_plan(arch).trainable_param_count(1000)) == "87.77"
+        assert millions_str(full_plan(arch).trainable_param_count(100)) == "86.85"
 
     def test_errors(self):
-        vit = describe_arch("vit_b16")
-        swin = describe_arch("swin_b")
-        plan = manual_strategy(vit, "B")
-        with pytest.raises(InvalidValue):
-            param_count(vit, plan, 0)
-        with pytest.raises(IncompatiblePlan):
-            param_count(swin, plan, 10)
+        plan = manual_strategy(describe_arch("vit_b16"), "B")
+        for n in (0, -1):
+            with pytest.raises(InvalidValue):
+                plan.trainable_param_count(n)
 
 
 class TestMapTensors:

@@ -201,6 +201,84 @@ class TestExitCodes:
         assert os.listdir(tmp_path) == ["params.json"]
 
 
+NOT_UTF8 = b'{"seed": "\xff"}\n'
+
+
+def _recipe(weight) -> bytes:
+    return json.dumps({"inputs": [{"path": "x.ckpt", "weight": weight}]}).encode()
+
+
+def _spec(**over) -> bytes:
+    return json.dumps({**CONFIG["dataset"], **over}).encode()
+
+
+POSITIVE = "argument --{}: must be a positive finite number"
+
+# (id, argv, files written first, exit code, fragment of stdout + stderr);
+# an argument "@name" is the path of ``name`` in a fresh directory
+BAD_INPUTS = [
+    ("soup_missing_recipe", ["soup", "--recipe", "@missing.json", "--out", "@s.ckpt"],
+     {}, 2, "missing.json"),
+    ("train_config_not_utf8", ["train", "--config", "@c.json"],
+     {"c.json": NOT_UTF8}, 2, "not UTF-8"),
+    ("rank_reports_not_utf8", ["rank", "--reports", "@a.json", "@a.json"],
+     {"a.json": NOT_UTF8}, 2, "not UTF-8"),
+    ("soup_recipe_not_utf8", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": NOT_UTF8}, 2, "not UTF-8"),
+    # a summary that cannot be decoded is skipped, like malformed JSON
+    ("report_skips_not_utf8", ["report", "--dir", "@.", "--json"],
+     {"bad.json": NOT_UTF8, "run.ckpt": b""}, 0,
+     '"artifacts": [\n    {\n      "file": "run.ckpt"'),
+    ("dataset_spec_malformed_json", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
+     {"spec.json": b"{not json"}, 2, "malformed dataset spec JSON"),
+    ("dataset_spec_negative_classes", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
+     {"spec.json": _spec(num_classes=-1)}, 2, "num_classes must be positive"),
+    ("dataset_checks_out_first", ["dataset", "--spec", "@missing.json"],
+     {}, 1, "dataset requires --out"),
+    ("soup_negative_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe(-1)}, 2, "weights must be finite and positive"),
+    ("soup_nan_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe("nan")}, 2, "weights must be finite and positive"),
+    ("params_empty_strategy", ["params", "--arch", "vit_b16", "--strategy", "", "--classes", "10"],
+     {}, 1, "unknown --strategy ''"),
+    ("params_two_letter_strategy",
+     ["params", "--arch", "vit_b16", "--strategy", "BC", "--classes", "10"],
+     {}, 1, "unknown --strategy 'BC'"),
+    ("params_zero_classes", ["params", "--arch", "vit_b16", "--strategy", "B", "--classes", "0"],
+     {}, 1, "argument --classes: class counts must be positive ints"),
+    ("plan_zero_classes",
+     ["plan", "--arch", "vit_b16", "--report", "@missing.json", "--difficulty", "easy",
+      "--classes", "100,0"],
+     {}, 1, "argument --classes: class counts must be positive ints"),
+    ("soup_zero_classes",
+     ["soup", "--recipe", "@missing.json", "--out", "@s.ckpt", "--classes", "0"],
+     {}, 1, "argument --classes: class counts must be positive ints"),
+    ("pipeline_series_not_ints",
+     ["pipeline", "--config", "@missing.json", "--difficulty", "easy", "--series", "1,x"],
+     {}, 1, "argument --series"),
+    ("grad_check_zero_step", ["grad-check", "--step", "0"], {}, 1, POSITIVE.format("step")),
+    ("grad_check_negative_step", ["grad-check", "--step", "-0.5"], {}, 1, POSITIVE.format("step")),
+    ("grad_check_nan_step", ["grad-check", "--step", "nan"], {}, 1, POSITIVE.format("step")),
+    ("grad_check_inf_step", ["grad-check", "--step", "inf"], {}, 1, POSITIVE.format("step")),
+    ("grad_check_nan_tolerance", ["grad-check", "--tolerance", "nan"],
+     {}, 1, POSITIVE.format("tolerance")),
+    ("grad_check_inf_tolerance", ["grad-check", "--tolerance", "inf"],
+     {}, 1, POSITIVE.format("tolerance")),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, files, code, fragment", [pytest.param(*row[1:], id=row[0]) for row in BAD_INPUTS]
+)
+def test_bad_input_exit_code(capsys, tmp_path, argv, files, code, fragment):
+    for name, data in files.items():
+        (tmp_path / name).write_bytes(data)
+    argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
+    got, out, err = run_cli(capsys, *argv)
+    assert got == code, err
+    assert fragment in out + err
+
+
 class TestAngles:
     def test_self_comparison(self, capsys, workdir):
         code, out, _ = run_cli(

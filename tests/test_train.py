@@ -6,8 +6,14 @@ import numpy as np
 import pytest
 
 from fapft.angles import compute_angles
-from fapft.arch import _make_plan, describe_arch, linear_probe_plan, manual_strategy
-from fapft.checkpoint import diff_checkpoints
+from fapft.arch import (
+    _make_plan,
+    describe_arch,
+    linear_probe_plan,
+    manual_strategy,
+    toy_vit_arch,
+)
+from fapft.checkpoint import Checkpoint, diff_checkpoints
 from fapft.errors import (
     DivergenceError,
     IncompatiblePlan,
@@ -20,8 +26,10 @@ from fapft.model import (
     hidden_state,
     init_params,
     loss_and_grads,
-    param_shapes,
+    reinit_head,
 )
+from fapft.planner import plan_series
+from fapft.soup import uniform_soup_checkpoints
 from fapft.train import (
     OptimizerConfig,
     ScheduleConfig,
@@ -34,6 +42,7 @@ from fapft.train import (
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
+    run_plan_series,
     train,
 )
 
@@ -68,6 +77,12 @@ def toy_arch(dims=DIMS):
         ffn_dim=dims.ffn_dim,
         seq_len=dims.seq_len,
     )
+
+
+def schema_names(dims=DIMS):
+    """Every tensor name of the model, from the toy_vit descriptor (depth 0 included)."""
+    arch = toy_vit_arch(dims.depth, dims.model_dim, dims.heads, dims.ffn_dim, dims.seq_len)
+    return set(arch.schema_shapes(dims.num_classes))
 
 
 @pytest.fixture(scope="module")
@@ -138,7 +153,7 @@ class TestGradCheck:
         cfg = config(schedule=ScheduleConfig(epochs=1, warmup_epochs=0, batch_size=8))
         result = grad_check(cfg, samples=200)
         assert result.max_rel_error <= 1e-4
-        assert set(result.per_tensor) == set(param_shapes(DIMS))
+        assert set(result.per_tensor) == schema_names()
 
     def test_head_only_model_is_tighter(self):
         dims = ModelDims(depth=0, model_dim=8, heads=1, ffn_dim=16, seq_len=4, num_classes=3)
@@ -176,7 +191,7 @@ class TestFreezing:
             n for n, _, _ in report.shape_mismatch
         }
         assert changed <= {"head.weight", "head.bias"}
-        assert set(report.value_equal) >= set(param_shapes(DIMS)) - {
+        assert set(report.value_equal) >= schema_names() - {
             "head.weight",
             "head.bias",
         }
@@ -191,7 +206,7 @@ class TestFreezing:
         trainable_tensors |= {"head.weight", "head.bias"}
         report = diff_checkpoints(pretrained, result.final_checkpoint)
         assert set(n for n, _ in report.value_diff) <= trainable_tensors
-        frozen = set(param_shapes(DIMS)) - trainable_tensors
+        frozen = schema_names() - trainable_tensors
         assert frozen <= set(report.value_equal)
 
     def test_frozen_layers_have_exactly_zero_angle(self, pretrained):
@@ -259,7 +274,7 @@ class TestFreezeAware:
         assert start == expected_start
         params, x, y = _batch(dims)
         full_loss, full = loss_and_grads(params, x, y, dims, trainable=None)
-        assert set(full) == set(param_shapes(dims))
+        assert set(full) == schema_names(dims)
         h = x if start is None else hidden_state(params, x, dims, start)
         loss, grads = loss_and_grads(params, h, y, dims, trainable, start=start)
         assert loss == full_loss
@@ -359,6 +374,31 @@ class TestTrain:
         assert again.to_json_text() == cfg.to_json_text()
         assert again.config_hash == cfg.config_hash
 
+    def test_init_draw_order_is_pinned(self):
+        # init_params draws pos_embed, then each block, then the head; a
+        # change of draw order would change every checkpoint
+        dims = ModelDims(depth=2, model_dim=8, heads=2, ffn_dim=12, seq_len=3, num_classes=5)
+        params = init_params(dims, np.random.default_rng([7, 101]))
+        assert list(params) == [
+            "pos_embed",
+            *(n for n in toy_vit_arch(2, 8, 2, 12, 3).schema_shapes(5) if n != "pos_embed"),
+        ]
+        assert (
+            Checkpoint(params).content_hash
+            == "4a45aba6c0afcd19270d023326319b4fd404a08921fc8cc6b9fa5ccf6dbeac22"
+        )
+        params = reinit_head(params, dims, np.random.default_rng([7, 202]))
+        assert (
+            Checkpoint(params).content_hash
+            == "6976f288ac37027052dd0cc97a21ed260f52d74f1775dac1d5e7047d7e24c4eb"
+        )
+
+    def test_run_carries_its_config(self):
+        cfg = config()
+        result = train(cfg)
+        assert result.config == cfg
+        assert result.config_hash == cfg.config_hash
+
     def test_dataset_model_dim_tied(self):
         with pytest.raises(InvalidValue):
             config(dataset=replace(SPEC, feature_dim=8))
@@ -392,3 +432,16 @@ class TestPipeline:
             == r2.fapft.final_checkpoint.content_hash
         )
         assert r1.angle_report.to_json_text() == r2.angle_report.to_json_text()
+
+    def test_plan_series_and_soup(self, pretrained):
+        full = train(config(), init=pretrained)
+        arch = toy_arch()
+        report = compute_angles(pretrained, full.final_checkpoint, arch)
+        series = run_plan_series(pretrained, config(), report, "large", [1, 2])
+        assert series.plans == tuple(plan_series(report, arch, "large", [1, 2]))
+        for run, plan in zip(series.runs, series.plans):
+            alone = train(config(freeze=plan), init=pretrained)
+            assert run.config == alone.config
+            assert run.final_checkpoint.content_hash == alone.final_checkpoint.content_hash
+        expected = uniform_soup_checkpoints([r.final_checkpoint for r in series.runs])
+        assert series.soup.content_hash == expected.content_hash
