@@ -135,10 +135,6 @@ class Checkpoint:
     def metadata(self) -> Mapping[str, str]:
         return MappingProxyType(self._metadata)
 
-    @property
-    def names(self) -> list[str]:
-        return sorted(self._tensors)
-
     def _canonical_parts(self) -> list:
         """The canonical serialization as buffers, in order, without copying payloads."""
         if self._file is not None:

@@ -272,9 +272,7 @@ def _cmd_soup(args) -> int:
         plans = recipe.plans()
         merged = uniform_soup(recipe, plans)
         # the merge already recorded every input's hash in recipe order
-        input_hashes = [
-            entry["hash"] for entry in json.loads(merged.metadata["pft.soup_inputs"])
-        ]
+        input_hashes = [e["hash"] for e in json.loads(merged.metadata["pft.soup_inputs"])]
     output_hash = write_checkpoint(merged, args.out)
     inputs = [(i.path, h, i.weight) for i, h in zip(recipe.inputs, input_hashes)]
     manifest = soup_manifest(recipe.mode, inputs, output_hash, plans, args.classes)
@@ -318,6 +316,11 @@ def _cmd_train(args) -> int:
 
 def _cmd_pipeline(args) -> int:
     config = _train_config(args.config)
+    arch = config.descriptor()
+    policy = default_policy(arch, args.difficulty)
+    # every top-k value is checked against the architecture before any training
+    for topk in ([args.topk] if args.topk else []) + [(k,) for k in args.series or ()]:
+        replace(policy, topk_per_stage=topk).validate_for(arch)
     out_dir = Path(args.out) if args.out else None
     if out_dir:
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -51,6 +51,9 @@ class ModelDims:
     num_classes: int
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidValue(f"{name} must be an int, got {value!r}")
         for name in ("model_dim", "heads", "ffn_dim", "seq_len", "num_classes"):
             if getattr(self, name) <= 0:
                 raise InvalidValue(f"{name} must be positive")

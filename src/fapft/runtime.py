@@ -1,9 +1,9 @@
 """Process-level runtime knobs.
 
-``PFT_THREADS`` caps the toolkit's internal fan-out over independent work
-(concurrent checkpoint loads, independent runs); 0 means auto (one worker per
-CPU). Numerical reductions always run in a fixed order regardless of the cap,
-so results are byte-identical at any setting.
+``PFT_THREADS`` is an integer >= 0; 0 means auto (one per CPU). ``fapft
+soup`` still checks it, and a bad value is a usage error, but nothing fans
+out any more: soup inputs are read one at a time. Results are byte-identical
+at any setting.
 """
 
 from __future__ import annotations

@@ -15,7 +15,9 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
+
+import numpy as np
 
 from .arch import ArchDescriptor, FreezePlan, describe_arch, plan_from_json, soup_millions_str
 from .checkpoint import Checkpoint, read_checkpoint, read_checkpoint_metadata, read_text
@@ -26,7 +28,8 @@ from .errors import (
     IncompatibleReports,
     InvalidValue,
 )
-from .tensors import mean_stack
+from .runtime import thread_cap
+from .tensors import Tensor, mean_weights
 
 __all__ = [
     "SoupInput",
@@ -127,67 +130,65 @@ class SoupRecipe:
         return plans
 
 
-def _check_compatible(ckpts: Sequence[Checkpoint]):
-    names = set(ckpts[0].tensors)
-    for ckpt in ckpts[1:]:
-        if set(ckpt.tensors) != names:
-            extra = set(ckpt.tensors) ^ names
-            raise IncompatibleCheckpoints(
-                f"tensor name sets differ; mismatched names: {sorted(extra)[:5]}"
-            )
-        for name in names:
-            if ckpt.tensors[name].shape != ckpts[0].tensors[name].shape:
-                raise IncompatibleCheckpoints(
-                    f"tensor {name!r} has shape {ckpt.tensors[name].shape} "
-                    f"vs {ckpts[0].tensors[name].shape}"
-                )
-
-
-def uniform_soup_checkpoints(
-    ckpts: Sequence[Checkpoint],
-    weights: Sequence[float] | None = None,
-    extra_metadata: dict[str, str] | None = None,
-) -> Checkpoint:
-    """Weighted elementwise mean of already-loaded checkpoints."""
-    if not ckpts:
-        raise InvalidValue("no checkpoints to merge")
-    _check_compatible(ckpts)
-    if weights is not None and len(weights) != len(ckpts):
-        raise InvalidValue("one weight per checkpoint required")
-    tensors = {
-        name: mean_stack([c.tensors[name] for c in ckpts], weights)
-        for name in sorted(ckpts[0].tensors)
-    }
-    metadata = {"pft.producer": "fapft-soup"}
-    for key in ("pft.arch_id", "pft.arch_config"):
-        values = {c.metadata.get(key) for c in ckpts}
-        if len(values) == 1 and None not in values:
-            metadata[key] = values.pop()
-    metadata["pft.soup_inputs"] = json.dumps(
-        [
-            {
-                "hash": c.content_hash,
-                "weight": 1.0 if weights is None else float(weights[i]),
+def _merge(ckpts: Iterable[Checkpoint], weights: Sequence[float]) -> Checkpoint:
+    """Weighted elementwise mean of checkpoints taken one at a time, one
+    validated weight each; every input is checked against the first one's
+    tensor names and shapes, added into float64 sums, and released before the
+    next one is taken."""
+    sums: dict[str, np.ndarray] = {}
+    shared = {"pft.arch_id": set(), "pft.arch_config": set()}
+    inputs: list[dict] = []
+    for ckpt in ckpts:
+        weight = weights[len(inputs)]
+        if not inputs:
+            sums = {
+                name: np.multiply(t.array, weight, dtype=np.float64)
+                for name, t in ckpt.tensors.items()
             }
-            for i, c in enumerate(ckpts)
-        ],
-        sort_keys=True,
-    )
-    metadata.update(extra_metadata or {})
+        elif ckpt.tensors.keys() != sums.keys():
+            extra = sorted(ckpt.tensors.keys() ^ sums.keys())[:5]
+            raise IncompatibleCheckpoints(f"tensor name sets differ; mismatched names: {extra}")
+        else:
+            for name, acc in sums.items():
+                if ckpt.tensors[name].shape != acc.shape:
+                    raise IncompatibleCheckpoints(
+                        f"tensor {name!r} has shape {ckpt.tensors[name].shape} vs {acc.shape}"
+                    )
+                acc += np.multiply(ckpt.tensors[name].array, weight, dtype=np.float64)
+        for key, values in shared.items():
+            values.add(ckpt.metadata.get(key))
+        inputs.append({"hash": ckpt.content_hash, "weight": weight})
+        del ckpt  # its tensors are views of the whole file: free it before the next read
+    if not inputs:
+        raise InvalidValue("no checkpoints to merge")
+
+    tensors = {}
+    for name in sorted(sums):
+        acc = sums.pop(name)
+        if len(inputs) > 1:
+            # seeding the sums with the first input makes an element that is -0.0
+            # in every input -0.0; a mean is +0.0 there, as in mean_stack
+            acc += 0.0
+        acc /= sum(weights)
+        tensors[name] = Tensor(acc.astype(np.float32), name=name)
+    metadata = {k: v.pop() for k, v in shared.items() if len(v) == 1 and None not in v}
+    metadata["pft.producer"] = "fapft-soup"
+    metadata["pft.soup_inputs"] = json.dumps(inputs, sort_keys=True)
     return Checkpoint(tensors, metadata)
 
 
-def _frozen_everywhere(plans: Sequence[FreezePlan], arch: ArchDescriptor):
-    trained = set()
-    for plan in plans:
-        trained.update(plan.trainable_layer_ids)
-    return [l for l in arch.layers if l.layer_id not in trained]
+def uniform_soup_checkpoints(
+    ckpts: Sequence[Checkpoint], weights: Sequence[float] | None = None
+) -> Checkpoint:
+    """Weighted elementwise mean of already-loaded checkpoints."""
+    return _merge(ckpts, mean_weights(weights, len(ckpts)))
 
 
 def uniform_soup(
     recipe: SoupRecipe, plans: Sequence[FreezePlan] | None = None
 ) -> Checkpoint:
-    """Load a recipe's inputs, check them, and average them.
+    """Average a recipe's inputs, read one at a time: peak memory is the base,
+    one input and the float64 sums.
 
     With plans attached, every layer frozen in all runs must still match the
     base checkpoint bitwise in every input; a mismatch means the runs did not
@@ -195,41 +196,35 @@ def uniform_soup(
     recipe's own, when the caller has already read them with
     :meth:`SoupRecipe.plans`.
     """
-    ckpts = _load_inputs(recipe)
-    weights = [i.weight for i in recipe.inputs]
-
+    thread_cap()  # PFT_THREADS is still checked, though nothing fans out
     if plans is None:
         plans = recipe.plans()
+    return _merge(_read_inputs(recipe, plans), [i.weight for i in recipe.inputs])
+
+
+def _read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None):
+    """A recipe's input checkpoints, each read once the previous one is
+    released and, with plans, checked against the base."""
+    base, frozen = None, []
     if plans is not None:
         base = read_checkpoint(recipe.base)
-        arch = arch_from_checkpoint(base)
-        for layer in _frozen_everywhere(plans, arch):
-            for name in layer.tensors:
-                base_tensor = base.tensors.get(name)
-                if base_tensor is None:
-                    raise IncompatibleCheckpoints(
-                        f"base checkpoint lacks tensor {name!r}"
-                    )
-                for ckpt, inp in zip(ckpts, recipe.inputs):
-                    if not ckpt.tensors[name].bitwise_equal(base_tensor):
-                        raise IncompatibleCheckpoints(
-                            f"{inp.path}: frozen tensor {name!r} differs from the base"
-                        )
-    return uniform_soup_checkpoints(ckpts, weights)
-
-
-def _load_inputs(recipe: SoupRecipe) -> list[Checkpoint]:
-    # read-only loads may proceed concurrently; PFT_THREADS caps the fan-out
-    from .runtime import thread_cap
-
-    paths = [i.path for i in recipe.inputs]
-    cap = thread_cap()
-    if cap > 1 and len(paths) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=min(cap, len(paths))) as pool:
-            return list(pool.map(read_checkpoint, paths))
-    return [read_checkpoint(p) for p in paths]
+        trained = {layer_id for plan in plans for layer_id in plan.trainable_layer_ids}
+        layers = arch_from_checkpoint(base).layers
+        frozen = [name for l in layers if l.layer_id not in trained for name in l.tensors]
+        for name in frozen:
+            if name not in base.tensors:
+                raise IncompatibleCheckpoints(f"base checkpoint lacks tensor {name!r}")
+    for inp in recipe.inputs:
+        ckpt = read_checkpoint(inp.path)
+        for name in frozen:
+            if name not in ckpt.tensors:
+                raise IncompatibleCheckpoints(f"{inp.path}: lacks frozen tensor {name!r}")
+            if not ckpt.tensors[name].bitwise_equal(base.tensors[name]):
+                raise IncompatibleCheckpoints(
+                    f"{inp.path}: frozen tensor {name!r} differs from the base"
+                )
+        yield ckpt
+        del ckpt  # before the next read
 
 
 def soup_param_total(plans: Sequence[FreezePlan], num_classes: int) -> int:

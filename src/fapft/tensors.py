@@ -20,7 +20,9 @@ from .errors import (
     InvalidValue,
 )
 
-__all__ = ["Tensor", "PairStats", "pair_stats", "vec_angle", "kendall_tau", "mean_stack"]
+__all__ = [
+    "Tensor", "PairStats", "pair_stats", "vec_angle", "kendall_tau", "mean_stack", "mean_weights"
+]
 
 # Length of the blocks in which ``pair_stats`` reduces a vector pair. A BLAS
 # may split a long dot product across its threads, and the split changes the
@@ -192,14 +194,29 @@ def kendall_tau(a, b) -> float:
     return c_minus_d / math.sqrt(denom_x * denom_y)
 
 
+def mean_weights(weights: Sequence[float] | None, count: int) -> list[float]:
+    """Float weights of a mean of ``count`` inputs, ``None`` meaning uniform:
+    finite, non-negative, and with a positive sum."""
+    if weights is None:
+        return [1.0] * count
+    weights = [float(w) for w in weights]
+    if len(weights) != count:
+        raise DimensionMismatch(f"{len(weights)} weights for {count} inputs")
+    if any(not math.isfinite(w) or w < 0.0 for w in weights):
+        raise InvalidValue("weights must be finite and non-negative")
+    if sum(weights) <= 0.0:
+        raise InvalidValue("weights must sum to a positive value")
+    return weights
+
+
 def mean_stack(
     tensors: Sequence[Tensor], weights: Sequence[float] | None = None
 ) -> Tensor:
     """Elementwise weighted mean of same-shape tensors.
 
-    Accumulates in 64-bit and rounds once to storage precision. Weights are
-    normalized by their sum; ``None`` means uniform. A single input is
-    reproduced exactly.
+    Accumulates in 64-bit from +0.0 and rounds once to storage precision.
+    Weights are normalized by their sum; ``None`` means uniform. A single
+    input is reproduced exactly.
     """
     tensors = list(tensors)
     if not tensors:
@@ -208,30 +225,11 @@ def mean_stack(
     for t in tensors[1:]:
         if t.shape != shape:
             raise DimensionMismatch(f"shape mismatch: {t.shape} vs {shape}")
-    if weights is not None:
-        weights = [float(w) for w in weights]
-        if len(weights) != len(tensors):
-            raise DimensionMismatch(
-                f"{len(weights)} weights for {len(tensors)} tensors"
-            )
-        if any(not math.isfinite(w) or w < 0.0 for w in weights):
-            raise InvalidValue("weights must be finite and non-negative")
-        if sum(weights) <= 0.0:
-            raise InvalidValue("weights must sum to a positive value")
-
-    names = {t.name for t in tensors}
-    name = names.pop() if len(names) == 1 else None
+    weights = mean_weights(weights, len(tensors))
+    name = tensors[0].name if len({t.name for t in tensors}) == 1 else None
     if len(tensors) == 1:
         return Tensor(tensors[0].array, name=name)
-
-    if weights is None:
-        acc = np.zeros(shape, dtype=np.float64)
-        for t in tensors:
-            acc += t.array.astype(np.float64)
-        out = acc / len(tensors)
-    else:
-        acc = np.zeros(shape, dtype=np.float64)
-        for t, w in zip(tensors, weights):
-            acc += w * t.array.astype(np.float64)
-        out = acc / sum(weights)
-    return Tensor(out.astype(np.float32), name=name)
+    acc = np.zeros(shape, dtype=np.float64)
+    for t, w in zip(tensors, weights):
+        acc += np.multiply(t.array, w, dtype=np.float64)
+    return Tensor((acc / sum(weights)).astype(np.float32), name=name)

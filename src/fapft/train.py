@@ -97,8 +97,11 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("num_classes", "seq_len", "samples_per_class", "feature_dim"):
-            if getattr(self, name) <= 0:
+        for name in ("num_classes", "seq_len", "samples_per_class", "feature_dim", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidValue(f"{name} must be an int, got {value!r}")
+            if value <= 0 and name != "seed":
                 raise InvalidValue(f"{name} must be positive")
         for name in ("class_center_scale", "noise_scale", "shift_magnitude"):
             value = getattr(self, name)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import fapft
-from fapft.arch import describe_arch
+from fapft.arch import describe_arch, manual_strategy
 from fapft.cli import main
 from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.schemas import COMMAND_SCHEMAS
@@ -212,10 +212,31 @@ def _spec(**over) -> bytes:
     return json.dumps({**CONFIG["dataset"], **over}).encode()
 
 
+def _config(section, **over) -> bytes:
+    return json.dumps({**CONFIG, section: {**CONFIG[section], **over}}).encode()
+
+
+def _lacking_frozen_tensor() -> dict:
+    """A plan-attached recipe whose input lacks a tensor that the plan freezes."""
+    dims = {"depth": 1, "model_dim": 4, "heads": 1, "ffn_dim": 8, "seq_len": 2}
+    arch = describe_arch("toy_vit", **dims)
+    meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(dims)}
+    base = {n: np.zeros(s, dtype=np.float32) for n, s in arch.schema_shapes(2).items()}
+    run = {n: t for n, t in base.items() if n != "blocks.0.mlp.fc1.weight"}
+    recipe = {"base": "base.ckpt", "inputs": [{"path": "run.ckpt", "plan": "plan.json"}]}
+    return {
+        "base.ckpt": Checkpoint(base, meta).canonical_bytes(),
+        "run.ckpt": Checkpoint(run, meta).canonical_bytes(),
+        "plan.json": manual_strategy(arch, "B").to_json_text().encode(),
+        "r.json": json.dumps(recipe).encode(),
+    }
+
+
 POSITIVE = "argument --{}: must be a positive finite number"
 
 # (id, argv, files written first, exit code, fragment of stdout + stderr);
-# an argument "@name" is the path of ``name`` in a fresh directory
+# an argument "@name" is the path of ``name`` in a fresh directory, which is
+# also the working directory
 BAD_INPUTS = [
     ("soup_missing_recipe", ["soup", "--recipe", "@missing.json", "--out", "@s.ckpt"],
      {}, 2, "missing.json"),
@@ -264,19 +285,42 @@ BAD_INPUTS = [
      {}, 1, POSITIVE.format("tolerance")),
     ("grad_check_inf_tolerance", ["grad-check", "--tolerance", "inf"],
      {}, 1, POSITIVE.format("tolerance")),
+    ("soup_input_lacks_frozen_tensor", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     _lacking_frozen_tensor(), 2, "run.ckpt: lacks frozen tensor 'blocks.0.mlp.fc1.weight'"),
+    # top-k values are checked before any training, so no artifact is left behind
+    ("pipeline_series_exceeds_depth",
+     ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--series", "1,5",
+      "--out", "@out"],
+     {"c.json": _config("arch")}, 2, "topk 5 exceeds stage 0 size 2"),
+    ("pipeline_topk_exceeds_depth",
+     ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--topk", "3", "--out", "@out"],
+     {"c.json": _config("arch")}, 2, "topk 3 exceeds stage 0 size 2"),
+    ("pipeline_topk_per_stage_count",
+     ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--topk", "1,1",
+      "--out", "@out"],
+     {"c.json": _config("arch")}, 2, "toy_vit has 1 stages but policy has 2 topk values"),
+    ("dataset_spec_float_count", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
+     {"spec.json": _spec(samples_per_class=1.5)}, 2, "samples_per_class must be an int"),
+    ("train_config_float_count", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("dataset", samples_per_class=1.5)}, 2,
+     "samples_per_class must be an int"),
+    ("train_config_float_depth", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("arch", depth=2.0)}, 2, "depth must be an int"),
 ]
 
 
 @pytest.mark.parametrize(
     "argv, files, code, fragment", [pytest.param(*row[1:], id=row[0]) for row in BAD_INPUTS]
 )
-def test_bad_input_exit_code(capsys, tmp_path, argv, files, code, fragment):
+def test_bad_input_exit_code(capsys, tmp_path, monkeypatch, argv, files, code, fragment):
     for name, data in files.items():
         (tmp_path / name).write_bytes(data)
+    monkeypatch.chdir(tmp_path)
     argv = [str(tmp_path / arg[1:]) if arg.startswith("@") else arg for arg in argv]
     got, out, err = run_cli(capsys, *argv)
     assert got == code, err
     assert fragment in out + err
+    assert sorted(os.listdir(tmp_path)) == sorted(files)
 
 
 class TestAngles:

@@ -1,4 +1,5 @@
 import json
+import weakref
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from fapft.errors import (
     IncompatibleReports,
     InvalidValue,
 )
+from fapft import soup as soup_module
 from fapft.soup import (
     SoupInput,
     SoupRecipe,
@@ -20,7 +22,7 @@ from fapft.soup import (
     uniform_soup,
     uniform_soup_checkpoints,
 )
-from fapft.tensors import Tensor
+from fapft.tensors import Tensor, mean_stack
 
 
 def simple_ckpt(values_by_name, metadata=None):
@@ -28,6 +30,56 @@ def simple_ckpt(values_by_name, metadata=None):
         {n: Tensor(np.asarray(v, dtype=np.float32), name=n) for n, v in values_by_name.items()},
         metadata or {},
     )
+
+
+TOY_DIMS = {"depth": 2, "model_dim": 8, "heads": 2, "ffn_dim": 32, "seq_len": 4}
+TOY_ARCH = describe_arch("toy_vit", **TOY_DIMS)
+PLAN = manual_strategy(TOY_ARCH, "B")  # FFN layers frozen everywhere
+FROZEN = "blocks.0.mlp.fc1.weight"
+TRAINED = ["head.weight", "head.bias"] + [
+    name
+    for layer in TOY_ARCH.layers
+    if layer.layer_id in PLAN.trainable_layer_ids
+    for name in layer.tensors
+]
+
+
+def toy_base(rng) -> Checkpoint:
+    shapes = TOY_ARCH.schema_shapes(3)
+    meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(TOY_DIMS, sort_keys=True)}
+    return Checkpoint({n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}, meta)
+
+
+def toy_run(base, rng, **replaced) -> Checkpoint:
+    """A run of ``PLAN`` from ``base``: its trained tensors moved, then ``replaced`` applied."""
+    tensors = {n: t.array for n, t in base.tensors.items()}
+    for name in TRAINED:
+        tensors[name] = tensors[name] + rng.normal(size=tensors[name].shape).astype(np.float32)
+    tensors.update(replaced)
+    return Checkpoint({n: t for n, t in tensors.items() if t is not None}, base.metadata)
+
+
+def write_recipe(directory, base, runs, weights=None) -> SoupRecipe:
+    """Files for a ``PLAN``-attached recipe over ``runs`` from ``base``."""
+    directory.mkdir(exist_ok=True)
+    write_checkpoint(base, directory / "base.ckpt")
+    plan_path = directory / "plan.json"
+    plan_path.write_text(PLAN.to_json_text())
+    inputs = []
+    for i, run in enumerate(runs):
+        path = directory / f"run{i}.ckpt"
+        write_checkpoint(run, path)
+        weight = 1.0 if weights is None else weights[i]
+        inputs.append(SoupInput(str(path), weight, str(plan_path)))
+    return SoupRecipe(inputs=tuple(inputs), base=str(directory / "base.ckpt"))
+
+
+def buffer_of(ckpt: Checkpoint) -> np.ndarray:
+    """The array that owns the memory of a read checkpoint's tensors."""
+    array = next(iter(ckpt.tensors.values())).array
+    while isinstance(array.base, np.ndarray):
+        array = array.base
+    return array
 
 
 class TestUniform:
@@ -89,6 +141,16 @@ class TestUniform:
                 [simple_ckpt({"w": [1.0]}), simple_ckpt({"w": [1.0, 2.0]})]
             )
 
+    def test_negative_zero(self):
+        # a mean of inputs that are all -0.0 is +0.0; a single input is kept as it is
+        ckpts = [simple_ckpt({"w": [-0.0, -0.0, 1.0]}) for _ in range(3)]
+        for weights in (None, [0.5, 2.0, 0.37]):
+            soup = uniform_soup_checkpoints(ckpts, weights)
+            assert np.signbit(soup.tensors["w"].array).tolist() == [False, False, False]
+        for weights in (None, [0.37]):
+            soup = uniform_soup_checkpoints(ckpts[:1], weights)
+            assert soup.tensors["w"].bitwise_equal(ckpts[0].tensors["w"])
+
     def test_metadata_records_inputs(self):
         a = simple_ckpt({"w": [0.0]})
         b = simple_ckpt({"w": [1.0]})
@@ -130,66 +192,52 @@ class TestRecipe:
             SoupRecipe(inputs=(SoupInput("a.ckpt", weight=0.0),))
 
     def test_frozen_consistency_check(self, tmp_path):
-        # toy arch run pair sharing a base: one honest, one tampered
-        arch = describe_arch("toy_vit", depth=2, model_dim=8, heads=2, seq_len=4)
+        # runs sharing a base: honest ones, a tampered one, and one that lacks a frozen tensor
         rng = np.random.default_rng(6)
-        shapes = arch.schema_shapes(3)
-        base_tensors = {
-            n: Tensor(rng.normal(size=s).astype(np.float32), name=n)
-            for n, s in shapes.items()
-        }
-        meta = {
-            "pft.arch_id": "toy_vit",
-            "pft.arch_config": json.dumps(
-                {"depth": 2, "model_dim": 8, "heads": 2, "ffn_dim": 32, "seq_len": 4},
-                sort_keys=True,
-            ),
-        }
-        base = Checkpoint(base_tensors, meta)
-        plan = manual_strategy(arch, "B")  # FFN layers frozen everywhere
-        frozen_name = "blocks.0.mlp.fc1.weight"
+        base = toy_base(rng)
+        good = [toy_run(base, rng) for _ in range(2)]
+        soup = uniform_soup(write_recipe(tmp_path / "good", base, good))
+        assert soup.tensors[FROZEN].bitwise_equal(base.tensors[FROZEN])
 
-        def run_ckpt(tamper):
-            tensors = dict(base_tensors)
-            tensors["head.weight"] = Tensor(
-                rng.normal(size=shapes["head.weight"]).astype(np.float32)
-            )
-            if tamper:
-                tensors[frozen_name] = Tensor(
-                    base_tensors[frozen_name].array + np.float32(1.0)
-                )
-            return Checkpoint(tensors, meta)
+        tampered = toy_run(base, rng, **{FROZEN: base.tensors[FROZEN].array + np.float32(1.0)})
+        recipe = write_recipe(tmp_path / "tampered", base, [good[0], tampered])
+        with pytest.raises(IncompatibleCheckpoints, match="run1.ckpt: frozen tensor"):
+            uniform_soup(recipe)
 
-        base_path = tmp_path / "base.ckpt"
-        write_checkpoint(base, base_path)
-        plan_path = tmp_path / "plan.json"
-        plan_path.write_text(plan.to_json_text())
+        lacking = toy_run(base, rng, **{FROZEN: None})
+        recipe = write_recipe(tmp_path / "lacking", base, [good[0], lacking])
+        with pytest.raises(IncompatibleCheckpoints, match="run1.ckpt: lacks frozen tensor"):
+            uniform_soup(recipe)
 
-        good_paths = []
-        for i in range(2):
-            p = tmp_path / f"good{i}.ckpt"
-            write_checkpoint(run_ckpt(tamper=False), p)
-            good_paths.append(str(p))
-        recipe = SoupRecipe(
-            inputs=tuple(
-                SoupInput(p, plan_path=str(plan_path)) for p in good_paths
-            ),
-            base=str(base_path),
-        )
-        soup = uniform_soup(recipe)
-        assert soup.tensors[frozen_name].bitwise_equal(base.tensors[frozen_name])
+    def test_weighted_soup_matches_mean_stack(self, tmp_path):
+        rng = np.random.default_rng(10)
+        base = toy_base(rng)
+        runs = [toy_run(base, rng) for _ in range(3)]
+        weights = [0.37, 2.0, 1.3]
+        soup = uniform_soup(write_recipe(tmp_path, base, runs, weights))
+        for name in base.tensors:
+            expected = mean_stack([run.tensors[name] for run in runs], weights)
+            assert soup.tensors[name].bitwise_equal(expected)
 
-        bad = tmp_path / "bad.ckpt"
-        write_checkpoint(run_ckpt(tamper=True), bad)
-        tampered = SoupRecipe(
-            inputs=tuple(
-                SoupInput(p, plan_path=str(plan_path))
-                for p in [good_paths[0], str(bad)]
-            ),
-            base=str(base_path),
-        )
-        with pytest.raises(IncompatibleCheckpoints):
-            uniform_soup(tampered)
+    def test_reads_one_input_at_a_time(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(11)
+        base = toy_base(rng)
+        recipe = write_recipe(tmp_path, base, [toy_run(base, rng) for _ in range(4)])
+        read = soup_module.read_checkpoint
+        buffers, most_alive = [], 0
+
+        def counting_read(path):
+            nonlocal most_alive
+            ckpt = read(path)
+            if path != recipe.base:
+                buffers.append(weakref.ref(buffer_of(ckpt)))
+                most_alive = max(most_alive, sum(ref() is not None for ref in buffers))
+            return ckpt
+
+        monkeypatch.setattr(soup_module, "read_checkpoint", counting_read)
+        uniform_soup(recipe)
+        assert len(buffers) == 4
+        assert most_alive == 1
 
 
 class TestParamTotal:

@@ -272,6 +272,12 @@ class TestMeanStack:
         assert mean_stack([t]).bitwise_equal(t)
         assert mean_stack([t], weights=[0.37]).bitwise_equal(t)
 
+    def test_negative_zero(self):
+        zeros = Tensor([-0.0, -0.0])
+        for weights in (None, [0.5, 2.0]):
+            assert not np.signbit(mean_stack([zeros, zeros], weights).array).any()
+        assert mean_stack([zeros], [0.37]).bitwise_equal(zeros)
+
     def test_permutation_invariant(self):
         rng = np.random.default_rng(47)
         ts = [Tensor(rng.normal(size=16).astype(np.float32)) for _ in range(4)]
