@@ -8,7 +8,8 @@ same way over the concatenation of all residual layers. The classifier head
 non-residual modules are excluded and recorded in the report's provenance.
 Each tensor pair is reduced once, in float64 over fixed-length blocks (see
 ``tensors.pair_stats``), and its sums count toward both its layer and the
-whole model.
+whole model. Checkpoint files are read as two streams in step, one tensor of
+each at a time, so memory holds two tensors rather than two checkpoints.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arch import ArchDescriptor, LayerRef, map_tensors
-from .checkpoint import Checkpoint
+from .checkpoint import zip_arrays
 from .errors import (
     FormatError,
     IncompatibleCheckpoints,
@@ -127,47 +128,46 @@ def report_from_json(data) -> AngleReport:
         raise FormatError(f"malformed angle report: {exc}") from exc
 
 
-def _residual_pairs(pre: Checkpoint, ft: Checkpoint, layer: LayerRef):
-    for name in sorted(layer.tensors):
-        ta = pre.tensors.get(name)
-        tb = ft.tensors.get(name)
-        if ta is None or tb is None:
-            side = "pre-trained" if ta is None else "fine-tuned"
+def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
+    """Per-layer and whole-model angles between a pre-trained and a fine-tuned
+    checkpoint, each a :class:`Checkpoint` in memory or a
+    :class:`CheckpointReader` of a file (which is then read once, in step
+    with the other, one tensor at a time)."""
+    # every name must be assignable under the architecture's schema, and
+    # every residual tensor must be in both checkpoints with one shape
+    pre_shapes, ft_shapes = pre.shapes, ft.shapes
+    map_tensors(arch, pre_shapes)
+    map_tensors(arch, ft_shapes)
+    residual_names = [name for layer in arch.layers for name in sorted(layer.tensors)]
+    for name in residual_names:
+        if name not in pre_shapes or name not in ft_shapes:
+            side = "pre-trained" if name not in pre_shapes else "fine-tuned"
             raise IncompatibleCheckpoints(
                 f"residual tensor {name!r} missing from the {side} checkpoint"
             )
-        if ta.shape != tb.shape:
+        if pre_shapes[name] != ft_shapes[name]:
             raise IncompatibleCheckpoints(
-                f"residual tensor {name!r} has shape {ta.shape} vs {tb.shape}"
+                f"residual tensor {name!r} has shape {pre_shapes[name]} vs {ft_shapes[name]}"
             )
-        yield ta.array, tb.array
 
-
-def compute_angles(
-    pre: Checkpoint, ft: Checkpoint, arch: ArchDescriptor
-) -> AngleReport:
-    """Per-layer and whole-model angles between a pre-trained and a fine-tuned checkpoint."""
-    # every name must be assignable under the architecture's schema
-    map_tensors(arch, pre.tensors.keys())
-    map_tensors(arch, ft.tensors.keys())
-
-    # each pair is reduced once; its sums go to its layer and to the whole
-    # model, both in the fixed per-tensor order, so the result does not
-    # depend on map insertion order
+    # each pair is reduced once; its sums then go to its layer and to the
+    # whole model, both in the fixed per-tensor order, so the result does not
+    # depend on map insertion order or on the order the tensors were read
+    residual = set(residual_names)
+    stats: dict[str, PairStats] = {}
+    for name, (a, b) in zip_arrays(pre, ft):
+        if name in residual:
+            stats[name] = pair_stats(a, b)
     angles: dict[str, float] = {}
     whole = PairStats()
     for layer in arch.layers:
         acc = PairStats()
-        for a, b in _residual_pairs(pre, ft, layer):
-            stats = pair_stats(a, b)
-            acc += stats
-            whole += stats
+        for name in sorted(layer.tensors):
+            acc += stats[name]
+            whole += stats[name]
         angles[layer.layer_id] = acc.angle(layer.layer_id)
 
-    residual_names = {name for layer in arch.layers for name in layer.tensors}
-    excluded = sorted(
-        (set(pre.tensors) | set(ft.tensors)) - residual_names
-    )
+    excluded = sorted((pre_shapes.keys() | ft_shapes.keys()) - residual)
 
     entries = []
     for group in arch.groups:

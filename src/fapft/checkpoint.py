@@ -14,11 +14,18 @@ keys sorted, no insignificant whitespace, payload in name order, dtype always
 F32. Identical checkpoints therefore produce byte-identical files, and the
 content hash is the SHA-256 of those canonical bytes (lowercase hex).
 
-Reads copy the file once, into one read-only buffer; F32 tensors are views of
-it. When the file is already canonical, its bytes are the canonical bytes, so
-the content hash is taken from them directly. Otherwise, and for checkpoints
-built in memory, the header and then each tensor's bytes are hashed (or
-written) in canonical order, without assembling the whole serialization.
+``read_checkpoint`` copies the file once, into one read-only buffer; F32
+tensors are views of it. When the file is already canonical, its bytes are
+the canonical bytes, so the content hash is taken from them directly.
+Otherwise, and for checkpoints built in memory, the header and then each
+tensor's bytes are hashed (or written) in canonical order, without assembling
+the whole serialization.
+
+``CheckpointReader`` streams a file instead: it yields one tensor at a time
+through a reusable buffer, and SHA-256 of the canonical bytes runs on one
+helper thread while the caller works on the tensor. Memory is bounded by the
+largest tensor, not the file.
+
 Writes go to a temporary file beside the target, which then replaces it.
 """
 
@@ -28,10 +35,12 @@ import hashlib
 import json
 import os
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -40,11 +49,16 @@ from .tensors import Tensor
 
 __all__ = [
     "Checkpoint",
+    "CheckpointReader",
     "DiffReport",
     "read_checkpoint",
     "read_checkpoint_metadata",
     "read_text",
     "write_checkpoint",
+    "write_atomic",
+    "write_all",
+    "canonical_header",
+    "zip_arrays",
     "diff_checkpoints",
 ]
 
@@ -66,7 +80,7 @@ def _validate_name(name) -> str:
     return name
 
 
-def _canonical_header(shapes: Iterable[tuple[str, tuple[int, ...]]], metadata) -> bytes:
+def canonical_header(shapes: Iterable[tuple[str, tuple[int, ...]]], metadata) -> bytes:
     """Length prefix plus compact sorted JSON header for F32 tensors in name order."""
     header: dict[str, object] = {}
     offset = 0
@@ -135,13 +149,21 @@ class Checkpoint:
     def metadata(self) -> Mapping[str, str]:
         return MappingProxyType(self._metadata)
 
+    @property
+    def shapes(self) -> dict[str, tuple[int, ...]]:
+        """Tensor shapes in name order, as :class:`CheckpointReader` has them."""
+        return {name: self._tensors[name].shape for name in sorted(self._tensors)}
+
+    def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
+        """(name, array) in name order, as :meth:`CheckpointReader.arrays` yields them."""
+        for name in sorted(self._tensors):
+            yield name, self._tensors[name].array
+
     def _canonical_parts(self) -> list:
         """The canonical serialization as buffers, in order, without copying payloads."""
         if self._file is not None:
             return [self._file]
-        header = _canonical_header(
-            ((name, t.shape) for name, t in self._tensors.items()), self._metadata
-        )
+        header = canonical_header(self.shapes.items(), self._metadata)
         return [header] + [_payload_view(self._tensors[n]) for n in sorted(self._tensors)]
 
     def canonical_bytes(self) -> bytes:
@@ -169,27 +191,26 @@ def read_text(path) -> str:
         raise FormatError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
-def write_atomic(path, parts: Iterable) -> None:
-    """Write ``parts`` (buffers, in order) to ``path`` all at once or not at all.
+@contextmanager
+def write_atomic(path):
+    """An unbuffered binary file, open for reading and writing, whose content
+    replaces ``path`` all at once when the block ends, or not at all.
 
-    The data goes to a temporary file in the target's directory, which then
-    replaces ``path`` with ``os.replace``; readers see the old file or the new
-    one, never a partial write. On failure the temporary file is removed and
+    The file is a temporary one in the target's directory; ``os.replace``
+    puts it in place, so readers see the old file or the new one, never a
+    partial write. If the block raises, the temporary file is removed, and
     ``OSError`` becomes ``IoError``. (There is no fsync: a crash of the whole
     machine may still lose the new file.)
     """
     path = os.fspath(path)
     tmp = os.path.join(os.path.dirname(path), f".{os.urandom(8).hex()}.tmp")
     try:
-        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        fd = os.open(tmp, os.O_RDWR | os.O_CREAT | os.O_EXCL, 0o666)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
     try:
-        with open(fd, "wb", buffering=0) as fh:
-            for part in parts:
-                view = memoryview(part)
-                while view:
-                    view = view[fh.write(view):]
+        with open(fd, "r+b", buffering=0) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         try:
@@ -201,10 +222,21 @@ def write_atomic(path, parts: Iterable) -> None:
         raise
 
 
+def write_all(fh, part) -> None:
+    """Write one C-contiguous buffer to an unbuffered file, however many calls that takes."""
+    view = memoryview(part)
+    if view.nbytes:  # an empty view cannot be cast
+        view = view.cast("B")
+        while view:
+            view = view[fh.write(view):]
+
+
 def write_checkpoint(ckpt: Checkpoint, path) -> str:
     """Write the canonical serialization to ``path``; returns the content hash."""
     parts = ckpt._canonical_parts()
-    write_atomic(path, parts)
+    with write_atomic(path) as fh:
+        for part in parts:
+            write_all(fh, part)
     if ckpt._hash is None:
         ckpt._hash = _sha256(parts)
     return ckpt._hash
@@ -297,15 +329,50 @@ def _parse_header(blob: bytes, payload_size: int):
     return metadata, entries
 
 
-def _header_length(fh, size: int) -> int:
+def _read_into(fh, buf, offset: int, path) -> None:
+    """Fill ``buf`` with the bytes of an unbuffered file from ``offset`` on.
+
+    A file that ends first is an ``IoError``, and so is an ``OSError``.
+    """
+    view = memoryview(buf)
+    filled = 0
+    try:
+        fh.seek(offset)
+        while filled < view.nbytes:
+            got = fh.readinto(view[filled:])
+            if not got:
+                break
+            filled += got
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
+    if filled < view.nbytes:
+        raise IoError(f"short read from {path}: {filled} of {view.nbytes} bytes at byte {offset}")
+
+
+def _header_length(fh, size: int, path) -> int:
     """Read and check the 8-byte header length at the start of an open file."""
-    prefix = fh.read(8)
-    if len(prefix) < 8:
+    if size < 8:
         raise CorruptFile(f"file is {size} bytes; need at least an 8-byte header length")
+    prefix = bytearray(8)
+    _read_into(fh, prefix, 0, path)
     (header_len,) = struct.unpack("<Q", prefix)
     if 8 + header_len > size:
         raise CorruptFile(f"header length {header_len} exceeds file size {size}")
     return header_len
+
+
+def _file_size(fh, path) -> int:
+    try:
+        return os.fstat(fh.fileno()).st_size
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
+
+
+def _open(path):
+    try:
+        return open(path, "rb", buffering=0)
+    except OSError as exc:
+        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
 
 
 def _read_file(path) -> tuple[np.ndarray, int]:
@@ -314,35 +381,29 @@ def _read_file(path) -> tuple[np.ndarray, int]:
     The buffer is placed so that the payload starts at a multiple of
     ``_PAYLOAD_ALIGN`` bytes in memory.
     """
-    try:
-        with open(path, "rb", buffering=0) as fh:
-            size = os.fstat(fh.fileno()).st_size
-            header_len = _header_length(fh, size)
-            raw = np.empty(size + _PAYLOAD_ALIGN, dtype=np.uint8)
-            pad = -(raw.ctypes.data + 8 + header_len) % _PAYLOAD_ALIGN
-            buf = raw[pad : pad + size]
-            view = memoryview(buf)
-            fh.seek(0)
-            filled = 0
-            while filled < size:
-                got = fh.readinto(view[filled:])
-                if not got:
-                    break
-                filled += got
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
-    if filled < size:
-        raise IoError(f"short read from {path}: {filled} of {size} bytes")
+    with _open(path) as fh:
+        size = _file_size(fh, path)
+        header_len = _header_length(fh, size, path)
+        raw = np.empty(size + _PAYLOAD_ALIGN, dtype=np.uint8)
+        pad = -(raw.ctypes.data + 8 + header_len) % _PAYLOAD_ALIGN
+        buf = raw[pad : pad + size]
+        _read_into(fh, buf, 0, path)
     buf.setflags(write=False)
     return buf, header_len
+
+
+def _non_finite(path, name) -> CorruptFile:
+    # a stored value that is not finite is bad data, not a numerical failure
+    return CorruptFile(f"{path}: tensor {name} contains non-finite values")
 
 
 def read_checkpoint(path) -> Checkpoint:
     """Read and validate a checkpoint file.
 
     F16 and F64 payloads are converted to the float32 working precision
-    (exactly, where the value is representable). Non-finite stored values are
-    rejected. F32 tensors are read-only views of one private copy of the file.
+    (exactly, where the value is representable). A non-finite value is a
+    ``CorruptFile``. F32 tensors are read-only views of one private copy of
+    the file.
     """
     buf, header_len = _read_file(path)
     start = 8 + header_len
@@ -358,30 +419,152 @@ def read_checkpoint(path) -> Checkpoint:
             arr = arr.astype(np.float32)
         try:
             tensors[name] = Tensor(arr, name=name)
-        except InvalidValue as exc:
-            raise InvalidValue(f"{path}: {exc}") from exc
+        except InvalidValue:
+            raise _non_finite(path, name) from None
     ckpt = Checkpoint(tensors, metadata)
     # the rebuilt header names every tensor F32 with offsets in name order, so
     # an equal raw header means the whole file is the canonical serialization
     shapes = ((name, shape) for name, (_, shape, _, _) in entries.items())
-    if _canonical_header(shapes, metadata)[8:] == header:
+    if canonical_header(shapes, metadata)[8:] == header:
         ckpt._file = buf
     return ckpt
 
 
+_hash_pool = None
+_hash_pool_lock = threading.Lock()
+
+
+def _hasher():
+    """The one helper thread on which every reader's SHA-256 updates run, in
+    the order they are submitted."""
+    # imported here: concurrent.futures brings in logging, about 1 MB of
+    # memory that commands which never stream a file need not pay
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _hash_pool
+    with _hash_pool_lock:
+        if _hash_pool is None:
+            _hash_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fapft-hash")
+        return _hash_pool
+
+
+def _forget_hasher() -> None:
+    global _hash_pool
+    _hash_pool = None  # a forked child has no helper thread; it starts its own
+
+
+os.register_at_fork(after_in_child=_forget_hasher)
+
+
+class CheckpointReader:
+    """A checkpoint file read one tensor at a time, in name order.
+
+    Opening it reads and validates the header as ``read_checkpoint`` does;
+    ``shapes`` (in name order) and ``metadata`` are then known.
+    :meth:`arrays` reads every tensor once, through one reusable buffer, and
+    yields it as a read-only float32 array that stays valid until the next
+    one is taken; F16 and F64 payloads are converted as ``read_checkpoint``
+    converts them. Each tensor is checked to be finite, and the canonical
+    header and float32 bytes go to SHA-256 on one helper thread shared by all
+    readers (``hashlib`` releases the GIL), so once every tensor has been
+    taken, ``content_hash`` equals ``read_checkpoint(path).content_hash``,
+    whether or not the file is canonical; ``hashed=False`` skips the hash.
+    Close it, or use it as a context manager.
+    """
+
+    def __init__(self, path, hashed: bool = True):
+        self.path = path
+        self._hashed = hashed
+        self._fh = _open(path)
+        try:
+            size = _file_size(self._fh, path)
+            header_len = _header_length(self._fh, size, path)
+            header = bytearray(header_len)
+            _read_into(self._fh, header, 8, path)
+            self.metadata, self._entries = _parse_header(bytes(header), size - 8 - header_len)
+        except BaseException:
+            self._fh.close()
+            raise
+        self._start = 8 + header_len
+        self.shapes = {name: self._entries[name][1] for name in sorted(self._entries)}
+        self._hash: str | None = None
+
+    def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
+        """(name, array) for every tensor, in name order."""
+        entries = self._entries.values()
+        stored = np.empty(max((end - begin for *_, begin, end in entries), default=0), np.uint8)
+        converted = np.empty(
+            max(((end - begin) // dtype.itemsize for dtype, _, begin, end in entries
+                 if dtype != _F32), default=0),
+            np.float32,
+        )
+        digest = None
+        if self._hashed:
+            digest = hashlib.sha256(canonical_header(self.shapes.items(), self.metadata))
+        update = None
+        for name, shape in self.shapes.items():
+            dtype, _, begin, end = self._entries[name]
+            if update is not None:
+                update.result()  # the last tensor is hashed: its buffer may be refilled
+            raw = stored[: end - begin]
+            _read_into(self._fh, raw, self._start + begin, self.path)
+            values = raw.view(dtype)
+            if dtype != _F32:
+                values = converted[: values.size]
+                values[...] = raw.view(dtype)
+            if not np.isfinite(values).all():
+                raise _non_finite(self.path, name)
+            values = values.view()
+            values.setflags(write=False)
+            if digest is not None:
+                update = _hasher().submit(digest.update, values)
+            yield name, values.reshape(shape)
+        if digest is not None:
+            if update is not None:
+                update.result()
+            self._hash = digest.hexdigest()
+
+    @property
+    def content_hash(self) -> str:
+        if self._hash is None:
+            raise RuntimeError(f"{self.path}: no content hash before every tensor is read")
+        return self._hash
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def __enter__(self) -> "CheckpointReader":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
 def read_checkpoint_metadata(path) -> dict[str, str]:
     """The metadata map of a checkpoint file; reads and validates the header only."""
-    try:
-        with open(path, "rb") as fh:
-            size = os.fstat(fh.fileno()).st_size
-            header_len = _header_length(fh, size)
-            header = fh.read(header_len)
-    except OSError as exc:
-        raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
-    if len(header) < header_len:
-        raise IoError(f"short read from {path}: header of {header_len} bytes")
-    metadata, _ = _parse_header(header, size - 8 - header_len)
-    return metadata
+    with CheckpointReader(path) as reader:
+        return reader.metadata
+
+
+def zip_arrays(*sources) -> Iterator[tuple[str, list]]:
+    """Every tensor name of ``sources`` (checkpoints or readers) in name order,
+    with each source's array of that name, or None where it has none.
+
+    A source's next tensor is taken only when the caller asks for the next
+    name, so a reader never refills its buffer under an array still in use.
+    """
+    streams = [source.arrays() for source in sources]
+    heads: list = [None] * len(streams)
+    taken = range(len(streams))
+    while True:
+        for i in taken:
+            heads[i] = next(streams[i], None)
+        names = [head[0] for head in heads if head is not None]
+        if not names:
+            return
+        name = min(names)
+        taken = [i for i, head in enumerate(heads) if head is not None and head[0] == name]
+        yield name, [head[1] if head is not None and head[0] == name else None for head in heads]
 
 
 @dataclass

@@ -28,7 +28,15 @@ from .arch import (
     millions_str,
     plan_from_json,
 )
-from .checkpoint import Checkpoint, read_checkpoint, read_text, write_atomic, write_checkpoint
+from .checkpoint import (
+    Checkpoint,
+    CheckpointReader,
+    read_checkpoint,
+    read_text,
+    write_all,
+    write_atomic,
+    write_checkpoint,
+)
 from .errors import FormatError, IoError, PftError, UsageError
 from .model import predict
 from .planner import FapftPolicy, default_policy, plan_fapft
@@ -53,7 +61,8 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _write_text(path, text: str):
-    write_atomic(path, [text.encode("utf-8")])
+    with write_atomic(path) as fh:
+        write_all(fh, text.encode("utf-8"))
 
 
 def _emit_json(obj) -> str:
@@ -72,12 +81,14 @@ def _parse_dims(raw: str | None) -> dict:
     return dims
 
 
-def _resolve_arch(arch_id: str, dims_raw: str | None, ckpt: Checkpoint | None = None):
+def _resolve_arch(arch_id: str, dims_raw: str | None, metadata=None):
+    """The architecture named on the command line; a ``toy_vit`` without
+    ``--dims`` takes its dimensions from checkpoint ``metadata`` when given."""
     dims = _parse_dims(dims_raw)
     if dims:
         return describe_arch(arch_id, **dims)
-    if arch_id == "toy_vit" and ckpt is not None and "pft.arch_config" in ckpt.metadata:
-        return arch_from_checkpoint(ckpt)
+    if arch_id == "toy_vit" and metadata is not None and "pft.arch_config" in metadata:
+        return arch_from_checkpoint(metadata)
     return describe_arch(arch_id)
 
 
@@ -153,10 +164,9 @@ def _print_run(summary: dict, as_json: bool):
 
 
 def _cmd_angles(args) -> int:
-    pre = read_checkpoint(args.pre)
-    ft = read_checkpoint(args.ft)
-    arch = _resolve_arch(args.arch, args.dims, pre)
-    report = compute_angles(pre, ft, arch)
+    with CheckpointReader(args.pre) as pre, CheckpointReader(args.ft) as ft:
+        arch = _resolve_arch(args.arch, args.dims, pre.metadata)
+        report = compute_angles(pre, ft, arch)
     if args.out:
         _write_text(args.out, report.to_json_text())
     if args.json:
@@ -268,12 +278,10 @@ def _cmd_soup(args) -> int:
         input_hashes = [c.content_hash for c in candidates]
         # plans only feed the parameter totals here
         plans = recipe.plans() if args.classes is not None else None
+        output_hash = write_checkpoint(merged, args.out)
     else:
         plans = recipe.plans()
-        merged = uniform_soup(recipe, plans)
-        # the merge already recorded every input's hash in recipe order
-        input_hashes = [e["hash"] for e in json.loads(merged.metadata["pft.soup_inputs"])]
-    output_hash = write_checkpoint(merged, args.out)
+        output_hash, input_hashes = uniform_soup(recipe, args.out, plans)
     inputs = [(i.path, h, i.weight) for i, h in zip(recipe.inputs, input_hashes)]
     manifest = soup_manifest(recipe.mode, inputs, output_hash, plans, args.classes)
     manifest_path = args.manifest or f"{args.out}.manifest.json"

@@ -34,11 +34,23 @@ __all__ = [
     "loss_only",
     "loss_and_grads",
     "predict",
+    "require_int",
 ]
 
 _LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
+
+
+def require_int(name: str, value, minimum: int) -> None:
+    """Raise ``InvalidValue`` unless ``value`` is an int (a bool or a float
+    with an integral value is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidValue(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise InvalidValue(
+            f"{name} must be positive" if minimum == 1 else f"{name} must be >= {minimum}"
+        )
 
 
 @dataclass(frozen=True)
@@ -52,13 +64,7 @@ class ModelDims:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidValue(f"{name} must be an int, got {value!r}")
-        for name in ("model_dim", "heads", "ffn_dim", "seq_len", "num_classes"):
-            if getattr(self, name) <= 0:
-                raise InvalidValue(f"{name} must be positive")
-        if self.depth < 0:
-            raise InvalidValue("depth must be >= 0")
+            require_int(name, value, 0 if name == "depth" else 1)
         if self.model_dim % self.heads != 0:
             raise InvalidValue("model_dim must be divisible by heads")
 

@@ -1,9 +1,9 @@
 """Process-level runtime knobs.
 
 ``PFT_THREADS`` is an integer >= 0; 0 means auto (one per CPU). ``fapft
-soup`` still checks it, and a bad value is a usage error, but nothing fans
-out any more: soup inputs are read one at a time. Results are byte-identical
-at any setting.
+soup`` still checks it, and a bad value is a usage error, but it sets
+nothing: soup inputs are streamed in step, and their hashes run on one fixed
+helper thread. Results are byte-identical at any setting.
 """
 
 from __future__ import annotations

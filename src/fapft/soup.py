@@ -3,8 +3,14 @@
 Partial fine-tuning adds a dimension to souping: runs can differ only in
 which layers were trainable. When per-run freeze plans and the shared base
 checkpoint are supplied, the merger verifies that layers frozen in every run
-are still bitwise equal to the base before averaging (and the average then
-preserves them bitwise, since it is a mean of identical values).
+are still bitwise equal to the base. The soup then keeps them bitwise, since
+their mean is a mean of identical values, with one exception: an element
+that is -0.0 becomes +0.0 when two or more runs are averaged, as in any
+float64 mean (a soup of one run keeps it).
+
+A soup is an elementwise mean, so it needs one tensor at a time: the files of
+a recipe are streamed in step, tensor by tensor, straight into the output
+file, and a tensor that no run changed is copied rather than averaged.
 
 The soup's headline parameter figure is the sum of the per-run trainable
 counts, not the merged model's size: a soup costs every run's fine-tuning.
@@ -12,15 +18,26 @@ counts, not the merged model's size: a soup costs every run's fine-tuning.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
+from contextlib import ExitStack
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
 from .arch import ArchDescriptor, FreezePlan, describe_arch, plan_from_json, soup_millions_str
-from .checkpoint import Checkpoint, read_checkpoint, read_checkpoint_metadata, read_text
+from .checkpoint import (
+    Checkpoint,
+    CheckpointReader,
+    canonical_header,
+    read_checkpoint_metadata,
+    read_text,
+    write_all,
+    write_atomic,
+    zip_arrays,
+)
 from .errors import (
     EvaluationError,
     FormatError,
@@ -29,7 +46,7 @@ from .errors import (
     InvalidValue,
 )
 from .runtime import thread_cap
-from .tensors import Tensor, mean_weights
+from .tensors import Tensor, bits_equal, mean_arrays, mean_weights
 
 __all__ = [
     "SoupInput",
@@ -130,101 +147,151 @@ class SoupRecipe:
         return plans
 
 
-def _merge(ckpts: Iterable[Checkpoint], weights: Sequence[float]) -> Checkpoint:
-    """Weighted elementwise mean of checkpoints taken one at a time, one
-    validated weight each; every input is checked against the first one's
-    tensor names and shapes, added into float64 sums, and released before the
-    next one is taken."""
-    sums: dict[str, np.ndarray] = {}
-    shared = {"pft.arch_id": set(), "pft.arch_config": set()}
-    inputs: list[dict] = []
-    for ckpt in ckpts:
-        weight = weights[len(inputs)]
-        if not inputs:
-            sums = {
-                name: np.multiply(t.array, weight, dtype=np.float64)
-                for name, t in ckpt.tensors.items()
-            }
-        elif ckpt.tensors.keys() != sums.keys():
-            extra = sorted(ckpt.tensors.keys() ^ sums.keys())[:5]
+def _check_compatible(sources) -> dict[str, tuple[int, ...]]:
+    """The first source's tensor shapes, after checking every other source's
+    names and shapes against them."""
+    first = sources[0].shapes
+    for source in sources[1:]:
+        shapes = source.shapes
+        if shapes.keys() != first.keys():
+            extra = sorted(shapes.keys() ^ first.keys())[:5]
             raise IncompatibleCheckpoints(f"tensor name sets differ; mismatched names: {extra}")
-        else:
-            for name, acc in sums.items():
-                if ckpt.tensors[name].shape != acc.shape:
-                    raise IncompatibleCheckpoints(
-                        f"tensor {name!r} has shape {ckpt.tensors[name].shape} vs {acc.shape}"
-                    )
-                acc += np.multiply(ckpt.tensors[name].array, weight, dtype=np.float64)
-        for key, values in shared.items():
-            values.add(ckpt.metadata.get(key))
-        inputs.append({"hash": ckpt.content_hash, "weight": weight})
-        del ckpt  # its tensors are views of the whole file: free it before the next read
-    if not inputs:
-        raise InvalidValue("no checkpoints to merge")
+        for name, shape in first.items():
+            if shapes[name] != shape:
+                raise IncompatibleCheckpoints(f"tensor {name!r} has shape {shapes[name]} vs {shape}")
+    return first
 
-    tensors = {}
-    for name in sorted(sums):
-        acc = sums.pop(name)
-        if len(inputs) > 1:
-            # seeding the sums with the first input makes an element that is -0.0
-            # in every input -0.0; a mean is +0.0 there, as in mean_stack
-            acc += 0.0
-        acc /= sum(weights)
-        tensors[name] = Tensor(acc.astype(np.float32), name=name)
-    metadata = {k: v.pop() for k, v in shared.items() if len(v) == 1 and None not in v}
+
+def _mean_of_equal(arrays: Sequence[np.ndarray]) -> np.ndarray:
+    """The unweighted mean of arrays that hold the same bits, without arithmetic.
+
+    N <= 2**29 equal float32 values sum exactly in float64 and divide back
+    exactly, so the mean is the input itself, except where an element is
+    -0.0: the float64 mean of two or more is +0.0 there, and adding +0.0 in
+    float32 clears just that sign.
+    """
+    return arrays[0] + np.float32(0) if len(arrays) > 1 else arrays[0]
+
+
+def _merged(inputs, weights, base=None, frozen=frozenset()):
+    """(name, mean) for every tensor of ``inputs`` (checked compatible), in
+    name order, taking one tensor of each input at a time. With ``base``,
+    the inputs' tensors named in ``frozen`` must equal the base's bitwise,
+    and every base tensor is read, and so validated, on the way.
+
+    With every weight 1.0, a tensor that no input changed is copied
+    (:func:`_mean_of_equal`); any other tensor is averaged in float64."""
+    unit = all(w == 1.0 for w in weights)
+    sources = list(inputs) + ([base] if base is not None else [])
+    for name, arrays in zip_arrays(*sources):
+        if base is not None:
+            *arrays, reference = arrays
+            if arrays[0] is None:
+                continue  # a tensor of the base alone
+            if name in frozen:
+                for inp, array in zip(inputs, arrays):
+                    if not bits_equal(array, reference):
+                        raise IncompatibleCheckpoints(
+                            f"{inp.path}: frozen tensor {name!r} differs from the base"
+                        )
+        if unit and (name in frozen or all(bits_equal(a, arrays[0]) for a in arrays[1:])):
+            yield name, _mean_of_equal(arrays)
+        else:
+            yield name, mean_arrays(arrays, weights)
+
+
+def _soup_metadata(inputs, weights, hashes) -> dict[str, str]:
+    """The architecture keys that every input shares, plus the inputs' hashes and weights."""
+    metadata = {}
+    for key in ("pft.arch_id", "pft.arch_config"):
+        values = {inp.metadata.get(key) for inp in inputs}
+        if len(values) == 1 and None not in values:
+            metadata[key] = values.pop()
     metadata["pft.producer"] = "fapft-soup"
-    metadata["pft.soup_inputs"] = json.dumps(inputs, sort_keys=True)
-    return Checkpoint(tensors, metadata)
+    metadata["pft.soup_inputs"] = json.dumps(
+        [{"hash": h, "weight": w} for h, w in zip(hashes, weights)], sort_keys=True
+    )
+    return metadata
 
 
 def uniform_soup_checkpoints(
     ckpts: Sequence[Checkpoint], weights: Sequence[float] | None = None
 ) -> Checkpoint:
     """Weighted elementwise mean of already-loaded checkpoints."""
-    return _merge(ckpts, mean_weights(weights, len(ckpts)))
+    weights = mean_weights(weights, len(ckpts))
+    if not ckpts:
+        raise InvalidValue("no checkpoints to merge")
+    _check_compatible(ckpts)
+    tensors = {name: Tensor(mean, name=name) for name, mean in _merged(ckpts, weights)}
+    return Checkpoint(tensors, _soup_metadata(ckpts, weights, [c.content_hash for c in ckpts]))
 
 
 def uniform_soup(
-    recipe: SoupRecipe, plans: Sequence[FreezePlan] | None = None
-) -> Checkpoint:
-    """Average a recipe's inputs, read one at a time: peak memory is the base,
-    one input and the float64 sums.
+    recipe: SoupRecipe, out, plans: Sequence[FreezePlan] | None = None
+) -> tuple[str, list[str]]:
+    """Average a recipe's inputs into the checkpoint file ``out``, tensor by
+    tensor; returns the soup's content hash and the inputs' hashes in recipe
+    order.
 
-    With plans attached, every layer frozen in all runs must still match the
-    base checkpoint bitwise in every input; a mismatch means the runs did not
-    share the base they claim and the soup is refused. ``plans`` are the
-    recipe's own, when the caller has already read them with
-    :meth:`SoupRecipe.plans`.
+    Every input (and the base) is streamed in step, so memory holds a few
+    tensors, not a checkpoint. With plans attached, every layer frozen in all
+    runs must still match the base checkpoint bitwise in every input; a
+    mismatch means the runs did not share the base they claim and the soup is
+    refused. ``plans`` are the recipe's own, when the caller has already read
+    them with :meth:`SoupRecipe.plans`. The write is atomic: on any error,
+    even midway, no file is left behind.
     """
     thread_cap()  # PFT_THREADS is still checked, though nothing fans out
     if plans is None:
         plans = recipe.plans()
-    return _merge(_read_inputs(recipe, plans), [i.weight for i in recipe.inputs])
+    weights = [i.weight for i in recipe.inputs]
+    with ExitStack() as stack:
+        base = None
+        if plans is not None:
+            base = stack.enter_context(CheckpointReader(recipe.base, hashed=False))
+        inputs = [stack.enter_context(CheckpointReader(i.path)) for i in recipe.inputs]
+        frozen = _frozen_names(base, plans, inputs) if base is not None else frozenset()
+        shapes = _check_compatible(inputs)
+        # the header goes in last, once the input hashes are known; each is 64
+        # hex digits, so its length is known now
+        unknown = ["0" * 64] * len(inputs)
+        header_len = len(canonical_header(shapes.items(), _soup_metadata(inputs, weights, unknown)))
+        with write_atomic(out) as fh:
+            fh.seek(header_len)
+            for _, mean in _merged(inputs, weights, base, frozen):
+                write_all(fh, mean)
+            hashes = [inp.content_hash for inp in inputs]
+            header = canonical_header(shapes.items(), _soup_metadata(inputs, weights, hashes))
+            assert len(header) == header_len
+            fh.seek(0)
+            write_all(fh, header)
+            fh.seek(0)
+            output_hash = _sha256_file(fh)
+    return output_hash, hashes
 
 
-def _read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None):
-    """A recipe's input checkpoints, each read once the previous one is
-    released and, with plans, checked against the base."""
-    base, frozen = None, []
-    if plans is not None:
-        base = read_checkpoint(recipe.base)
-        trained = {layer_id for plan in plans for layer_id in plan.trainable_layer_ids}
-        layers = arch_from_checkpoint(base).layers
-        frozen = [name for l in layers if l.layer_id not in trained for name in l.tensors]
+def _sha256_file(fh) -> str:
+    digest = hashlib.sha256()
+    block = bytearray(1 << 16)
+    while got := fh.readinto(block):
+        digest.update(memoryview(block)[:got])
+    return digest.hexdigest()
+
+
+def _frozen_names(base, plans: Sequence[FreezePlan], inputs) -> frozenset[str]:
+    """The tensors of the layers that no plan trains, after checking that the
+    base and every input have them."""
+    trained = {layer_id for plan in plans for layer_id in plan.trainable_layer_ids}
+    layers = arch_from_checkpoint(base.metadata).layers
+    frozen = [name for l in layers if l.layer_id not in trained for name in l.tensors]
+    for name in frozen:
+        if name not in base.shapes:
+            raise IncompatibleCheckpoints(f"base checkpoint lacks tensor {name!r}")
+    for inp in inputs:
         for name in frozen:
-            if name not in base.tensors:
-                raise IncompatibleCheckpoints(f"base checkpoint lacks tensor {name!r}")
-    for inp in recipe.inputs:
-        ckpt = read_checkpoint(inp.path)
-        for name in frozen:
-            if name not in ckpt.tensors:
+            if name not in inp.shapes:
                 raise IncompatibleCheckpoints(f"{inp.path}: lacks frozen tensor {name!r}")
-            if not ckpt.tensors[name].bitwise_equal(base.tensors[name]):
-                raise IncompatibleCheckpoints(
-                    f"{inp.path}: frozen tensor {name!r} differs from the base"
-                )
-        yield ckpt
-        del ckpt  # before the next read
+    return frozenset(frozen)
 
 
 def soup_param_total(plans: Sequence[FreezePlan], num_classes: int) -> int:

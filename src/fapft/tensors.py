@@ -21,7 +21,8 @@ from .errors import (
 )
 
 __all__ = [
-    "Tensor", "PairStats", "pair_stats", "vec_angle", "kendall_tau", "mean_stack", "mean_weights"
+    "Tensor", "PairStats", "bits_equal", "pair_stats", "vec_angle", "kendall_tau", "mean_arrays",
+    "mean_stack", "mean_weights",
 ]
 
 # Length of the blocks in which ``pair_stats`` reduces a vector pair. A BLAS
@@ -32,6 +33,9 @@ __all__ = [
 # at most one block is reduced by one plain dot. Changing the length changes
 # the bits of every angle over a longer vector.
 _BLOCK = 8192
+# Length of the blocks in which ``mean_arrays`` sums: the float64 sums of one
+# block stay in cache while every input is added into them.
+_MEAN_BLOCK = 1 << 16
 
 
 class Tensor:
@@ -66,12 +70,16 @@ class Tensor:
 
     def bitwise_equal(self, other: "Tensor") -> bool:
         """Equal bit patterns (so ``-0.0`` differs from ``+0.0``), compared without copies."""
-        return self.shape == other.shape and np.array_equal(
-            self.array.view(np.uint32), other.array.view(np.uint32)
-        )
+        return bits_equal(self.array, other.array)
 
     def __repr__(self):
         return f"Tensor(name={self.name!r}, shape={self.shape})"
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two float32 arrays have the same shape and the same bit patterns
+    (so ``-0.0`` differs from ``+0.0``), compared without copies."""
+    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
 
 
 def _as_flat_f64(x, label: str) -> np.ndarray:
@@ -209,14 +217,44 @@ def mean_weights(weights: Sequence[float] | None, count: int) -> list[float]:
     return weights
 
 
+def mean_arrays(arrays: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+    """Weighted elementwise mean of same-shape float32 arrays, with validated
+    weights: each element is summed in float64 in input order, divided by the
+    weight sum and rounded once to float32, one block of elements at a time.
+    With two or more inputs, an element that is -0.0 in every input is +0.0.
+    """
+    out = np.empty(arrays[0].shape, dtype=np.float32)
+    flat_out = out.reshape(-1)
+    flats = [a.reshape(-1) for a in arrays]
+    total = sum(weights)
+    acc = np.empty(min(out.size, _MEAN_BLOCK), dtype=np.float64)
+    scaled = np.empty_like(acc)
+    for start in range(0, out.size, _MEAN_BLOCK):
+        blocks = [a[start : start + _MEAN_BLOCK] for a in flats]
+        sums = acc[: blocks[0].size]
+        np.multiply(blocks[0], weights[0], out=sums, dtype=np.float64)
+        for block, w in zip(blocks[1:], weights[1:]):
+            # a weight of 1.0 scales exactly, so the float32 block is added as it is
+            sums += block if w == 1.0 else np.multiply(
+                block, w, out=scaled[: sums.size], dtype=np.float64
+            )
+        if len(arrays) > 1:
+            # seeding the sums with the first input makes an element that is
+            # -0.0 in every input -0.0; a sum from +0.0 is +0.0 there
+            sums += 0.0
+        sums /= total
+        flat_out[start : start + sums.size] = sums
+    return out
+
+
 def mean_stack(
     tensors: Sequence[Tensor], weights: Sequence[float] | None = None
 ) -> Tensor:
     """Elementwise weighted mean of same-shape tensors.
 
-    Accumulates in 64-bit from +0.0 and rounds once to storage precision.
-    Weights are normalized by their sum; ``None`` means uniform. A single
-    input is reproduced exactly.
+    Accumulates in 64-bit and rounds once to storage precision
+    (:func:`mean_arrays`). Weights are normalized by their sum; ``None``
+    means uniform. A single input is reproduced exactly.
     """
     tensors = list(tensors)
     if not tensors:
@@ -229,7 +267,4 @@ def mean_stack(
     name = tensors[0].name if len({t.name for t in tensors}) == 1 else None
     if len(tensors) == 1:
         return Tensor(tensors[0].array, name=name)
-    acc = np.zeros(shape, dtype=np.float64)
-    for t, w in zip(tensors, weights):
-        acc += np.multiply(t.array, w, dtype=np.float64)
-    return Tensor((acc / sum(weights)).astype(np.float32), name=name)
+    return Tensor(mean_arrays([t.array for t in tensors], weights), name=name)

@@ -40,6 +40,7 @@ from .model import (
     loss_only,
     predict,
     reinit_head,
+    require_int,
 )
 from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
 from .soup import uniform_soup_checkpoints
@@ -98,11 +99,7 @@ class SyntheticSpec:
 
     def __post_init__(self):
         for name in ("num_classes", "seq_len", "samples_per_class", "feature_dim", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InvalidValue(f"{name} must be an int, got {value!r}")
-            if value <= 0 and name != "seed":
-                raise InvalidValue(f"{name} must be positive")
+            require_int(name, getattr(self, name), 0 if name == "seed" else 1)
         for name in ("class_center_scale", "noise_scale", "shift_magnitude"):
             value = getattr(self, name)
             if not math.isfinite(value) or value < 0:
@@ -207,9 +204,10 @@ class ScheduleConfig:
     batch_size: int
 
     def __post_init__(self):
-        if self.epochs <= 0 or self.batch_size <= 0:
-            raise InvalidValue("epochs and batch_size must be positive")
-        if not 0 <= self.warmup_epochs <= self.epochs:
+        require_int("epochs", self.epochs, 1)
+        require_int("batch_size", self.batch_size, 1)
+        require_int("warmup_epochs", self.warmup_epochs, 0)
+        if self.warmup_epochs > self.epochs:
             raise InvalidValue("warmup_epochs must lie in [0, epochs]")
 
 
@@ -224,6 +222,7 @@ class TrainConfig:
     freeze: FreezePlan | None = None
 
     def __post_init__(self):
+        require_int("seed", self.seed, 0)
         if self.task not in TASKS:
             raise InvalidValue(f"task must be one of {TASKS}")
         if self.dataset.feature_dim != self.arch.model_dim:
@@ -272,7 +271,7 @@ class TrainConfig:
                 arch=arch,
                 optimizer=OptimizerConfig(**data["optimizer"]),
                 schedule=ScheduleConfig(**data["schedule"]),
-                seed=int(data["seed"]),
+                seed=data["seed"],
                 dataset=SyntheticSpec.from_dict(data["dataset"]),
                 task=data.get("task", "finetune"),
                 freeze=None,

@@ -2,12 +2,15 @@ import hashlib
 import json
 import os
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from fapft.checkpoint import (
     Checkpoint,
+    CheckpointReader,
     diff_checkpoints,
     read_checkpoint,
     read_checkpoint_metadata,
@@ -149,7 +152,8 @@ class TestRead:
         )
         p = tmp_path / "nan.ckpt"
         p.write_bytes(blob)
-        with pytest.raises(InvalidValue):
+        # a stored non-finite value is bad data (exit 2), not a numerical failure
+        with pytest.raises(CorruptFile, match="nan.ckpt: tensor w contains non-finite values"):
             read_checkpoint(p)
 
     def test_f16_and_f64_converted_exactly(self, tmp_path):
@@ -303,6 +307,114 @@ class TestContentHashSource:
         assert hashlib.sha256(q.read_bytes()).hexdigest() == again.content_hash
 
 
+class TestReader:
+    @pytest.mark.parametrize("case", ["canonical"] + sorted(NON_CANONICAL))
+    def test_stream_matches_read_checkpoint(self, tmp_path, case):
+        if case == "canonical":
+            blob = build_file({"v": V_ENTRY, "w": W_ENTRY, "__metadata__": {"k": "v"}}, PAYLOAD)
+        else:
+            blob = NON_CANONICAL[case]()
+        p = tmp_path / f"{case}.ckpt"
+        p.write_bytes(blob)
+        whole = read_checkpoint(p)
+        with CheckpointReader(p) as reader:
+            assert reader.shapes == whole.shapes
+            assert reader.metadata == dict(whole.metadata)
+            names = []
+            for name, array in reader.arrays():
+                names.append(name)
+                assert not array.flags.writeable
+                assert array.dtype == np.float32
+                assert Tensor(array).bitwise_equal(whole.tensors[name])
+            assert names == sorted(whole.tensors)
+            assert reader.content_hash == whole.content_hash
+
+    def test_hash_of_many_tensors(self, tmp_path):
+        rng = np.random.default_rng(29)
+        for i in range(10):
+            ckpt = random_checkpoint(rng)
+            p = tmp_path / f"r{i}.ckpt"
+            h = write_checkpoint(ckpt, p)
+            with CheckpointReader(p) as reader:
+                for _ in reader.arrays():
+                    pass
+                assert reader.content_hash == h
+            with CheckpointReader(p, hashed=False) as reader:
+                for _ in reader.arrays():
+                    pass
+                with pytest.raises(RuntimeError):
+                    reader.content_hash
+
+    def test_readers_on_many_threads_share_the_hash_thread(self, tmp_path):
+        # more reading threads than cores, switching often: every stream's
+        # updates must still reach its own digest, in order
+        rng = np.random.default_rng(31)
+        files = []
+        for i in range(4):
+            p = tmp_path / f"t{i}.ckpt"
+            files.append((p, write_checkpoint(random_checkpoint(rng, max_elems=4096), p)))
+        results = []
+
+        def work(path, expected):
+            for _ in range(5):
+                with CheckpointReader(path) as reader:
+                    for _ in reader.arrays():
+                        pass
+                    results.append(reader.content_hash == expected)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=f) for f in files * 2]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [True] * 40
+
+    def test_no_hash_before_the_last_tensor(self, tmp_path):
+        p = tmp_path / "two.ckpt"
+        write_checkpoint(Checkpoint({"a": Tensor([1.0]), "b": Tensor([2.0])}), p)
+        with CheckpointReader(p) as reader:
+            stream = reader.arrays()
+            next(stream)
+            with pytest.raises(RuntimeError, match="no content hash"):
+                reader.content_hash
+
+    def test_non_finite_value_is_corrupt_file(self, tmp_path):
+        blob = build_file(
+            {"a": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
+             "b": {"dtype": "F32", "shape": [1], "data_offsets": [4, 8]}},
+            np.array([1.0, np.inf], dtype="<f4").tobytes(),
+        )
+        p = tmp_path / "inf.ckpt"
+        p.write_bytes(blob)
+        with CheckpointReader(p) as reader:
+            stream = reader.arrays()
+            assert next(stream)[0] == "a"
+            with pytest.raises(CorruptFile, match="inf.ckpt: tensor b contains non-finite"):
+                next(stream)
+
+    def test_file_truncated_after_open(self, tmp_path):
+        p = tmp_path / "cut.ckpt"
+        write_checkpoint(Checkpoint({"a": Tensor([1.0]), "b": Tensor(np.ones(64))}), p)
+        with CheckpointReader(p) as reader:
+            os.truncate(p, p.stat().st_size - 4)
+            with pytest.raises(IoError, match="short read"):
+                list(reader.arrays())
+
+    def test_header_errors_at_open(self, tmp_path):
+        q = tmp_path / "tiny.ckpt"
+        q.write_bytes(b"\x01\x02")
+        with pytest.raises(CorruptFile):
+            CheckpointReader(q)
+        with pytest.raises(IoError):
+            CheckpointReader(tmp_path / "absent.ckpt")
+
+
 class TestReadMetadata:
     def test_matches_full_read(self, tmp_path):
         ckpt = Checkpoint({"w": Tensor([1.0, 2.0])}, {"pft.arch_id": "toy_vit", "k": "v"})
@@ -320,7 +432,7 @@ class TestReadMetadata:
         p = tmp_path / "nan.ckpt"
         p.write_bytes(blob)
         assert read_checkpoint_metadata(p) == {"pft.arch_id": "toy_vit"}
-        with pytest.raises(InvalidValue):
+        with pytest.raises(CorruptFile):
             read_checkpoint(p)
 
     def test_header_is_still_validated(self, tmp_path):

@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 
 import fapft
+from fapft.angles import compute_angles, render_rank_table
 from fapft.arch import describe_arch, manual_strategy
 from fapft.cli import main
 from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.schemas import COMMAND_SCHEMAS
+from fapft.soup import arch_from_checkpoint
 from fapft.tensors import Tensor
 from fapft.train import TrainConfig, train
 
@@ -232,6 +234,43 @@ def _lacking_frozen_tensor() -> dict:
     }
 
 
+NAN = np.array([np.nan], dtype="<f4").tobytes()
+SMALL_DIMS = {"depth": 1, "model_dim": 4, "heads": 1, "ffn_dim": 8, "seq_len": 2}
+SMALL_META = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(SMALL_DIMS)}
+
+
+def _small_ckpt(seed) -> Checkpoint:
+    shapes = describe_arch("toy_vit", **SMALL_DIMS).schema_shapes(2)
+    rng = np.random.default_rng(seed)
+    return Checkpoint({n: rng.normal(size=s) for n, s in shapes.items()}, SMALL_META)
+
+
+def _with_nan_last(ckpt: Checkpoint) -> bytes:
+    """The canonical file of ``ckpt`` with the last element of its last tensor
+    in name order, the last 4 bytes of the file, made NaN."""
+    return ckpt.canonical_bytes()[:-4] + NAN
+
+
+def _soup_nan_input() -> dict:
+    """A uniform recipe whose second input is NaN at the very end of its payload."""
+    recipe = {"inputs": [{"path": "a.ckpt"}, {"path": "b.ckpt"}]}
+    return {
+        "a.ckpt": _small_ckpt(1).canonical_bytes(),
+        "b.ckpt": _with_nan_last(_small_ckpt(2)),
+        "r.json": json.dumps(recipe).encode(),
+    }
+
+
+def _soup_truncated_input() -> dict:
+    files = _soup_nan_input()
+    files["b.ckpt"] = _small_ckpt(2).canonical_bytes()[:-4]
+    return files
+
+
+def _angles_nan_input() -> dict:
+    return {"pre.ckpt": _small_ckpt(1).canonical_bytes(), "ft.ckpt": _with_nan_last(_small_ckpt(2))}
+
+
 POSITIVE = "argument --{}: must be a positive finite number"
 
 # (id, argv, files written first, exit code, fragment of stdout + stderr);
@@ -306,6 +345,25 @@ BAD_INPUTS = [
      "samples_per_class must be an int"),
     ("train_config_float_depth", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("arch", depth=2.0)}, 2, "depth must be an int"),
+    ("train_config_float_epochs", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("schedule", epochs=1.5)}, 2, "epochs must be an int"),
+    ("train_config_float_batch_size", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("schedule", batch_size=8.5)}, 2, "batch_size must be an int"),
+    ("train_config_negative_dataset_seed", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("dataset", seed=-1)}, 2, "seed must be >= 0"),
+    ("train_config_negative_run_seed", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": json.dumps({**CONFIG, "seed": -1}).encode()}, 2, "seed must be >= 0"),
+    ("train_config_float_run_seed", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": json.dumps({**CONFIG, "seed": 1.5}).encode()}, 2, "seed must be an int"),
+    # a non-finite stored value is bad data; the soup fails on the last tensor
+    # of its stream, and neither the output nor its temporary file is left
+    ("soup_nan_input", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     _soup_nan_input(), 2, "b.ckpt: tensor pos_embed contains non-finite values"),
+    ("soup_truncated_input", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     _soup_truncated_input(), 2, "'pos_embed' offsets [760, 792) out of bounds"),
+    ("angles_nan_input",
+     ["angles", "--pre", "@pre.ckpt", "--ft", "@ft.ckpt", "--arch", "toy_vit", "--out", "@a.json"],
+     _angles_nan_input(), 2, "ft.ckpt: tensor pos_embed contains non-finite values"),
 ]
 
 
@@ -356,6 +414,42 @@ class TestAngles:
         assert code == 0
         check_schema("angles", out)
         assert out_file.exists()
+
+
+def non_canonical_file(ckpt: Checkpoint) -> bytes:
+    """The tensors of ``ckpt`` as F64, payload in reverse name order, under an
+    indented header: the same content hash as the canonical file, other bytes."""
+    header, payload, offset = {}, [], 0
+    for name in sorted(ckpt.tensors, reverse=True):
+        data = ckpt.tensors[name].array.astype("<f8").tobytes()
+        shape = list(ckpt.tensors[name].shape)
+        header[name] = {"dtype": "F64", "shape": shape, "data_offsets": [offset, offset + len(data)]}
+        payload.append(data)
+        offset += len(data)
+    header["__metadata__"] = dict(ckpt.metadata)
+    raw = json.dumps(header, indent=1).encode()
+    return len(raw).to_bytes(8, "little") + raw + b"".join(payload)
+
+
+class TestAnglesOnFiles:
+    @pytest.mark.parametrize("layout", ["canonical", "non_canonical"])
+    def test_report_matches_in_memory(self, capsys, workdir, tmp_path, layout):
+        pre = read_checkpoint(workdir["pre"])
+        ft = read_checkpoint(workdir["ft"])
+        ft_path = workdir["ft"]
+        if layout == "non_canonical":
+            ft_path = tmp_path / "ft.f64.ckpt"
+            ft_path.write_bytes(non_canonical_file(ft))
+        out_file = tmp_path / "report.json"
+        code, out, _ = run_cli(
+            capsys, "angles", "--pre", str(workdir["pre"]), "--ft", str(ft_path),
+            "--arch", "toy_vit", "--out", str(out_file),
+        )
+        assert code == 0
+        report = compute_angles(pre, ft, arch_from_checkpoint(pre))
+        assert out_file.read_bytes() == report.to_json_text().encode()
+        assert out == render_rank_table(report)
+        assert report.finetuned_hash == ft.content_hash
 
 
 @pytest.fixture(scope="module")

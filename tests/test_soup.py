@@ -1,11 +1,14 @@
 import json
-import weakref
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fapft.arch import describe_arch, full_plan, manual_strategy
-from fapft.checkpoint import Checkpoint, write_checkpoint
+from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.errors import (
     EvaluationError,
     FormatError,
@@ -22,7 +25,17 @@ from fapft.soup import (
     uniform_soup,
     uniform_soup_checkpoints,
 )
-from fapft.tensors import Tensor, mean_stack
+from fapft.tensors import Tensor, mean_arrays, mean_stack
+
+
+F32_INFO = np.finfo(np.float32)
+# exact float32 values at the edges: signed zeros, the smallest subnormal and
+# normal magnitudes, and the largest finite magnitude
+SPECIAL_F32 = [
+    float(v) for v in (0.0, -0.0, F32_INFO.smallest_subnormal, -F32_INFO.smallest_subnormal,
+                       F32_INFO.smallest_normal, -F32_INFO.smallest_normal,
+                       F32_INFO.max, -F32_INFO.max)
+]
 
 
 def simple_ckpt(values_by_name, metadata=None):
@@ -74,12 +87,13 @@ def write_recipe(directory, base, runs, weights=None) -> SoupRecipe:
     return SoupRecipe(inputs=tuple(inputs), base=str(directory / "base.ckpt"))
 
 
-def buffer_of(ckpt: Checkpoint) -> np.ndarray:
-    """The array that owns the memory of a read checkpoint's tensors."""
-    array = next(iter(ckpt.tensors.values())).array
-    while isinstance(array.base, np.ndarray):
-        array = array.base
-    return array
+def soup_file(recipe: SoupRecipe, path) -> Checkpoint:
+    """The soup that ``uniform_soup`` writes to ``path``, read back."""
+    output_hash, input_hashes = uniform_soup(recipe, path)
+    soup = read_checkpoint(path)
+    assert soup.content_hash == output_hash
+    assert input_hashes == [read_checkpoint(i.path).content_hash for i in recipe.inputs]
+    return soup
 
 
 class TestUniform:
@@ -151,6 +165,19 @@ class TestUniform:
             soup = uniform_soup_checkpoints(ckpts[:1], weights)
             assert soup.tensors["w"].bitwise_equal(ckpts[0].tensors["w"])
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        count=st.integers(2, 6),
+        x=hnp.arrays(np.float32, st.integers(1, 40), elements=st.one_of(
+            st.sampled_from(SPECIAL_F32), st.floats(width=32, allow_nan=False, allow_infinity=False)
+        )),
+    )
+    def test_copy_of_equal_inputs_is_their_float64_mean(self, count, x):
+        copied = soup_module._mean_of_equal([x] * count)
+        averaged = mean_arrays([x] * count, [1.0] * count)
+        assert copied.tobytes() == averaged.tobytes()
+        assert not np.signbit(copied[x == 0]).any()
+
     def test_metadata_records_inputs(self):
         a = simple_ckpt({"w": [0.0]})
         b = simple_ckpt({"w": [1.0]})
@@ -174,7 +201,7 @@ class TestRecipe:
         recipe = SoupRecipe.from_json(
             {"inputs": [{"path": p} for p in paths], "mode": "uniform"}
         )
-        soup = uniform_soup(recipe)
+        soup = soup_file(recipe, tmp_path / "soup.ckpt")
         assert set(soup.tensors) == {"w"}
 
     def test_plans_require_base(self):
@@ -196,48 +223,66 @@ class TestRecipe:
         rng = np.random.default_rng(6)
         base = toy_base(rng)
         good = [toy_run(base, rng) for _ in range(2)]
-        soup = uniform_soup(write_recipe(tmp_path / "good", base, good))
+        soup = soup_file(write_recipe(tmp_path / "good", base, good), tmp_path / "soup.ckpt")
         assert soup.tensors[FROZEN].bitwise_equal(base.tensors[FROZEN])
 
         tampered = toy_run(base, rng, **{FROZEN: base.tensors[FROZEN].array + np.float32(1.0)})
         recipe = write_recipe(tmp_path / "tampered", base, [good[0], tampered])
         with pytest.raises(IncompatibleCheckpoints, match="run1.ckpt: frozen tensor"):
-            uniform_soup(recipe)
+            uniform_soup(recipe, tmp_path / "tampered" / "soup.ckpt")
+        assert not (tmp_path / "tampered" / "soup.ckpt").exists()
 
         lacking = toy_run(base, rng, **{FROZEN: None})
         recipe = write_recipe(tmp_path / "lacking", base, [good[0], lacking])
         with pytest.raises(IncompatibleCheckpoints, match="run1.ckpt: lacks frozen tensor"):
-            uniform_soup(recipe)
+            uniform_soup(recipe, tmp_path / "lacking" / "soup.ckpt")
+        assert not (tmp_path / "lacking" / "soup.ckpt").exists()
 
     def test_weighted_soup_matches_mean_stack(self, tmp_path):
         rng = np.random.default_rng(10)
         base = toy_base(rng)
         runs = [toy_run(base, rng) for _ in range(3)]
         weights = [0.37, 2.0, 1.3]
-        soup = uniform_soup(write_recipe(tmp_path, base, runs, weights))
+        soup = soup_file(write_recipe(tmp_path, base, runs, weights), tmp_path / "soup.ckpt")
         for name in base.tensors:
             expected = mean_stack([run.tensors[name] for run in runs], weights)
             assert soup.tensors[name].bitwise_equal(expected)
 
-    def test_reads_one_input_at_a_time(self, tmp_path, monkeypatch):
-        rng = np.random.default_rng(11)
-        base = toy_base(rng)
-        recipe = write_recipe(tmp_path, base, [toy_run(base, rng) for _ in range(4)])
-        read = soup_module.read_checkpoint
-        buffers, most_alive = [], 0
+    def test_memory_peak_below_one_input_file(self, tmp_path):
+        # streamed tensor by tensor: the merge never holds a whole checkpoint
+        dims = {"depth": 8, "model_dim": 64, "heads": 2, "ffn_dim": 256, "seq_len": 4}
+        arch = describe_arch("toy_vit", **dims)
+        meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(dims, sort_keys=True)}
+        rng = np.random.default_rng(12)
+        shapes = arch.schema_shapes(10)
+        base = Checkpoint({n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}, meta)
+        plan = manual_strategy(arch, "B")
+        trained = ["head.weight", "head.bias"] + [
+            n for layer in arch.layers if layer.layer_id in plan.trainable_layer_ids
+            for n in layer.tensors
+        ]
+        (tmp_path / "plan.json").write_text(plan.to_json_text())
+        write_checkpoint(base, tmp_path / "base.ckpt")
+        inputs = []
+        for i in range(5):
+            moved = {n: t.array + np.float32(0.01 * (i + 1)) if n in trained else t.array
+                     for n, t in base.tensors.items()}
+            write_checkpoint(Checkpoint(moved, meta), tmp_path / f"run{i}.ckpt")
+            inputs.append(SoupInput(str(tmp_path / f"run{i}.ckpt"), 1.0, str(tmp_path / "plan.json")))
+        recipe = SoupRecipe(inputs=tuple(inputs), base=str(tmp_path / "base.ckpt"))
+        plans = recipe.plans()
+        file_size = (tmp_path / "run0.ckpt").stat().st_size
 
-        def counting_read(path):
-            nonlocal most_alive
-            ckpt = read(path)
-            if path != recipe.base:
-                buffers.append(weakref.ref(buffer_of(ckpt)))
-                most_alive = max(most_alive, sum(ref() is not None for ref in buffers))
-            return ckpt
-
-        monkeypatch.setattr(soup_module, "read_checkpoint", counting_read)
-        uniform_soup(recipe)
-        assert len(buffers) == 4
-        assert most_alive == 1
+        tracemalloc.start()
+        try:
+            uniform_soup(recipe, tmp_path / "soup.ckpt", plans)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < file_size
+        soup = read_checkpoint(tmp_path / "soup.ckpt")
+        expected = uniform_soup_checkpoints([read_checkpoint(i.path) for i in inputs])
+        assert soup.canonical_bytes() == expected.canonical_bytes()
 
 
 class TestParamTotal:

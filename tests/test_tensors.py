@@ -15,6 +15,7 @@ from fapft.tensors import (
     PairStats,
     Tensor,
     kendall_tau,
+    mean_arrays,
     mean_stack,
     pair_stats,
     vec_angle,
@@ -277,6 +278,22 @@ class TestMeanStack:
         for weights in (None, [0.5, 2.0]):
             assert not np.signbit(mean_stack([zeros, zeros], weights).array).any()
         assert mean_stack([zeros], [0.37]).bitwise_equal(zeros)
+
+    def test_blocked_sums_match_whole_array_sums(self):
+        # several blocks of float64 sums, and the last one partial; the oracle
+        # is one float64 sum from +0.0 over whole arrays
+        rng = np.random.default_rng(53)
+        arrays = [rng.normal(size=(3, 70_001)).astype(np.float32) for _ in range(4)]
+        for a in arrays:
+            a[:, 7] = -0.0
+        for weights in ([1.0] * 4, [0.37, 2.0, 1.0, 1.3]):
+            acc = np.zeros(arrays[0].shape)
+            for a, w in zip(arrays, weights):
+                acc += np.multiply(a, w, dtype=np.float64)
+            expected = (acc / sum(weights)).astype(np.float32)
+            assert mean_arrays(arrays, weights).tobytes() == expected.tobytes()
+            got = mean_stack([Tensor(a) for a in arrays], weights)
+            assert got.array.tobytes() == expected.tobytes()
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(47)
