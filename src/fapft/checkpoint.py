@@ -242,7 +242,15 @@ def write_checkpoint(ckpt: Checkpoint, path) -> str:
     return ckpt._hash
 
 
-def _parse_header(blob: bytes, payload_size: int):
+def _parse_header(blob: bytes, payload_size: int, path):
+    """Metadata and entries of the raw header of the file at ``path``; errors name the file."""
+    try:
+        return _header_entries(blob, payload_size)
+    except (FormatError, CorruptFile, UnsupportedDtype) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _header_entries(blob: bytes, payload_size: int):
     def reject_duplicates(pairs):
         seen = set()
         out = {}
@@ -352,12 +360,12 @@ def _read_into(fh, buf, offset: int, path) -> None:
 def _header_length(fh, size: int, path) -> int:
     """Read and check the 8-byte header length at the start of an open file."""
     if size < 8:
-        raise CorruptFile(f"file is {size} bytes; need at least an 8-byte header length")
+        raise CorruptFile(f"{path}: file is {size} bytes; need at least an 8-byte header length")
     prefix = bytearray(8)
     _read_into(fh, prefix, 0, path)
     (header_len,) = struct.unpack("<Q", prefix)
     if 8 + header_len > size:
-        raise CorruptFile(f"header length {header_len} exceeds file size {size}")
+        raise CorruptFile(f"{path}: header length {header_len} exceeds file size {size}")
     return header_len
 
 
@@ -408,7 +416,7 @@ def read_checkpoint(path) -> Checkpoint:
     buf, header_len = _read_file(path)
     start = 8 + header_len
     header = buf[8:start].tobytes()
-    metadata, entries = _parse_header(header, buf.size - start)
+    metadata, entries = _parse_header(header, buf.size - start, path)
 
     tensors: dict[str, Tensor] = {}
     for name, (dtype, shape, begin, end) in entries.items():
@@ -481,7 +489,7 @@ class CheckpointReader:
             header_len = _header_length(self._fh, size, path)
             header = bytearray(header_len)
             _read_into(self._fh, header, 8, path)
-            self.metadata, self._entries = _parse_header(bytes(header), size - 8 - header_len)
+            self.metadata, self._entries = _parse_header(bytes(header), size - 8 - header_len, path)
         except BaseException:
             self._fh.close()
             raise

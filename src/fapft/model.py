@@ -7,10 +7,13 @@ positional embedding is added, the final LayerNorm output is mean-pooled over
 the sequence, and a linear head produces logits.
 
 All math runs in float64 numpy with a fixed reduction order, so results are
-bit-deterministic. Parameters live in a plain ``name -> ndarray`` dict whose
-names match the ``toy_vit`` descriptor schema. Backward computes gradients
-for the trainable tensors only and stops at the shallowest one; a pass can
-also start from a cached hidden state when the blocks below it are frozen.
+bit-deterministic. The kernels work in place, each step one product or sum of
+the textbook formula on its operands, and ``np.add.reduce(a, axis) / n`` is
+what ``a.mean(axis)`` computes. Parameters live in a plain ``name -> ndarray``
+dict whose names match the ``toy_vit`` descriptor schema. Backward computes
+gradients for the trainable tensors only and stops at the shallowest one; a
+pass can also start from a cached hidden state when the blocks below it are
+frozen.
 """
 
 from __future__ import annotations
@@ -31,7 +34,6 @@ __all__ = [
     "init_params",
     "reinit_head",
     "hidden_state",
-    "loss_only",
     "loss_and_grads",
     "predict",
     "require_int",
@@ -127,22 +129,25 @@ def _flat(a):
 
 
 def _layernorm_fwd(x, gain, bias):
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = xc * inv
+    n = x.shape[-1]
+    xhat = x - np.add.reduce(x, axis=-1, keepdims=True) / n
+    inv = np.add.reduce(xhat * xhat, axis=-1, keepdims=True) / n
+    inv += _LN_EPS
+    np.divide(1.0, np.sqrt(inv, out=inv), out=inv)
+    xhat *= inv
     return xhat * gain + bias, (xhat, inv, gain)
 
 
 def _layernorm_dx(dout, cache):
     xhat, inv, gain = cache
+    n = xhat.shape[-1]
     dxhat = dout * gain
-    return inv * (
-        dxhat
-        - dxhat.mean(axis=-1, keepdims=True)
-        - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-    )
+    proj = dxhat * xhat
+    np.multiply(xhat, np.add.reduce(proj, axis=-1, keepdims=True) / n, out=proj)
+    dxhat -= np.add.reduce(dxhat, axis=-1, keepdims=True) / n
+    dxhat -= proj
+    dxhat *= inv
+    return dxhat
 
 
 def _layernorm_grads(grads, todo, prefix, dout, cache):
@@ -163,21 +168,39 @@ def _linear_grads(grads, todo, prefix, dout, inp):
 
 def _gelu_fwd(x):
     # x * x * x, not x**3: numpy's float64 pow is far slower than two products
-    u = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(u)
-    return 0.5 * x * (1.0 + t), (x, t)
+    t = x * x
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    out = x * 0.5
+    out *= t + 1.0
+    return out, (x, t)
 
 
 def _gelu_bwd(dout, cache):
     x, t = cache
-    du_dx = _GELU_C * (1.0 + 3.0 * _GELU_A * x * x)
-    return dout * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * du_dx)
+    du_dx = x * (3.0 * _GELU_A)
+    du_dx *= x
+    du_dx += 1.0
+    du_dx *= _GELU_C
+    tail = t * t
+    np.subtract(1.0, tail, out=tail)
+    tail *= x * 0.5
+    tail *= du_dx
+    out = t + 1.0
+    out *= 0.5
+    out += tail
+    out *= dout
+    return out
 
 
 def _softmax(x):
-    shifted = x - x.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    e = x - x.max(axis=-1, keepdims=True)
+    np.exp(e, out=e)
+    e /= np.add.reduce(e, axis=-1, keepdims=True)
+    return e
 
 
 def _split_heads(x, heads):
@@ -197,10 +220,7 @@ def _blocks_fwd(params, h, dims: ModelDims, start: int, stop: int, caches=None):
         p = f"blocks.{i}"
         n1, ln1 = _layernorm_fwd(h, params[f"{p}.norm1.weight"], params[f"{p}.norm1.bias"])
         qkv = n1 @ params[f"{p}.attn.qkv.weight"].T + params[f"{p}.attn.qkv.bias"]
-        q, k, v = (
-            _split_heads(part, dims.heads)
-            for part in np.split(qkv, 3, axis=-1)
-        )
+        q, k, v = qkv.reshape(*qkv.shape[:2], 3, dims.heads, -1).transpose(2, 0, 3, 1, 4)
         attn = _softmax((q @ k.swapaxes(-1, -2)) * scale)
         o = _merge_heads(attn @ v)
         att_out = o @ params[f"{p}.attn.proj.weight"].T + params[f"{p}.attn.proj.bias"]
@@ -235,15 +255,16 @@ def _forward(params, x, dims: ModelDims, start: int | None, caches=None):
     h = x + params["pos_embed"] if start is None else x
     h = _blocks_fwd(params, h, dims, start or 0, dims.depth, caches)
     z, lnf = _layernorm_fwd(h, params["norm.weight"], params["norm.bias"])
-    pooled = z.mean(axis=1)
+    pooled = np.add.reduce(z, axis=1) / dims.seq_len
     logits = pooled @ params["head.weight"].T + params["head.bias"]
     return logits, lnf, pooled
 
 
 def _prepare(params, x):
-    p64 = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-    x64 = np.asarray(x, dtype=np.float64)
-    return p64, x64
+    """Float64 parameters and inputs; ``params`` itself if it holds only float64 arrays."""
+    if not all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in params.values()):
+        params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+    return params, np.asarray(x, dtype=np.float64)
 
 
 def hidden_state(params, x, dims: ModelDims, stop: int) -> np.ndarray:
@@ -265,19 +286,22 @@ def predict(params, x, dims: ModelDims, start: int | None = None) -> np.ndarray:
     return np.argmax(logits, axis=-1)
 
 
-def _mean_cross_entropy(logits, y) -> float:
-    probs = _softmax(logits)
-    n = logits.shape[0]
+def _mean_cross_entropy(probs, y) -> float:
+    n = probs.shape[0]
     # a vanishing true-class probability legitimately yields an infinite
     # loss; the trainer reports it as divergence rather than warning here
     with np.errstate(divide="ignore"):
         return float(-np.log(probs[np.arange(n), y]).mean())
 
 
-def loss_only(params, x, y, dims: ModelDims) -> float:
-    p64, x64 = _prepare(params, x)
-    logits, _, _ = _forward(p64, x64, dims, None)
-    return _mean_cross_entropy(logits, y)
+@functools.lru_cache(maxsize=None)
+def _reached(dims: ModelDims, start: int | None) -> frozenset[str]:
+    """Names of the tensors that a pass from block ``start`` runs through."""
+    return frozenset(
+        n for n in _schema(dims)
+        if not ((n == "pos_embed" and start is not None)
+                or (n.startswith("blocks.") and int(n.split(".")[1]) < (start or 0)))
+    )
 
 
 def loss_and_grads(
@@ -285,7 +309,8 @@ def loss_and_grads(
 ):
     """Mean softmax cross-entropy and its gradient for each trainable tensor.
 
-    ``trainable=None`` means every tensor the pass runs through. Backward
+    ``trainable=None`` means every tensor the pass runs through, and an empty
+    ``trainable`` the loss alone. Backward
     skips the weight-gradient products of frozen tensors and stops once every
     trainable tensor has its gradient, so it never runs below the shallowest
     trainable layer. With ``start``, ``x`` is the hidden state entering block
@@ -295,14 +320,7 @@ def loss_and_grads(
     p64, x64 = _prepare(params, x)
     y = np.asarray(y)
     first = start or 0
-    reached = {
-        name
-        for name in _schema(dims)
-        if not (
-            (name == "pos_embed" and start is not None)
-            or (name.startswith("blocks.") and int(name.split(".")[1]) < first)
-        )
-    }
+    reached = _reached(dims, start)
     todo = reached if trainable is None else set(trainable)
     if not todo <= reached:
         raise InvalidValue(
@@ -313,16 +331,16 @@ def loss_and_grads(
     t = dims.seq_len
     scale = 1.0 / math.sqrt(dims.model_dim // dims.heads)
 
-    probs = _softmax(logits)
+    # the loss reads the probabilities before they turn into dlogits in place
+    dlogits = _softmax(logits)
     n = logits.shape[0]
-    loss = _mean_cross_entropy(logits, y)
+    loss = _mean_cross_entropy(dlogits, y)
 
     grads: dict[str, np.ndarray] = {}
 
     def done():
         return len(grads) == len(todo)
 
-    dlogits = probs.copy()
     dlogits[np.arange(n), y] -= 1.0
     dlogits /= n
 
@@ -333,7 +351,7 @@ def loss_and_grads(
     if done():
         return loss, grads
     dpooled = dlogits @ p64["head.weight"]
-    dz = np.repeat(dpooled[:, None, :], t, axis=1) / t
+    dz = np.broadcast_to((dpooled / t)[:, None, :], lnf[0].shape)
     _layernorm_grads(grads, todo, "norm", dz, lnf)
     if done():
         return loss, grads
@@ -362,11 +380,12 @@ def loss_and_grads(
             return loss, grads
         do = _split_heads(dh_mid @ p64[f"{p}.attn.proj.weight"], dims.heads)
         a = c["attn"]
-        dattn = do @ c["v"].swapaxes(-1, -2)
-        dv = a.swapaxes(-1, -2) @ do
-        dscores = a * (dattn - (dattn * a).sum(axis=-1, keepdims=True))
+        dscores = do @ c["v"].swapaxes(-1, -2)
+        dscores -= np.add.reduce(dscores * a, axis=-1, keepdims=True)
+        dscores *= a
         dq = (dscores @ c["k"]) * scale
         dk = (dscores.swapaxes(-1, -2) @ c["q"]) * scale
+        dv = a.swapaxes(-1, -2) @ do
         dqkv = np.concatenate(
             [_merge_heads(dq), _merge_heads(dk), _merge_heads(dv)], axis=-1
         )

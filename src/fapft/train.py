@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -37,7 +38,6 @@ from .model import (
     hidden_state,
     init_params,
     loss_and_grads,
-    loss_only,
     predict,
     reinit_head,
     require_int,
@@ -72,6 +72,14 @@ _STREAM_GRADCHECK = 505
 TASKS = ("pretrain", "finetune")
 
 
+def _require_finite(name: str, value) -> None:
+    """Raise ``InvalidValue`` unless ``value`` is a finite real number (a bool is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidValue(f"{name} must be a number, got {value!r}")
+    if not math.isfinite(value):
+        raise InvalidValue(f"{name} must be finite")
+
+
 # ---------------------------------------------------------------------------
 # synthetic data
 # ---------------------------------------------------------------------------
@@ -101,9 +109,9 @@ class SyntheticSpec:
         for name in ("num_classes", "seq_len", "samples_per_class", "feature_dim", "seed"):
             require_int(name, getattr(self, name), 0 if name == "seed" else 1)
         for name in ("class_center_scale", "noise_scale", "shift_magnitude"):
-            value = getattr(self, name)
-            if not math.isfinite(value) or value < 0:
-                raise InvalidValue(f"{name} must be finite and >= 0")
+            _require_finite(name, getattr(self, name))
+            if getattr(self, name) < 0:
+                raise InvalidValue(f"{name} must be >= 0")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -187,8 +195,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "beta1", "beta2", "epsilon", "weight_decay"):
-            if not math.isfinite(getattr(self, name)):
-                raise InvalidValue(f"{name} must be finite")
+            _require_finite(name, getattr(self, name))
         if self.learning_rate <= 0 or self.epsilon <= 0:
             raise InvalidValue("learning_rate and epsilon must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -311,32 +318,51 @@ def _uses_weight_decay(name: str) -> bool:
 
 
 class _AdamW:
-    """Decoupled-weight-decay Adam over an explicit trainable-name set."""
+    """Decoupled-weight-decay Adam on one flat float64 vector of master weights.
 
-    def __init__(self, trainable: set[str], shapes, config: OptimizerConfig):
+    ``params`` maps each name, in the given order, to a view of ``flat``. The
+    trainable tensors fill ``flat[:size]``, the weight-decayed ones first, so
+    a step is a dozen whole-range vector operations in the per-tensor
+    textbook order; the frozen tensors lie behind that range, untouched.
+    """
+
+    def __init__(self, arrays, trainable: set[str], config: OptimizerConfig):
         self.config = config
-        self.trainable = trainable
-        self.m = {n: np.zeros(shapes[n]) for n in trainable}
-        self.v = {n: np.zeros(shapes[n]) for n in trainable}
         self.t = 0
+        layout = sorted(arrays, key=lambda n: (n not in trainable, not _uses_weight_decay(n)))
+        bounds = np.cumsum([0] + [arrays[n].size for n in layout]).tolist()
+        self.flat = np.empty(bounds[-1])
+        views = {}
+        for name, lo, hi in zip(layout, bounds, bounds[1:]):
+            views[name] = self.flat[lo:hi].reshape(arrays[name].shape)
+            views[name][...] = arrays[name]
+        self.params = {n: views[n] for n in arrays}
+        self.trainable = [n for n in layout if n in trainable]
+        self.size = bounds[len(self.trainable)]
+        self.decayed = bounds[sum(map(_uses_weight_decay, self.trainable))]
+        self.m, self.v, self.grad, self._update, self._denom = np.zeros((5, self.size))
 
-    def step(self, params: dict[str, np.ndarray], grads, lr: float):
+    def step(self, grads, lr: float):
         c = self.config
         self.t += 1
         bias1 = 1.0 - c.beta1**self.t
         bias2 = 1.0 - c.beta2**self.t
-        for name in sorted(self.trainable):
-            g = grads[name]
-            m = self.m[name]
-            v = self.v[name]
-            m *= c.beta1
-            m += (1.0 - c.beta1) * g
-            v *= c.beta2
-            v += (1.0 - c.beta2) * g * g
-            update = (m / bias1) / (np.sqrt(v / bias2) + c.epsilon)
-            if c.weight_decay > 0.0 and _uses_weight_decay(name):
-                update = update + c.weight_decay * params[name]
-            params[name] = params[name] - lr * update
+        g, m, v, u, s = self.grad, self.m, self.v, self._update, self._denom
+        np.concatenate([grads[n].ravel() for n in self.trainable], out=g)
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= c.beta1
+        m += np.multiply(g, 1.0 - c.beta1, out=u)
+        v *= c.beta2
+        v += np.multiply(np.multiply(g, 1.0 - c.beta2, out=u), g, out=u)
+        # w -= lr ((m / bias1) / (sqrt(v / bias2) + eps) + wd w), wd on [:decayed]
+        np.sqrt(np.divide(v, bias2, out=s), out=s)
+        s += c.epsilon
+        np.divide(np.divide(m, bias1, out=u), s, out=u)
+        w, d = self.flat[: self.size], self.decayed
+        if c.weight_decay > 0.0:
+            u[:d] += np.multiply(w[:d], c.weight_decay, out=s[:d])
+        u *= lr
+        w -= u
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +438,7 @@ def _params_from_init(init: Checkpoint, arch: ArchDescriptor, dims: ModelDims, s
             raise IncompatibleCheckpoints(
                 f"init tensor {name!r} has shape {tensor.shape}, model needs {shape}"
             )
-        params[name] = tensor.array.copy()
+        params[name] = tensor.array  # the optimizer copies it into its flat vector
     if not head_matches:
         params = reinit_head(params, dims, np.random.default_rng([seed, _STREAM_HEAD]))
     return params
@@ -475,11 +501,11 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
         params32 = init_params(dims, np.random.default_rng([config.seed, _STREAM_INIT]))
     else:
         params32 = _params_from_init(init, arch, dims, config.seed)
-    # 64-bit master weights during the run; storage stays 32-bit at both ends
-    params = {n: a.astype(np.float64) for n, a in params32.items()}
-
     trainable = _trainable_names(config.freeze, arch, dims)
-    optimizer = _AdamW(trainable, {n: a.shape for n, a in params.items()}, config.optimizer)
+    # 64-bit master weights during the run, as views of the optimizer's flat
+    # vector; storage stays 32-bit at both ends
+    optimizer = _AdamW(params32, trainable, config.optimizer)
+    params = optimizer.params
 
     n_train = len(y_train)
     batch = config.schedule.batch_size
@@ -508,7 +534,7 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
             lr = cosine_warmup_lr(
                 step, total_steps, warmup_steps, config.optimizer.learning_rate
             )
-            optimizer.step(params, grads, lr)
+            optimizer.step(grads, lr)
             loss_sum += loss * len(idx)
             step += 1
         metrics.append(
@@ -586,9 +612,9 @@ def grad_check(
         for coord in coords:
             original = flat[coord]
             flat[coord] = original + step_size
-            plus = loss_only(params, x, y, dims)
+            plus, _ = loss_and_grads(params, x, y, dims, ())
             flat[coord] = original - step_size
-            minus = loss_only(params, x, y, dims)
+            minus, _ = loss_and_grads(params, x, y, dims, ())
             flat[coord] = original
             numeric = (plus - minus) / (2.0 * step_size)
             analytic = float(grads[name].ravel()[coord])

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import sys
 import threading
@@ -413,6 +414,22 @@ class TestReader:
             CheckpointReader(q)
         with pytest.raises(IoError):
             CheckpointReader(tmp_path / "absent.ckpt")
+
+    @pytest.mark.parametrize("blob, error", [
+        (b"\x01\x02", CorruptFile),
+        (struct.pack("<Q", 10_000) + b"{}", CorruptFile),
+        (struct.pack("<Q", 9) + b"{not json", FormatError),
+        (build_file({"w": {"dtype": "BF16", "shape": [2], "data_offsets": [0, 4]}}, b""),
+         UnsupportedDtype),
+        (build_file({"w": {"dtype": "F32", "shape": [2], "data_offsets": [0, 8]}}, b"\0" * 4),
+         CorruptFile),
+    ])
+    def test_header_errors_name_the_file(self, tmp_path, blob, error):
+        p = tmp_path / "named.ckpt"
+        p.write_bytes(blob)
+        for read in (read_checkpoint, CheckpointReader):
+            with pytest.raises(error, match=f"^{re.escape(str(p))}: "):
+                read(p)
 
 
 class TestReadMetadata:

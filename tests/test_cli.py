@@ -355,12 +355,25 @@ BAD_INPUTS = [
      {"c.json": json.dumps({**CONFIG, "seed": -1}).encode()}, 2, "seed must be >= 0"),
     ("train_config_float_run_seed", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": json.dumps({**CONFIG, "seed": 1.5}).encode()}, 2, "seed must be an int"),
+    # a bool is not a float, though Python counts it as an int
+    ("train_config_bool_learning_rate", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("optimizer", learning_rate=True)}, 2,
+     "learning_rate must be a number, got True"),
+    ("train_config_bool_weight_decay", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("optimizer", weight_decay=False)}, 2,
+     "weight_decay must be a number, got False"),
+    ("train_config_bool_noise_scale", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("dataset", noise_scale=True)}, 2, "noise_scale must be a number"),
+    ("dataset_spec_bool_shift", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
+     {"spec.json": _spec(shift_magnitude=True)}, 2, "shift_magnitude must be a number"),
+    ("dataset_spec_bool_center_scale", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
+     {"spec.json": _spec(class_center_scale=False)}, 2, "class_center_scale must be a number"),
     # a non-finite stored value is bad data; the soup fails on the last tensor
     # of its stream, and neither the output nor its temporary file is left
     ("soup_nan_input", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      _soup_nan_input(), 2, "b.ckpt: tensor pos_embed contains non-finite values"),
     ("soup_truncated_input", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
-     _soup_truncated_input(), 2, "'pos_embed' offsets [760, 792) out of bounds"),
+     _soup_truncated_input(), 2, "b.ckpt: tensor 'pos_embed' offsets [760, 792) out of bounds"),
     ("angles_nan_input",
      ["angles", "--pre", "@pre.ckpt", "--ft", "@ft.ckpt", "--arch", "toy_vit", "--out", "@a.json"],
      _angles_nan_input(), 2, "ft.ckpt: tensor pos_embed contains non-finite values"),
@@ -943,3 +956,14 @@ class TestDeterminism:
             assert code == 0
             outs.append((out, out_file.read_bytes()))
         assert outs[0] == outs[1]
+
+
+def test_python_dash_m_fapft_runs_the_cli(capsys):
+    src = str(Path(fapft.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    args = ["params", "--arch", "vit_b16", "--strategy", "attn_only", "--classes", "1000"]
+    done = subprocess.run(
+        [sys.executable, "-m", "fapft", *args], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (0, run_cli(capsys, *args)[1])

@@ -310,29 +310,84 @@ class TestFreezeAware:
         assert prefixed.metrics == plain.metrics
 
 
+def _reference_adamw_step(params, m, v, t, grads, lr, c, names):
+    """Per-tensor AdamW in the textbook order, for the flat optimizer to match bitwise."""
+    from fapft.train import _uses_weight_decay
+
+    bias1 = 1.0 - c.beta1**t
+    bias2 = 1.0 - c.beta2**t
+    for name in names:
+        g = grads[name]
+        m[name] = c.beta1 * m[name] + (1.0 - c.beta1) * g
+        v[name] = c.beta2 * v[name] + (1.0 - c.beta2) * g * g
+        update = (m[name] / bias1) / (np.sqrt(v[name] / bias2) + c.epsilon)
+        if c.weight_decay > 0.0 and _uses_weight_decay(name):
+            update = update + c.weight_decay * params[name]
+        params[name] = params[name] - lr * update
+
+
+def _init64(seed=3):
+    return {
+        n: a.astype(np.float64)
+        for n, a in init_params(DIMS, np.random.default_rng(seed)).items()
+    }
+
+
 class TestOptimizer:
     def test_masked_step_equals_unmasked_on_trainable(self):
         dims = DIMS
-        params_a = {
-            n: a.astype(np.float64)
-            for n, a in init_params(dims, np.random.default_rng(3)).items()
-        }
-        params_b = {n: a.copy() for n, a in params_a.items()}
+        params0 = _init64()
         data = generate_dataset(SPEC)
         xt, yt, _, _ = data.task_split("finetune")
-        _, grads = loss_and_grads(params_a, xt[:8], yt[:8], dims)
+        _, grads = loss_and_grads(params0, xt[:8], yt[:8], dims)
 
         subset = {"blocks.0.attn.qkv.weight", "head.weight", "norm.bias"}
-        shapes = {n: a.shape for n, a in params_a.items()}
-        full_opt = _AdamW(set(params_a), shapes, OPT)
-        masked_opt = _AdamW(subset, shapes, OPT)
-        full_opt.step(params_a, grads, lr=1e-3)
-        masked_opt.step(params_b, grads, lr=1e-3)
+        full_opt = _AdamW(params0, set(params0), OPT)
+        masked_opt = _AdamW(params0, subset, OPT)
+        full_opt.step(grads, lr=1e-3)
+        masked_opt.step(grads, lr=1e-3)
+        params_a, params_b = full_opt.params, masked_opt.params
+        assert list(params_a) == list(params_b) == list(params0)
         for name in params_a:
+            assert np.array_equal(params_b[name], params0[name]) == (name not in subset)
             if name in subset:
                 assert np.array_equal(params_a[name], params_b[name])
             else:
                 assert not np.array_equal(params_a[name], params_b[name])
+
+    def test_flat_steps_equal_per_tensor_reference_bitwise(self):
+        params0 = _init64(5)
+        data = generate_dataset(SPEC)
+        xt, yt, _, _ = data.task_split("finetune")
+        # weight-decayed and undecayed tensors, with a frozen rest
+        trainable = {
+            "blocks.1.attn.qkv.weight",
+            "blocks.1.attn.qkv.bias",
+            "blocks.1.norm1.weight",
+            "blocks.1.mlp.fc1.weight",
+            "norm.bias",
+            "head.weight",
+            "head.bias",
+        }
+        cfg = OptimizerConfig(learning_rate=3e-3, weight_decay=0.1)
+        opt = _AdamW(params0, trainable, cfg)
+        ref = dict(params0)
+        m = {n: np.zeros_like(ref[n]) for n in trainable}
+        v = {n: np.zeros_like(ref[n]) for n in trainable}
+        for t in range(1, 7):
+            idx = slice(8 * t, 8 * t + 8)
+            _, grads = loss_and_grads(opt.params, xt[idx], yt[idx], DIMS, trainable)
+            lr = cosine_warmup_lr(t - 1, 6, 1, cfg.learning_rate)
+            opt.step(grads, lr)
+            _reference_adamw_step(ref, m, v, t, grads, lr, cfg, sorted(trainable))
+        for name in params0:
+            assert np.array_equal(opt.params[name], ref[name]), name
+            if name not in trainable:
+                assert opt.params[name].tobytes() == params0[name].tobytes(), name
+        flat_m = np.concatenate([m[n].ravel() for n in opt.trainable])
+        flat_v = np.concatenate([v[n].ravel() for n in opt.trainable])
+        assert np.array_equal(opt.m, flat_m)
+        assert np.array_equal(opt.v, flat_v)
 
     def test_weight_decay_skips_norms_and_biases(self):
         from fapft.train import _uses_weight_decay
