@@ -8,8 +8,8 @@ same way over the concatenation of all residual layers. The classifier head
 non-residual modules are excluded and recorded in the report's provenance.
 Each tensor pair is reduced once, in float64 over fixed-length blocks (see
 ``tensors.pair_stats``), and its sums count toward both its layer and the
-whole model. Checkpoint files are read as two streams in step, one tensor of
-each at a time, so memory holds two tensors rather than two checkpoints.
+whole model. Checkpoint files are read as two streams in step, one chunk of
+each at a time, so memory holds a few chunks, whatever the tensor sizes.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .arch import ArchDescriptor, LayerRef, map_tensors
-from .checkpoint import zip_arrays
+from .checkpoint import zip_chunks
 from .errors import (
     FormatError,
     IncompatibleCheckpoints,
@@ -132,7 +132,7 @@ def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
     """Per-layer and whole-model angles between a pre-trained and a fine-tuned
     checkpoint, each a :class:`Checkpoint` in memory or a
     :class:`CheckpointReader` of a file (which is then read once, in step
-    with the other, one tensor at a time)."""
+    with the other, one chunk at a time)."""
     # every name must be assignable under the architecture's schema, and
     # every residual tensor must be in both checkpoints with one shape
     pre_shapes, ft_shapes = pre.shapes, ft.shapes
@@ -150,14 +150,14 @@ def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
                 f"residual tensor {name!r} has shape {pre_shapes[name]} vs {ft_shapes[name]}"
             )
 
-    # each pair is reduced once; its sums then go to its layer and to the
-    # whole model, both in the fixed per-tensor order, so the result does not
-    # depend on map insertion order or on the order the tensors were read
+    # each pair is reduced once, chunk after chunk; its sums then go to its
+    # layer and to the whole model, both in the fixed per-tensor order, so the
+    # result does not depend on map insertion order or on the read order
     residual = set(residual_names)
     stats: dict[str, PairStats] = {}
-    for name, (a, b) in zip_arrays(pre, ft):
+    for name, _, (a, b) in zip_chunks(pre, ft):
         if name in residual:
-            stats[name] = pair_stats(a, b)
+            stats[name] = pair_stats(a, b, stats.get(name, PairStats()))
     angles: dict[str, float] = {}
     whole = PairStats()
     for layer in arch.layers:

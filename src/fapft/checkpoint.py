@@ -21,10 +21,11 @@ Otherwise, and for checkpoints built in memory, the header and then each
 tensor's bytes are hashed (or written) in canonical order, without assembling
 the whole serialization.
 
-``CheckpointReader`` streams a file instead: it yields one tensor at a time
-through a reusable buffer, and SHA-256 of the canonical bytes runs on one
-helper thread while the caller works on the tensor. Memory is bounded by the
-largest tensor, not the file.
+``CheckpointReader`` streams a file instead: it yields each tensor as flat
+chunks of at most ``_CHUNK`` elements through two reusable buffers, and
+SHA-256 of the canonical bytes runs on one helper thread while the caller
+works on a chunk and the next one is read. Memory is bounded by the chunk
+length, not by the tensor or the file.
 
 Writes go to a temporary file beside the target, which then replaces it.
 """
@@ -33,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import threading
@@ -58,7 +60,7 @@ __all__ = [
     "write_atomic",
     "write_all",
     "canonical_header",
-    "zip_arrays",
+    "zip_chunks",
     "diff_checkpoints",
 ]
 
@@ -68,6 +70,16 @@ _METADATA_KEY = "__metadata__"
 # a read places the payload at this byte alignment in its buffer, so tensor
 # views are aligned arrays; numpy runs slower loops on unaligned ones
 _PAYLOAD_ALIGN = 64
+# Elements in one streamed chunk (1 MB of float32). A multiple of the block
+# lengths of ``tensors.pair_stats`` and ``tensors.mean_arrays``, so a sum over
+# a tensor's chunks has the blocks, and so the bits, of a sum over the tensor.
+_CHUNK = 1 << 18
+
+
+def _chunk_starts(size: int) -> range:
+    """Offsets of the chunks of a tensor of ``size`` elements; a tensor with
+    no elements has one empty chunk, so that every name is seen."""
+    return range(0, max(size, 1), _CHUNK)
 
 
 def _validate_name(name) -> str:
@@ -154,10 +166,13 @@ class Checkpoint:
         """Tensor shapes in name order, as :class:`CheckpointReader` has them."""
         return {name: self._tensors[name].shape for name in sorted(self._tensors)}
 
-    def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        """(name, array) in name order, as :meth:`CheckpointReader.arrays` yields them."""
+    def chunks(self) -> Iterator[tuple[str, int, np.ndarray]]:
+        """(name, start, chunk) in the order :meth:`CheckpointReader.chunks`
+        yields them; each chunk is a flat view of the tensor."""
         for name in sorted(self._tensors):
-            yield name, self._tensors[name].array
+            flat = self._tensors[name].array.reshape(-1)
+            for start in _chunk_starts(flat.size):
+                yield name, start, flat[start : start + _CHUNK]
 
     def _canonical_parts(self) -> list:
         """The canonical serialization as buffers, in order, without copying payloads."""
@@ -465,19 +480,19 @@ os.register_at_fork(after_in_child=_forget_hasher)
 
 
 class CheckpointReader:
-    """A checkpoint file read one tensor at a time, in name order.
+    """A checkpoint file read in chunks, in name order.
 
     Opening it reads and validates the header as ``read_checkpoint`` does;
     ``shapes`` (in name order) and ``metadata`` are then known.
-    :meth:`arrays` reads every tensor once, through one reusable buffer, and
-    yields it as a read-only float32 array that stays valid until the next
-    one is taken; F16 and F64 payloads are converted as ``read_checkpoint``
-    converts them. Each tensor is checked to be finite, and the canonical
-    header and float32 bytes go to SHA-256 on one helper thread shared by all
-    readers (``hashlib`` releases the GIL), so once every tensor has been
-    taken, ``content_hash`` equals ``read_checkpoint(path).content_hash``,
-    whether or not the file is canonical; ``hashed=False`` skips the hash.
-    Close it, or use it as a context manager.
+    :meth:`chunks` reads every tensor once and yields it in flat read-only
+    float32 chunks of at most ``_CHUNK`` elements; F16 and F64 payloads are
+    converted as ``read_checkpoint`` converts them. Each tensor is checked to
+    be finite, and the canonical header and float32 bytes go to SHA-256 on one
+    helper thread shared by all readers (``hashlib`` releases the GIL), so
+    once every chunk has been taken, ``content_hash`` equals
+    ``read_checkpoint(path).content_hash``, whether or not the file is
+    canonical; ``hashed=False`` skips the hash. Close it, or use it as a
+    context manager.
     """
 
     def __init__(self, path, hashed: bool = True):
@@ -497,39 +512,54 @@ class CheckpointReader:
         self.shapes = {name: self._entries[name][1] for name in sorted(self._entries)}
         self._hash: str | None = None
 
-    def arrays(self) -> Iterator[tuple[str, np.ndarray]]:
-        """(name, array) for every tensor, in name order."""
-        entries = self._entries.values()
-        stored = np.empty(max((end - begin for *_, begin, end in entries), default=0), np.uint8)
-        converted = np.empty(
-            max(((end - begin) // dtype.itemsize for dtype, _, begin, end in entries
-                 if dtype != _F32), default=0),
-            np.float32,
-        )
+    def chunks(self) -> Iterator[tuple[str, int, np.ndarray]]:
+        """(name, start, chunk) for every tensor in name order, and within a
+        tensor in offset order; ``start`` counts elements.
+
+        A chunk stays valid until the next one is taken. Two buffers take
+        turns, so the next chunk is read while the hash of the last one runs;
+        a buffer is refilled only once the hash of the chunk it last held is
+        done. A tensor that holds a non-finite value raises ``CorruptFile``
+        when its last chunk is taken.
+        """
+        length = min(_CHUNK, max(map(math.prod, self.shapes.values()), default=0))
+        buffers = [np.empty(length, np.float32) for _ in range(2)]
+        # F16 and F64 chunks are read here, then converted into a buffer
+        wide = max((d.itemsize for d, *_ in self._entries.values() if d != _F32), default=0)
+        stored = np.empty(length * wide, np.uint8)
         digest = None
         if self._hashed:
             digest = hashlib.sha256(canonical_header(self.shapes.items(), self.metadata))
-        update = None
+        updates: list = [None, None]
+        turn = 0
         for name, shape in self.shapes.items():
-            dtype, _, begin, end = self._entries[name]
-            if update is not None:
-                update.result()  # the last tensor is hashed: its buffer may be refilled
-            raw = stored[: end - begin]
-            _read_into(self._fh, raw, self._start + begin, self.path)
-            values = raw.view(dtype)
-            if dtype != _F32:
-                values = converted[: values.size]
-                values[...] = raw.view(dtype)
-            if not np.isfinite(values).all():
-                raise _non_finite(self.path, name)
-            values = values.view()
-            values.setflags(write=False)
-            if digest is not None:
-                update = _hasher().submit(digest.update, values)
-            yield name, values.reshape(shape)
+            dtype, _, begin, _ = self._entries[name]
+            size = math.prod(shape)
+            finite = True
+            for start in _chunk_starts(size):
+                if updates[turn] is not None:
+                    updates[turn].result()
+                values = buffers[turn][: min(_CHUNK, size - start)]
+                offset = self._start + begin + start * dtype.itemsize
+                if dtype == _F32:
+                    _read_into(self._fh, values, offset, self.path)
+                else:
+                    raw = stored[: values.size * dtype.itemsize]
+                    _read_into(self._fh, raw, offset, self.path)
+                    values[...] = raw.view(dtype)
+                finite = finite and bool(np.isfinite(values).all())
+                if not finite and start + values.size == size:
+                    raise _non_finite(self.path, name)
+                values = values.view()
+                values.setflags(write=False)
+                if digest is not None:
+                    updates[turn] = _hasher().submit(digest.update, values)
+                yield name, start, values
+                turn ^= 1
         if digest is not None:
-            if update is not None:
-                update.result()
+            for update in updates:
+                if update is not None:
+                    update.result()
             self._hash = digest.hexdigest()
 
     @property
@@ -554,25 +584,26 @@ def read_checkpoint_metadata(path) -> dict[str, str]:
         return reader.metadata
 
 
-def zip_arrays(*sources) -> Iterator[tuple[str, list]]:
-    """Every tensor name of ``sources`` (checkpoints or readers) in name order,
-    with each source's array of that name, or None where it has none.
+def zip_chunks(*sources) -> Iterator[tuple[str, int, list]]:
+    """Every (name, start) of the chunks of ``sources`` (checkpoints or
+    readers) in order, with each source's chunk there, or None where it has
+    none: (name, start, chunks).
 
-    A source's next tensor is taken only when the caller asks for the next
-    name, so a reader never refills its buffer under an array still in use.
+    A source's next chunk is taken only when the caller asks for the next
+    key, so a reader never refills a buffer under a chunk still in use.
     """
-    streams = [source.arrays() for source in sources]
+    streams = [source.chunks() for source in sources]
     heads: list = [None] * len(streams)
     taken = range(len(streams))
     while True:
         for i in taken:
             heads[i] = next(streams[i], None)
-        names = [head[0] for head in heads if head is not None]
-        if not names:
+        keys = [head[:2] for head in heads if head is not None]
+        if not keys:
             return
-        name = min(names)
-        taken = [i for i, head in enumerate(heads) if head is not None and head[0] == name]
-        yield name, [head[1] if head is not None and head[0] == name else None for head in heads]
+        key = min(keys)
+        taken = [i for i, head in enumerate(heads) if head is not None and head[:2] == key]
+        yield *key, [heads[i][2] if i in taken else None for i in range(len(heads))]
 
 
 @dataclass

@@ -112,6 +112,16 @@ def _class_count(raw: str) -> int:
     return count
 
 
+def _positive_int(raw: str) -> int:
+    try:
+        value = int(raw)
+    except ValueError:
+        value = 0
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"must be a positive int, got {raw!r}")
+    return value
+
+
 def _class_counts(raw: str) -> tuple[int, ...]:
     return tuple(_class_count(part) for part in raw.split(","))
 
@@ -639,7 +649,7 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("grad-check", help="finite-difference gradient validation")
     p.add_argument("--config")
-    p.add_argument("--samples", type=int, default=200)
+    p.add_argument("--samples", type=_positive_int, default=200)
     p.add_argument("--step", type=_positive_number, default=1e-5)
     p.add_argument("--tolerance", type=_positive_number, default=1e-4)
     common(p)

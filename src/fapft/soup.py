@@ -8,9 +8,10 @@ their mean is a mean of identical values, with one exception: an element
 that is -0.0 becomes +0.0 when two or more runs are averaged, as in any
 float64 mean (a soup of one run keeps it).
 
-A soup is an elementwise mean, so it needs one tensor at a time: the files of
-a recipe are streamed in step, tensor by tensor, straight into the output
-file, and a tensor that no run changed is copied rather than averaged.
+A soup is an elementwise mean, so it needs one chunk at a time: the files of
+a recipe are streamed in step, chunk by chunk, straight into the output file,
+and a chunk that no run changed is copied rather than averaged. Memory holds
+two chunk buffers per file, whatever the tensor sizes.
 
 The soup's headline parameter figure is the sum of the per-run trainable
 counts, not the merged model's size: a soup costs every run's fine-tuning.
@@ -29,6 +30,7 @@ import numpy as np
 
 from .arch import ArchDescriptor, FreezePlan, describe_arch, plan_from_json, soup_millions_str
 from .checkpoint import (
+    _CHUNK,
     Checkpoint,
     CheckpointReader,
     canonical_header,
@@ -36,7 +38,7 @@ from .checkpoint import (
     read_text,
     write_all,
     write_atomic,
-    zip_arrays,
+    zip_chunks,
 )
 from .errors import (
     EvaluationError,
@@ -174,30 +176,40 @@ def _mean_of_equal(arrays: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _merged(inputs, weights, base=None, frozen=frozenset()):
-    """(name, mean) for every tensor of ``inputs`` (checked compatible), in
-    name order, taking one tensor of each input at a time. With ``base``,
-    the inputs' tensors named in ``frozen`` must equal the base's bitwise,
-    and every base tensor is read, and so validated, on the way.
+    """(name, start, mean) for every chunk of ``inputs`` (checked compatible),
+    in name and offset order, taking one chunk of each input at a time. With
+    ``base`` (its ``frozen`` shapes checked by :func:`_frozen_names`), the
+    inputs' tensors named in ``frozen`` must equal the base's bitwise,
+    and every base tensor is read, and so validated, on the way; a mismatch
+    is raised once the tensor's last chunk is taken, naming the first input
+    that differs anywhere in it.
 
-    With every weight 1.0, a tensor that no input changed is copied
-    (:func:`_mean_of_equal`); any other tensor is averaged in float64."""
+    With every weight 1.0, a chunk that no input changed is copied
+    (:func:`_mean_of_equal`); any other chunk is averaged in float64."""
     unit = all(w == 1.0 for w in weights)
     sources = list(inputs) + ([base] if base is not None else [])
-    for name, arrays in zip_arrays(*sources):
+    sizes = {name: math.prod(shape) for name, shape in inputs[0].shapes.items()}
+    # the first input whose current frozen tensor differs from the base; a
+    # mismatch raises at the end of its tensor, so this never carries over
+    differs = len(inputs)
+    for name, start, chunks in zip_chunks(*sources):
         if base is not None:
-            *arrays, reference = arrays
-            if arrays[0] is None:
+            *chunks, reference = chunks
+            if chunks[0] is None:
                 continue  # a tensor of the base alone
             if name in frozen:
-                for inp, array in zip(inputs, arrays):
-                    if not bits_equal(array, reference):
-                        raise IncompatibleCheckpoints(
-                            f"{inp.path}: frozen tensor {name!r} differs from the base"
-                        )
-        if unit and (name in frozen or all(bits_equal(a, arrays[0]) for a in arrays[1:])):
-            yield name, _mean_of_equal(arrays)
+                differs = next(
+                    (i for i, c in enumerate(chunks[:differs]) if not bits_equal(c, reference)),
+                    differs,
+                )
+                if differs < len(inputs) and start + chunks[0].size == sizes[name]:
+                    raise IncompatibleCheckpoints(
+                        f"{inputs[differs].path}: frozen tensor {name!r} differs from the base"
+                    )
+        if unit and (name in frozen or all(bits_equal(c, chunks[0]) for c in chunks[1:])):
+            yield name, start, _mean_of_equal(chunks)
         else:
-            yield name, mean_arrays(arrays, weights)
+            yield name, start, mean_arrays(chunks, weights)
 
 
 def _soup_metadata(inputs, weights, hashes) -> dict[str, str]:
@@ -221,8 +233,10 @@ def uniform_soup_checkpoints(
     weights = mean_weights(weights, len(ckpts))
     if not ckpts:
         raise InvalidValue("no checkpoints to merge")
-    _check_compatible(ckpts)
-    tensors = {name: Tensor(mean, name=name) for name, mean in _merged(ckpts, weights)}
+    means = {name: np.empty(shape, np.float32) for name, shape in _check_compatible(ckpts).items()}
+    for name, start, mean in _merged(ckpts, weights):
+        means[name].reshape(-1)[start : start + mean.size] = mean
+    tensors = {name: Tensor(mean, name=name) for name, mean in means.items()}
     return Checkpoint(tensors, _soup_metadata(ckpts, weights, [c.content_hash for c in ckpts]))
 
 
@@ -234,7 +248,7 @@ def uniform_soup(
     order.
 
     Every input (and the base) is streamed in step, so memory holds a few
-    tensors, not a checkpoint. With plans attached, every layer frozen in all
+    chunks, not a tensor. With plans attached, every layer frozen in all
     runs must still match the base checkpoint bitwise in every input; a
     mismatch means the runs did not share the base they claim and the soup is
     refused. ``plans`` are the recipe's own, when the caller has already read
@@ -258,7 +272,7 @@ def uniform_soup(
         header_len = len(canonical_header(shapes.items(), _soup_metadata(inputs, weights, unknown)))
         with write_atomic(out) as fh:
             fh.seek(header_len)
-            for _, mean in _merged(inputs, weights, base, frozen):
+            for _, _, mean in _merged(inputs, weights, base, frozen):
                 write_all(fh, mean)
             hashes = [inp.content_hash for inp in inputs]
             header = canonical_header(shapes.items(), _soup_metadata(inputs, weights, hashes))
@@ -272,7 +286,7 @@ def uniform_soup(
 
 def _sha256_file(fh) -> str:
     digest = hashlib.sha256()
-    block = bytearray(1 << 16)
+    block = bytearray(_CHUNK * 4)  # the bytes of one float32 chunk
     while got := fh.readinto(block):
         digest.update(memoryview(block)[:got])
     return digest.hexdigest()
@@ -280,7 +294,10 @@ def _sha256_file(fh) -> str:
 
 def _frozen_names(base, plans: Sequence[FreezePlan], inputs) -> frozenset[str]:
     """The tensors of the layers that no plan trains, after checking that the
-    base and every input have them."""
+    base and every input have them, with one shape.
+
+    Chunks are flat, so the shapes are compared here: the same bytes under
+    another shape are another tensor."""
     trained = {layer_id for plan in plans for layer_id in plan.trainable_layer_ids}
     layers = arch_from_checkpoint(base.metadata).layers
     frozen = [name for l in layers if l.layer_id not in trained for name in l.tensors]
@@ -291,6 +308,10 @@ def _frozen_names(base, plans: Sequence[FreezePlan], inputs) -> frozenset[str]:
         for name in frozen:
             if name not in inp.shapes:
                 raise IncompatibleCheckpoints(f"{inp.path}: lacks frozen tensor {name!r}")
+            if inp.shapes[name] != base.shapes[name]:
+                raise IncompatibleCheckpoints(
+                    f"{inp.path}: frozen tensor {name!r} differs from the base"
+                )
     return frozenset(frozen)
 
 

@@ -128,14 +128,17 @@ class PairStats(NamedTuple):
         return math.acos(min(1.0, max(-1.0, cos)))
 
 
-def pair_stats(a: np.ndarray, b: np.ndarray) -> PairStats:
-    """Stats of two same-size arrays, taken as flat vectors in row-major order.
+def pair_stats(a: np.ndarray, b: np.ndarray, acc: PairStats = PairStats()) -> PairStats:
+    """Stats of two same-size arrays, taken as flat vectors in row-major order,
+    appended to the pair that ``acc`` holds.
 
     Each block of ``_BLOCK`` elements is cast into two reusable float64
     buffers and its three dot products are added in block order, so no
-    full-size float64 copy is made. The equality checks compare the inputs
-    themselves, which is exact because the cast to float64 is, and stop at
-    the first block that fails them.
+    full-size float64 copy is made. A vector folded in pieces whose lengths
+    are multiples of ``_BLOCK`` (the last one aside), each call continuing
+    the last one's ``acc``, gets the bits of one call over the whole vector.
+    The equality checks compare the inputs themselves, which is exact because
+    the cast to float64 is, and stop at the first block that fails them.
     """
     a = a.reshape(-1)
     b = b.reshape(-1)
@@ -143,8 +146,7 @@ def pair_stats(a: np.ndarray, b: np.ndarray) -> PairStats:
         raise DimensionMismatch(f"length mismatch: {a.size} vs {b.size}")
     a64 = np.empty(min(a.size, _BLOCK), dtype=np.float64)
     b64 = np.empty_like(a64)
-    ab = aa = bb = 0.0
-    equal = negated = True
+    ab, aa, bb, equal, negated = acc
     for start in range(0, a.size, _BLOCK):
         a_block = a[start : start + _BLOCK]
         b_block = b[start : start + _BLOCK]

@@ -1,4 +1,7 @@
+import json
 import math
+import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,14 +16,15 @@ from fapft.angles import (
     report_from_json,
 )
 from fapft.arch import describe_arch
-from fapft.checkpoint import Checkpoint
+from fapft.checkpoint import _CHUNK, Checkpoint, CheckpointReader, write_checkpoint
 from fapft.errors import (
+    CorruptFile,
     DegenerateVector,
     IncompatibleCheckpoints,
     IncompatibleReports,
     InvalidValue,
 )
-from fapft.tensors import Tensor
+from fapft.tensors import PairStats, Tensor, pair_stats
 
 
 def make_ckpt(arch, num_classes, rng, mutate=None):
@@ -37,6 +41,23 @@ def make_ckpt(arch, num_classes, rng, mutate=None):
 @pytest.fixture(scope="module")
 def toy():
     return describe_arch("toy_vit", depth=3, model_dim=8, heads=2, seq_len=4)
+
+
+@pytest.fixture(scope="module")
+def wide(tmp_path_factory):
+    """An architecture whose FFN tensors span almost six chunks, and the
+    paths of a pre-trained and a fine-tuned checkpoint file of it."""
+    arch = describe_arch("toy_vit", depth=1, model_dim=512, heads=4, ffn_dim=3000, seq_len=2)
+    rng = np.random.default_rng(44)
+    pre = make_ckpt(arch, 3, rng)
+    # a small move, as in fine-tuning: an angle near 0 shows the last bits of its sums
+    ft = Checkpoint({n: t.array + np.float32(1e-3) * t.array[::-1] for n, t in pre.tensors.items()},
+                    pre.metadata)
+    directory = tmp_path_factory.mktemp("wide")
+    paths = (directory / "pre.ckpt", directory / "ft.ckpt")
+    for ckpt, path in zip((pre, ft), paths):
+        write_checkpoint(ckpt, path)
+    return arch, pre, ft, paths
 
 
 class TestComputeAngles:
@@ -152,6 +173,59 @@ class TestComputeAngles:
                     whole[i] += float(np.dot(x, y))
             assert report.angle_of(layer.layer_id) == reference(sums)
         assert report.whole_model_angle == reference(whole)
+
+    def test_chunked_tensors_match_whole_array_pair_stats(self, wide):
+        # tensors of 3 and 5.86 chunks, streamed from files or viewed in
+        # memory, give the bits of pair_stats over each whole tensor pair
+        arch, pre, ft, paths = wide
+        sizes = [pre.tensors[n].size for layer in arch.layers for n in layer.tensors]
+        assert max(sizes) >= 3 * _CHUNK and any(size % _CHUNK for size in sizes)
+        whole = PairStats()
+        expected = {}
+        for layer in arch.layers:
+            acc = PairStats()
+            for name in sorted(layer.tensors):
+                stats = pair_stats(pre.tensors[name].array, ft.tensors[name].array)
+                acc += stats
+                whole += stats
+            expected[layer.layer_id] = acc.angle()
+        with CheckpointReader(paths[0]) as a, CheckpointReader(paths[1]) as b:
+            streamed = compute_angles(a, b, arch)
+        for report in (streamed, compute_angles(pre, ft, arch)):
+            assert {e.layer_id: e.angle for e in report.entries} == expected
+            assert report.whole_model_angle == whole.angle()
+        assert streamed.finetuned_hash == ft.content_hash
+
+    def test_memory_peak_two_chunk_buffers_per_file(self, wide):
+        # two chunk buffers per file, not a tensor of almost six chunks
+        arch, _, _, paths = wide
+        tracemalloc.start()
+        try:
+            with CheckpointReader(paths[0]) as a, CheckpointReader(paths[1]) as b:
+                compute_angles(a, b, arch)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (2 + 2) * 2 * _CHUNK * 4
+
+    def test_faults_in_both_files_name_the_pre_trained_one(self, wide, tmp_path):
+        # the fine-tuned file's infinity comes in an earlier chunk, but the
+        # tensor's last chunk is taken from the pre-trained file first, as
+        # whole tensors were
+        arch, pre, ft, _ = wide
+        name = "blocks.0.mlp.fc1.weight"
+        paths = []
+        for ckpt, index, stem in ((pre, 5 * _CHUNK + 1, "pre"), (ft, 7, "ft")):
+            blob = bytearray(ckpt.canonical_bytes())
+            (header_len,) = struct.unpack("<Q", blob[:8])
+            begin = json.loads(blob[8 : 8 + header_len])[name]["data_offsets"][0]
+            at = 8 + header_len + begin + 4 * index
+            blob[at : at + 4] = np.array([np.inf], dtype="<f4").tobytes()
+            paths.append(tmp_path / f"{stem}.ckpt")
+            paths[-1].write_bytes(bytes(blob))
+        with CheckpointReader(paths[0]) as a, CheckpointReader(paths[1]) as b:
+            with pytest.raises(CorruptFile, match=f"pre.ckpt: tensor {name} contains non-finite"):
+                compute_angles(a, b, arch)
 
     def test_perturbed_layer_matches_flat_oracle(self, toy):
         rng = np.random.default_rng(3)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from fapft.checkpoint import (
+    _CHUNK,
     Checkpoint,
     CheckpointReader,
     diff_checkpoints,
@@ -321,14 +322,54 @@ class TestReader:
         with CheckpointReader(p) as reader:
             assert reader.shapes == whole.shapes
             assert reader.metadata == dict(whole.metadata)
-            names = []
-            for name, array in reader.arrays():
-                names.append(name)
-                assert not array.flags.writeable
-                assert array.dtype == np.float32
-                assert Tensor(array).bitwise_equal(whole.tensors[name])
-            assert names == sorted(whole.tensors)
+            keys = []
+            for name, start, chunk in reader.chunks():
+                keys.append((name, start))
+                assert not chunk.flags.writeable
+                assert chunk.dtype == np.float32
+                flat = whole.tensors[name].array.reshape(-1)
+                assert Tensor(chunk).bitwise_equal(Tensor(flat[start : start + chunk.size]))
+            assert keys == [(name, 0) for name in sorted(whole.tensors)]
             assert reader.content_hash == whole.content_hash
+
+    def test_f16_and_f64_chunks_match_read_checkpoint(self, tmp_path):
+        # converted tensors of several chunks each, ragged at the end, around
+        # an F32 one: the chunks join into read_checkpoint's bits and hash
+        rng = np.random.default_rng(37)
+        d = rng.normal(size=2 * _CHUNK + 5).astype("<f8")
+        h = rng.normal(size=(3, _CHUNK // 2 + 7)).astype("<f2")
+        f = rng.normal(size=_CHUNK + 1).astype("<f4")
+        parts, header, offset = [], {}, 0
+        for name, values, tag in [("d", d, "F64"), ("f", f, "F32"), ("h", h, "F16")]:
+            header[name] = {"dtype": tag, "shape": list(values.shape),
+                            "data_offsets": [offset, offset + values.nbytes]}
+            parts.append(values.tobytes())
+            offset += values.nbytes
+        p = tmp_path / "wide.ckpt"
+        p.write_bytes(build_file(header, b"".join(parts)))
+        whole = read_checkpoint(p)
+        with CheckpointReader(p) as reader:
+            joined = {}
+            for name, start, chunk in reader.chunks():
+                assert chunk.ndim == 1 and 0 < chunk.size <= _CHUNK
+                assert not chunk.flags.writeable
+                assert start == sum(c.size for c in joined.get(name, []))
+                joined.setdefault(name, []).append(chunk.copy())
+            assert [len(chunks) for chunks in joined.values()] == [3, 2, 2]
+            for name, chunks in joined.items():
+                flat = whole.tensors[name].array.reshape(-1)
+                assert np.concatenate(chunks).tobytes() == flat.tobytes()
+            assert reader.content_hash == whole.content_hash
+
+    def test_empty_tensor_is_one_empty_chunk(self, tmp_path):
+        p = tmp_path / "empty.ckpt"
+        ckpt = Checkpoint({"a": Tensor(np.zeros((2, 0))), "b": Tensor([1.0])})
+        write_checkpoint(ckpt, p)
+        with CheckpointReader(p) as reader:
+            got = [(name, start, chunk.size) for name, start, chunk in reader.chunks()]
+            assert reader.content_hash == ckpt.content_hash
+        assert got == [("a", 0, 0), ("b", 0, 1)]
+        assert [(n, s, c.size) for n, s, c in ckpt.chunks()] == got
 
     def test_hash_of_many_tensors(self, tmp_path):
         rng = np.random.default_rng(29)
@@ -337,11 +378,11 @@ class TestReader:
             p = tmp_path / f"r{i}.ckpt"
             h = write_checkpoint(ckpt, p)
             with CheckpointReader(p) as reader:
-                for _ in reader.arrays():
+                for _ in reader.chunks():
                     pass
                 assert reader.content_hash == h
             with CheckpointReader(p, hashed=False) as reader:
-                for _ in reader.arrays():
+                for _ in reader.chunks():
                     pass
                 with pytest.raises(RuntimeError):
                     reader.content_hash
@@ -359,7 +400,7 @@ class TestReader:
         def work(path, expected):
             for _ in range(5):
                 with CheckpointReader(path) as reader:
-                    for _ in reader.arrays():
+                    for _ in reader.chunks():
                         pass
                     results.append(reader.content_hash == expected)
 
@@ -380,7 +421,7 @@ class TestReader:
         p = tmp_path / "two.ckpt"
         write_checkpoint(Checkpoint({"a": Tensor([1.0]), "b": Tensor([2.0])}), p)
         with CheckpointReader(p) as reader:
-            stream = reader.arrays()
+            stream = reader.chunks()
             next(stream)
             with pytest.raises(RuntimeError, match="no content hash"):
                 reader.content_hash
@@ -394,7 +435,7 @@ class TestReader:
         p = tmp_path / "inf.ckpt"
         p.write_bytes(blob)
         with CheckpointReader(p) as reader:
-            stream = reader.arrays()
+            stream = reader.chunks()
             assert next(stream)[0] == "a"
             with pytest.raises(CorruptFile, match="inf.ckpt: tensor b contains non-finite"):
                 next(stream)
@@ -405,7 +446,7 @@ class TestReader:
         with CheckpointReader(p) as reader:
             os.truncate(p, p.stat().st_size - 4)
             with pytest.raises(IoError, match="short read"):
-                list(reader.arrays())
+                list(reader.chunks())
 
     def test_header_errors_at_open(self, tmp_path):
         q = tmp_path / "tiny.ckpt"

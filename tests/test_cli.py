@@ -234,6 +234,25 @@ def _lacking_frozen_tensor() -> dict:
     }
 
 
+def _reshaped_frozen_base() -> dict:
+    """A plan-attached recipe whose base holds the run's bytes of a frozen
+    tensor under the transposed shape."""
+    dims = {"depth": 1, "model_dim": 4, "heads": 1, "ffn_dim": 8, "seq_len": 2}
+    arch = describe_arch("toy_vit", **dims)
+    meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(dims)}
+    rng = np.random.default_rng(3)
+    run = {n: rng.normal(size=s).astype(np.float32) for n, s in arch.schema_shapes(2).items()}
+    frozen = run["blocks.0.mlp.fc1.weight"]
+    base = {**run, "blocks.0.mlp.fc1.weight": frozen.reshape(frozen.shape[::-1])}
+    recipe = {"base": "base.ckpt", "inputs": [{"path": "run.ckpt", "plan": "plan.json"}]}
+    return {
+        "base.ckpt": Checkpoint(base, meta).canonical_bytes(),
+        "run.ckpt": Checkpoint(run, meta).canonical_bytes(),
+        "plan.json": manual_strategy(arch, "B").to_json_text().encode(),
+        "r.json": json.dumps(recipe).encode(),
+    }
+
+
 NAN = np.array([np.nan], dtype="<f4").tobytes()
 SMALL_DIMS = {"depth": 1, "model_dim": 4, "heads": 1, "ffn_dim": 8, "seq_len": 2}
 SMALL_META = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(SMALL_DIMS)}
@@ -324,8 +343,16 @@ BAD_INPUTS = [
      {}, 1, POSITIVE.format("tolerance")),
     ("grad_check_inf_tolerance", ["grad-check", "--tolerance", "inf"],
      {}, 1, POSITIVE.format("tolerance")),
+    ("grad_check_zero_samples", ["grad-check", "--samples", "0"], {}, 1,
+     "argument --samples: must be a positive int, got '0'"),
+    ("grad_check_negative_samples", ["grad-check", "--samples", "-5"], {}, 1,
+     "argument --samples: must be a positive int, got '-5'"),
     ("soup_input_lacks_frozen_tensor", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      _lacking_frozen_tensor(), 2, "run.ckpt: lacks frozen tensor 'blocks.0.mlp.fc1.weight'"),
+    # the same bytes under another shape are another tensor
+    ("soup_base_frozen_tensor_reshaped", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     _reshaped_frozen_base(), 2,
+     "run.ckpt: frozen tensor 'blocks.0.mlp.fc1.weight' differs from the base"),
     # top-k values are checked before any training, so no artifact is left behind
     ("pipeline_series_exceeds_depth",
      ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--series", "1,5",

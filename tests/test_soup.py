@@ -1,4 +1,5 @@
 import json
+import struct
 import tracemalloc
 
 import numpy as np
@@ -8,8 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fapft.arch import describe_arch, full_plan, manual_strategy
-from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
+from fapft.checkpoint import _CHUNK, Checkpoint, read_checkpoint, write_checkpoint
 from fapft.errors import (
+    CorruptFile,
     EvaluationError,
     FormatError,
     IncompatibleCheckpoints,
@@ -72,12 +74,12 @@ def toy_run(base, rng, **replaced) -> Checkpoint:
     return Checkpoint({n: t for n, t in tensors.items() if t is not None}, base.metadata)
 
 
-def write_recipe(directory, base, runs, weights=None) -> SoupRecipe:
-    """Files for a ``PLAN``-attached recipe over ``runs`` from ``base``."""
+def write_recipe(directory, base, runs, weights=None, plan=PLAN) -> SoupRecipe:
+    """Files for a ``plan``-attached recipe over ``runs`` from ``base``."""
     directory.mkdir(exist_ok=True)
     write_checkpoint(base, directory / "base.ckpt")
     plan_path = directory / "plan.json"
-    plan_path.write_text(PLAN.to_json_text())
+    plan_path.write_text(plan.to_json_text())
     inputs = []
     for i, run in enumerate(runs):
         path = directory / f"run{i}.ckpt"
@@ -85,6 +87,16 @@ def write_recipe(directory, base, runs, weights=None) -> SoupRecipe:
         weight = 1.0 if weights is None else weights[i]
         inputs.append(SoupInput(str(path), weight, str(plan_path)))
     return SoupRecipe(inputs=tuple(inputs), base=str(directory / "base.ckpt"))
+
+
+def with_nan(ckpt: Checkpoint, name: str, index: int) -> bytes:
+    """The canonical file of ``ckpt`` with element ``index`` of tensor ``name`` made NaN."""
+    blob = bytearray(ckpt.canonical_bytes())
+    (header_len,) = struct.unpack("<Q", blob[:8])
+    begin = json.loads(blob[8 : 8 + header_len])[name]["data_offsets"][0]
+    at = 8 + header_len + begin + 4 * index
+    blob[at : at + 4] = np.array([np.nan], dtype="<f4").tobytes()
+    return bytes(blob)
 
 
 def soup_file(recipe: SoupRecipe, path) -> Checkpoint:
@@ -283,6 +295,68 @@ class TestRecipe:
         soup = read_checkpoint(tmp_path / "soup.ckpt")
         expected = uniform_soup_checkpoints([read_checkpoint(i.path) for i in inputs])
         assert soup.canonical_bytes() == expected.canonical_bytes()
+
+
+    def test_chunk_faults_name_the_file_whole_tensors_named(self, tmp_path):
+        # a fault in a later chunk of the first input and one in an earlier
+        # chunk of the second name the first input, as when whole tensors
+        # were read: a NaN raises at the tensor's last chunk, and a frozen
+        # mismatch names the first input that differs anywhere in the tensor
+        dims = {"depth": 1, "model_dim": 512, "heads": 4, "ffn_dim": 1100, "seq_len": 2}
+        arch = describe_arch("toy_vit", **dims)
+        meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(dims, sort_keys=True)}
+        rng = np.random.default_rng(41)
+        shapes = arch.schema_shapes(2)
+        base = Checkpoint({n: rng.normal(size=s).astype(np.float32) for n, s in shapes.items()}, meta)
+        frozen = "blocks.0.mlp.fc1.weight"
+        assert base.tensors[frozen].size > 2 * _CHUNK
+        runs = []
+        for index in (2 * _CHUNK + 5, 3):
+            tampered = base.tensors[frozen].array.copy()
+            tampered.reshape(-1)[index] += np.float32(1.0)
+            runs.append(Checkpoint({**base.tensors, frozen: tampered}, meta))
+        plan = manual_strategy(arch, "B")
+        recipe = write_recipe(tmp_path / "frozen", base, runs, plan=plan)
+        with pytest.raises(IncompatibleCheckpoints, match=f"run0.ckpt: frozen tensor '{frozen}'"):
+            uniform_soup(recipe, tmp_path / "frozen" / "soup.ckpt")
+        assert not (tmp_path / "frozen" / "soup.ckpt").exists()
+
+        (tmp_path / "nan").mkdir()
+        inputs = []
+        for i, index in enumerate((2 * _CHUNK + 5, 3)):
+            path = tmp_path / "nan" / f"run{i}.ckpt"
+            path.write_bytes(with_nan(base, frozen, index))
+            inputs.append(SoupInput(str(path)))
+        with pytest.raises(CorruptFile, match=f"run0.ckpt: tensor {frozen} contains non-finite"):
+            uniform_soup(SoupRecipe(inputs=tuple(inputs)), tmp_path / "nan" / "soup.ckpt")
+        assert sorted(p.name for p in (tmp_path / "nan").iterdir()) == ["run0.ckpt", "run1.ckpt"]
+
+    def test_memory_peak_two_chunk_buffers_per_file(self, tmp_path):
+        # a tensor of six chunks: the merge holds two chunk buffers per
+        # input and a few chunks of its own, not a tensor per input; the
+        # inputs share their first chunk, which is copied, not averaged
+        rng = np.random.default_rng(43)
+        shared = rng.normal(size=5 * _CHUNK + 1000).astype(np.float32)
+        shared[:10] = -0.0
+        inputs, runs = [], []
+        for i in range(3):
+            w = shared.copy()
+            w[_CHUNK:] += rng.normal(size=w.size - _CHUNK).astype(np.float32)
+            runs.append(simple_ckpt({"v": rng.normal(size=3), "w": w}))
+            write_checkpoint(runs[-1], tmp_path / f"run{i}.ckpt")
+            inputs.append(SoupInput(str(tmp_path / f"run{i}.ckpt")))
+        tracemalloc.start()
+        try:
+            uniform_soup(SoupRecipe(inputs=tuple(inputs)), tmp_path / "soup.ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < (len(inputs) + 2) * 2 * _CHUNK * 4
+        soup = read_checkpoint(tmp_path / "soup.ckpt")
+        for name in ("v", "w"):
+            whole = mean_arrays([run.tensors[name].array for run in runs], [1.0] * 3)
+            assert soup.tensors[name].array.tobytes() == whole.tobytes()
+        assert soup.canonical_bytes() == uniform_soup_checkpoints(runs).canonical_bytes()
 
 
 class TestParamTotal:

@@ -186,6 +186,18 @@ class TestPairStats:
             c[index] += 1.0
             assert pair_stats(a, c)[3:] == (False, False)
 
+    def test_continued_pieces_equal_one_call(self):
+        # pieces whose lengths are multiples of _BLOCK, then a ragged tail,
+        # each continuing the last: the bits and flags of one whole call
+        rng = np.random.default_rng(9)
+        a = rng.normal(size=6 * _BLOCK + 11).astype(np.float32)
+        b = (a + np.float32(1e-3) * a[::-1]).astype(np.float32)
+        b[:_BLOCK] = a[:_BLOCK]
+        acc = PairStats()
+        for lo, hi in [(0, _BLOCK), (_BLOCK, 3 * _BLOCK), (3 * _BLOCK, a.size)]:
+            acc = pair_stats(a[lo:hi], b[lo:hi], acc)
+            assert acc == pair_stats(a[:hi], b[:hi])
+
     def test_signed_zeros_compare_as_values(self):
         zeros = np.zeros(3, np.float32)
         assert pair_stats(zeros, -zeros)[3:] == (True, True)
