@@ -9,7 +9,10 @@ non-residual modules are excluded and recorded in the report's provenance.
 Each tensor pair is reduced once, in float64 over fixed-length blocks (see
 ``tensors.pair_stats``), and its sums count toward both its layer and the
 whole model. Checkpoint files are read as two streams in step, one chunk of
-each at a time, so memory holds a few chunks, whatever the tensor sizes.
+each at a time (2^18 elements, from the 4 MB chunk budget that
+``checkpoint.chunk_length`` shares out), and every chunk pair is reduced in
+one set of scratch buffers, so memory holds four chunk buffers and a few
+blocks, whatever the tensor sizes.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .errors import (
     IncompatibleReports,
     InvalidValue,
 )
-from .tensors import PairStats, kendall_tau, pair_stats
+from .tensors import PairStats, kendall_tau, pair_scratch, pair_stats
 
 __all__ = [
     "AngleEntry",
@@ -155,9 +158,10 @@ def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
     # result does not depend on map insertion order or on the read order
     residual = set(residual_names)
     stats: dict[str, PairStats] = {}
+    scratch = pair_scratch()
     for name, _, (a, b) in zip_chunks(pre, ft):
         if name in residual:
-            stats[name] = pair_stats(a, b, stats.get(name, PairStats()))
+            stats[name] = pair_stats(a, b, stats.get(name, PairStats()), scratch)
     angles: dict[str, float] = {}
     whole = PairStats()
     for layer in arch.layers:

@@ -22,10 +22,12 @@ tensor's bytes are hashed (or written) in canonical order, without assembling
 the whole serialization.
 
 ``CheckpointReader`` streams a file instead: it yields each tensor as flat
-chunks of at most ``_CHUNK`` elements through two reusable buffers, and
-SHA-256 of the canonical bytes runs on one helper thread while the caller
-works on a chunk and the next one is read. Memory is bounded by the chunk
-length, not by the tensor or the file.
+chunks through two reusable buffers, and SHA-256 of the canonical bytes runs
+on one helper thread while the caller works on a chunk and the next one is
+read (an unhashed reader needs one buffer). Files read in step by
+``zip_chunks`` share one budget of chunk buffers: the more files, the shorter
+the chunks (:func:`chunk_length`). Memory is bounded by that budget, not by
+the tensor, the file or the number of files.
 
 Writes go to a temporary file beside the target, which then replaces it.
 """
@@ -47,7 +49,7 @@ from typing import Iterable, Iterator, Mapping
 import numpy as np
 
 from .errors import CorruptFile, FormatError, InvalidValue, IoError, UnsupportedDtype
-from .tensors import Tensor
+from .tensors import Tensor, all_finite
 
 __all__ = [
     "Checkpoint",
@@ -60,6 +62,7 @@ __all__ = [
     "write_atomic",
     "write_all",
     "canonical_header",
+    "chunk_length",
     "zip_chunks",
     "diff_checkpoints",
 ]
@@ -70,16 +73,32 @@ _METADATA_KEY = "__metadata__"
 # a read places the payload at this byte alignment in its buffer, so tensor
 # views are aligned arrays; numpy runs slower loops on unaligned ones
 _PAYLOAD_ALIGN = 64
-# Elements in one streamed chunk (1 MB of float32). A multiple of the block
-# lengths of ``tensors.pair_stats`` and ``tensors.mean_arrays``, so a sum over
-# a tensor's chunks has the blocks, and so the bits, of a sum over the tensor.
+# Elements in a streamed chunk: a power of two from _MIN_CHUNK to _CHUNK
+# (256 KB to 1 MB of float32). Each is a multiple of the block lengths of
+# ``tensors.pair_stats`` and ``tensors.mean_arrays``, so a sum over a tensor's
+# chunks has the blocks, and so the bits, of a sum over the tensor.
+_MIN_CHUNK = 1 << 16
 _CHUNK = 1 << 18
+# Bytes of float32 chunk buffers that the sources of one ``zip_chunks`` share.
+_CHUNK_BUDGET = 4 << 20
 
 
-def _chunk_starts(size: int) -> range:
-    """Offsets of the chunks of a tensor of ``size`` elements; a tensor with
-    no elements has one empty chunk, so that every name is seen."""
-    return range(0, max(size, 1), _CHUNK)
+def chunk_length(sources: int) -> int:
+    """Elements in a chunk of each of ``sources`` streams read in step: the
+    longest power of two from 2^16 to 2^18 at which two float32 buffers per
+    source fit in the 4 MB budget. One or two sources get 2^18, three or four
+    2^17, and five or more 2^16 (over the budget from nine on)."""
+    length = _CHUNK
+    while length > _MIN_CHUNK and sources * 2 * length * _F32.itemsize > _CHUNK_BUDGET:
+        length //= 2
+    return length
+
+
+def _chunk_starts(size: int, length: int) -> range:
+    """Offsets of the chunks of ``length`` elements of a tensor of ``size``
+    elements; a tensor with no elements has one empty chunk, so that every
+    name is seen."""
+    return range(0, max(size, 1), length)
 
 
 def _validate_name(name) -> str:
@@ -166,13 +185,13 @@ class Checkpoint:
         """Tensor shapes in name order, as :class:`CheckpointReader` has them."""
         return {name: self._tensors[name].shape for name in sorted(self._tensors)}
 
-    def chunks(self) -> Iterator[tuple[str, int, np.ndarray]]:
+    def chunks(self, length: int = _CHUNK) -> Iterator[tuple[str, int, np.ndarray]]:
         """(name, start, chunk) in the order :meth:`CheckpointReader.chunks`
         yields them; each chunk is a flat view of the tensor."""
         for name in sorted(self._tensors):
             flat = self._tensors[name].array.reshape(-1)
-            for start in _chunk_starts(flat.size):
-                yield name, start, flat[start : start + _CHUNK]
+            for start in _chunk_starts(flat.size, length):
+                yield name, start, flat[start : start + length]
 
     def _canonical_parts(self) -> list:
         """The canonical serialization as buffers, in order, without copying payloads."""
@@ -485,8 +504,8 @@ class CheckpointReader:
     Opening it reads and validates the header as ``read_checkpoint`` does;
     ``shapes`` (in name order) and ``metadata`` are then known.
     :meth:`chunks` reads every tensor once and yields it in flat read-only
-    float32 chunks of at most ``_CHUNK`` elements; F16 and F64 payloads are
-    converted as ``read_checkpoint`` converts them. Each tensor is checked to
+    float32 chunks; F16 and F64 payloads are converted as
+    ``read_checkpoint`` converts them. Each tensor is checked to
     be finite, and the canonical header and float32 bytes go to SHA-256 on one
     helper thread shared by all readers (``hashlib`` releases the GIL), so
     once every chunk has been taken, ``content_hash`` equals
@@ -512,34 +531,38 @@ class CheckpointReader:
         self.shapes = {name: self._entries[name][1] for name in sorted(self._entries)}
         self._hash: str | None = None
 
-    def chunks(self) -> Iterator[tuple[str, int, np.ndarray]]:
+    def chunks(self, length: int = _CHUNK) -> Iterator[tuple[str, int, np.ndarray]]:
         """(name, start, chunk) for every tensor in name order, and within a
-        tensor in offset order; ``start`` counts elements.
+        tensor in offset order; ``start`` counts elements, and a chunk holds
+        at most ``length``.
 
-        A chunk stays valid until the next one is taken. Two buffers take
-        turns, so the next chunk is read while the hash of the last one runs;
-        a buffer is refilled only once the hash of the chunk it last held is
-        done. A tensor that holds a non-finite value raises ``CorruptFile``
-        when its last chunk is taken.
+        A chunk stays valid until the next one is taken. A hashed reader has
+        two buffers that take turns, so the next chunk is read while the hash
+        of the last one runs; a buffer is refilled only once the hash of the
+        chunk it last held is done. An unhashed reader has one buffer. A
+        tensor that holds a non-finite value raises ``CorruptFile`` when its
+        last chunk is taken.
         """
-        length = min(_CHUNK, max(map(math.prod, self.shapes.values()), default=0))
-        buffers = [np.empty(length, np.float32) for _ in range(2)]
-        # F16 and F64 chunks are read here, then converted into a buffer
-        wide = max((d.itemsize for d, *_ in self._entries.values() if d != _F32), default=0)
-        stored = np.empty(length * wide, np.uint8)
         digest = None
         if self._hashed:
+            # before the buffers: building the header JSON takes more memory
+            # than the header, for a moment
             digest = hashlib.sha256(canonical_header(self.shapes.items(), self.metadata))
+        filled = min(length, max(map(math.prod, self.shapes.values()), default=0))
+        buffers = [np.empty(filled, np.float32) for _ in range(2 if self._hashed else 1)]
+        # F16 and F64 chunks are read here, then converted into a buffer
+        wide = max((d.itemsize for d, *_ in self._entries.values() if d != _F32), default=0)
+        stored = np.empty(filled * wide, np.uint8)
         updates: list = [None, None]
         turn = 0
         for name, shape in self.shapes.items():
             dtype, _, begin, _ = self._entries[name]
             size = math.prod(shape)
             finite = True
-            for start in _chunk_starts(size):
+            for start in _chunk_starts(size, length):
                 if updates[turn] is not None:
                     updates[turn].result()
-                values = buffers[turn][: min(_CHUNK, size - start)]
+                values = buffers[turn][: min(length, size - start)]
                 offset = self._start + begin + start * dtype.itemsize
                 if dtype == _F32:
                     _read_into(self._fh, values, offset, self.path)
@@ -547,7 +570,7 @@ class CheckpointReader:
                     raw = stored[: values.size * dtype.itemsize]
                     _read_into(self._fh, raw, offset, self.path)
                     values[...] = raw.view(dtype)
-                finite = finite and bool(np.isfinite(values).all())
+                finite = finite and all_finite(values)
                 if not finite and start + values.size == size:
                     raise _non_finite(self.path, name)
                 values = values.view()
@@ -555,7 +578,7 @@ class CheckpointReader:
                 if digest is not None:
                     updates[turn] = _hasher().submit(digest.update, values)
                 yield name, start, values
-                turn ^= 1
+                turn = (turn + 1) % len(buffers)
         if digest is not None:
             for update in updates:
                 if update is not None:
@@ -587,12 +610,14 @@ def read_checkpoint_metadata(path) -> dict[str, str]:
 def zip_chunks(*sources) -> Iterator[tuple[str, int, list]]:
     """Every (name, start) of the chunks of ``sources`` (checkpoints or
     readers) in order, with each source's chunk there, or None where it has
-    none: (name, start, chunks).
+    none: (name, start, chunks). Chunks hold ``chunk_length(len(sources))``
+    elements at most.
 
     A source's next chunk is taken only when the caller asks for the next
     key, so a reader never refills a buffer under a chunk still in use.
     """
-    streams = [source.chunks() for source in sources]
+    length = chunk_length(len(sources))
+    streams = [source.chunks(length) for source in sources]
     heads: list = [None] * len(streams)
     taken = range(len(streams))
     while True:

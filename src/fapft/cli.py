@@ -276,9 +276,9 @@ def _accuracy_eval(config: TrainConfig):
 
 
 def _cmd_soup(args) -> int:
-    recipe = SoupRecipe.from_file(args.recipe)
     if not args.out:
         raise UsageError("soup requires --out for the merged checkpoint")
+    recipe = SoupRecipe.from_file(args.recipe)
     if recipe.mode == "greedy":
         if not args.eval_config:
             raise UsageError("greedy recipes need --eval-config for held-out accuracy")

@@ -10,8 +10,11 @@ float64 mean (a soup of one run keeps it).
 
 A soup is an elementwise mean, so it needs one chunk at a time: the files of
 a recipe are streamed in step, chunk by chunk, straight into the output file,
-and a chunk that no run changed is copied rather than averaged. Memory holds
-two chunk buffers per file, whatever the tensor sizes.
+and a chunk that no run changed is copied rather than averaged. The files
+share one 4 MB budget of chunk buffers, so more inputs make shorter chunks
+(``checkpoint.chunk_length``), and the merge reuses one set of scratch
+buffers of a chunk each: memory stays flat whatever the tensor sizes and the
+number of inputs.
 
 The soup's headline parameter figure is the sum of the per-run trainable
 counts, not the merged model's size: a soup costs every run's fine-tuning.
@@ -30,10 +33,11 @@ import numpy as np
 
 from .arch import ArchDescriptor, FreezePlan, describe_arch, plan_from_json, soup_millions_str
 from .checkpoint import (
-    _CHUNK,
+    _MIN_CHUNK,
     Checkpoint,
     CheckpointReader,
     canonical_header,
+    chunk_length,
     read_checkpoint_metadata,
     read_text,
     write_all,
@@ -47,8 +51,7 @@ from .errors import (
     IncompatibleReports,
     InvalidValue,
 )
-from .runtime import thread_cap
-from .tensors import Tensor, bits_equal, mean_arrays, mean_weights
+from .tensors import _MEAN_BLOCK, Tensor, bits_equal, mean_arrays, mean_weights
 
 __all__ = [
     "SoupInput",
@@ -164,15 +167,15 @@ def _check_compatible(sources) -> dict[str, tuple[int, ...]]:
     return first
 
 
-def _mean_of_equal(arrays: Sequence[np.ndarray]) -> np.ndarray:
+def _mean_of_equal(arrays: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
     """The unweighted mean of arrays that hold the same bits, without arithmetic.
 
     N <= 2**29 equal float32 values sum exactly in float64 and divide back
     exactly, so the mean is the input itself, except where an element is
     -0.0: the float64 mean of two or more is +0.0 there, and adding +0.0 in
-    float32 clears just that sign.
+    float32 (into ``out``) clears just that sign.
     """
-    return arrays[0] + np.float32(0) if len(arrays) > 1 else arrays[0]
+    return np.add(arrays[0], np.float32(0), out=out) if len(arrays) > 1 else arrays[0]
 
 
 def _merged(inputs, weights, base=None, frozen=frozenset()):
@@ -185,10 +188,16 @@ def _merged(inputs, weights, base=None, frozen=frozenset()):
     that differs anywhere in it.
 
     With every weight 1.0, a chunk that no input changed is copied
-    (:func:`_mean_of_equal`); any other chunk is averaged in float64."""
+    (:func:`_mean_of_equal`); any other chunk is averaged in float64. A mean
+    is valid until the next one is taken: the merge writes every chunk into
+    one set of buffers, allocated here."""
     unit = all(w == 1.0 for w in weights)
     sources = list(inputs) + ([base] if base is not None else [])
     sizes = {name: math.prod(shape) for name, shape in inputs[0].shapes.items()}
+    length = min(chunk_length(len(sources)), max(sizes.values(), default=0))
+    out = np.empty(length, np.float32)  # the mean of a chunk
+    mask = np.empty(length, bool)  # the bitwise comparisons
+    work = np.empty((2, min(length, _MEAN_BLOCK)))  # the float64 sums
     # the first input whose current frozen tensor differs from the base; a
     # mismatch raises at the end of its tensor, so this never carries over
     differs = len(inputs)
@@ -199,17 +208,19 @@ def _merged(inputs, weights, base=None, frozen=frozenset()):
                 continue  # a tensor of the base alone
             if name in frozen:
                 differs = next(
-                    (i for i, c in enumerate(chunks[:differs]) if not bits_equal(c, reference)),
+                    (i for i, c in enumerate(chunks[:differs])
+                     if not bits_equal(c, reference, mask)),
                     differs,
                 )
                 if differs < len(inputs) and start + chunks[0].size == sizes[name]:
                     raise IncompatibleCheckpoints(
                         f"{inputs[differs].path}: frozen tensor {name!r} differs from the base"
                     )
-        if unit and (name in frozen or all(bits_equal(c, chunks[0]) for c in chunks[1:])):
-            yield name, start, _mean_of_equal(chunks)
+        mean = out[: chunks[0].size]
+        if unit and (name in frozen or all(bits_equal(c, chunks[0], mask) for c in chunks[1:])):
+            yield name, start, _mean_of_equal(chunks, mean)
         else:
-            yield name, start, mean_arrays(chunks, weights)
+            yield name, start, mean_arrays(chunks, weights, mean, work)
 
 
 def _soup_metadata(inputs, weights, hashes) -> dict[str, str]:
@@ -255,7 +266,6 @@ def uniform_soup(
     them with :meth:`SoupRecipe.plans`. The write is atomic: on any error,
     even midway, no file is left behind.
     """
-    thread_cap()  # PFT_THREADS is still checked, though nothing fans out
     if plans is None:
         plans = recipe.plans()
     weights = [i.weight for i in recipe.inputs]
@@ -286,7 +296,7 @@ def uniform_soup(
 
 def _sha256_file(fh) -> str:
     digest = hashlib.sha256()
-    block = bytearray(_CHUNK * 4)  # the bytes of one float32 chunk
+    block = bytearray(_MIN_CHUNK * 4)  # the bytes of the shortest float32 chunk
     while got := fh.readinto(block):
         digest.update(memoryview(block)[:got])
     return digest.hexdigest()

@@ -21,8 +21,8 @@ from .errors import (
 )
 
 __all__ = [
-    "Tensor", "PairStats", "bits_equal", "pair_stats", "vec_angle", "kendall_tau", "mean_arrays",
-    "mean_stack", "mean_weights",
+    "Tensor", "PairStats", "all_finite", "bits_equal", "pair_scratch", "pair_stats", "vec_angle",
+    "kendall_tau", "mean_arrays", "mean_stack", "mean_weights",
 ]
 
 # Length of the blocks in which ``pair_stats`` reduces a vector pair. A BLAS
@@ -33,8 +33,9 @@ __all__ = [
 # at most one block is reduced by one plain dot. Changing the length changes
 # the bits of every angle over a longer vector.
 _BLOCK = 8192
-# Length of the blocks in which ``mean_arrays`` sums: the float64 sums of one
-# block stay in cache while every input is added into them.
+# Length of the blocks in which ``mean_arrays`` sums by default: the float64
+# sums of one block stay in cache while every input is added into them. The
+# mean is elementwise, so no block length changes its bits.
 _MEAN_BLOCK = 1 << 16
 
 
@@ -49,7 +50,7 @@ class Tensor:
 
     def __init__(self, data, name: str | None = None):
         arr = np.ascontiguousarray(data, dtype=np.float32)
-        if not np.all(np.isfinite(arr)):
+        if not all_finite(arr):
             raise InvalidValue(
                 f"tensor {name or '<unnamed>'} contains non-finite values"
             )
@@ -76,10 +77,23 @@ class Tensor:
         return f"Tensor(name={self.name!r}, shape={self.shape})"
 
 
-def bits_equal(a: np.ndarray, b: np.ndarray) -> bool:
+def all_finite(a: np.ndarray) -> bool:
+    """Whether a float array holds no NaN and no infinity, found without a
+    temporary array: ``min`` and ``max`` return NaN if any element is NaN."""
+    return a.size == 0 or (math.isfinite(a.min()) and math.isfinite(a.max()))
+
+
+def bits_equal(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> bool:
     """Whether two float32 arrays have the same shape and the same bit patterns
-    (so ``-0.0`` differs from ``+0.0``), compared without copies."""
-    return a.shape == b.shape and np.array_equal(a.view(np.uint32), b.view(np.uint32))
+    (so ``-0.0`` differs from ``+0.0``), compared without copies. ``mask``, a
+    bool array of at least ``a.size`` elements, holds the elementwise result;
+    one is allocated when it is None."""
+    if a.shape != b.shape:
+        return False
+    if mask is None:
+        mask = np.empty(a.size, dtype=bool)
+    out = mask[: a.size].reshape(a.shape)
+    return bool(np.equal(a.view(np.uint32), b.view(np.uint32), out=out).all())
 
 
 def _as_flat_f64(x, label: str) -> np.ndarray:
@@ -128,37 +142,52 @@ class PairStats(NamedTuple):
         return math.acos(min(1.0, max(-1.0, cos)))
 
 
-def pair_stats(a: np.ndarray, b: np.ndarray, acc: PairStats = PairStats()) -> PairStats:
+def pair_scratch(size: int = _BLOCK) -> tuple[np.ndarray, np.ndarray]:
+    """Reusable buffers of :func:`pair_stats`: two float64 blocks and one bool
+    block of ``min(size, _BLOCK)`` elements, enough for vectors of up to
+    ``size`` elements, and at the default for vectors of any length."""
+    n = min(size, _BLOCK)
+    return np.empty((2, n), dtype=np.float64), np.empty(n, dtype=bool)
+
+
+def pair_stats(
+    a: np.ndarray,
+    b: np.ndarray,
+    acc: PairStats = PairStats(),
+    scratch: tuple[np.ndarray, np.ndarray] | None = None,
+) -> PairStats:
     """Stats of two same-size arrays, taken as flat vectors in row-major order,
     appended to the pair that ``acc`` holds.
 
-    Each block of ``_BLOCK`` elements is cast into two reusable float64
-    buffers and its three dot products are added in block order, so no
-    full-size float64 copy is made. A vector folded in pieces whose lengths
-    are multiples of ``_BLOCK`` (the last one aside), each call continuing
-    the last one's ``acc``, gets the bits of one call over the whole vector.
-    The equality checks compare the inputs themselves, which is exact because
-    the cast to float64 is, and stop at the first block that fails them.
+    Each block of ``_BLOCK`` elements is cast into two float64 buffers and
+    its three dot products are added in block order, so no full-size float64
+    copy is made. A vector folded in pieces whose lengths are multiples of
+    ``_BLOCK`` (the last one aside), each call continuing the last one's
+    ``acc``, gets the bits of one call over the whole vector. The equality
+    checks compare the float64 copies, which is exact because the cast is,
+    and stop at the first block that fails them. ``scratch``, from
+    :func:`pair_scratch`, holds the buffers, so a caller that passes one
+    allocates nothing per call; one is allocated when it is None.
     """
     a = a.reshape(-1)
     b = b.reshape(-1)
     if a.size != b.size:
         raise DimensionMismatch(f"length mismatch: {a.size} vs {b.size}")
-    a64 = np.empty(min(a.size, _BLOCK), dtype=np.float64)
-    b64 = np.empty_like(a64)
+    (a64, b64), mask = scratch if scratch is not None else pair_scratch(a.size)
     ab, aa, bb, equal, negated = acc
     for start in range(0, a.size, _BLOCK):
         a_block = a[start : start + _BLOCK]
-        b_block = b[start : start + _BLOCK]
-        equal = equal and np.array_equal(a_block, b_block)
-        negated = negated and np.array_equal(a_block, -b_block)
         x = a64[: a_block.size]
-        y = b64[: b_block.size]
+        y = b64[: a_block.size]
+        same = mask[: a_block.size]
         x[...] = a_block
-        y[...] = b_block
+        y[...] = b[start : start + _BLOCK]
         ab += float(np.dot(x, y))
         aa += float(np.dot(x, x))
         bb += float(np.dot(y, y))
+        equal = equal and bool(np.equal(x, y, out=same).all())
+        # y is not read again, so it is negated in place
+        negated = negated and bool(np.equal(x, np.negative(y, out=y), out=same).all())
     return PairStats(ab, aa, bb, equal, negated)
 
 
@@ -219,27 +248,46 @@ def mean_weights(weights: Sequence[float] | None, count: int) -> list[float]:
     return weights
 
 
-def mean_arrays(arrays: Sequence[np.ndarray], weights: Sequence[float]) -> np.ndarray:
+def mean_arrays(
+    arrays: Sequence[np.ndarray],
+    weights: Sequence[float],
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Weighted elementwise mean of same-shape float32 arrays, with validated
     weights: each element is summed in float64 in input order, divided by the
     weight sum and rounded once to float32, one block of elements at a time.
     With two or more inputs, an element that is -0.0 in every input is +0.0.
+
+    The mean goes into ``out`` (a float32 array of the inputs' size, which is
+    returned) and the float64 sums into ``work`` (shape ``(2, n)``: blocks of
+    ``n`` elements); each is allocated when it is None. A caller that passes
+    both allocates nothing per call.
     """
-    out = np.empty(arrays[0].shape, dtype=np.float32)
+    if out is None:
+        out = np.empty(arrays[0].shape, dtype=np.float32)
+    if work is None:
+        work = np.empty((2, min(out.size, _MEAN_BLOCK)), dtype=np.float64)
     flat_out = out.reshape(-1)
     flats = [a.reshape(-1) for a in arrays]
     total = sum(weights)
-    acc = np.empty(min(out.size, _MEAN_BLOCK), dtype=np.float64)
-    scaled = np.empty_like(acc)
-    for start in range(0, out.size, _MEAN_BLOCK):
-        blocks = [a[start : start + _MEAN_BLOCK] for a in flats]
+    acc, scaled = work
+    step = max(acc.size, 1)  # an empty mean has no block to sum
+    for start in range(0, out.size, step):
+        blocks = [a[start : start + step] for a in flats]
         sums = acc[: blocks[0].size]
-        np.multiply(blocks[0], weights[0], out=sums, dtype=np.float64)
+        term = scaled[: sums.size]
+        # blocks are cast to float64 by assignment: a ufunc on mixed float32
+        # and float64 operands allocates a cast buffer on every call. A weight
+        # of 1.0 scales exactly, so it is not applied.
+        sums[...] = blocks[0]
+        if weights[0] != 1.0:
+            sums *= weights[0]
         for block, w in zip(blocks[1:], weights[1:]):
-            # a weight of 1.0 scales exactly, so the float32 block is added as it is
-            sums += block if w == 1.0 else np.multiply(
-                block, w, out=scaled[: sums.size], dtype=np.float64
-            )
+            term[...] = block
+            if w != 1.0:
+                term *= w
+            sums += term
         if len(arrays) > 1:
             # seeding the sums with the first input makes an element that is
             # -0.0 in every input -0.0; a sum from +0.0 is +0.0 there

@@ -16,7 +16,8 @@ from fapft.angles import (
     report_from_json,
 )
 from fapft.arch import describe_arch
-from fapft.checkpoint import _CHUNK, Checkpoint, CheckpointReader, write_checkpoint
+from fapft import checkpoint
+from fapft.checkpoint import _CHUNK, Checkpoint, CheckpointReader, chunk_length, write_checkpoint
 from fapft.errors import (
     CorruptFile,
     DegenerateVector,
@@ -174,9 +175,11 @@ class TestComputeAngles:
             assert report.angle_of(layer.layer_id) == reference(sums)
         assert report.whole_model_angle == reference(whole)
 
-    def test_chunked_tensors_match_whole_array_pair_stats(self, wide):
-        # tensors of 3 and 5.86 chunks, streamed from files or viewed in
-        # memory, give the bits of pair_stats over each whole tensor pair
+    def test_chunked_tensors_match_whole_array_pair_stats(self, wide, monkeypatch):
+        # tensors of 3 and 5.86 chunks of 2^18 elements (twice and four times
+        # as many of 2^17 and 2^16), streamed from files or viewed in memory,
+        # give the bits of pair_stats over each whole tensor pair at every
+        # chunk length
         arch, pre, ft, paths = wide
         sizes = [pre.tensors[n].size for layer in arch.layers for n in layer.tensors]
         assert max(sizes) >= 3 * _CHUNK and any(size % _CHUNK for size in sizes)
@@ -189,12 +192,16 @@ class TestComputeAngles:
                 acc += stats
                 whole += stats
             expected[layer.layer_id] = acc.angle()
-        with CheckpointReader(paths[0]) as a, CheckpointReader(paths[1]) as b:
-            streamed = compute_angles(a, b, arch)
-        for report in (streamed, compute_angles(pre, ft, arch)):
-            assert {e.layer_id: e.angle for e in report.entries} == expected
-            assert report.whole_model_angle == whole.angle()
-        assert streamed.finetuned_hash == ft.content_hash
+        for length in (1 << 16, 1 << 17, 1 << 18):
+            # the budget of two buffers of `length` elements per file
+            monkeypatch.setattr(checkpoint, "_CHUNK_BUDGET", 2 * 2 * length * 4)
+            assert chunk_length(2) == length
+            with CheckpointReader(paths[0]) as a, CheckpointReader(paths[1]) as b:
+                streamed = compute_angles(a, b, arch)
+            for report in (streamed, compute_angles(pre, ft, arch)):
+                assert {e.layer_id: e.angle for e in report.entries} == expected
+                assert report.whole_model_angle == whole.angle()
+            assert streamed.finetuned_hash == ft.content_hash
 
     def test_memory_peak_two_chunk_buffers_per_file(self, wide):
         # two chunk buffers per file, not a tensor of almost six chunks

@@ -5,18 +5,22 @@ import re
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from fapft.checkpoint import (
     _CHUNK,
+    _CHUNK_BUDGET,
     Checkpoint,
     CheckpointReader,
+    chunk_length,
     diff_checkpoints,
     read_checkpoint,
     read_checkpoint_metadata,
     write_checkpoint,
+    zip_chunks,
 )
 from fapft.errors import (
     CorruptFile,
@@ -25,7 +29,7 @@ from fapft.errors import (
     IoError,
     UnsupportedDtype,
 )
-from fapft.tensors import Tensor
+from fapft.tensors import _BLOCK, _MEAN_BLOCK, Tensor
 
 
 def build_file(header: dict, payload: bytes) -> bytes:
@@ -360,6 +364,38 @@ class TestReader:
                 flat = whole.tensors[name].array.reshape(-1)
                 assert np.concatenate(chunks).tobytes() == flat.tobytes()
             assert reader.content_hash == whole.content_hash
+
+    def test_chunk_length_shares_one_budget(self):
+        # two float32 buffers per source fit in the budget, down to 2^16
+        lengths = {sources: chunk_length(sources) for sources in range(1, 13)}
+        assert [lengths[n] for n in (1, 2, 3, 4)] == [1 << 18] * 2 + [1 << 17] * 2
+        assert {lengths[n] for n in range(5, 13)} == {1 << 16}
+        for sources, length in lengths.items():
+            assert length % _BLOCK == 0 and length % _MEAN_BLOCK == 0
+            assert sources > 8 or sources * 2 * length * 4 <= _CHUNK_BUDGET
+        # zip_chunks reads every source in chunks of that length
+        ckpt = Checkpoint({"w": Tensor(np.arange(_CHUNK + 3, dtype=np.float32))})
+        for sources in (2, 3, 5):
+            starts = [start for _, start, _ in zip_chunks(*[ckpt] * sources)]
+            assert starts == list(range(0, _CHUNK + 3, chunk_length(sources)))
+
+    def test_unhashed_reader_holds_one_buffer(self, tmp_path):
+        # no hash runs behind an unhashed reader, so one buffer serves
+        p = tmp_path / "long.ckpt"
+        write_checkpoint(Checkpoint({"w": Tensor(np.ones(3 * _CHUNK))}), p)
+        with CheckpointReader(p) as reader:  # starts the hash thread before tracing
+            for _ in reader.chunks():
+                pass
+        for hashed, buffers in ((False, 1), (True, 2)):
+            tracemalloc.start()
+            try:
+                with CheckpointReader(p, hashed=hashed) as reader:
+                    for _ in reader.chunks():
+                        pass
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert buffers * _CHUNK * 4 <= peak < (buffers + 0.5) * _CHUNK * 4
 
     def test_empty_tensor_is_one_empty_chunk(self, tmp_path):
         p = tmp_path / "empty.ckpt"

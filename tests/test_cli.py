@@ -314,6 +314,8 @@ BAD_INPUTS = [
      {"spec.json": _spec(num_classes=-1)}, 2, "num_classes must be positive"),
     ("dataset_checks_out_first", ["dataset", "--spec", "@missing.json"],
      {}, 1, "dataset requires --out"),
+    ("soup_checks_out_first", ["soup", "--recipe", "@missing.json"],
+     {}, 1, "soup requires --out"),
     ("soup_negative_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      {"r.json": _recipe(-1)}, 2, "weights must be finite and positive"),
     ("soup_nan_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
@@ -869,38 +871,6 @@ class TestPipelineCommand:
         check_schema("report", out)
         kinds = {e["kind"] for e in json.loads(out)["artifacts"]}
         assert {"pipeline-manifest", "angle-report", "freeze-plan", "checkpoint"} <= kinds
-
-
-class TestThreadCap:
-    def test_concurrent_loads_identical(self, capsys, workdir, tmp_path, monkeypatch):
-        recipe = {
-            "inputs": [{"path": str(workdir["pre"])}, {"path": str(workdir["ft"])}],
-            "mode": "uniform",
-        }
-        recipe_path = tmp_path / "recipe.json"
-        recipe_path.write_text(json.dumps(recipe))
-        hashes = []
-        for threads in ("1", "4", "0"):
-            monkeypatch.setenv("PFT_THREADS", threads)
-            out_path = tmp_path / f"soup{threads}.ckpt"
-            code, out, _ = run_cli(
-                capsys, "soup", "--recipe", str(recipe_path), "--out", str(out_path), "--json"
-            )
-            assert code == 0
-            hashes.append(json.loads(out)["output_hash"])
-        assert len(set(hashes)) == 1
-
-    def test_invalid_value_is_usage_error(self, capsys, workdir, tmp_path, monkeypatch):
-        recipe_path = tmp_path / "recipe.json"
-        recipe_path.write_text(
-            json.dumps({"inputs": [{"path": str(workdir["pre"])}, {"path": str(workdir["ft"])}]})
-        )
-        monkeypatch.setenv("PFT_THREADS", "many")
-        code, _, err = run_cli(
-            capsys, "soup", "--recipe", str(recipe_path), "--out", str(tmp_path / "s.ckpt")
-        )
-        assert code == 1
-        assert "PFT_THREADS" in err
 
 
 class TestDeterminism:

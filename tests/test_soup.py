@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from fapft.arch import describe_arch, full_plan, manual_strategy
-from fapft.checkpoint import _CHUNK, Checkpoint, read_checkpoint, write_checkpoint
+from fapft import checkpoint
+from fapft.checkpoint import _CHUNK, Checkpoint, chunk_length, read_checkpoint, write_checkpoint
 from fapft.errors import (
     CorruptFile,
     EvaluationError,
@@ -297,11 +298,21 @@ class TestRecipe:
         assert soup.canonical_bytes() == expected.canonical_bytes()
 
 
-    def test_chunk_faults_name_the_file_whole_tensors_named(self, tmp_path):
+    def test_chunk_faults_name_the_file_whole_tensors_named(self, tmp_path, monkeypatch):
         # a fault in a later chunk of the first input and one in an earlier
         # chunk of the second name the first input, as when whole tensors
         # were read: a NaN raises at the tensor's last chunk, and a frozen
-        # mismatch names the first input that differs anywhere in the tensor
+        # mismatch names the first input that differs anywhere in the
+        # tensor, at every chunk length
+        for length in (1 << 16, 1 << 17, 1 << 18):
+            # the budget of two buffers of `length` elements per file, for
+            # three files (two runs and the base) and so also for two
+            monkeypatch.setattr(checkpoint, "_CHUNK_BUDGET", 3 * 2 * length * 4)
+            assert chunk_length(2) == chunk_length(3) == length
+            self._check_chunk_faults(tmp_path / str(length))
+
+    def _check_chunk_faults(self, tmp_path):
+        tmp_path.mkdir()
         dims = {"depth": 1, "model_dim": 512, "heads": 4, "ffn_dim": 1100, "seq_len": 2}
         arch = describe_arch("toy_vit", **dims)
         meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(dims, sort_keys=True)}
@@ -356,6 +367,32 @@ class TestRecipe:
         for name in ("v", "w"):
             whole = mean_arrays([run.tensors[name].array for run in runs], [1.0] * 3)
             assert soup.tensors[name].array.tobytes() == whole.tobytes()
+        assert soup.canonical_bytes() == uniform_soup_checkpoints(runs).canonical_bytes()
+
+    def test_memory_stays_flat_as_inputs_are_added(self, tmp_path):
+        # eight inputs of a tensor of several chunks: their chunk buffers
+        # share one budget, and the merge adds one set of scratch buffers of
+        # a chunk each, however many inputs there are
+        rng = np.random.default_rng(47)
+        runs, inputs = [], []
+        for i in range(8):
+            runs.append(simple_ckpt({"w": rng.normal(size=3 * _CHUNK + 1000)}))
+            write_checkpoint(runs[-1], tmp_path / f"run{i}.ckpt")
+            inputs.append(SoupInput(str(tmp_path / f"run{i}.ckpt")))
+        length = chunk_length(len(inputs))
+        # the float32 mean, its two float64 sums and a bool mask, and 128 KB
+        # of Python objects: readers, hash futures, chunk views
+        scratch = length * (4 + 2 * 8 + 1) + (128 << 10)
+        # an untraced soup first: the hash thread and its modules are not the merge's memory
+        uniform_soup(SoupRecipe(inputs=tuple(inputs)), tmp_path / "soup.ckpt")
+        tracemalloc.start()
+        try:
+            uniform_soup(SoupRecipe(inputs=tuple(inputs)), tmp_path / "soup.ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < checkpoint._CHUNK_BUDGET + scratch
+        soup = read_checkpoint(tmp_path / "soup.ckpt")
         assert soup.canonical_bytes() == uniform_soup_checkpoints(runs).canonical_bytes()
 
 
