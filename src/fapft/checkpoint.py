@@ -12,22 +12,18 @@ Container layout (single file, zero-copy friendly):
 Writes are canonical: tensor entries sorted lexicographically by name, JSON
 keys sorted, no insignificant whitespace, payload in name order, dtype always
 F32. Identical checkpoints therefore produce byte-identical files, and the
-content hash is the SHA-256 of those canonical bytes (lowercase hex).
+content hash is the SHA-256 of those canonical bytes (lowercase hex). A
+checkpoint hashes (or writes) its header and then each tensor's bytes in
+canonical order, without assembling the whole serialization.
 
-``read_checkpoint`` copies the file once, into one read-only buffer; F32
-tensors are views of it. When the file is already canonical, its bytes are
-the canonical bytes, so the content hash is taken from them directly.
-Otherwise, and for checkpoints built in memory, the header and then each
-tensor's bytes are hashed (or written) in canonical order, without assembling
-the whole serialization.
-
-``CheckpointReader`` streams a file instead: it yields each tensor as flat
-chunks through two reusable buffers, and SHA-256 of the canonical bytes runs
-on one helper thread while the caller works on a chunk and the next one is
-read (an unhashed reader needs one buffer). Files read in step by
+Every file is read by ``CheckpointReader``: it yields each tensor as flat
+float32 chunks through two reusable buffers, and SHA-256 of the canonical
+bytes runs on one helper thread while the caller works on a chunk and the
+next one is read (an unhashed reader needs one buffer). Files read in step by
 ``zip_chunks`` share one budget of chunk buffers: the more files, the shorter
 the chunks (:func:`chunk_length`). Memory is bounded by that budget, not by
-the tensor, the file or the number of files.
+the tensor, the file or the number of files. ``read_checkpoint`` puts an
+unhashed reader's chunks together into one array per tensor.
 
 Writes go to a temporary file beside the target, which then replaces it.
 """
@@ -48,7 +44,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import CorruptFile, FormatError, InvalidValue, IoError, UnsupportedDtype
+from .errors import CorruptFile, FormatError, IoError, UnsupportedDtype
 from .tensors import Tensor, all_finite
 
 __all__ = [
@@ -70,9 +66,6 @@ __all__ = [
 _READ_DTYPES = {"F16": np.dtype("<f2"), "F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
 _F32 = _READ_DTYPES["F32"]
 _METADATA_KEY = "__metadata__"
-# a read places the payload at this byte alignment in its buffer, so tensor
-# views are aligned arrays; numpy runs slower loops on unaligned ones
-_PAYLOAD_ALIGN = 64
 # Elements in a streamed chunk: a power of two from _MIN_CHUNK to _CHUNK
 # (256 KB to 1 MB of float32). Each is a multiple of the block lengths of
 # ``tensors.pair_stats`` and ``tensors.mean_arrays``, so a sum over a tensor's
@@ -148,7 +141,7 @@ class Checkpoint:
     (``pft.arch_id``, ``pft.seed``, ``pft.epoch``, ``pft.producer``, ...).
     """
 
-    __slots__ = ("_tensors", "_metadata", "_hash", "_file")
+    __slots__ = ("_tensors", "_metadata", "_hash")
 
     def __init__(
         self,
@@ -169,8 +162,6 @@ class Checkpoint:
         self._tensors = clean
         self._metadata = meta
         self._hash: str | None = None
-        # the bytes of a canonical file this checkpoint was read from, if any
-        self._file: np.ndarray | None = None
 
     @property
     def tensors(self) -> Mapping[str, Tensor]:
@@ -195,8 +186,6 @@ class Checkpoint:
 
     def _canonical_parts(self) -> list:
         """The canonical serialization as buffers, in order, without copying payloads."""
-        if self._file is not None:
-            return [self._file]
         header = canonical_header(self.shapes.items(), self._metadata)
         return [header] + [_payload_view(self._tensors[n]) for n in sorted(self._tensors)]
 
@@ -391,18 +380,6 @@ def _read_into(fh, buf, offset: int, path) -> None:
         raise IoError(f"short read from {path}: {filled} of {view.nbytes} bytes at byte {offset}")
 
 
-def _header_length(fh, size: int, path) -> int:
-    """Read and check the 8-byte header length at the start of an open file."""
-    if size < 8:
-        raise CorruptFile(f"{path}: file is {size} bytes; need at least an 8-byte header length")
-    prefix = bytearray(8)
-    _read_into(fh, prefix, 0, path)
-    (header_len,) = struct.unpack("<Q", prefix)
-    if 8 + header_len > size:
-        raise CorruptFile(f"{path}: header length {header_len} exceeds file size {size}")
-    return header_len
-
-
 def _file_size(fh, path) -> int:
     try:
         return os.fstat(fh.fileno()).st_size
@@ -415,61 +392,6 @@ def _open(path):
         return open(path, "rb", buffering=0)
     except OSError as exc:
         raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
-
-
-def _read_file(path) -> tuple[np.ndarray, int]:
-    """The whole file in one read-only buffer, and its header length.
-
-    The buffer is placed so that the payload starts at a multiple of
-    ``_PAYLOAD_ALIGN`` bytes in memory.
-    """
-    with _open(path) as fh:
-        size = _file_size(fh, path)
-        header_len = _header_length(fh, size, path)
-        raw = np.empty(size + _PAYLOAD_ALIGN, dtype=np.uint8)
-        pad = -(raw.ctypes.data + 8 + header_len) % _PAYLOAD_ALIGN
-        buf = raw[pad : pad + size]
-        _read_into(fh, buf, 0, path)
-    buf.setflags(write=False)
-    return buf, header_len
-
-
-def _non_finite(path, name) -> CorruptFile:
-    # a stored value that is not finite is bad data, not a numerical failure
-    return CorruptFile(f"{path}: tensor {name} contains non-finite values")
-
-
-def read_checkpoint(path) -> Checkpoint:
-    """Read and validate a checkpoint file.
-
-    F16 and F64 payloads are converted to the float32 working precision
-    (exactly, where the value is representable). A non-finite value is a
-    ``CorruptFile``. F32 tensors are read-only views of one private copy of
-    the file.
-    """
-    buf, header_len = _read_file(path)
-    start = 8 + header_len
-    header = buf[8:start].tobytes()
-    metadata, entries = _parse_header(header, buf.size - start, path)
-
-    tensors: dict[str, Tensor] = {}
-    for name, (dtype, shape, begin, end) in entries.items():
-        count = (end - begin) // dtype.itemsize
-        arr = np.frombuffer(buf, dtype=dtype, count=count, offset=start + begin)
-        arr = arr.reshape(shape)
-        if dtype != _F32:
-            arr = arr.astype(np.float32)
-        try:
-            tensors[name] = Tensor(arr, name=name)
-        except InvalidValue:
-            raise _non_finite(path, name) from None
-    ckpt = Checkpoint(tensors, metadata)
-    # the rebuilt header names every tensor F32 with offsets in name order, so
-    # an equal raw header means the whole file is the canonical serialization
-    shapes = ((name, shape) for name, (_, shape, _, _) in entries.items())
-    if canonical_header(shapes, metadata)[8:] == header:
-        ckpt._file = buf
-    return ckpt
 
 
 _hash_pool = None
@@ -501,17 +423,16 @@ os.register_at_fork(after_in_child=_forget_hasher)
 class CheckpointReader:
     """A checkpoint file read in chunks, in name order.
 
-    Opening it reads and validates the header as ``read_checkpoint`` does;
-    ``shapes`` (in name order) and ``metadata`` are then known.
-    :meth:`chunks` reads every tensor once and yields it in flat read-only
-    float32 chunks; F16 and F64 payloads are converted as
-    ``read_checkpoint`` converts them. Each tensor is checked to
-    be finite, and the canonical header and float32 bytes go to SHA-256 on one
-    helper thread shared by all readers (``hashlib`` releases the GIL), so
-    once every chunk has been taken, ``content_hash`` equals
-    ``read_checkpoint(path).content_hash``, whether or not the file is
-    canonical; ``hashed=False`` skips the hash. Close it, or use it as a
-    context manager.
+    Opening it reads and validates the header; ``shapes`` (in name order)
+    and ``metadata`` are then known. :meth:`chunks` reads every tensor once
+    and yields it in flat read-only float32 chunks; F16 and F64 payloads are
+    converted to float32 (exactly, where the value is representable). Each
+    tensor is checked to be finite, and the canonical header and float32
+    bytes go to SHA-256 on one helper thread shared by all readers
+    (``hashlib`` releases the GIL), so once every chunk has been taken,
+    ``content_hash`` equals ``read_checkpoint(path).content_hash``, whether
+    or not the file is canonical; ``hashed=False`` skips the hash. Close it,
+    or use it as a context manager.
     """
 
     def __init__(self, path, hashed: bool = True):
@@ -520,7 +441,15 @@ class CheckpointReader:
         self._fh = _open(path)
         try:
             size = _file_size(self._fh, path)
-            header_len = _header_length(self._fh, size, path)
+            if size < 8:
+                raise CorruptFile(
+                    f"{path}: file is {size} bytes; need at least an 8-byte header length"
+                )
+            prefix = bytearray(8)
+            _read_into(self._fh, prefix, 0, path)
+            (header_len,) = struct.unpack("<Q", prefix)
+            if 8 + header_len > size:
+                raise CorruptFile(f"{path}: header length {header_len} exceeds file size {size}")
             header = bytearray(header_len)
             _read_into(self._fh, header, 8, path)
             self.metadata, self._entries = _parse_header(bytes(header), size - 8 - header_len, path)
@@ -572,7 +501,8 @@ class CheckpointReader:
                     values[...] = raw.view(dtype)
                 finite = finite and all_finite(values)
                 if not finite and start + values.size == size:
-                    raise _non_finite(self.path, name)
+                    # a stored value that is not finite is bad data, not a numerical failure
+                    raise CorruptFile(f"{self.path}: tensor {name} contains non-finite values")
                 values = values.view()
                 values.setflags(write=False)
                 if digest is not None:
@@ -599,6 +529,18 @@ class CheckpointReader:
 
     def __exit__(self, *exc) -> None:
         self.close()
+
+
+def read_checkpoint(path) -> Checkpoint:
+    """Read and validate a checkpoint file: the chunks of an unhashed
+    :class:`CheckpointReader`, put together into one float32 array per
+    tensor. F16 and F64 payloads are converted to float32 (exactly, where the
+    value is representable), and a non-finite value is a ``CorruptFile``."""
+    with CheckpointReader(path, hashed=False) as reader:
+        arrays = {name: np.empty(shape, np.float32) for name, shape in reader.shapes.items()}
+        for name, start, chunk in reader.chunks():
+            arrays[name].reshape(-1)[start : start + chunk.size] = chunk
+    return Checkpoint(arrays, reader.metadata)
 
 
 def read_checkpoint_metadata(path) -> dict[str, str]:

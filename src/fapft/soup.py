@@ -82,6 +82,23 @@ def arch_from_checkpoint(ckpt: Checkpoint | Mapping[str, str]) -> ArchDescriptor
     return describe_arch(arch_id, **dims)
 
 
+def _recipe_path(value, field: str, optional: bool = False) -> str | None:
+    """A file name in a recipe: a string without NUL bytes (no file name
+    holds one); None, an absent field, only when ``optional``."""
+    if value is None and optional:
+        return None
+    if not isinstance(value, str) or "\0" in value:
+        raise FormatError(f"recipe {field} must be a file name, got {value!r}")
+    return value
+
+
+def _recipe_weight(value) -> float:
+    # a bool is not a number, though Python counts it as an int
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise FormatError(f"recipe weight must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SoupInput:
     path: str
@@ -106,6 +123,10 @@ class SoupRecipe:
             not math.isfinite(i.weight) or i.weight <= 0.0 for i in self.inputs
         ):
             raise InvalidValue("input weights must be finite and positive")
+        # refuses a weight sum so large that a float64 mean would overflow
+        mean_weights([i.weight for i in self.inputs], len(self.inputs))
+        if self.mode == "greedy" and any(i.weight != 1.0 for i in self.inputs):
+            raise FormatError("a greedy soup averages uniformly; its input weights must be 1.0")
         if any(i.plan_path for i in self.inputs) and self.base is None:
             raise FormatError("recipe attaches plans but names no base checkpoint")
 
@@ -114,20 +135,22 @@ class SoupRecipe:
         if isinstance(data, (str, bytes)):
             try:
                 data = json.loads(data)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # also an int of too many digits
                 raise FormatError(f"malformed recipe JSON: {exc}") from exc
         try:
             inputs = tuple(
                 SoupInput(
-                    path=str(entry["path"]),
-                    weight=float(entry.get("weight", 1.0)),
-                    plan_path=entry.get("plan"),
+                    path=_recipe_path(entry["path"], "path"),
+                    weight=_recipe_weight(entry.get("weight", 1.0)),
+                    plan_path=_recipe_path(entry.get("plan"), "plan", optional=True),
                 )
                 for entry in data["inputs"]
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        # OverflowError: a weight that is an int beyond the float range
+        except (KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"malformed recipe: {exc}") from exc
-        mode, base = data.get("mode", "uniform"), data.get("base")
+        mode = data.get("mode", "uniform")
+        base = _recipe_path(data.get("base"), "base", optional=True)
         try:
             return cls(inputs=inputs, mode=mode, base=base)
         except InvalidValue as exc:

@@ -235,7 +235,8 @@ def kendall_tau(a, b) -> float:
 
 def mean_weights(weights: Sequence[float] | None, count: int) -> list[float]:
     """Float weights of a mean of ``count`` inputs, ``None`` meaning uniform:
-    finite, non-negative, and with a positive sum."""
+    finite, non-negative, and with a positive sum small enough that no
+    float64 sum of float32 values scaled by them overflows."""
     if weights is None:
         return [1.0] * count
     weights = [float(w) for w in weights]
@@ -245,6 +246,8 @@ def mean_weights(weights: Sequence[float] | None, count: int) -> list[float]:
         raise InvalidValue("weights must be finite and non-negative")
     if sum(weights) <= 0.0:
         raise InvalidValue("weights must sum to a positive value")
+    if not math.isfinite(sum(weights) * float(np.finfo(np.float32).max)):
+        raise InvalidValue(f"weights sum too large for a float64 mean: {sum(weights)}")
     return weights
 
 

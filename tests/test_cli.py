@@ -7,6 +7,8 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import fapft
 from fapft.angles import compute_angles, render_rank_table
@@ -206,8 +208,9 @@ class TestExitCodes:
 NOT_UTF8 = b'{"seed": "\xff"}\n'
 
 
-def _recipe(weight) -> bytes:
-    return json.dumps({"inputs": [{"path": "x.ckpt", "weight": weight}]}).encode()
+def _recipe(entry=(), **fields) -> bytes:
+    """A recipe of one input, x.ckpt, with ``entry``'s fields and the recipe's ``fields``."""
+    return json.dumps({"inputs": [{"path": "x.ckpt", **dict(entry)}], **fields}).encode()
 
 
 def _spec(**over) -> bytes:
@@ -317,9 +320,39 @@ BAD_INPUTS = [
     ("soup_checks_out_first", ["soup", "--recipe", "@missing.json"],
      {}, 1, "soup requires --out"),
     ("soup_negative_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
-     {"r.json": _recipe(-1)}, 2, "weights must be finite and positive"),
+     {"r.json": _recipe({"weight": -1})}, 2, "weights must be finite and positive"),
+    # JSON's NaN token
     ("soup_nan_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
-     {"r.json": _recipe("nan")}, 2, "weights must be finite and positive"),
+     {"r.json": _recipe({"weight": float("nan")})}, 2, "weights must be finite and positive"),
+    # a bool is not a number, and a string is not one either
+    ("soup_bool_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"weight": True})}, 2, "recipe weight must be a number, got True"),
+    ("soup_string_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"weight": "2"})}, 2, "recipe weight must be a number, got '2'"),
+    ("soup_null_path", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"path": None})}, 2, "recipe path must be a file name, got None"),
+    # no file name holds a NUL byte, and the OS refuses to open one
+    ("soup_nul_in_path", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"path": "a\0b"})}, 2, "recipe path must be a file name, got 'a\\x00b'"),
+    ("soup_plan_not_a_string", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"plan": 5}, base="b.ckpt")}, 2, "recipe plan must be a file name, got 5"),
+    ("soup_base_not_a_string", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"plan": "p.json"}, base=["b.ckpt"])}, 2,
+     "recipe base must be a file name, got ['b.ckpt']"),
+    # a greedy soup is uniform, so a weight would be listed but not applied
+    ("soup_weighted_greedy", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"weight": 3.0}, mode="greedy")}, 2, "its input weights must be 1.0"),
+    # an int weight beyond the float range, and one of more digits than
+    # Python converts
+    ("soup_int_weight_overflows", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"weight": 10**400})}, 2, "int too large to convert to float"),
+    ("soup_weight_too_many_digits", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": b'{"inputs": [{"path": "x.ckpt", "weight": ' + b"1" * 5000 + b"}]}"}, 2,
+     "malformed recipe JSON"),
+    # two weights whose float64 sum overflows would write a soup of NaN
+    ("soup_weights_overflow", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": json.dumps({"inputs": [{"path": "x.ckpt", "weight": 1e308}] * 2}).encode()},
+     2, "weights sum too large"),
     ("params_empty_strategy", ["params", "--arch", "vit_b16", "--strategy", "", "--classes", "10"],
      {}, 1, "unknown --strategy ''"),
     ("params_two_letter_strategy",
@@ -421,6 +454,52 @@ def test_bad_input_exit_code(capsys, tmp_path, monkeypatch, argv, files, code, f
     assert got == code, err
     assert fragment in out + err
     assert sorted(os.listdir(tmp_path)) == sorted(files)
+
+
+# a recipe field names one of these files, or holds any JSON value
+_SMALL_PLAN = manual_strategy(describe_arch("toy_vit", **SMALL_DIMS), "B")
+RECIPE_FILES = {
+    "base.ckpt": _small_ckpt(1).canonical_bytes(),
+    "run.ckpt": _small_ckpt(2).canonical_bytes(),
+    "plan.json": _SMALL_PLAN.to_json_text().encode(),
+}
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+RECIPE_FIELDS = (
+    st.sampled_from(sorted(RECIPE_FILES) + ["missing.ckpt"])
+    | st.text(alphabet="\0/.ab", max_size=4)  # names with the characters paths treat specially
+    | JSON_VALUES
+)
+RECIPE_WEIGHTS = st.sampled_from([1.0, 2.5]) | st.floats() | JSON_VALUES
+RECIPES = st.fixed_dictionaries(
+    {"inputs": st.lists(
+        st.fixed_dictionaries(
+            {"path": RECIPE_FIELDS}, optional={"weight": RECIPE_WEIGHTS, "plan": RECIPE_FIELDS}
+        ),
+        min_size=1, max_size=3,
+    )},
+    optional={"mode": st.sampled_from(["uniform", "greedy"]) | JSON_VALUES, "base": RECIPE_FIELDS},
+)
+
+
+# whatever a recipe's fields hold, fapft soup exits 0, 1 or 2 and never
+# raises; the two examples are recipes that once made it raise
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(recipe=RECIPES)
+@example(recipe={"inputs": [{"path": "run.ckpt", "plan": 5}], "base": "base.ckpt"})
+@example(recipe={"inputs": [{"path": "a\0b"}]})
+def test_any_recipe_exits_with_a_code(capsys, tmp_path, monkeypatch, recipe):
+    for name, data in RECIPE_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    (tmp_path / "r.json").write_text(json.dumps(recipe))
+    monkeypatch.chdir(tmp_path)
+    argv = ["soup", "--recipe", "r.json", "--out", "s.ckpt", "--classes", "2"]
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2), err
 
 
 class TestAngles:
