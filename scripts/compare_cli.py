@@ -1,0 +1,143 @@
+"""Check that two source trees give the same fapft command-line behaviour.
+
+    python scripts/compare_cli.py OLD_SRC NEW_SRC
+
+Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
+checkouts) runs the same 42 invocations of all ten subcommands, in text and
+``--json`` mode, with ``--out`` where a command takes it, a ``grad-check``
+that passes and one that fails, and a usage and a data error, each command
+in its own process and working directory. Stdout, stderr (with timings
+masked), exit codes and the bytes of every file left behind must be equal.
+Exit status 0 means identical, 1 lists the differences. One tree takes about
+ten seconds on two CPUs.
+"""
+
+import hashlib
+import json
+import os
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+DIMS = {"depth": 2, "model_dim": 16, "heads": 2, "ffn_dim": 32, "seq_len": 4}
+CONFIG = {
+    "arch": {**DIMS, "num_classes": 4},
+    "optimizer": {"learning_rate": 0.001, "beta1": 0.9, "beta2": 0.999,
+                  "epsilon": 1e-08, "weight_decay": 0.05},
+    "schedule": {"epochs": 2, "warmup_epochs": 1, "batch_size": 16},
+    "seed": 7,
+    "dataset": {"num_classes": 4, "seq_len": 4, "samples_per_class": 20,
+                "feature_dim": 16, "class_center_scale": 1.0, "noise_scale": 0.5,
+                "shift_magnitude": 1.5, "seed": 3},
+    "task": "finetune",
+    "freeze": None,
+}
+D = json.dumps(DIMS)
+INPUTS = {
+    "config.json": CONFIG,
+    "pre_config.json": {**CONFIG, "task": "pretrain"},
+    "spec.json": CONFIG["dataset"],
+    "recipe.json": {"base": "pre_text/run.ckpt",
+                    "inputs": [{"path": "ftp_text/run.ckpt", "plan": "plan_text.json"},
+                               {"path": "ftp_json/run.ckpt", "plan": "plan_text.json"}]},
+    "recipe_plain.json": {"inputs": [{"path": "ft_text/run.ckpt", "weight": 2.0},
+                                     {"path": "pre_text/run.ckpt"}]},
+    "greedy.json": {"mode": "greedy",
+                    "inputs": [{"path": "ft_text/run.ckpt"}, {"path": "ftp_text/run.ckpt"}]},
+}
+
+
+def _commands(mode: str, j: list):
+    """The invocations of one mode; later ones read what the text-mode runs
+    of earlier ones wrote."""
+    yield ["dataset", "--spec", "spec.json", "--out", f"d_{mode}.ckpt", *j]
+    yield ["train", "--config", "pre_config.json", "--out", f"pre_{mode}", *j]
+    yield ["train", "--config", "config.json", "--init", "pre_text/run.ckpt",
+           "--out", f"ft_{mode}", *j]
+    yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "ft_text/run.ckpt",
+           "--arch", "toy_vit", "--out", f"angles_{mode}.json", *j]
+    yield ["angles", "--pre", "ft_text/run.ckpt", "--ft", "pre_json/run.ckpt",
+           "--arch", "toy_vit", "--dims", D, "--out", f"angles2_{mode}.json", *j]
+    yield ["plan", "--report", "angles_text.json", "--arch", "toy_vit", "--dims", D,
+           "--difficulty", "easy", "--out", f"plan_{mode}.json", *j]
+    yield ["plan", "--report", "angles_text.json", "--arch", "toy_vit", "--dims", D,
+           "--magnitude", "large", "--topk", "2", "--classes", "4", *j]
+    yield ["train", "--config", "config.json", "--plan", "plan_text.json",
+           "--init", "pre_text/run.ckpt", "--out", f"ftp_{mode}", *j]
+    yield ["rank", "--reports", "angles_text.json", "angles2_text.json",
+           "--out", f"rank_{mode}.json", *j]
+    yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "plan_text.json",
+           "--classes", "4", "--out", f"params_{mode}.json", *j]
+    yield ["params", "--arch", "vit_b16", "--strategy", "attn_only", "--classes", "1000", *j]
+    yield ["soup", "--recipe", "recipe.json", "--classes", "4",
+           "--out", f"soup_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "recipe_plain.json", "--out", f"soupp_{mode}.ckpt",
+           "--manifest", f"soupp_{mode}.m.json", *j]
+    yield ["soup", "--recipe", "greedy.json", "--eval-config", "config.json",
+           "--classes", "4", "--out", f"soupg_{mode}.ckpt", *j]
+    yield ["pipeline", "--config", "config.json", "--difficulty", "easy",
+           "--series", "1,2", "--out", f"pipe_{mode}", *j]
+    yield ["pipeline", "--config", "config.json", "--difficulty", "challenging",
+           "--pre", "pre_text/run.ckpt", *j]
+    yield ["report", "--dir", "pipe_text", "--out", f"report_{mode}.json", *j]
+    yield ["grad-check", "--out", f"gc_{mode}.json", *j]
+    yield ["grad-check", "--tolerance", "1e-30", "--out", f"gcf_{mode}.json", *j]
+    yield ["params", "--arch", "vit_b16", "--strategy", "zz", "--classes", "10", *j]
+    yield ["plan", "--report", "missing.json", "--arch", "toy_vit", "--difficulty", "easy", *j]
+
+
+def invocations():
+    """Each command in text mode, then in ``--json`` mode."""
+    for text, as_json in zip(_commands("text", []), _commands("json", ["--json"])):
+        yield text
+        yield as_json
+
+
+def record(src: str, work: Path) -> dict:
+    """What every invocation printed and returned, and the hash of every file."""
+    for name, obj in INPUTS.items():
+        (work / name).write_text(json.dumps(obj))
+    env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "OPENBLAS_NUM_THREADS": "1"}
+    runs = []
+    for argv in invocations():
+        done = subprocess.run([sys.executable, "-m", "fapft.cli", *argv], cwd=work, env=env,
+                              capture_output=True, text=True, timeout=600)
+        err = re.sub(r"\d+\.\d+s", "<T>s", done.stderr)
+        runs.append({"argv": argv, "code": done.returncode, "out": done.stdout, "err": err})
+    files = {str(p.relative_to(work)): hashlib.sha256(p.read_bytes()).hexdigest()
+             for p in sorted(work.rglob("*")) if p.is_file()}
+    return {"runs": runs, "files": files}
+
+
+def differences(old: dict, new: dict) -> list[str]:
+    found = []
+    for a, b in zip(old["runs"], new["runs"]):
+        for key in ("code", "out", "err"):
+            if a[key] != b[key]:
+                found.append(f"{key}: {' '.join(a['argv'])}")
+    names = sorted(old["files"].keys() | new["files"].keys())
+    found += [f"file: {n}" for n in names if old["files"].get(n) != new["files"].get(n)]
+    return found
+
+
+def main(old_src: str, new_src: str) -> int:
+    records = []
+    for src in (old_src, new_src):
+        with tempfile.TemporaryDirectory() as work:
+            records.append(record(src, Path(work)))
+    old, new = records
+    codes = [r["code"] for r in old["runs"]]
+    print(f"{len(codes)} invocations (exit codes "
+          f"{', '.join(f'{c}: {codes.count(c)}' for c in sorted(set(codes)))}), "
+          f"{len(old['files'])} files")
+    found = differences(old, new)
+    print("\n".join(found) if found else "stdout, stderr, exit codes and files identical")
+    return 1 if found else 0
+
+
+if __name__ == "__main__":
+    if len(sys.argv) != 3:
+        sys.exit(__doc__)
+    sys.exit(main(sys.argv[1], sys.argv[2]))

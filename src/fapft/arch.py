@@ -26,6 +26,7 @@ from .errors import (
     InvalidValue,
     UnknownArchitecture,
     UnmappedTensor,
+    require_int,
 )
 
 __all__ = [
@@ -294,20 +295,17 @@ def _build_swin_b() -> ArchDescriptor:
     return ArchDescriptor("swin_b", stages, layers, non_residual, 1024)
 
 
-_TOY_DEFAULTS = {"depth": 4, "model_dim": 32, "heads": 4, "ffn_dim": None, "seq_len": 8}
+_TOY_DEFAULTS = {"depth": 4, "model_dim": 32, "heads": 4, "seq_len": 8}  # ffn_dim: 4 * model_dim
 
 
 def _build_toy_vit(**overrides) -> ArchDescriptor:
-    unknown = set(overrides) - set(_TOY_DEFAULTS)
+    unknown = set(overrides) - {*_TOY_DEFAULTS, "ffn_dim"}
     if unknown:
         raise InvalidValue(f"unknown toy_vit dimensions: {sorted(unknown)}")
-    dims = dict(_TOY_DEFAULTS)
-    dims.update({k: v for k, v in overrides.items() if v is not None})
-    if dims["ffn_dim"] is None:
-        dims["ffn_dim"] = 4 * dims["model_dim"]
+    dims = {**_TOY_DEFAULTS, **{k: v for k, v in overrides.items() if v is not None}}
     for key, value in dims.items():
-        if not isinstance(value, int) or value <= 0:
-            raise InvalidValue(f"toy_vit dimension {key} must be a positive int")
+        require_int(f"toy_vit dimension {key}", value, 1)
+    dims.setdefault("ffn_dim", 4 * dims["model_dim"])
     if dims["model_dim"] % dims["heads"] != 0:
         raise InvalidValue("model_dim must be divisible by heads")
     return toy_vit_arch(**dims)
@@ -445,47 +443,73 @@ def _make_plan(
     )
 
 
+def _class_count(key) -> int | None:
+    """The class count a ``param_count_by_classes`` key names (a positive int
+    in plain decimal), or None."""
+    try:
+        count = int(key)
+    except (TypeError, ValueError):  # not digits, or more than Python converts
+        return None
+    return count if count > 0 and key == str(count) else None
+
+
+# the fields of a plan's JSON form, what each must hold, and a test of it
+_PLAN_FIELDS = (
+    ("strategy_tag", "a string", lambda v: isinstance(v, str)),
+    ("policy", "an object or null", lambda v: v is None or isinstance(v, dict)),
+    ("trainable_layers", "a list of strings",
+     lambda v: isinstance(v, list) and all(isinstance(lid, str) for lid in v)),
+    ("head_trainable", "true in every plan", lambda v: v is True),
+    ("non_residual_trainable", "a bool", lambda v: isinstance(v, bool)),
+)
+
+
 def plan_from_json(data: Mapping | str, arch: ArchDescriptor) -> FreezePlan:
-    """Rebuild a plan from its JSON form, resolving layers against ``arch``."""
+    """Rebuild a plan from its JSON form, resolving layers against ``arch``.
+    A field that does not hold its JSON type is a ``FormatError``."""
     if isinstance(data, str):
         try:
             data = json.loads(data)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
             raise FormatError(f"malformed plan JSON: {exc}") from exc
-    required = {
-        "arch_id",
-        "strategy_tag",
-        "policy",
-        "trainable_layers",
-        "head_trainable",
-        "non_residual_trainable",
-    }
-    missing = required - set(data)
+    if not isinstance(data, Mapping):
+        raise FormatError(f"plan JSON must be an object, got {data!r}")
+    missing = {"arch_id", *(key for key, _, _ in _PLAN_FIELDS)} - set(data)
     if missing:
         raise FormatError(f"plan JSON missing fields: {sorted(missing)}")
+    for key, kind, valid in _PLAN_FIELDS:
+        if not valid(data[key]):
+            raise FormatError(f"plan {key} must be {kind}, got {data[key]!r}")
+    counts = data.get("param_count_by_classes")
+    counts = {} if counts is None else counts
+    if not isinstance(counts, Mapping) or not all(
+        _class_count(key) and type(stored) is int for key, stored in counts.items()
+    ):
+        raise FormatError(
+            f"plan param_count_by_classes must map positive-int strings to ints, got {counts!r}"
+        )
     if data["arch_id"] != arch.arch_id:
         raise IncompatiblePlan(
             f"plan is for {data['arch_id']!r}, descriptor is {arch.arch_id!r}"
         )
-    if data["head_trainable"] is not True:
-        raise FormatError("head_trainable must be true in every plan")
-    layers = []
-    for lid in data["trainable_layers"]:
-        if lid not in arch.layer_map:
-            raise IncompatiblePlan(f"plan names unknown layer {lid!r}")
-        layers.append(arch.layer_map[lid])
+    layer_ids = data["trainable_layers"]
+    unknown = [lid for lid in layer_ids if lid not in arch.layer_map]
+    if unknown:
+        raise IncompatiblePlan(f"plan names unknown layer {unknown[0]!r}")
+    if len(set(layer_ids)) < len(layer_ids):
+        raise FormatError(f"plan names a layer twice: {layer_ids}")
     plan = _make_plan(
         arch,
-        str(data["strategy_tag"]),
-        layers,
-        non_residual_trainable=bool(data["non_residual_trainable"]),
+        data["strategy_tag"],
+        [arch.layer_map[lid] for lid in layer_ids],
+        non_residual_trainable=data["non_residual_trainable"],
         policy=data["policy"],
     )
-    for classes, stored in (data.get("param_count_by_classes") or {}).items():
-        if plan.trainable_param_count(int(classes)) != int(stored):
+    for key, stored in counts.items():
+        recomputed = plan.trainable_param_count(_class_count(key))
+        if recomputed != stored:
             raise FormatError(
-                f"plan param_count_by_classes[{classes}] is {stored}, "
-                f"recomputed {plan.trainable_param_count(int(classes))}"
+                f"plan param_count_by_classes[{key}] is {stored}, recomputed {recomputed}"
             )
     return plan
 

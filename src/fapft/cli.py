@@ -69,22 +69,21 @@ def _emit_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _parse_dims(raw: str | None) -> dict:
-    if raw is None:
-        return {}
-    try:
-        dims = json.loads(raw)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"--dims must be a JSON object: {exc}") from exc
-    if not isinstance(dims, dict):
-        raise UsageError("--dims must be a JSON object")
-    return dims
+def _write_out(args, obj):
+    """Write ``obj`` as indented JSON to ``--out`` when given."""
+    if args.out:
+        _write_text(args.out, _emit_json(obj))
 
 
 def _resolve_arch(arch_id: str, dims_raw: str | None, metadata=None):
     """The architecture named on the command line; a ``toy_vit`` without
     ``--dims`` takes its dimensions from checkpoint ``metadata`` when given."""
-    dims = _parse_dims(dims_raw)
+    try:
+        dims = {} if dims_raw is None else json.loads(dims_raw)
+    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
+        raise UsageError(f"--dims must be a JSON object: {exc}") from exc
+    if not isinstance(dims, dict):
+        raise UsageError("--dims must be a JSON object")
     if dims:
         return describe_arch(arch_id, **dims)
     if arch_id == "toy_vit" and metadata is not None and "pft.arch_config" in metadata:
@@ -102,24 +101,18 @@ def _ints(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {raw!r}") from None
 
 
-def _class_count(raw: str) -> int:
-    try:
-        count = int(raw)
-    except ValueError:
-        count = 0
-    if count <= 0:
-        raise argparse.ArgumentTypeError(f"class counts must be positive ints, got {raw!r}")
-    return count
-
-
-def _positive_int(raw: str) -> int:
+def _positive_int(raw: str, message: str = "must be a positive int") -> int:
     try:
         value = int(raw)
     except ValueError:
         value = 0
     if value <= 0:
-        raise argparse.ArgumentTypeError(f"must be a positive int, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"{message}, got {raw!r}")
     return value
+
+
+def _class_count(raw: str) -> int:
+    return _positive_int(raw, "class counts must be positive ints")
 
 
 def _class_counts(raw: str) -> tuple[int, ...]:
@@ -137,7 +130,8 @@ def _positive_number(raw: str) -> float:
 
 
 def _record_run(out_dir: Path | None, stem: str, result) -> dict:
-    """A run's summary, after writing its artifacts under ``out_dir`` when given."""
+    """A run's summary, after writing its artifacts under ``out_dir`` (created
+    if need be) when given."""
     config = result.config
     summary = {
         "config_hash": result.config_hash,
@@ -149,60 +143,41 @@ def _record_run(out_dir: Path | None, stem: str, result) -> dict:
         "final_val_accuracy": result.metrics[-1].val_accuracy,
     }
     if out_dir:
+        out_dir.mkdir(parents=True, exist_ok=True)
         write_checkpoint(result.final_checkpoint, out_dir / f"{stem}.ckpt")
         _write_text(out_dir / f"{stem}.metrics.jsonl", result.metrics_jsonl())
         _write_text(out_dir / f"{stem}.json", _emit_json(summary))
     return summary
 
 
-def _print_run(summary: dict, as_json: bool):
-    if as_json:
-        sys.stdout.write(_emit_json(summary))
-    else:
-        tag = summary["strategy_tag"] or "FULL"
-        sys.stdout.write(
-            f"{summary['task']} [{tag}] epochs={summary['epochs']} "
-            f"loss={summary['final_train_loss']:.6f} "
-            f"val_acc={summary['final_val_accuracy']:.4f}\n"
-            f"checkpoint {summary['checkpoint_hash']}\n"
-        )
-
-
 # ---------------------------------------------------------------------------
-# command handlers
+# command handlers: each returns ``(obj, text)``, what ``main`` prints under
+# ``--json`` and otherwise, plus the exit code when it is not 0
 # ---------------------------------------------------------------------------
 
 
-def _cmd_angles(args) -> int:
+def _cmd_angles(args):
     with CheckpointReader(args.pre) as pre, CheckpointReader(args.ft) as ft:
         arch = _resolve_arch(args.arch, args.dims, pre.metadata)
         report = compute_angles(pre, ft, arch)
     if args.out:
         _write_text(args.out, report.to_json_text())
-    if args.json:
-        sys.stdout.write(_emit_json(report.to_json_obj()))
-    else:
-        sys.stdout.write(render_rank_table(report))
-    return 0
+    return report.to_json_obj(), render_rank_table(report)
 
 
-def _cmd_rank(args) -> int:
+def _cmd_rank(args):
     reports = [report_from_json(read_text(path)) for path in args.reports]
     matrix = rank_consistency(reports)
-    if args.out:
-        _write_text(args.out, _emit_json(matrix.to_json_obj()))
-    if args.json:
-        sys.stdout.write(_emit_json(matrix.to_json_obj()))
-    else:
-        sys.stdout.write("pairwise kendall tau\n")
-        for rid, row in zip(matrix.report_ids, matrix.tau):
-            cells = " ".join(f"{v:+.3f}" for v in row)
-            sys.stdout.write(f"  {rid:>12}  {cells}\n")
-        sys.stdout.write(f"mean tau: {matrix.mean_tau:+.4f}\n")
-    return 0
+    obj = matrix.to_json_obj()
+    _write_out(args, obj)
+    rows = "".join(
+        f"  {rid:>12}  {' '.join(f'{v:+.3f}' for v in row)}\n"
+        for rid, row in zip(matrix.report_ids, matrix.tau)
+    )
+    return obj, f"pairwise kendall tau\n{rows}mean tau: {matrix.mean_tau:+.4f}\n"
 
 
-def _cmd_plan(args) -> int:
+def _cmd_plan(args):
     if args.difficulty and (args.magnitude or args.topk):
         raise UsageError("--difficulty excludes --magnitude/--topk")
     if not args.difficulty and not (args.magnitude and args.topk):
@@ -215,23 +190,18 @@ def _cmd_plan(args) -> int:
         policy = FapftPolicy(args.magnitude, args.topk)
     plan = plan_fapft(report, arch, policy)
     classes = args.classes
-    text = plan.to_json_text(classes)
     if args.out:
-        _write_text(args.out, text)
-    if args.json:
-        sys.stdout.write(_emit_json(plan.to_json_obj(classes)))
-    else:
-        count = plan.trainable_param_count(classes[0])
-        sys.stdout.write(
-            f"FAPFT plan [{policy.magnitude}, topk={list(policy.topk_per_stage)}]: "
-            f"{len(plan.trainable)} layers + head\n"
-            f"trainable layers: {', '.join(plan.trainable_layer_ids) or '(none)'}\n"
-            f"params @ {classes[0]} classes: {count} ({millions_str(count)}M)\n"
-        )
-    return 0
+        _write_text(args.out, plan.to_json_text(classes))
+    count = plan.trainable_param_count(classes[0])
+    return plan.to_json_obj(classes), (
+        f"FAPFT plan [{policy.magnitude}, topk={list(policy.topk_per_stage)}]: "
+        f"{len(plan.trainable)} layers + head\n"
+        f"trainable layers: {', '.join(plan.trainable_layer_ids) or '(none)'}\n"
+        f"params @ {classes[0]} classes: {count} ({millions_str(count)}M)\n"
+    )
 
 
-def _cmd_params(args) -> int:
+def _cmd_params(args):
     arch = _resolve_arch(args.arch, args.dims)
     if (args.plan is None) == (args.strategy is None):
         raise UsageError("supply exactly one of --plan or --strategy")
@@ -255,13 +225,8 @@ def _cmd_params(args) -> int:
         "exact": exact,
         "display_millions": millions_str(exact),
     }
-    if args.out:
-        _write_text(args.out, _emit_json(obj))
-    if args.json:
-        sys.stdout.write(_emit_json(obj))
-    else:
-        sys.stdout.write(f"{exact}\n{millions_str(exact)}M\n")
-    return 0
+    _write_out(args, obj)
+    return obj, f"{exact}\n{millions_str(exact)}M\n"
 
 
 def _accuracy_eval(config: TrainConfig):
@@ -275,7 +240,7 @@ def _accuracy_eval(config: TrainConfig):
     return evaluate
 
 
-def _cmd_soup(args) -> int:
+def _cmd_soup(args):
     if not args.out:
         raise UsageError("soup requires --out for the merged checkpoint")
     recipe = SoupRecipe.from_file(args.recipe)
@@ -296,16 +261,13 @@ def _cmd_soup(args) -> int:
     manifest = soup_manifest(recipe.mode, inputs, output_hash, plans, args.classes)
     manifest_path = args.manifest or f"{args.out}.manifest.json"
     _write_text(manifest_path, _emit_json(manifest))
-    if args.json:
-        sys.stdout.write(_emit_json(manifest))
-    else:
-        sys.stdout.write(f"soup checkpoint {output_hash}\n")
-        if manifest["param_total"] is not None:
-            sys.stdout.write(
-                f"param total: {manifest['param_total']} "
-                f"({manifest['param_total_display']}M by per-run rounding)\n"
-            )
-    return 0
+    text = f"soup checkpoint {output_hash}\n"
+    if manifest["param_total"] is not None:
+        text += (
+            f"param total: {manifest['param_total']} "
+            f"({manifest['param_total_display']}M by per-run rounding)\n"
+        )
+    return manifest, text
 
 
 def _train_config(path) -> TrainConfig:
@@ -316,32 +278,31 @@ def _train_config(path) -> TrainConfig:
     return config
 
 
-def _cmd_train(args) -> int:
+def _cmd_train(args):
     config = _train_config(args.config)
     if args.plan:
-        arch = config.descriptor()
-        config = replace(config, freeze=plan_from_json(read_text(args.plan), arch))
+        config = replace(config, freeze=plan_from_json(read_text(args.plan), config.descriptor()))
     init = read_checkpoint(args.init) if args.init else None
     started = time.monotonic()
     result = train(config, init=init)
     print(f"trained in {time.monotonic() - started:.2f}s", file=sys.stderr)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    _print_run(_record_run(out_dir, "run", result), args.json)
-    return 0
+    summary = _record_run(Path(args.out) if args.out else None, "run", result)
+    return summary, (
+        f"{summary['task']} [{summary['strategy_tag'] or 'FULL'}] epochs={summary['epochs']} "
+        f"loss={summary['final_train_loss']:.6f} "
+        f"val_acc={summary['final_val_accuracy']:.4f}\n"
+        f"checkpoint {summary['checkpoint_hash']}\n"
+    )
 
 
-def _cmd_pipeline(args) -> int:
+def _cmd_pipeline(args):
     config = _train_config(args.config)
     arch = config.descriptor()
     policy = default_policy(arch, args.difficulty)
     # every top-k value is checked against the architecture before any training
     for topk in ([args.topk] if args.topk else []) + [(k,) for k in args.series or ()]:
         replace(policy, topk_per_stage=topk).validate_for(arch)
-    out_dir = Path(args.out) if args.out else None
-    if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = Path(args.out) if args.out else None  # made by the first _record_run
 
     if args.pre:
         pre_ckpt = read_checkpoint(args.pre)
@@ -354,12 +315,8 @@ def _cmd_pipeline(args) -> int:
         pre_ckpt, config, args.difficulty, topk=args.topk, magnitude=args.magnitude
     )
     summaries = {
-        name: _record_run(out_dir, name, run)
-        for name, run in (
-            ("full", result.full),
-            ("fapft", result.fapft),
-            ("linear_probe", result.linear_probe),
-        )
+        name: _record_run(out_dir, name, getattr(result, name))
+        for name in ("full", "fapft", "linear_probe")
     }
     classes = config.arch.num_classes
     obj = {
@@ -381,24 +338,16 @@ def _cmd_pipeline(args) -> int:
         series = run_plan_series(
             pre_ckpt, config, result.angle_report, result.policy.magnitude, args.series
         )
+        inputs = []  # the soup manifest's (path, hash, weight) of each run
         for k, run in zip(args.series, series.runs):
             plan = run.config.freeze
+            summary = _record_run(out_dir, f"series_k{k}", run)
             obj["series"].append(
-                {
-                    "topk": [k],
-                    "run": _record_run(out_dir, f"series_k{k}", run),
-                    "plan": plan.to_json_obj(classes=(classes,)),
-                }
+                {"topk": [k], "run": summary, "plan": plan.to_json_obj(classes=(classes,))}
             )
+            inputs.append((f"series_k{k}.ckpt", summary["checkpoint_hash"], 1.0))
             if out_dir:
-                _write_text(
-                    out_dir / f"series_k{k}.plan.json",
-                    plan.to_json_text(classes=(classes,)),
-                )
-        inputs = [
-            (f"series_k{k}.ckpt", run.final_checkpoint.content_hash, 1.0)
-            for k, run in zip(args.series, series.runs)
-        ]
+                _write_text(out_dir / f"series_k{k}.plan.json", plan.to_json_text((classes,)))
         obj["soup"] = soup_manifest(
             "uniform", inputs, series.soup.content_hash, series.plans, classes
         )
@@ -408,29 +357,22 @@ def _cmd_pipeline(args) -> int:
 
     if out_dir:
         _write_text(out_dir / "pipeline.json", _emit_json(obj))
-    if args.json:
-        sys.stdout.write(_emit_json(obj))
-    else:
-        sys.stdout.write(
-            f"pipeline [{args.difficulty}] policy={result.policy.magnitude} "
-            f"topk={list(result.policy.topk_per_stage)}\n"
+    text = (
+        f"pipeline [{args.difficulty}] policy={result.policy.magnitude} "
+        f"topk={list(result.policy.topk_per_stage)}\n"
+    )
+    for name, s in summaries.items():
+        text += (
+            f"  {name:<13} val_acc={s['final_val_accuracy']:.4f} "
+            f"loss={s['final_train_loss']:.6f}\n"
         )
-        for name in ("full", "fapft", "linear_probe"):
-            s = summaries[name]
-            sys.stdout.write(
-                f"  {name:<13} val_acc={s['final_val_accuracy']:.4f} "
-                f"loss={s['final_train_loss']:.6f}\n"
-            )
-        fapft_params = result.plan.trainable_param_count(classes)
-        full_params = config.descriptor().full_param_count(classes)
-        sys.stdout.write(
-            f"  trainable params: fapft={fapft_params} vs full={full_params}\n"
-        )
-        if obj["soup"]:
-            sys.stdout.write(
-                f"  soup of {len(obj['series'])} runs: {obj['soup']['output_hash']}\n"
-            )
-    return 0
+    text += (
+        f"  trainable params: fapft={result.plan.trainable_param_count(classes)} "
+        f"vs full={arch.full_param_count(classes)}\n"
+    )
+    if obj["soup"]:
+        text += f"  soup of {len(obj['series'])} runs: {obj['soup']['output_hash']}\n"
+    return obj, text
 
 
 _ARTIFACT_KINDS = (
@@ -445,7 +387,7 @@ _ARTIFACT_KINDS = (
 )
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args):
     root = Path(args.dir)
     if not root.is_dir():
         raise IoError(f"{args.dir} is not a directory")
@@ -460,80 +402,61 @@ def _cmd_report(args) -> int:
         if kind == "summary":
             try:
                 data = json.loads(read_text(path))
-            except (FormatError, json.JSONDecodeError):
+            except (FormatError, ValueError):  # JSONDecodeError, or too many digits
                 continue
-            if isinstance(data, dict) and "final_val_accuracy" in data:
-                entry["final_val_accuracy"] = data["final_val_accuracy"]
+            accuracy = data.get("final_val_accuracy") if isinstance(data, dict) else None
+            # a summary whose accuracy is not a number is listed without it
+            if isinstance(accuracy, (int, float)) and not isinstance(accuracy, bool):
+                entry["final_val_accuracy"] = accuracy
                 entry["strategy_tag"] = data.get("strategy_tag")
         artifacts.append(entry)
     obj = {"directory": str(root), "artifacts": artifacts}
-    if args.out:
-        _write_text(args.out, _emit_json(obj))
-    if args.json:
-        sys.stdout.write(_emit_json(obj))
-    else:
-        sys.stdout.write(f"artifacts under {root}\n")
-        for entry in artifacts:
-            extra = ""
-            if "final_val_accuracy" in entry:
-                extra = (
-                    f"  val_acc={entry['final_val_accuracy']:.4f}"
-                    f" [{entry.get('strategy_tag') or 'FULL'}]"
-                )
-            sys.stdout.write(f"  {entry['file']:<28} {entry['kind']}{extra}\n")
-    return 0
+    _write_out(args, obj)
+    text = f"artifacts under {root}\n"
+    for entry in artifacts:
+        extra = ""
+        if "final_val_accuracy" in entry:
+            accuracy, tag = entry["final_val_accuracy"], entry["strategy_tag"] or "FULL"
+            extra = f"  val_acc={accuracy:.4f} [{tag}]"
+        text += f"  {entry['file']:<28} {entry['kind']}{extra}\n"
+    return obj, text
 
 
 _GRADCHECK_DEFAULT = {
     "arch": {
-        "depth": 2,
-        "model_dim": 16,
-        "heads": 2,
-        "ffn_dim": 32,
-        "seq_len": 4,
-        "num_classes": 4,
+        "depth": 2, "model_dim": 16, "heads": 2, "ffn_dim": 32, "seq_len": 4, "num_classes": 4,
     },
     "optimizer": {},
     "schedule": {"epochs": 1, "warmup_epochs": 0, "batch_size": 8},
     "seed": 1,
     "dataset": {
-        "num_classes": 4,
-        "seq_len": 4,
-        "samples_per_class": 10,
-        "feature_dim": 16,
-        "seed": 1,
+        "num_classes": 4, "seq_len": 4, "samples_per_class": 10, "feature_dim": 16, "seed": 1,
     },
 }
 
 
-def _cmd_grad_check(args) -> int:
+def _cmd_grad_check(args):
     config = TrainConfig.from_json(
         read_text(args.config) if args.config else _GRADCHECK_DEFAULT
     )
     result = grad_check(config, samples=args.samples, step_size=args.step)
     passed = result.max_rel_error <= args.tolerance
-    obj = result.to_json_obj()
-    obj["tolerance"] = args.tolerance
-    obj["passed"] = passed
-    if args.out:
-        _write_text(args.out, _emit_json(obj))
-    if args.json:
-        sys.stdout.write(_emit_json(obj))
-    else:
-        sys.stdout.write(
-            f"max relative error {result.max_rel_error:.3e} "
-            f"(worst: {result.worst_tensor})\n"
-            f"{'PASS' if passed else 'FAIL'} at tolerance {args.tolerance:.1e}\n"
-        )
-    return 0 if passed else 3
+    obj = {**result.to_json_obj(), "tolerance": args.tolerance, "passed": passed}
+    _write_out(args, obj)
+    text = (
+        f"max relative error {result.max_rel_error:.3e} "
+        f"(worst: {result.worst_tensor})\n"
+        f"{'PASS' if passed else 'FAIL'} at tolerance {args.tolerance:.1e}\n"
+    )
+    return obj, text, 0 if passed else 3
 
 
-def _cmd_dataset(args) -> int:
+def _cmd_dataset(args):
     if not args.out:
         raise UsageError("dataset requires --out for the container file")
     try:
         raw = json.loads(read_text(args.spec))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
         raise FormatError(f"malformed dataset spec JSON: {exc}") from exc
     spec = SyntheticSpec.from_dict(raw)
     data = generate_dataset(spec)
@@ -559,15 +482,11 @@ def _cmd_dataset(args) -> int:
         "val_samples": int(len(data.finetune_y)) - cut,
         "path": str(args.out),
     }
-    if args.json:
-        sys.stdout.write(_emit_json(obj))
-    else:
-        sys.stdout.write(
-            f"dataset {obj['content_hash']}\n"
-            f"{obj['samples']} samples ({obj['train_samples']} train / "
-            f"{obj['val_samples']} val) -> {args.out}\n"
-        )
-    return 0
+    return obj, (
+        f"dataset {obj['content_hash']}\n"
+        f"{obj['samples']} samples ({obj['train_samples']} train / "
+        f"{obj['val_samples']} val) -> {args.out}\n"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +586,9 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        obj, text, *code = args.func(args)
+        sys.stdout.write(_emit_json(obj) if args.json else text)
+        return code[0] if code else 0
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

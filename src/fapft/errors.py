@@ -1,9 +1,13 @@
-"""Exception hierarchy for the toolkit.
+"""Exception hierarchy for the toolkit, and the value checks that raise
+``InvalidValue``.
 
 Two broad families matter to callers (and to the CLI exit-code contract):
 ``DataError`` covers malformed or incompatible inputs (files, plans,
 checkpoints), ``NumericError`` covers degenerate or diverging numerics.
 """
+
+import numbers
+import sys
 
 
 class PftError(Exception):
@@ -45,6 +49,28 @@ class DegenerateRanking(NumericError):
 
 class InvalidValue(NumericError):
     pass
+
+
+def require_int(name: str, value, minimum: int) -> int:
+    """``value``, after raising ``InvalidValue`` unless it is an int (a bool
+    or a float with an integral value is not) of at least ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InvalidValue(f"{name} must be an int, got {value!r}")
+    if value < minimum:
+        raise InvalidValue(
+            f"{name} must be positive" if minimum == 1 else f"{name} must be >= {minimum}"
+        )
+    return value
+
+
+def require_finite(name: str, value) -> float:
+    """``value`` as a float, after raising ``InvalidValue`` unless it is a
+    finite real number (a bool is not, nor an int beyond the float range)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidValue(f"{name} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # an exact comparison, NaN fails it
+        raise InvalidValue(f"{name} must be finite")
+    return float(value)
 
 
 class EmptyInput(NumericError):

@@ -27,7 +27,7 @@ from typing import Mapping
 import numpy as np
 
 from .arch import toy_vit_arch
-from .errors import InvalidValue
+from .errors import InvalidValue, require_int
 
 __all__ = [
     "ModelDims",
@@ -36,23 +36,11 @@ __all__ = [
     "hidden_state",
     "loss_and_grads",
     "predict",
-    "require_int",
 ]
 
 _LN_EPS = 1e-5
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
-
-
-def require_int(name: str, value, minimum: int) -> None:
-    """Raise ``InvalidValue`` unless ``value`` is an int (a bool or a float
-    with an integral value is not) of at least ``minimum``."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise InvalidValue(f"{name} must be an int, got {value!r}")
-    if value < minimum:
-        raise InvalidValue(
-            f"{name} must be positive" if minimum == 1 else f"{name} must be >= {minimum}"
-        )
 
 
 @dataclass(frozen=True)

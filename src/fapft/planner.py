@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .arch import ArchDescriptor, FreezePlan, describe_arch
 from .angles import AngleReport
-from .errors import IncompatibleReports, InvalidPolicy, InvalidValue, NoGuidelines
+from .errors import IncompatibleReports, InvalidPolicy, InvalidValue, NoGuidelines, require_int
 
 __all__ = [
     "FapftPolicy",
@@ -56,8 +56,11 @@ class FapftPolicy:
             raise InvalidPolicy(f"magnitude must be one of {MAGNITUDES}")
         if self.difficulty_tag is not None and self.difficulty_tag not in DIFFICULTIES:
             raise InvalidPolicy(f"difficulty must be one of {DIFFICULTIES}")
-        if not all(isinstance(k, int) and k >= 0 for k in self.topk_per_stage):
-            raise InvalidPolicy("topk values must be non-negative ints")
+        for k in self.topk_per_stage:
+            try:
+                require_int("topk value", k, 0)
+            except InvalidValue as exc:
+                raise InvalidPolicy(str(exc)) from None
 
     def validate_for(self, arch: ArchDescriptor):
         if len(self.topk_per_stage) != len(arch.stages):

@@ -33,7 +33,6 @@ import numpy as np
 
 from .arch import ArchDescriptor, FreezePlan, describe_arch, plan_from_json, soup_millions_str
 from .checkpoint import (
-    _MIN_CHUNK,
     Checkpoint,
     CheckpointReader,
     canonical_header,
@@ -51,7 +50,7 @@ from .errors import (
     IncompatibleReports,
     InvalidValue,
 )
-from .tensors import _MEAN_BLOCK, Tensor, bits_equal, mean_arrays, mean_weights
+from .tensors import Tensor, bits_equal, mean_arrays, mean_scratch, mean_weights
 
 __all__ = [
     "SoupInput",
@@ -220,7 +219,7 @@ def _merged(inputs, weights, base=None, frozen=frozenset()):
     length = min(chunk_length(len(sources)), max(sizes.values(), default=0))
     out = np.empty(length, np.float32)  # the mean of a chunk
     mask = np.empty(length, bool)  # the bitwise comparisons
-    work = np.empty((2, min(length, _MEAN_BLOCK)))  # the float64 sums
+    work = mean_scratch(length)  # the float64 sums
     # the first input whose current frozen tensor differs from the base; a
     # mismatch raises at the end of its tensor, so this never carries over
     differs = len(inputs)
@@ -317,9 +316,13 @@ def uniform_soup(
     return output_hash, hashes
 
 
+# bytes per read when the written soup is hashed back: 256 KB
+_READ_BLOCK = 1 << 18
+
+
 def _sha256_file(fh) -> str:
     digest = hashlib.sha256()
-    block = bytearray(_MIN_CHUNK * 4)  # the bytes of the shortest float32 chunk
+    block = bytearray(_READ_BLOCK)
     while got := fh.readinto(block):
         digest.update(memoryview(block)[:got])
     return digest.hexdigest()

@@ -22,7 +22,7 @@ from .errors import (
 
 __all__ = [
     "Tensor", "PairStats", "all_finite", "bits_equal", "pair_scratch", "pair_stats", "vec_angle",
-    "kendall_tau", "mean_arrays", "mean_stack", "mean_weights",
+    "kendall_tau", "mean_arrays", "mean_scratch", "mean_stack", "mean_weights",
 ]
 
 # Length of the blocks in which ``pair_stats`` reduces a vector pair. A BLAS
@@ -150,6 +150,12 @@ def pair_scratch(size: int = _BLOCK) -> tuple[np.ndarray, np.ndarray]:
     return np.empty((2, n), dtype=np.float64), np.empty(n, dtype=bool)
 
 
+def mean_scratch(size: int) -> np.ndarray:
+    """The reusable float64 sums of :func:`mean_arrays` over arrays of ``size``
+    elements: two blocks of ``min(size, _MEAN_BLOCK)`` elements."""
+    return np.empty((2, min(size, _MEAN_BLOCK)), dtype=np.float64)
+
+
 def pair_stats(
     a: np.ndarray,
     b: np.ndarray,
@@ -270,7 +276,7 @@ def mean_arrays(
     if out is None:
         out = np.empty(arrays[0].shape, dtype=np.float32)
     if work is None:
-        work = np.empty((2, min(out.size, _MEAN_BLOCK)), dtype=np.float64)
+        work = mean_scratch(out.size)
     flat_out = out.reshape(-1)
     flats = [a.reshape(-1) for a in arrays]
     total = sum(weights)

@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
@@ -32,6 +31,8 @@ from .errors import (
     IncompatibleCheckpoints,
     IncompatiblePlan,
     InvalidValue,
+    require_finite,
+    require_int,
 )
 from .model import (
     ModelDims,
@@ -40,7 +41,6 @@ from .model import (
     loss_and_grads,
     predict,
     reinit_head,
-    require_int,
 )
 from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
 from .soup import uniform_soup_checkpoints
@@ -72,14 +72,6 @@ _STREAM_GRADCHECK = 505
 TASKS = ("pretrain", "finetune")
 
 
-def _require_finite(name: str, value) -> None:
-    """Raise ``InvalidValue`` unless ``value`` is a finite real number (a bool is not)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidValue(f"{name} must be a number, got {value!r}")
-    if not math.isfinite(value):
-        raise InvalidValue(f"{name} must be finite")
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 # ---------------------------------------------------------------------------
@@ -109,7 +101,7 @@ class SyntheticSpec:
         for name in ("num_classes", "seq_len", "samples_per_class", "feature_dim", "seed"):
             require_int(name, getattr(self, name), 0 if name == "seed" else 1)
         for name in ("class_center_scale", "noise_scale", "shift_magnitude"):
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise InvalidValue(f"{name} must be >= 0")
 
@@ -195,7 +187,7 @@ class OptimizerConfig:
 
     def __post_init__(self):
         for name in ("learning_rate", "beta1", "beta2", "epsilon", "weight_decay"):
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if self.learning_rate <= 0 or self.epsilon <= 0:
             raise InvalidValue("learning_rate and epsilon must be positive")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
@@ -238,14 +230,9 @@ class TrainConfig:
             raise InvalidValue("dataset seq_len must equal the model seq_len")
 
     def descriptor(self) -> ArchDescriptor:
-        return describe_arch(
-            "toy_vit",
-            depth=self.arch.depth,
-            model_dim=self.arch.model_dim,
-            heads=self.arch.heads,
-            ffn_dim=self.arch.ffn_dim,
-            seq_len=self.arch.seq_len,
-        )
+        dims = self.arch.to_dict()
+        del dims["num_classes"]
+        return describe_arch("toy_vit", **dims)
 
     def to_json_obj(self) -> dict:
         return {
@@ -270,12 +257,11 @@ class TrainConfig:
         if isinstance(data, (str, bytes)):
             try:
                 data = json.loads(data)
-            except json.JSONDecodeError as exc:
+            except ValueError as exc:  # JSONDecodeError, or an int of too many digits
                 raise FormatError(f"malformed train config JSON: {exc}") from exc
         try:
-            arch = ModelDims(**data["arch"])
             config = cls(
-                arch=arch,
+                arch=ModelDims(**data["arch"]),
                 optimizer=OptimizerConfig(**data["optimizer"]),
                 schedule=ScheduleConfig(**data["schedule"]),
                 seed=data["seed"],
@@ -283,14 +269,15 @@ class TrainConfig:
                 task=data.get("task", "finetune"),
                 freeze=None,
             )
+            if data.get("freeze"):
+                # a plan needs a toy_vit descriptor, which needs depth >= 1
+                plan = plan_from_json(data["freeze"], config.descriptor())
+                config = replace(config, freeze=plan)
         except (KeyError, TypeError) as exc:
             raise FormatError(f"malformed train config: {exc}") from exc
         except InvalidValue as exc:
             # a bad value read from a file is bad data, not a numerical failure
             raise FormatError(f"invalid train config: {exc}") from exc
-        if data.get("freeze"):
-            plan = plan_from_json(data["freeze"], config.descriptor())
-            config = replace(config, freeze=plan)
         return config
 
 

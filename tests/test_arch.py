@@ -111,6 +111,13 @@ class TestDescriptors:
         with pytest.raises(InvalidValue):
             describe_arch("toy_vit", widths=3)
 
+    @pytest.mark.parametrize("dims", [{"depth": True}, {"heads": True}, {"model_dim": {}},
+                                      {"ffn_dim": 2.0}, {"seq_len": "8"}])
+    def test_toy_dimensions_are_ints(self, dims):
+        # a bool is not an int here, though Python counts it as one
+        with pytest.raises(InvalidValue, match="must be an int"):
+            describe_arch("toy_vit", **dims)
+
 
 class TestManualStrategies:
     def test_attn_only_count(self):

@@ -293,6 +293,26 @@ def _angles_nan_input() -> dict:
     return {"pre.ckpt": _small_ckpt(1).canonical_bytes(), "ft.ckpt": _with_nan_last(_small_ckpt(2))}
 
 
+def _plan(**over) -> bytes:
+    """The JSON of a toy_vit (SMALL_DIMS) plan with ``over``'s fields."""
+    plan = manual_strategy(describe_arch("toy_vit", **SMALL_DIMS), "B")
+    return json.dumps({**plan.to_json_obj(), **over}).encode()
+
+
+def _report(path, value) -> bytes:
+    """The JSON of a toy_vit (SMALL_DIMS) angle report holding ``value`` at ``path``."""
+    report = compute_angles(_small_ckpt(1), _small_ckpt(2), describe_arch("toy_vit", **SMALL_DIMS))
+    obj = report.to_json_obj()
+    parent = obj
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return json.dumps(obj).encode()
+
+
+SMALL_ARCH = ["--arch", "toy_vit", "--dims", json.dumps(SMALL_DIMS)]
+SMALL_PARAMS = ["params", *SMALL_ARCH, "--classes", "2"]
+SMALL_PLAN = ["plan", *SMALL_ARCH, "--difficulty", "easy"]
 POSITIVE = "argument --{}: must be a positive finite number"
 
 # (id, argv, files written first, exit code, fragment of stdout + stderr);
@@ -439,6 +459,58 @@ BAD_INPUTS = [
     ("angles_nan_input",
      ["angles", "--pre", "@pre.ckpt", "--ft", "@ft.ckpt", "--arch", "toy_vit", "--out", "@a.json"],
      _angles_nan_input(), 2, "ft.ckpt: tensor pos_embed contains non-finite values"),
+    # every plan field holds its JSON type
+    ("train_config_freeze_a_number", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": json.dumps({**CONFIG, "freeze": 5}).encode()}, 2,
+     "plan JSON must be an object, got 5"),
+    ("params_plan_a_number", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": b"5"}, 2, "plan JSON must be an object, got 5"),
+    ("params_plan_layer_not_a_string", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": _plan(trainable_layers=[["a"]])}, 2,
+     "plan trainable_layers must be a list of strings, got [['a']]"),
+    ("params_plan_counts_not_by_class", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": _plan(param_count_by_classes={"x": 1})}, 2,
+     "plan param_count_by_classes must map positive-int strings to ints, got {'x': 1}"),
+    ("params_plan_tag_not_a_string", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": _plan(strategy_tag=5)}, 2, "plan strategy_tag must be a string, got 5"),
+    # "no" is not false, and no run trains every non-residual tensor for it
+    ("train_plan_string_bool",
+     ["train", "--config", "@c.json", "--plan", "@p.json", "--out", "@out"],
+     {"c.json": json.dumps({**CONFIG, "arch": {**CONFIG["arch"], "depth": 1}}).encode(),
+      "p.json": _plan(non_residual_trainable="no")}, 2,
+     "plan non_residual_trainable must be a bool, got 'no'"),
+    ("params_plan_layer_twice", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": _plan(trainable_layers=["s0.b0.ATTN", "s0.b0.ATTN"])}, 2,
+     "plan names a layer twice"),
+    # a plan needs a toy_vit descriptor, and so at least one block
+    ("grad_check_depth_zero_plan", ["grad-check", "--config", "@c.json", "--out", "@g.json"],
+     {"c.json": json.dumps({**CONFIG, "arch": {**CONFIG["arch"], "depth": 0},
+                            "freeze": json.loads(_plan())}).encode()}, 2,
+     "invalid train config: toy_vit dimension depth must be positive"),
+    # every angle report field holds its JSON type
+    ("rank_string_angle", ["rank", "--reports", "@a.json", "@a.json", "--out", "@o.json"],
+     {"a.json": _report(("entries", 0, "angle"), "1.5")}, 2, "angle must be a number, got '1.5'"),
+    ("rank_float_rank", ["rank", "--reports", "@a.json", "@a.json", "--out", "@o.json"],
+     {"a.json": _report(("entries", 0, "rank_in_group"), 1.7)}, 2,
+     "rank_in_group must be an int, got 1.7"),
+    ("plan_int_hash", [*SMALL_PLAN, "--report", "@a.json", "--out", "@p.json"],
+     {"a.json": _report(("provenance", "pretrained_hash"), 5)}, 2,
+     "pretrained_hash must be a string, got 5"),
+    ("plan_excluded_a_string", [*SMALL_PLAN, "--report", "@a.json", "--out", "@p.json"],
+     {"a.json": _report(("provenance", "excluded_tensors"), "abc")}, 2,
+     "excluded_tensors must be a list, got 'abc'"),
+    # an int of more digits than Python converts is malformed JSON
+    ("train_config_too_many_digits", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": b'{"seed": ' + b"1" * 5000 + b"}"}, 2, "malformed train config JSON"),
+    ("dataset_spec_too_many_digits", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
+     {"spec.json": b'{"seed": ' + b"1" * 5000 + b"}"}, 2, "malformed dataset spec JSON"),
+    ("params_plan_too_many_digits", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": b'{"x": ' + b"1" * 5000 + b"}"}, 2, "malformed plan JSON"),
+    ("rank_report_too_many_digits", ["rank", "--reports", "@a.json", "@a.json", "--out", "@o.json"],
+     {"a.json": b'{"x": ' + b"1" * 5000 + b"}"}, 2, "malformed angle report JSON"),
+    # a summary whose accuracy is not a number is listed without it
+    ("report_accuracy_not_a_number", ["report", "--dir", "@."],
+     {"run.json": b'{"final_val_accuracy": "x"}'}, 0, "  run.json                     summary\n"),
 ]
 
 

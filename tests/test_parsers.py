@@ -1,0 +1,158 @@
+"""Whatever JSON a field of a train config, a dataset spec, a freeze plan or
+an angle report holds, its parser returns or raises a ``PftError`` with exit
+code 2 (a data error), never another exception.
+
+Only the parsers run here: a generated spec may ask for 10^9 samples per
+class, so nothing is trained or generated from one.
+"""
+
+import copy
+import json
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from fapft.angles import compute_angles, report_from_json
+from fapft.arch import describe_arch, manual_strategy, plan_from_json
+from fapft.checkpoint import Checkpoint
+from fapft.errors import PftError
+from fapft.train import SyntheticSpec, TrainConfig
+
+DIMS = {"depth": 2, "model_dim": 8, "heads": 2, "ffn_dim": 16, "seq_len": 4}
+ARCH = describe_arch("toy_vit", **DIMS)
+SPEC = {
+    "num_classes": 4, "seq_len": 4, "samples_per_class": 10, "feature_dim": 8,
+    "class_center_scale": 1.0, "noise_scale": 0.5, "shift_magnitude": 1.5, "seed": 3,
+}
+CONFIG = {
+    "arch": {**DIMS, "num_classes": 4},
+    "optimizer": {"learning_rate": 0.001, "beta1": 0.9, "beta2": 0.999,
+                  "epsilon": 1e-08, "weight_decay": 0.05},
+    "schedule": {"epochs": 2, "warmup_epochs": 1, "batch_size": 16},
+    "seed": 7,
+    "dataset": SPEC,
+    "task": "finetune",
+    "freeze": None,
+}
+PLAN = manual_strategy(ARCH, "B").to_json_obj(classes=(4, 100))
+
+
+def _report() -> dict:
+    rng = np.random.default_rng(0)
+    shapes = ARCH.schema_shapes(4)
+    pre, ft = (Checkpoint({n: rng.normal(size=s) for n, s in shapes.items()}) for _ in "ab")
+    return compute_angles(pre, ft, ARCH).to_json_obj()
+
+
+REPORT = _report()
+
+MISSING = object()  # a field taken out of its object or list
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([10**400, "1" * 5000, *ARCH.layer_map]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+def _paths(doc, prefix=()):
+    """The path of every value in ``doc``, ``doc`` itself first."""
+    yield prefix
+    if isinstance(doc, (dict, list)):
+        items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    else:
+        items = ()
+    for key, value in items:
+        yield from _paths(value, prefix + (key,))
+
+
+def _with(doc, path, value):
+    """A copy of ``doc`` holding ``value`` at ``path``, or without it for MISSING."""
+    if not path:
+        return value
+    doc = copy.deepcopy(doc)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is MISSING:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return doc
+
+
+def _variants(doc):
+    """``doc`` with any JSON value, or nothing, in one of its fields."""
+    return st.builds(
+        _with, st.just(doc), st.sampled_from(list(_paths(doc))), JSON_VALUES | st.just(MISSING)
+    )
+
+
+def _parse(parser, data):
+    """What ``parser`` returns, or None for a data error (exit 2)."""
+    try:
+        return parser(data)
+    except PftError as exc:
+        assert exc.exit_code == 2, f"{type(exc).__name__}: {exc}"
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_variants(CONFIG))
+@example(doc={**CONFIG, "freeze": 5})
+@example(doc={**CONFIG, "optimizer": {**CONFIG["optimizer"], "learning_rate": 10**400}})
+@example(doc={**CONFIG, "arch": {**CONFIG["arch"], "depth": 0}, "freeze": PLAN})
+def test_any_train_config_parses_or_is_a_data_error(doc):
+    _parse(TrainConfig.from_json, doc)
+
+
+@settings(max_examples=200, deadline=None)
+@given(doc=_variants(SPEC))
+@example(doc={**SPEC, "noise_scale": 10**400})
+def test_any_dataset_spec_parses_or_is_a_data_error(doc):
+    _parse(SyntheticSpec.from_dict, doc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_variants(PLAN))
+@example(doc=5)
+@example(doc={**PLAN, "trainable_layers": [["a"]]})
+@example(doc={**PLAN, "param_count_by_classes": {"x": 1}})
+@example(doc={**PLAN, "non_residual_trainable": "no"})
+@example(doc={**PLAN, "trainable_layers": ["s0.b0.ATTN", "s0.b0.ATTN"]})
+def test_any_plan_parses_or_is_a_data_error(doc):
+    plan = _parse(lambda data: plan_from_json(data, ARCH), doc)
+    if plan is not None:
+        # a plan that comes back holds the document's values, of JSON's types
+        assert plan.strategy_tag == doc["strategy_tag"] and type(doc["strategy_tag"]) is str
+        assert plan.non_residual_trainable is doc["non_residual_trainable"]
+        assert set(plan.trainable_layer_ids) == set(doc["trainable_layers"])
+        assert plan_from_json(plan.to_json_text(), ARCH) == plan
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=_variants(REPORT))
+@example(doc=_with(REPORT, ("entries", 0, "angle"), "1.5"))
+@example(doc=_with(REPORT, ("entries", 0, "rank_in_group"), 1.7))
+@example(doc=_with(REPORT, ("provenance", "pretrained_hash"), 5))
+@example(doc=_with(REPORT, ("provenance", "excluded_tensors"), "abc"))
+def test_any_angle_report_parses_or_is_a_data_error(doc):
+    report = _parse(report_from_json, doc)
+    if report is not None:
+        # a report that comes back holds the document's values, of JSON's types
+        for entry, raw in zip(report.entries, doc["entries"], strict=True):
+            assert type(raw["angle"]) in (int, float) and entry.angle == float(raw["angle"])
+            assert type(raw["rank_in_group"]) is int
+            assert (entry.layer_id, entry.group_id, entry.rank_in_group) == (
+                raw["layer_id"], raw["group_id"], raw["rank_in_group"]
+            )
+        provenance = doc["provenance"]
+        assert list(report.excluded_tensors) == provenance["excluded_tensors"]
+        assert (report.pretrained_hash, report.finetuned_hash) == (
+            provenance["pretrained_hash"], provenance["finetuned_hash"]
+        )
+        strings = [report.arch_id, report.pretrained_hash, report.finetuned_hash,
+                   *report.excluded_tensors, *(e.layer_id for e in report.entries)]
+        assert all(type(s) is str for s in strings)
+        assert report_from_json(json.dumps(report.to_json_obj())) == report

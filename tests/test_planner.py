@@ -88,6 +88,10 @@ class TestDefaultPolicy:
             FapftPolicy("huge", (1,))
         with pytest.raises(InvalidPolicy):
             FapftPolicy("large", (-1,))
+        with pytest.raises(InvalidPolicy, match="topk value must be an int, got True"):
+            FapftPolicy("large", (True,))
+        with pytest.raises(InvalidPolicy, match="topk value must be an int, got 1.0"):
+            FapftPolicy("large", (1.0,))
 
 
 class TestPlanFapft:
