@@ -286,9 +286,7 @@ def _header_entries(blob: bytes, payload_size: int):
 
     try:
         header = json.loads(blob.decode("utf-8"), object_pairs_hook=reject_duplicates)
-    except FormatError:
-        raise
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:  # not UTF-8, not JSON, or an int of too many digits
         raise FormatError(f"malformed header JSON: {exc}") from exc
     if not isinstance(header, dict):
         raise FormatError("header must be a JSON object")

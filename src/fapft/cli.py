@@ -37,7 +37,7 @@ from .checkpoint import (
     write_atomic,
     write_checkpoint,
 )
-from .errors import FormatError, IoError, PftError, UsageError
+from .errors import FormatError, InvalidValue, IoError, PftError, UsageError
 from .model import predict
 from .planner import FapftPolicy, default_policy, plan_fapft
 from .soup import SoupRecipe, arch_from_checkpoint, greedy_soup, soup_manifest, uniform_soup
@@ -85,7 +85,10 @@ def _resolve_arch(arch_id: str, dims_raw: str | None, metadata=None):
     if not isinstance(dims, dict):
         raise UsageError("--dims must be a JSON object")
     if dims:
-        return describe_arch(arch_id, **dims)
+        try:
+            return describe_arch(arch_id, **dims)
+        except InvalidValue as exc:
+            raise UsageError(f"--dims: {exc}") from exc
     if arch_id == "toy_vit" and metadata is not None and "pft.arch_config" in metadata:
         return arch_from_checkpoint(metadata)
     return describe_arch(arch_id)
@@ -166,6 +169,8 @@ def _cmd_angles(args):
 
 
 def _cmd_rank(args):
+    if len(args.reports) < 2:
+        raise UsageError("rank needs at least 2 --reports")
     reports = [report_from_json(read_text(path)) for path in args.reports]
     matrix = rank_consistency(reports)
     obj = matrix.to_json_obj()

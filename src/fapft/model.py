@@ -13,7 +13,10 @@ what ``a.mean(axis)`` computes. Parameters live in a plain ``name -> ndarray``
 dict whose names match the ``toy_vit`` descriptor schema. Backward computes
 gradients for the trainable tensors only and stops at the shallowest one; a
 pass can also start from a cached hidden state when the blocks below it are
-frozen.
+frozen. :func:`predict` and :func:`hidden_state` run their forward pass in
+slices of ``_SLICE`` samples, so their working memory follows the slice,
+not the number of samples; every operation but the head GEMM is per
+sample, so slicing keeps the output bits.
 """
 
 from __future__ import annotations
@@ -39,6 +42,10 @@ __all__ = [
 ]
 
 _LN_EPS = 1e-5
+# samples per forward pass of predict and hidden_state: a pass over a whole
+# split would hold float64 activations for every sample at once, and a large
+# GEMM starts the BLAS thread pool, whose buffers raise peak RSS
+_SLICE = 16
 _GELU_C = math.sqrt(2.0 / math.pi)
 _GELU_A = 0.044715
 
@@ -203,12 +210,13 @@ def _merge_heads(x):
 
 def _blocks_fwd(params, h, dims: ModelDims, start: int, stop: int, caches=None):
     """Blocks ``start .. stop-1`` on hidden state ``h``; ``caches[i]`` gets block i's cache."""
-    scale = 1.0 / math.sqrt(dims.model_dim // dims.heads)
+    dh = dims.model_dim // dims.heads
+    scale = 1.0 / math.sqrt(dh)
     for i in range(start, stop):
         p = f"blocks.{i}"
         n1, ln1 = _layernorm_fwd(h, params[f"{p}.norm1.weight"], params[f"{p}.norm1.bias"])
         qkv = n1 @ params[f"{p}.attn.qkv.weight"].T + params[f"{p}.attn.qkv.bias"]
-        q, k, v = qkv.reshape(*qkv.shape[:2], 3, dims.heads, -1).transpose(2, 0, 3, 1, 4)
+        q, k, v = qkv.reshape(*qkv.shape[:2], 3, dims.heads, dh).transpose(2, 0, 3, 1, 4)
         attn = _softmax((q @ k.swapaxes(-1, -2)) * scale)
         o = _merge_heads(attn @ v)
         att_out = o @ params[f"{p}.attn.proj.weight"].T + params[f"{p}.attn.proj.bias"]
@@ -248,30 +256,51 @@ def _forward(params, x, dims: ModelDims, start: int | None, caches=None):
     return logits, lnf, pooled
 
 
-def _prepare(params, x):
-    """Float64 parameters and inputs; ``params`` itself if it holds only float64 arrays."""
-    if not all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in params.values()):
-        params = {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
-    return params, np.asarray(x, dtype=np.float64)
+def _params64(params):
+    """Float64 parameters; ``params`` itself if it holds only float64 arrays."""
+    if all(isinstance(v, np.ndarray) and v.dtype == np.float64 for v in params.values()):
+        return params
+    return {k: np.asarray(v, dtype=np.float64) for k, v in params.items()}
+
+
+def _sliced(pass_fn, params, x) -> np.ndarray:
+    """``pass_fn(params64, x64)`` over slices of at most ``_SLICE`` samples of
+    ``x``, each cast to float64 on its own (``x`` is never copied whole), with
+    the results written into one output array.
+
+    Every operation of a pass is per sample except the head GEMM, so the
+    output has the bits of one-sample passes put together.
+    """
+    p64 = _params64(params)
+    x = np.asarray(x)
+    out = None
+    for i in range(0, max(len(x), 1), _SLICE):  # an empty x still gets its shape
+        part = pass_fn(p64, np.asarray(x[i : i + _SLICE], dtype=np.float64))
+        if out is None:
+            out = np.empty((len(x), *part.shape[1:]), dtype=part.dtype)
+        out[i : i + _SLICE] = part
+    return out
 
 
 def hidden_state(params, x, dims: ModelDims, stop: int) -> np.ndarray:
     """The float64 hidden state entering block ``stop``: tokens plus positional
-    embedding, through blocks ``0 .. stop-1``.
+    embedding, through blocks ``0 .. stop-1``, in ``_SLICE``-sample slices.
 
     While ``pos_embed`` and those blocks are frozen it is a constant of each
     sample, so a trainer can compute it once and pass it as ``x`` with
     ``start=stop`` to :func:`predict` and :func:`loss_and_grads`.
     """
-    p64, x64 = _prepare(params, x)
-    return _blocks_fwd(p64, x64 + p64["pos_embed"], dims, 0, stop)
+    return _sliced(
+        lambda p64, x64: _blocks_fwd(p64, x64 + p64["pos_embed"], dims, 0, stop), params, x
+    )
 
 
 def predict(params, x, dims: ModelDims, start: int | None = None) -> np.ndarray:
-    """Class predictions; ``start`` as in :func:`loss_and_grads`."""
-    p64, x64 = _prepare(params, x)
-    logits, _, _ = _forward(p64, x64, dims, start)
-    return np.argmax(logits, axis=-1)
+    """Class predictions in ``_SLICE``-sample slices; ``start`` as in
+    :func:`loss_and_grads`."""
+    return _sliced(
+        lambda p64, x64: np.argmax(_forward(p64, x64, dims, start)[0], axis=-1), params, x
+    )
 
 
 def _mean_cross_entropy(probs, y) -> float:
@@ -305,7 +334,7 @@ def loss_and_grads(
     ``start`` (see :func:`hidden_state`); ``pos_embed`` and the blocks below
     ``start`` are then outside the pass and cannot be trainable.
     """
-    p64, x64 = _prepare(params, x)
+    p64, x64 = _params64(params), np.asarray(x, dtype=np.float64)
     y = np.asarray(y)
     first = start or 0
     reached = _reached(dims, start)

@@ -75,10 +75,16 @@ def arch_from_checkpoint(ckpt: Checkpoint | Mapping[str, str]) -> ArchDescriptor
     if config is not None:
         try:
             dims = json.loads(config)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
             raise FormatError(f"malformed pft.arch_config metadata: {exc}") from exc
+        if not isinstance(dims, dict):
+            raise FormatError(f"pft.arch_config metadata must be a JSON object, got {config!r}")
         dims.pop("num_classes", None)
-    return describe_arch(arch_id, **dims)
+    try:
+        return describe_arch(arch_id, **dims)
+    except InvalidValue as exc:
+        # a bad dimension read from a file is bad data, not a numerical failure
+        raise FormatError(f"invalid pft.arch_config metadata: {exc}") from exc
 
 
 def _recipe_path(value, field: str, optional: bool = False) -> str | None:

@@ -10,6 +10,11 @@ bitwise equal to their initialization for any number of epochs. They also
 cost no backward work, and when ``pos_embed`` and the lowest blocks are
 frozen, the hidden state entering the first trainable block is computed once
 per run and every step starts there.
+
+Memory follows the batch, not the split. A run keeps only its own task's
+tokens, dataset generation holds one task's float64 noise at a time, and
+the passes over a whole split (the frozen prefix and each epoch's
+validation accuracy) run in the model's ``_SLICE``-sample slices.
 """
 
 from __future__ import annotations
@@ -157,10 +162,17 @@ def generate_dataset(spec: SyntheticSpec) -> SyntheticDataset:
     shifted = centers + spec.shift_magnitude * directions
 
     y = (np.arange(n) % c).astype(np.int64)
-    pre_noise = rng.normal(size=(n, t, d))
-    ft_noise = rng.normal(size=(n, t, d))
-    pre_x = (centers[y][:, None, :] + spec.noise_scale * pre_noise).astype(np.float32)
-    ft_x = (shifted[y][:, None, :] + spec.noise_scale * ft_noise).astype(np.float32)
+
+    def tokens(around):
+        # one task's float64 noise, scaled and shifted in place: the same
+        # IEEE operations as around + noise_scale * noise
+        noise = rng.normal(size=(n, t, d))
+        noise *= spec.noise_scale
+        noise += around[y][:, None, :]
+        return noise.astype(np.float32)
+
+    pre_x = tokens(centers)  # the pre-training task is drawn first
+    ft_x = tokens(shifted)
     return SyntheticDataset(
         spec=spec,
         pretrain_x=pre_x,
@@ -457,14 +469,6 @@ def _frozen_prefix(trainable: set[str], dims: ModelDims) -> int | None:
     return min(blocks, default=dims.depth)
 
 
-def _hidden_in_chunks(params, x, dims: ModelDims, stop: int, chunk: int) -> np.ndarray:
-    # one pass per chunk, not one GEMM over the split: a large product starts
-    # the BLAS thread pool, whose buffers raise peak RSS
-    return np.concatenate(
-        [hidden_state(params, x[i : i + chunk], dims, stop) for i in range(0, len(x), chunk)]
-    )
-
-
 def _accuracy(params, x, y, dims, start) -> float:
     return float((predict(params, x, dims, start=start) == y).mean())
 
@@ -481,8 +485,8 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
     started = time.monotonic()
     dims = config.arch
     arch = config.descriptor()
-    data = generate_dataset(config.dataset)
-    x_train, y_train, x_val, y_val = data.task_split(config.task)
+    # only this task's split outlives the dataset
+    x_train, y_train, x_val, y_val = generate_dataset(config.dataset).task_split(config.task)
 
     if init is None:
         params32 = init_params(dims, np.random.default_rng([config.seed, _STREAM_INIT]))
@@ -498,8 +502,8 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
     batch = config.schedule.batch_size
     first = _frozen_prefix(trainable, dims)
     if first is not None:
-        x_train = _hidden_in_chunks(params, x_train, dims, first, batch)
-        x_val = _hidden_in_chunks(params, x_val, dims, first, batch)
+        x_train = hidden_state(params, x_train, dims, first)
+        x_val = hidden_state(params, x_val, dims, first)
     steps_per_epoch = max(1, math.ceil(n_train / batch))
     total_steps = config.schedule.epochs * steps_per_epoch
     warmup_steps = config.schedule.warmup_epochs * steps_per_epoch

@@ -293,20 +293,36 @@ def _angles_nan_input() -> dict:
     return {"pre.ckpt": _small_ckpt(1).canonical_bytes(), "ft.ckpt": _with_nan_last(_small_ckpt(2))}
 
 
+def _angles_arch_config(config: str) -> dict:
+    """An angles pair whose --pre records ``config`` as its pft.arch_config metadata."""
+    pre = _small_ckpt(1)
+    meta = {**SMALL_META, "pft.arch_config": config}
+    return {"pre.ckpt": Checkpoint(pre.tensors, meta).canonical_bytes(),
+            "ft.ckpt": _small_ckpt(2).canonical_bytes()}
+
+
+def _header_too_many_digits() -> bytes:
+    """A checkpoint file whose header holds a shape of more digits than Python converts."""
+    header = b'{"w":{"data_offsets":[0,4],"dtype":"F32","shape":[' + b"1" * 5000 + b"]}}"
+    return len(header).to_bytes(8, "little") + header + bytes(4)
+
+
 def _plan(**over) -> bytes:
     """The JSON of a toy_vit (SMALL_DIMS) plan with ``over``'s fields."""
     plan = manual_strategy(describe_arch("toy_vit", **SMALL_DIMS), "B")
     return json.dumps({**plan.to_json_obj(), **over}).encode()
 
 
-def _report(path, value) -> bytes:
-    """The JSON of a toy_vit (SMALL_DIMS) angle report holding ``value`` at ``path``."""
+def _report(path=(), value=None) -> bytes:
+    """The JSON of a toy_vit (SMALL_DIMS) angle report holding ``value`` at
+    ``path``; an empty ``path`` leaves the report as computed."""
     report = compute_angles(_small_ckpt(1), _small_ckpt(2), describe_arch("toy_vit", **SMALL_DIMS))
     obj = report.to_json_obj()
     parent = obj
     for key in path[:-1]:
         parent = parent[key]
-    parent[path[-1]] = value
+    if path:
+        parent[path[-1]] = value
     return json.dumps(obj).encode()
 
 
@@ -314,6 +330,8 @@ SMALL_ARCH = ["--arch", "toy_vit", "--dims", json.dumps(SMALL_DIMS)]
 SMALL_PARAMS = ["params", *SMALL_ARCH, "--classes", "2"]
 SMALL_PLAN = ["plan", *SMALL_ARCH, "--difficulty", "easy"]
 POSITIVE = "argument --{}: must be a positive finite number"
+ANGLES_TOY = ["angles", "--pre", "@pre.ckpt", "--ft", "@ft.ckpt", "--arch", "toy_vit",
+              "--out", "@a.json"]
 
 # (id, argv, files written first, exit code, fragment of stdout + stderr);
 # an argument "@name" is the path of ``name`` in a fresh directory, which is
@@ -508,6 +526,28 @@ BAD_INPUTS = [
      {"p.json": b'{"x": ' + b"1" * 5000 + b"}"}, 2, "malformed plan JSON"),
     ("rank_report_too_many_digits", ["rank", "--reports", "@a.json", "@a.json", "--out", "@o.json"],
      {"a.json": b'{"x": ' + b"1" * 5000 + b"}"}, 2, "malformed angle report JSON"),
+    # pft.arch_config metadata is read from a file, so a bad value is bad data
+    ("angles_arch_config_not_an_object", ANGLES_TOY, _angles_arch_config("[1]"), 2,
+     "pft.arch_config metadata must be a JSON object, got '[1]'"),
+    ("angles_arch_config_depth_zero", ANGLES_TOY, _angles_arch_config('{"depth": 0}'), 2,
+     "invalid pft.arch_config metadata: toy_vit dimension depth must be positive"),
+    ("angles_arch_config_bool_dimension", ANGLES_TOY, _angles_arch_config('{"depth": true}'), 2,
+     "invalid pft.arch_config metadata: toy_vit dimension depth must be an int, got True"),
+    ("angles_arch_config_too_many_digits", ANGLES_TOY,
+     _angles_arch_config('{"depth": ' + "1" * 5000 + "}"), 2,
+     "malformed pft.arch_config metadata"),
+    ("angles_header_too_many_digits", ANGLES_TOY,
+     {"pre.ckpt": _header_too_many_digits(), "ft.ckpt": _small_ckpt(2).canonical_bytes()}, 2,
+     "pre.ckpt: malformed header JSON"),
+    # bad flag values are usage errors that name the flag
+    ("rank_one_report", ["rank", "--reports", "@a.json", "--out", "@o.json"],
+     {"a.json": _report()}, 1, "rank needs at least 2 --reports"),
+    ("params_dims_depth_zero",
+     ["params", "--arch", "toy_vit", "--dims", '{"depth": 0}', "--classes", "2"],
+     {}, 1, "--dims: toy_vit dimension depth must be positive"),
+    ("params_dims_bool_dimension",
+     ["params", "--arch", "toy_vit", "--dims", '{"heads": false}', "--classes", "2"],
+     {}, 1, "--dims: toy_vit dimension heads must be an int, got False"),
     # a summary whose accuracy is not a number is listed without it
     ("report_accuracy_not_a_number", ["report", "--dir", "@."],
      {"run.json": b'{"final_val_accuracy": "x"}'}, 0, "  run.json                     summary\n"),

@@ -11,14 +11,18 @@ import numpy as np
 import pytest
 
 from fapft.model import (
+    _SLICE,
     ModelDims,
     _gelu_bwd,
     _gelu_fwd,
     _layernorm_dx,
     _layernorm_fwd,
+    _schema,
     _softmax,
+    hidden_state,
     init_params,
     loss_and_grads,
+    predict,
 )
 
 C = math.sqrt(2.0 / math.pi)
@@ -94,3 +98,36 @@ def test_loss_and_grads_same_for_float32_and_float64_params():
         assert other.keys() == grads.keys()
         for name in grads:
             assert np.array_equal(other[name], grads[name]), name
+
+
+@pytest.mark.parametrize("n", [0, 1, _SLICE, _SLICE + 1, 3 * _SLICE + 5])
+def test_sliced_passes_equal_one_sample_passes(n):
+    # predict and hidden_state run in slices of _SLICE samples; their output
+    # holds the bits of one-sample passes put together
+    dims = ModelDims(depth=2, model_dim=6, heads=2, ffn_dim=10, seq_len=3, num_classes=5)
+    rng = np.random.default_rng(10)
+    params = {
+        name: rng.normal(0.0, 0.5, size=shape).astype(np.float32)
+        for name, shape in _schema(dims).items()
+    }
+    params["head.bias"][:] = 0.0  # the inputs, not the bias, pick the class
+    x = rng.normal(size=(n, 3, 6)).astype(np.float32)
+
+    def one_at_a_time(fn, inputs, empty):
+        parts = [fn(inputs[i : i + 1]) for i in range(n)]
+        return np.concatenate(parts) if parts else empty
+
+    no_labels, no_states = np.empty(0, dtype=np.int64), np.empty((0, 3, 6))
+    want = one_at_a_time(lambda xi: predict(params, xi, dims), x, no_labels)
+    got = predict(params, x, dims)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if n > _SLICE:
+        assert len(set(got.tolist())) > 1  # the classes differ, so the test can see a mix-up
+    for stop in range(dims.depth + 1):
+        h = hidden_state(params, x, dims, stop)
+        want = one_at_a_time(lambda xi: hidden_state(params, xi, dims, stop), x, no_states)
+        assert h.dtype == np.float64 and h.shape == (n, 3, 6)
+        assert h.tobytes() == want.tobytes(), stop
+        got = predict(params, h, dims, start=stop)
+        want = one_at_a_time(lambda hi: predict(params, hi, dims, start=stop), h, no_labels)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), stop

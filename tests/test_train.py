@@ -1,5 +1,6 @@
 import importlib
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -22,7 +23,7 @@ from fapft.errors import (
 from fapft.model import (
     ModelDims,
     _forward,
-    _prepare,
+    _params64,
     hidden_state,
     init_params,
     loss_and_grads,
@@ -95,6 +96,12 @@ class TestDataset:
         d1 = generate_dataset(SPEC)
         d2 = generate_dataset(SPEC)
         assert d1.content_hash() == d2.content_hash()
+
+    def test_bytes_are_pinned(self):
+        # the draw order and the arithmetic of generation fix every byte
+        assert generate_dataset(SPEC).content_hash() == (
+            "4bded936a1f391ae6ba1c4953b616a942fa6881e3e6bb6667de4afebeee273a2"
+        )
 
     def test_zero_shift_identity(self):
         spec = replace(SPEC, shift_magnitude=0.0)
@@ -285,7 +292,7 @@ class TestFreezeAware:
     @pytest.mark.parametrize("dims", [DIMS, DEPTH0], ids=["depth2", "depth0"])
     def test_prefix_started_logits_equal_full_forward(self, dims):
         params, x, _ = _batch(dims)
-        p64, x64 = _prepare(params, x)
+        p64, x64 = _params64(params), np.asarray(x, dtype=np.float64)
         full, _, _ = _forward(p64, x64, dims, None)
         for start in range(dims.depth + 1):
             h = hidden_state(params, x, dims, start)
@@ -457,6 +464,39 @@ class TestTrain:
     def test_dataset_model_dim_tied(self):
         with pytest.raises(InvalidValue):
             config(dataset=replace(SPEC, feature_dim=8))
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestMemory:
+    @pytest.mark.parametrize("probe", [False, True], ids=["full", "linear_probe"])
+    def test_peak_grows_by_the_dataset_arrays_alone(self, probe):
+        # a tenfold validation split (and training split) adds the dataset's
+        # arrays to train()'s peak: both tasks' float32 tokens, the one task
+        # of float64 noise that generation draws at a time, and a few int64
+        # words a sample for labels and the shuffle order. Model passes over
+        # a split run in fixed slices, so their activations do not grow.
+        # The linear probe keeps a float64 hidden state of one task, within
+        # the two tasks' tokens and the noise.
+        sched = ScheduleConfig(epochs=1, warmup_epochs=0, batch_size=16)
+        freeze = linear_probe_plan(toy_arch()) if probe else None
+
+        def run(samples_per_class):
+            spec = replace(SPEC, samples_per_class=samples_per_class)
+            return lambda: train(config(dataset=spec, schedule=sched, freeze=freeze))
+
+        run(10)()  # caches and lazy imports are not the run's memory
+        small, large = _traced_peak(run(10)), _traced_peak(run(100))
+        grown = 90 * SPEC.num_classes
+        per_sample = SPEC.seq_len * SPEC.feature_dim * (4 + 4 + 8) + 4 * 8
+        assert large - small <= grown * per_sample
 
 
 class TestPipeline:
