@@ -3,10 +3,12 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 42 invocations of all ten subcommands, in text and
+checkouts) runs the same 52 invocations of all ten subcommands, in text and
 ``--json`` mode, with ``--out`` where a command takes it, a ``grad-check``
-that passes and one that fails, and a usage and a data error, each command
-in its own process and working directory. Stdout, stderr (with timings
+that passes and one that fails, a usage error, a missing file, and a data
+error for each kind of JSON input (train config, dataset spec, recipe, plan
+and angle report, each holding a value of the wrong type), each command in
+its own process and working directory. Stdout, stderr (with timings
 masked), exit codes and the bytes of every file left behind must be equal.
 Exit status 0 means identical, 1 lists the differences. One tree takes about
 ten seconds on two CPUs.
@@ -46,6 +48,16 @@ INPUTS = {
                                      {"path": "pre_text/run.ckpt"}]},
     "greedy.json": {"mode": "greedy",
                     "inputs": [{"path": "ft_text/run.ckpt"}, {"path": "ftp_text/run.ckpt"}]},
+    # one value of the wrong type in each kind of JSON input
+    "bad_config.json": {**CONFIG, "seed": "7"},
+    "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
+    "bad_recipe.json": {"inputs": [{"path": "ft_text/run.ckpt", "weight": "2"}]},
+    "bad_plan.json": {"arch_id": "toy_vit", "strategy_tag": "B", "policy": None,
+                      "trainable_layers": "s0.b0.ATTN", "head_trainable": True,
+                      "non_residual_trainable": False},
+    "bad_report.json": {"arch_id": 5, "entries": [], "whole_model_angle": 0.5,
+                        "provenance": {"pretrained_hash": "a", "finetuned_hash": "b",
+                                       "excluded_tensors": []}},
 }
 
 
@@ -86,6 +98,12 @@ def _commands(mode: str, j: list):
     yield ["grad-check", "--tolerance", "1e-30", "--out", f"gcf_{mode}.json", *j]
     yield ["params", "--arch", "vit_b16", "--strategy", "zz", "--classes", "10", *j]
     yield ["plan", "--report", "missing.json", "--arch", "toy_vit", "--difficulty", "easy", *j]
+    yield ["train", "--config", "bad_config.json", "--out", f"bad_{mode}", *j]
+    yield ["dataset", "--spec", "bad_spec.json", "--out", f"bad_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "bad_recipe.json", "--out", f"bad_{mode}.ckpt", *j]
+    yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "bad_plan.json",
+           "--classes", "4", *j]
+    yield ["rank", "--reports", "bad_report.json", "bad_report.json", *j]
 
 
 def invocations():

@@ -24,12 +24,14 @@ from functools import cached_property
 from .arch import ArchDescriptor, LayerRef, map_tensors
 from .checkpoint import zip_chunks
 from .errors import (
-    FormatError,
     IncompatibleCheckpoints,
     IncompatibleReports,
     InvalidValue,
+    parse_json,
+    reading,
     require_finite,
     require_int,
+    require_str,
 )
 from .tensors import PairStats, kendall_tau, pair_scratch, pair_stats
 
@@ -105,45 +107,33 @@ class AngleReport:
         return json.dumps(self.to_json_obj(), sort_keys=True) + "\n"
 
 
-def _string(value, field: str) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{field} must be a string, got {value!r}")
-    return value
-
-
 def report_from_json(data) -> AngleReport:
     """Rebuild a report from its JSON form. Ids, hashes and excluded tensor
     names must be strings, angles finite numbers and ranks positive ints;
     anything else is a ``FormatError``."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
-            raise FormatError(f"malformed angle report JSON: {exc}") from exc
-    try:
+    data = parse_json(data, "angle report")
+    with reading("angle report"):
         provenance = data["provenance"]
         excluded = provenance["excluded_tensors"]
         if not isinstance(excluded, list):
             raise TypeError(f"excluded_tensors must be a list, got {excluded!r}")
         entries = tuple(
             AngleEntry(
-                layer_id=_string(e["layer_id"], "layer_id"),
-                group_id=_string(e["group_id"], "group_id"),
+                layer_id=require_str("layer_id", e["layer_id"]),
+                group_id=require_str("group_id", e["group_id"]),
                 angle=require_finite("angle", e["angle"]),
                 rank_in_group=require_int("rank_in_group", e["rank_in_group"], 1),
             )
             for e in data["entries"]
         )
         return AngleReport(
-            arch_id=_string(data["arch_id"], "arch_id"),
+            arch_id=require_str("arch_id", data["arch_id"]),
             entries=entries,
             whole_model_angle=require_finite("whole_model_angle", data["whole_model_angle"]),
-            pretrained_hash=_string(provenance["pretrained_hash"], "pretrained_hash"),
-            finetuned_hash=_string(provenance["finetuned_hash"], "finetuned_hash"),
-            excluded_tensors=tuple(_string(name, "excluded tensor") for name in excluded),
+            pretrained_hash=require_str("pretrained_hash", provenance["pretrained_hash"]),
+            finetuned_hash=require_str("finetuned_hash", provenance["finetuned_hash"]),
+            excluded_tensors=tuple(require_str("excluded tensor", name) for name in excluded),
         )
-    except (KeyError, TypeError, InvalidValue) as exc:
-        raise FormatError(f"malformed angle report: {exc}") from exc
 
 
 def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:

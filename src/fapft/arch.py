@@ -26,6 +26,7 @@ from .errors import (
     InvalidValue,
     UnknownArchitecture,
     UnmappedTensor,
+    parse_json,
     require_int,
 )
 
@@ -296,6 +297,9 @@ def _build_swin_b() -> ArchDescriptor:
 
 
 _TOY_DEFAULTS = {"depth": 4, "model_dim": 32, "heads": 4, "seq_len": 8}  # ffn_dim: 4 * model_dim
+# a descriptor holds a layer per block, so a depth read from outside is bounded;
+# the reference models have 12 and 24 blocks
+MAX_TOY_DEPTH = 1024
 
 
 def _build_toy_vit(**overrides) -> ArchDescriptor:
@@ -304,7 +308,8 @@ def _build_toy_vit(**overrides) -> ArchDescriptor:
         raise InvalidValue(f"unknown toy_vit dimensions: {sorted(unknown)}")
     dims = {**_TOY_DEFAULTS, **{k: v for k, v in overrides.items() if v is not None}}
     for key, value in dims.items():
-        require_int(f"toy_vit dimension {key}", value, 1)
+        bound = MAX_TOY_DEPTH if key == "depth" else None
+        require_int(f"toy_vit dimension {key}", value, 1, bound)
     dims.setdefault("ffn_dim", 4 * dims["model_dim"])
     if dims["model_dim"] % dims["heads"] != 0:
         raise InvalidValue("model_dim must be divisible by heads")
@@ -338,11 +343,12 @@ def toy_vit_arch(
     return ArchDescriptor("toy_vit", [stage], layers, non_residual, model_dim, dims)
 
 
-def describe_arch(arch_id: str, **dims) -> ArchDescriptor:
+def describe_arch(arch_id: str, /, **dims) -> ArchDescriptor:
     """Build the descriptor of a supported architecture.
 
     Only ``toy_vit`` accepts dimension overrides (depth, model_dim, heads,
-    ffn_dim, seq_len); the reference architectures are fixed.
+    ffn_dim, seq_len); the reference architectures are fixed. ``arch_id`` is
+    positional, so a dimension named ``arch_id`` is an unknown dimension.
     """
     if arch_id == "toy_vit":
         return _build_toy_vit(**dims)
@@ -467,11 +473,7 @@ _PLAN_FIELDS = (
 def plan_from_json(data: Mapping | str, arch: ArchDescriptor) -> FreezePlan:
     """Rebuild a plan from its JSON form, resolving layers against ``arch``.
     A field that does not hold its JSON type is a ``FormatError``."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
-            raise FormatError(f"malformed plan JSON: {exc}") from exc
+    data = parse_json(data, "plan")
     if not isinstance(data, Mapping):
         raise FormatError(f"plan JSON must be an object, got {data!r}")
     missing = {"arch_id", *(key for key, _, _ in _PLAN_FIELDS)} - set(data)

@@ -37,10 +37,17 @@ from .checkpoint import (
     write_atomic,
     write_checkpoint,
 )
-from .errors import FormatError, InvalidValue, IoError, PftError, UsageError
+from .errors import FormatError, InvalidValue, IoError, PftError, UsageError, parse_json
 from .model import predict
 from .planner import FapftPolicy, default_policy, plan_fapft
-from .soup import SoupRecipe, arch_from_checkpoint, greedy_soup, soup_manifest, uniform_soup
+from .soup import (
+    SoupRecipe,
+    arch_from_checkpoint,
+    check_frozen,
+    greedy_soup,
+    soup_manifest,
+    uniform_soup,
+)
 from .tensors import Tensor
 from .train import (
     SyntheticSpec,
@@ -253,11 +260,12 @@ def _cmd_soup(args):
         if not args.eval_config:
             raise UsageError("greedy recipes need --eval-config for held-out accuracy")
         config = TrainConfig.from_json(read_text(args.eval_config))
+        plans = recipe.plans()
+        if plans is not None:
+            check_frozen(recipe, plans)
         candidates = [read_checkpoint(i.path) for i in recipe.inputs]
         merged = greedy_soup(candidates, _accuracy_eval(config))
         input_hashes = [c.content_hash for c in candidates]
-        # plans only feed the parameter totals here
-        plans = recipe.plans() if args.classes is not None else None
         output_hash = write_checkpoint(merged, args.out)
     else:
         plans = recipe.plans()
@@ -406,8 +414,8 @@ def _cmd_report(args):
         entry = {"file": path.name, "kind": kind}
         if kind == "summary":
             try:
-                data = json.loads(read_text(path))
-            except (FormatError, ValueError):  # JSONDecodeError, or too many digits
+                data = parse_json(read_text(path), "summary")
+            except FormatError:  # not UTF-8, or not JSON
                 continue
             accuracy = data.get("final_val_accuracy") if isinstance(data, dict) else None
             # a summary whose accuracy is not a number is listed without it
@@ -459,11 +467,7 @@ def _cmd_grad_check(args):
 def _cmd_dataset(args):
     if not args.out:
         raise UsageError("dataset requires --out for the container file")
-    try:
-        raw = json.loads(read_text(args.spec))
-    except ValueError as exc:  # JSONDecodeError, or an int of too many digits
-        raise FormatError(f"malformed dataset spec JSON: {exc}") from exc
-    spec = SyntheticSpec.from_dict(raw)
+    spec = SyntheticSpec.from_dict(parse_json(read_text(args.spec), "dataset spec"))
     data = generate_dataset(spec)
     tensors = {
         "pretrain.features": Tensor(data.pretrain_x),

@@ -1,13 +1,23 @@
-"""Exception hierarchy for the toolkit, and the value checks that raise
-``InvalidValue``.
+"""Exception hierarchy for the toolkit, the value checks that raise
+``InvalidValue``, and the boundary for data read from outside.
 
 Two broad families matter to callers (and to the CLI exit-code contract):
 ``DataError`` covers malformed or incompatible inputs (files, plans,
 checkpoints), ``NumericError`` covers degenerate or diverging numerics.
+
+Every JSON input (train config, dataset spec, plan, angle report, soup
+recipe, a checkpoint's ``pft.arch_config``) crosses one boundary, so a bad
+value read from a file is bad data (exit 2), never a numerical failure
+(exit 3). :func:`parse_json` parses the text, and :func:`reading` maps what
+building the object raises: a missing field or a wrong type is "malformed",
+a failed value check "invalid". A flag such as ``--dims`` is not a file, so
+the CLI maps its errors to usage errors (exit 1) itself.
 """
 
+import json
 import numbers
 import sys
+from contextlib import contextmanager
 
 
 class PftError(Exception):
@@ -51,15 +61,18 @@ class InvalidValue(NumericError):
     pass
 
 
-def require_int(name: str, value, minimum: int) -> int:
+def require_int(name: str, value, minimum: int, maximum: int | None = None) -> int:
     """``value``, after raising ``InvalidValue`` unless it is an int (a bool
-    or a float with an integral value is not) of at least ``minimum``."""
+    or a float with an integral value is not) of at least ``minimum`` and,
+    when given, at most ``maximum``."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise InvalidValue(f"{name} must be an int, got {value!r}")
     if value < minimum:
         raise InvalidValue(
             f"{name} must be positive" if minimum == 1 else f"{name} must be >= {minimum}"
         )
+    if maximum is not None and value > maximum:
+        raise InvalidValue(f"{name} must be <= {maximum}")
     return value
 
 
@@ -71,6 +84,13 @@ def require_finite(name: str, value) -> float:
     if not abs(value) <= sys.float_info.max:  # an exact comparison, NaN fails it
         raise InvalidValue(f"{name} must be finite")
     return float(value)
+
+
+def require_str(name: str, value) -> str:
+    """``value``, after raising ``InvalidValue`` unless it is a string."""
+    if not isinstance(value, str):
+        raise InvalidValue(f"{name} must be a string, got {value!r}")
+    return value
 
 
 class EmptyInput(NumericError):
@@ -133,3 +153,26 @@ class DivergenceError(NumericError):
 # soup merging
 class EvaluationError(NumericError):
     pass
+
+
+def parse_json(data, what: str):
+    """``data`` parsed when it is text (str or bytes), else ``data`` itself;
+    text that is not JSON is a ``FormatError`` naming ``what``."""
+    if not isinstance(data, (str, bytes)):
+        return data
+    try:
+        return json.loads(data)
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError or too many digits
+        raise FormatError(f"malformed {what} JSON: {exc}") from exc
+
+
+@contextmanager
+def reading(what: str):
+    """Map a missing field or wrong type met while building ``what`` to a
+    "malformed", and a failed value check to an "invalid", ``FormatError``."""
+    try:
+        yield
+    except (KeyError, TypeError, OverflowError) as exc:
+        raise FormatError(f"malformed {what}: {exc}") from exc
+    except InvalidValue as exc:
+        raise FormatError(f"invalid {what}: {exc}") from exc

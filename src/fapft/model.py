@@ -29,7 +29,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arch import toy_vit_arch
+from .arch import MAX_TOY_DEPTH, toy_vit_arch
 from .errors import InvalidValue, require_int
 
 __all__ = [
@@ -61,7 +61,10 @@ class ModelDims:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            require_int(name, value, 0 if name == "depth" else 1)
+            if name == "depth":
+                require_int(name, value, 0, MAX_TOY_DEPTH)
+            else:
+                require_int(name, value, 1)
         if self.model_dim % self.heads != 0:
             raise InvalidValue("model_dim must be divisible by heads")
 

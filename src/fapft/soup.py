@@ -49,6 +49,8 @@ from .errors import (
     IncompatibleCheckpoints,
     IncompatibleReports,
     InvalidValue,
+    parse_json,
+    reading,
 )
 from .tensors import Tensor, bits_equal, mean_arrays, mean_scratch, mean_weights
 
@@ -61,6 +63,7 @@ __all__ = [
     "soup_param_total",
     "soup_manifest",
     "arch_from_checkpoint",
+    "check_frozen",
 ]
 
 
@@ -71,20 +74,12 @@ def arch_from_checkpoint(ckpt: Checkpoint | Mapping[str, str]) -> ArchDescriptor
     if arch_id is None:
         raise FormatError("checkpoint has no pft.arch_id metadata")
     config = metadata.get("pft.arch_config")
-    dims = {}
-    if config is not None:
-        try:
-            dims = json.loads(config)
-        except ValueError as exc:  # JSONDecodeError, or an int of too many digits
-            raise FormatError(f"malformed pft.arch_config metadata: {exc}") from exc
-        if not isinstance(dims, dict):
-            raise FormatError(f"pft.arch_config metadata must be a JSON object, got {config!r}")
-        dims.pop("num_classes", None)
-    try:
+    dims = {} if config is None else parse_json(config, "pft.arch_config metadata")
+    if not isinstance(dims, dict):
+        raise FormatError(f"pft.arch_config metadata must be a JSON object, got {config!r}")
+    dims.pop("num_classes", None)
+    with reading("pft.arch_config metadata"):
         return describe_arch(arch_id, **dims)
-    except InvalidValue as exc:
-        # a bad dimension read from a file is bad data, not a numerical failure
-        raise FormatError(f"invalid pft.arch_config metadata: {exc}") from exc
 
 
 def _recipe_path(value, field: str, optional: bool = False) -> str | None:
@@ -137,12 +132,8 @@ class SoupRecipe:
 
     @classmethod
     def from_json(cls, data) -> "SoupRecipe":
-        if isinstance(data, (str, bytes)):
-            try:
-                data = json.loads(data)
-            except ValueError as exc:  # also an int of too many digits
-                raise FormatError(f"malformed recipe JSON: {exc}") from exc
-        try:
+        data = parse_json(data, "recipe")
+        with reading("recipe"):
             inputs = tuple(
                 SoupInput(
                     path=_recipe_path(entry["path"], "path"),
@@ -151,16 +142,8 @@ class SoupRecipe:
                 )
                 for entry in data["inputs"]
             )
-        # OverflowError: a weight that is an int beyond the float range
-        except (KeyError, TypeError, OverflowError) as exc:
-            raise FormatError(f"malformed recipe: {exc}") from exc
-        mode = data.get("mode", "uniform")
-        base = _recipe_path(data.get("base"), "base", optional=True)
-        try:
-            return cls(inputs=inputs, mode=mode, base=base)
-        except InvalidValue as exc:
-            # a bad value read from a file is bad data, not a numerical failure
-            raise FormatError(f"invalid recipe: {exc}") from exc
+            base = _recipe_path(data.get("base"), "base", optional=True)
+            return cls(inputs=inputs, mode=data.get("mode", "uniform"), base=base)
 
     @classmethod
     def from_file(cls, path) -> "SoupRecipe":
@@ -320,6 +303,19 @@ def uniform_soup(
             fh.seek(0)
             output_hash = _sha256_file(fh)
     return output_hash, hashes
+
+
+def check_frozen(recipe: SoupRecipe, plans: Sequence[FreezePlan]) -> None:
+    """Raise what :func:`uniform_soup` raises when an input lacks, reshaped or
+    changed a tensor of a layer that no plan trains. A greedy soup merges in
+    memory, so it checks its recipe here first."""
+    with ExitStack() as stack:
+        base = stack.enter_context(CheckpointReader(recipe.base, hashed=False))
+        inputs = [stack.enter_context(CheckpointReader(i.path, hashed=False)) for i in recipe.inputs]
+        frozen = _frozen_names(base, plans, inputs)
+        _check_compatible(inputs)
+        for _ in _merged(inputs, [1.0] * len(inputs), base, frozen):
+            pass  # the merge compares as it goes; its means are not needed
 
 
 # bytes per read when the written soup is hashed back: 256 KB

@@ -32,10 +32,11 @@ from .angles import AngleReport, compute_angles
 from .checkpoint import Checkpoint
 from .errors import (
     DivergenceError,
-    FormatError,
     IncompatibleCheckpoints,
     IncompatiblePlan,
     InvalidValue,
+    parse_json,
+    reading,
     require_finite,
     require_int,
 )
@@ -115,13 +116,8 @@ class SyntheticSpec:
 
     @classmethod
     def from_dict(cls, data) -> "SyntheticSpec":
-        try:
+        with reading("dataset spec"):
             return cls(**data)
-        except TypeError as exc:
-            raise FormatError(f"malformed dataset spec: {exc}") from exc
-        except InvalidValue as exc:
-            # a bad value read from a file is bad data, not a numerical failure
-            raise FormatError(f"invalid dataset spec: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -266,12 +262,8 @@ class TrainConfig:
 
     @classmethod
     def from_json(cls, data) -> "TrainConfig":
-        if isinstance(data, (str, bytes)):
-            try:
-                data = json.loads(data)
-            except ValueError as exc:  # JSONDecodeError, or an int of too many digits
-                raise FormatError(f"malformed train config JSON: {exc}") from exc
-        try:
+        data = parse_json(data, "train config")
+        with reading("train config"):
             config = cls(
                 arch=ModelDims(**data["arch"]),
                 optimizer=OptimizerConfig(**data["optimizer"]),
@@ -285,11 +277,6 @@ class TrainConfig:
                 # a plan needs a toy_vit descriptor, which needs depth >= 1
                 plan = plan_from_json(data["freeze"], config.descriptor())
                 config = replace(config, freeze=plan)
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"malformed train config: {exc}") from exc
-        except InvalidValue as exc:
-            # a bad value read from a file is bad data, not a numerical failure
-            raise FormatError(f"invalid train config: {exc}") from exc
         return config
 
 

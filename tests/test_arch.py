@@ -1,6 +1,7 @@
 import pytest
 
 from fapft.arch import (
+    MAX_TOY_DEPTH,
     describe_arch,
     full_plan,
     linear_probe_plan,
@@ -15,6 +16,7 @@ from fapft.errors import (
     UnknownArchitecture,
     UnmappedTensor,
 )
+from fapft.model import ModelDims
 
 # Frozen expected parameter totals, derived by hand from the standard
 # dimensions (ViT-B/16: width 768, FFN 3072, 12 blocks, 16x16 patches on
@@ -110,6 +112,18 @@ class TestDescriptors:
             describe_arch("toy_vit", depth=0)
         with pytest.raises(InvalidValue):
             describe_arch("toy_vit", widths=3)
+
+    def test_toy_depth_is_bounded(self, monkeypatch):
+        assert len(describe_arch("toy_vit", depth=MAX_TOY_DEPTH).layers) == 2 * MAX_TOY_DEPTH
+        dims = {"model_dim": 8, "heads": 2, "ffn_dim": 16, "seq_len": 4, "num_classes": 2}
+        assert ModelDims(depth=MAX_TOY_DEPTH, **dims).depth == MAX_TOY_DEPTH
+        # a depth above the bound is refused before any layer is built
+        monkeypatch.setattr("fapft.arch.toy_vit_arch", lambda **_: pytest.fail("descriptor built"))
+        for depth in (MAX_TOY_DEPTH + 1, 10**9):
+            with pytest.raises(InvalidValue, match=f"depth must be <= {MAX_TOY_DEPTH}"):
+                describe_arch("toy_vit", depth=depth)
+            with pytest.raises(InvalidValue, match=f"depth must be <= {MAX_TOY_DEPTH}"):
+                ModelDims(depth=depth, **dims)
 
     @pytest.mark.parametrize("dims", [{"depth": True}, {"heads": True}, {"model_dim": {}},
                                       {"ffn_dim": 2.0}, {"seq_len": "8"}])

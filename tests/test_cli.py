@@ -326,6 +326,27 @@ def _report(path=(), value=None) -> bytes:
     return json.dumps(obj).encode()
 
 
+def _greedy_planned(changed: str) -> dict:
+    """A greedy recipe of two runs that share a plan freezing the FFN layers
+    (strategy B), with its eval config; the second run changed tensor ``changed``."""
+    base = _small_ckpt(1)
+    arrays = {name: t.array for name, t in base.tensors.items()}
+    changed = {**arrays, changed: arrays[changed] + 1}
+    recipe = {"mode": "greedy", "base": "base.ckpt",
+              "inputs": [{"path": "r1.ckpt", "plan": "p.json"},
+                         {"path": "r2.ckpt", "plan": "p.json"}]}
+    config = {**CONFIG, "arch": {**SMALL_DIMS, "num_classes": 2},
+              "dataset": {**CONFIG["dataset"], "num_classes": 2, "seq_len": 2, "feature_dim": 4}}
+    return {
+        "base.ckpt": base.canonical_bytes(),
+        "r1.ckpt": base.canonical_bytes(),
+        "r2.ckpt": Checkpoint(changed, SMALL_META).canonical_bytes(),
+        "p.json": _plan(),
+        "r.json": json.dumps(recipe).encode(),
+        "c.json": json.dumps(config).encode(),
+    }
+
+
 SMALL_ARCH = ["--arch", "toy_vit", "--dims", json.dumps(SMALL_DIMS)]
 SMALL_PARAMS = ["params", *SMALL_ARCH, "--classes", "2"]
 SMALL_PLAN = ["plan", *SMALL_ARCH, "--difficulty", "easy"]
@@ -426,6 +447,11 @@ BAD_INPUTS = [
     ("soup_base_frozen_tensor_reshaped", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      _reshaped_frozen_base(), 2,
      "run.ckpt: frozen tensor 'blocks.0.mlp.fc1.weight' differs from the base"),
+    # a greedy soup makes the uniform soup's check of the layers frozen in all runs
+    ("soup_greedy_frozen_tensor_changed",
+     ["soup", "--recipe", "@r.json", "--eval-config", "@c.json", "--out", "@s.ckpt"],
+     _greedy_planned("blocks.0.mlp.fc1.weight"), 2,
+     "r2.ckpt: frozen tensor 'blocks.0.mlp.fc1.weight' differs from the base"),
     # top-k values are checked before any training, so no artifact is left behind
     ("pipeline_series_exceeds_depth",
      ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--series", "1,5",
@@ -536,6 +562,11 @@ BAD_INPUTS = [
     ("angles_arch_config_too_many_digits", ANGLES_TOY,
      _angles_arch_config('{"depth": ' + "1" * 5000 + "}"), 2,
      "malformed pft.arch_config metadata"),
+    # a descriptor holds a layer per block, so a toy_vit depth is bounded
+    ("train_config_depth_above_bound", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("arch", depth=1025)}, 2, "invalid train config: depth must be <= 1024"),
+    ("angles_arch_config_depth_above_bound", ANGLES_TOY, _angles_arch_config('{"depth": 1025}'),
+     2, "invalid pft.arch_config metadata: toy_vit dimension depth must be <= 1024"),
     ("angles_header_too_many_digits", ANGLES_TOY,
      {"pre.ckpt": _header_too_many_digits(), "ft.ckpt": _small_ckpt(2).canonical_bytes()}, 2,
      "pre.ckpt: malformed header JSON"),
@@ -545,6 +576,13 @@ BAD_INPUTS = [
     ("params_dims_depth_zero",
      ["params", "--arch", "toy_vit", "--dims", '{"depth": 0}', "--classes", "2"],
      {}, 1, "--dims: toy_vit dimension depth must be positive"),
+    ("params_dims_depth_above_bound",
+     ["params", "--arch", "toy_vit", "--dims", '{"depth": 1025}', "--strategy", "B",
+      "--classes", "2"],
+     {}, 1, "--dims: toy_vit dimension depth must be <= 1024"),
+    ("params_dims_arch_id", ["params", "--arch", "toy_vit", "--dims", '{"arch_id": "vit_b16"}',
+                             "--strategy", "B", "--classes", "2"],
+     {}, 1, "--dims: unknown toy_vit dimensions: ['arch_id']"),
     ("params_dims_bool_dimension",
      ["params", "--arch", "toy_vit", "--dims", '{"heads": false}', "--classes", "2"],
      {}, 1, "--dims: toy_vit dimension heads must be an int, got False"),
@@ -969,6 +1007,18 @@ class TestPlannedSoup:
         )
         assert code == 0
         check_schema("soup", out)
+
+    def test_greedy_mode_with_plans_keeps_runs_that_leave_frozen_layers(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        for name, data in _greedy_planned("blocks.0.attn.qkv.weight").items():
+            (tmp_path / name).write_bytes(data)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "soup", "--recipe", "r.json", "--eval-config", "c.json",
+                                 "--out", "s.ckpt", "--classes", "2", "--json")
+        assert code == 0, err
+        plan = manual_strategy(describe_arch("toy_vit", **SMALL_DIMS), "B")
+        assert json.loads(out)["param_total"] == 2 * plan.trainable_param_count(2)
 
     def test_greedy_without_eval_config_is_usage_error(self, capsys, workdir, tmp_path):
         recipe_path = tmp_path / "recipe.json"

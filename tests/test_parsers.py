@@ -1,6 +1,8 @@
 """Whatever JSON a field of a train config, a dataset spec, a freeze plan or
-an angle report holds, its parser returns or raises a ``PftError`` with exit
-code 2 (a data error), never another exception.
+an angle report holds, and whatever text a checkpoint's ``pft.arch_config``
+holds, its parser returns or raises a ``PftError`` with exit code 2 (a data
+error), never another exception. All of them map bad data through
+``errors.parse_json`` and ``errors.reading``, which are tested here too.
 
 Only the parsers run here: a generated spec may ask for 10^9 samples per
 class, so nothing is trained or generated from one.
@@ -10,13 +12,23 @@ import copy
 import json
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fapft.angles import compute_angles, report_from_json
-from fapft.arch import describe_arch, manual_strategy, plan_from_json
+from fapft.arch import MAX_TOY_DEPTH, describe_arch, manual_strategy, plan_from_json
 from fapft.checkpoint import Checkpoint
-from fapft.errors import PftError
+from fapft.errors import (
+    DivergenceError,
+    FormatError,
+    IncompatiblePlan,
+    InvalidValue,
+    PftError,
+    parse_json,
+    reading,
+)
+from fapft.soup import arch_from_checkpoint
 from fapft.train import SyntheticSpec, TrainConfig
 
 DIMS = {"depth": 2, "model_dim": 8, "heads": 2, "ffn_dim": 16, "seq_len": 4}
@@ -156,3 +168,59 @@ def test_any_angle_report_parses_or_is_a_data_error(doc):
                    *report.excluded_tensors, *(e.layer_id for e in report.entries)]
         assert all(type(s) is str for s in strings)
         assert report_from_json(json.dumps(report.to_json_obj())) == report
+
+
+# pft.arch_config text: JSON of any value, objects of toy_vit dimensions (and
+# keys that describe_arch takes otherwise), and text that is not JSON
+ARCH_CONFIGS = (
+    st.builds(json.dumps, JSON_VALUES)
+    | st.builds(
+        json.dumps,
+        st.dictionaries(
+            st.sampled_from([*DIMS, "num_classes", "arch_id", "x"]),
+            st.integers(-1, MAX_TOY_DEPTH + 1) | JSON_VALUES,
+            max_size=4,
+        ),
+    )
+    | st.text()
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=ARCH_CONFIGS)
+@example(config='{"depth": ' + "1" * 5000 + "}")
+@example(config="1" * 5000)
+@example(config='{"arch_id": "vit_b16"}')
+@example(config=json.dumps({**DIMS, "depth": MAX_TOY_DEPTH + 1}))
+def test_any_arch_config_gives_a_descriptor_or_is_a_data_error(config):
+    arch = _parse(arch_from_checkpoint, {"pft.arch_id": "toy_vit", "pft.arch_config": config})
+    if arch is not None:
+        assert arch.arch_id == "toy_vit" and len(arch.layers) <= 2 * MAX_TOY_DEPTH
+
+
+@pytest.mark.parametrize("exc, prefix", [
+    (KeyError("k"), "malformed thing: "),
+    (TypeError("t"), "malformed thing: "),
+    (OverflowError("o"), "malformed thing: "),
+    (InvalidValue("v"), "invalid thing: "),
+])
+def test_reading_maps_bad_data_to_a_format_error(exc, prefix):
+    with pytest.raises(FormatError) as info, reading("thing"):
+        raise exc
+    assert str(info.value) == prefix + str(exc) and info.value.__cause__ is exc
+
+
+@pytest.mark.parametrize("exc", [IncompatiblePlan("p"), DivergenceError("d"), ValueError("v")])
+def test_reading_passes_other_errors_through(exc):
+    with pytest.raises(type(exc)) as info, reading("thing"):
+        raise exc
+    assert info.value is exc
+
+
+def test_parse_json_parses_text_and_passes_other_values_through():
+    assert parse_json('{"a": [1]}', "thing") == parse_json(b'{"a": [1]}', "thing") == {"a": [1]}
+    value = {"a": 1}
+    assert parse_json(value, "thing") is value
+    for text in ("{not json", "1" * 5000, b"\xff"):
+        with pytest.raises(FormatError, match="^malformed thing JSON: "):
+            parse_json(text, "thing")
