@@ -3,7 +3,7 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 52 invocations of all ten subcommands, in text and
+checkouts) runs the same 54 invocations of all ten subcommands, in text and
 ``--json`` mode, with ``--out`` where a command takes it, a ``grad-check``
 that passes and one that fails, a usage error, a missing file, and a data
 error for each kind of JSON input (train config, dataset spec, recipe, plan
@@ -37,17 +37,20 @@ CONFIG = {
     "freeze": None,
 }
 D = json.dumps(DIMS)
+RECIPE = {"base": "pre_text/run.ckpt",
+          "inputs": [{"path": "ftp_text/run.ckpt", "plan": "plan_text.json"},
+                     {"path": "ftp_json/run.ckpt", "plan": "plan_text.json"}]}
 INPUTS = {
     "config.json": CONFIG,
     "pre_config.json": {**CONFIG, "task": "pretrain"},
     "spec.json": CONFIG["dataset"],
-    "recipe.json": {"base": "pre_text/run.ckpt",
-                    "inputs": [{"path": "ftp_text/run.ckpt", "plan": "plan_text.json"},
-                               {"path": "ftp_json/run.ckpt", "plan": "plan_text.json"}]},
+    "recipe.json": RECIPE,
     "recipe_plain.json": {"inputs": [{"path": "ft_text/run.ckpt", "weight": 2.0},
                                      {"path": "pre_text/run.ckpt"}]},
     "greedy.json": {"mode": "greedy",
                     "inputs": [{"path": "ft_text/run.ckpt"}, {"path": "ftp_text/run.ckpt"}]},
+    # recipe.json's runs, merged greedily: the frozen-layer check runs first
+    "greedy_planned.json": {**RECIPE, "mode": "greedy"},
     # one value of the wrong type in each kind of JSON input
     "bad_config.json": {**CONFIG, "seed": "7"},
     "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
@@ -89,6 +92,8 @@ def _commands(mode: str, j: list):
            "--manifest", f"soupp_{mode}.m.json", *j]
     yield ["soup", "--recipe", "greedy.json", "--eval-config", "config.json",
            "--classes", "4", "--out", f"soupg_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "greedy_planned.json", "--eval-config", "config.json",
+           "--classes", "4", "--out", f"soupgp_{mode}.ckpt", *j]
     yield ["pipeline", "--config", "config.json", "--difficulty", "easy",
            "--series", "1,2", "--out", f"pipe_{mode}", *j]
     yield ["pipeline", "--config", "config.json", "--difficulty", "challenging",

@@ -16,7 +16,6 @@ from .angles import (
     AngleReport,
     ConsistencyMatrix,
     compute_angles,
-    group_rank_table,
     rank_consistency,
     render_rank_table,
     report_from_json,
@@ -35,13 +34,7 @@ from .arch import (
     plan_from_json,
     soup_millions_str,
 )
-from .checkpoint import (
-    Checkpoint,
-    DiffReport,
-    diff_checkpoints,
-    read_checkpoint,
-    write_checkpoint,
-)
+from .checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from .model import ModelDims
 from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
 from .soup import (
@@ -64,7 +57,6 @@ from .train import (
     SyntheticDataset,
     SyntheticSpec,
     TrainConfig,
-    cosine_warmup_lr,
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
@@ -82,10 +74,8 @@ __all__ = [
     "mean_stack",
     # checkpoints
     "Checkpoint",
-    "DiffReport",
     "read_checkpoint",
     "write_checkpoint",
-    "diff_checkpoints",
     # architectures and plans
     "ArchDescriptor",
     "LayerRef",
@@ -105,7 +95,6 @@ __all__ = [
     "ConsistencyMatrix",
     "compute_angles",
     "rank_consistency",
-    "group_rank_table",
     "render_rank_table",
     "report_from_json",
     # planning
@@ -137,5 +126,4 @@ __all__ = [
     "grad_check",
     "run_fapft_pipeline",
     "run_plan_series",
-    "cosine_warmup_lr",
 ]

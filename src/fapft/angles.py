@@ -21,7 +21,7 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arch import ArchDescriptor, LayerRef, map_tensors
+from .arch import ArchDescriptor, map_tensors
 from .checkpoint import zip_chunks
 from .errors import (
     IncompatibleCheckpoints,
@@ -41,7 +41,6 @@ __all__ = [
     "ConsistencyMatrix",
     "compute_angles",
     "rank_consistency",
-    "group_rank_table",
     "render_rank_table",
 ]
 
@@ -75,13 +74,6 @@ class AngleReport:
     def angles_in_order(self) -> list[float]:
         """Angle values in the canonical layer order (depth-major)."""
         return [e.angle for e in self.entries]
-
-    def global_ranks(self) -> dict[str, int]:
-        """Rank over all residual layers, 1 = largest angle, ties by depth."""
-        order = sorted(
-            range(len(self.entries)), key=lambda i: (-self.entries[i].angle, i)
-        )
-        return {self.entries[i].layer_id: r + 1 for r, i in enumerate(order)}
 
     def to_json_obj(self) -> dict:
         return {
@@ -260,12 +252,9 @@ def rank_consistency(
     )
 
 
-def group_rank_table(report: AngleReport):
-    """Rows per group in (stage, category) order; within a group, depth order.
-
-    Returns a list of ``(group_id, rows)`` where each row is
-    ``(layer_id, angle, rank_in_group)``.
-    """
+def render_rank_table(report: AngleReport) -> str:
+    """Aligned text table, one section per group in (stage, category) order;
+    within a group, depth increases downward and each row gives its rank."""
     groups: dict[str, list[AngleEntry]] = {}
     for entry in report.entries:
         groups.setdefault(entry.group_id, []).append(entry)
@@ -274,25 +263,16 @@ def group_rank_table(report: AngleReport):
         stage, category = gid.split(".")
         return (int(stage[1:]), category)
 
-    table = []
-    for gid in sorted(groups, key=group_key):
-        rows = [(e.layer_id, e.angle, e.rank_in_group) for e in groups[gid]]
-        table.append((gid, rows))
-    return table
-
-
-def render_rank_table(report: AngleReport) -> str:
-    """Aligned text table: depth increases downward, rank annotated per row."""
     lines = [
         f"arch: {report.arch_id}",
         f"whole-model angle: {report.whole_model_angle:.6f} rad",
     ]
-    for gid, rows in group_rank_table(report):
+    for gid in sorted(groups, key=group_key):
         lines.append("")
         lines.append(f"group {gid}")
         lines.append(f"  {'layer':<14} {'angle(rad)':>12} {'rank':>5}")
-        for layer_id, angle, rank in rows:
-            lines.append(f"  {layer_id:<14} {angle:>12.6f} {rank:>5}")
+        for e in groups[gid]:
+            lines.append(f"  {e.layer_id:<14} {e.angle:>12.6f} {e.rank_in_group:>5}")
     if report.excluded_tensors:
         lines.append("")
         lines.append(f"excluded tensors: {', '.join(report.excluded_tensors)}")

@@ -1,4 +1,4 @@
-"""Bit-exact checkpoint reading, writing, hashing, and structural diffing.
+"""Bit-exact checkpoint reading, writing and hashing.
 
 Container layout (single file, zero-copy friendly):
 
@@ -37,7 +37,6 @@ import os
 import struct
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass, field
 from pathlib import Path
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping
@@ -50,7 +49,6 @@ from .tensors import Tensor, all_finite
 __all__ = [
     "Checkpoint",
     "CheckpointReader",
-    "DiffReport",
     "read_checkpoint",
     "read_checkpoint_metadata",
     "read_text",
@@ -60,7 +58,6 @@ __all__ = [
     "canonical_header",
     "chunk_length",
     "zip_chunks",
-    "diff_checkpoints",
 ]
 
 _READ_DTYPES = {"F16": np.dtype("<f2"), "F32": np.dtype("<f4"), "F64": np.dtype("<f8")}
@@ -569,44 +566,3 @@ def zip_chunks(*sources) -> Iterator[tuple[str, int, list]]:
         key = min(keys)
         taken = [i for i, head in enumerate(heads) if head is not None and head[:2] == key]
         yield *key, [heads[i][2] if i in taken else None for i in range(len(heads))]
-
-
-@dataclass
-class DiffReport:
-    """Structural diff of two checkpoints; the five lists partition the name union."""
-
-    only_in_a: list[str] = field(default_factory=list)
-    only_in_b: list[str] = field(default_factory=list)
-    shape_mismatch: list[tuple[str, tuple[int, ...], tuple[int, ...]]] = field(
-        default_factory=list
-    )
-    value_equal: list[str] = field(default_factory=list)
-    value_diff: list[tuple[str, float]] = field(default_factory=list)
-
-    @property
-    def identical(self) -> bool:
-        return not (
-            self.only_in_a or self.only_in_b or self.shape_mismatch or self.value_diff
-        )
-
-
-def diff_checkpoints(a: Checkpoint, b: Checkpoint) -> DiffReport:
-    """Compare tensors by name; value comparison is bitwise at storage precision."""
-    report = DiffReport()
-    names_a = set(a.tensors)
-    names_b = set(b.tensors)
-    report.only_in_a = sorted(names_a - names_b)
-    report.only_in_b = sorted(names_b - names_a)
-    for name in sorted(names_a & names_b):
-        ta = a.tensors[name]
-        tb = b.tensors[name]
-        if ta.shape != tb.shape:
-            report.shape_mismatch.append((name, ta.shape, tb.shape))
-        elif ta.bitwise_equal(tb):
-            report.value_equal.append(name)
-        else:
-            delta = np.abs(
-                ta.array.astype(np.float64) - tb.array.astype(np.float64)
-            )
-            report.value_diff.append((name, float(delta.max(initial=0.0))))
-    return report

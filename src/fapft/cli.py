@@ -27,6 +27,7 @@ from .arch import (
     manual_strategy,
     millions_str,
     plan_from_json,
+    toy_vit_arch,
 )
 from .checkpoint import (
     Checkpoint,
@@ -37,7 +38,15 @@ from .checkpoint import (
     write_atomic,
     write_checkpoint,
 )
-from .errors import FormatError, InvalidValue, IoError, PftError, UsageError, parse_json
+from .errors import (
+    FormatError,
+    IncompatibleCheckpoints,
+    InvalidValue,
+    IoError,
+    PftError,
+    UsageError,
+    parse_json,
+)
 from .model import predict
 from .planner import FapftPolicy, default_policy, plan_fapft
 from .soup import (
@@ -241,6 +250,32 @@ def _cmd_params(args):
     return obj, f"{exact}\n{millions_str(exact)}M\n"
 
 
+def _check_eval_model(config: TrainConfig, inputs, candidates) -> None:
+    """Refuse a greedy candidate that the eval config's model does not describe:
+    it must hold that model's tensors, each with its shape, and no others."""
+    d = config.arch
+    shapes = toy_vit_arch(d.depth, d.model_dim, d.heads, d.ffn_dim, d.seq_len).schema_shapes(
+        d.num_classes
+    )
+    for inp, ckpt in zip(inputs, candidates):
+        for name, shape in shapes.items():
+            tensor = ckpt.tensors.get(name)
+            if tensor is None:
+                raise IncompatibleCheckpoints(
+                    f"{inp.path}: lacks tensor {name!r} of the --eval-config model"
+                )
+            if tensor.shape != shape:
+                raise IncompatibleCheckpoints(
+                    f"{inp.path}: tensor {name!r} has shape {tensor.shape}, "
+                    f"the --eval-config model needs {shape}"
+                )
+        extra = sorted(ckpt.tensors.keys() - shapes.keys())
+        if extra:
+            raise IncompatibleCheckpoints(
+                f"{inp.path}: tensor {extra[0]!r} is not in the --eval-config model"
+            )
+
+
 def _accuracy_eval(config: TrainConfig):
     data = generate_dataset(config.dataset)
     _, _, x_val, y_val = data.task_split(config.task)
@@ -264,6 +299,7 @@ def _cmd_soup(args):
         if plans is not None:
             check_frozen(recipe, plans)
         candidates = [read_checkpoint(i.path) for i in recipe.inputs]
+        _check_eval_model(config, recipe.inputs, candidates)
         merged = greedy_soup(candidates, _accuracy_eval(config))
         input_hashes = [c.content_hash for c in candidates]
         output_hash = write_checkpoint(merged, args.out)

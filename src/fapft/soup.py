@@ -413,11 +413,12 @@ def greedy_soup(
     scores = [score(c) for c in candidates]
     order = sorted(range(len(candidates)), key=lambda i: (-scores[i], i))
     kept = [candidates[order[0]]]
-    current = score(uniform_soup_checkpoints(kept))
+    soup = uniform_soup_checkpoints(kept)
+    current = score(soup)
     for idx in order[1:]:
         trial = uniform_soup_checkpoints(kept + [candidates[idx]])
         trial_score = score(trial)
         if trial_score >= current:
             kept.append(candidates[idx])
-            current = trial_score
-    return uniform_soup_checkpoints(kept)
+            soup, current = trial, trial_score
+    return soup

@@ -362,8 +362,6 @@ def test_criterion_5_gradient_check():
 def test_criterion_6_freezing_contract(hard_pretrained):
     started = time.monotonic()
     arch = toy_arch(HARD_DIMS)
-    from fapft.checkpoint import diff_checkpoints
-
     angle_report = compute_angles(
         hard_pretrained,
         train(hard_config(seed=3), init=hard_pretrained).final_checkpoint,
@@ -380,9 +378,11 @@ def test_criterion_6_freezing_contract(hard_pretrained):
         trainable_tensors = {"head.weight", "head.bias"}
         for lid in plan.trainable_layer_ids:
             trainable_tensors.update(arch.layer_map[lid].tensors)
-        diff = diff_checkpoints(hard_pretrained, result.final_checkpoint)
-        frozen = set(hard_pretrained.tensors) - trainable_tensors
-        assert frozen <= set(diff.value_equal), plan.strategy_tag
+        final = result.final_checkpoint
+        for name in sorted(set(hard_pretrained.tensors) - trainable_tensors):
+            assert name in final.tensors and final.tensors[name].bitwise_equal(
+                hard_pretrained.tensors[name]
+            ), (plan.strategy_tag, name)
         report = compute_angles(hard_pretrained, result.final_checkpoint, arch)
         trained_layers = set(plan.trainable_layer_ids)
         for entry in report.entries:

@@ -10,7 +10,6 @@ from fapft.angles import (
     AngleEntry,
     AngleReport,
     compute_angles,
-    group_rank_table,
     rank_consistency,
     render_rank_table,
     report_from_json,
@@ -375,41 +374,73 @@ def synthetic_report(angles_by_depth, arch_id="toy_vit", group="s0.ATTN"):
     )
 
 
+def rendered_rows(report):
+    """[(group id, [(layer id, rank)])] for each group section of the rendered table."""
+    table = []
+    for line in render_rank_table(report).splitlines():
+        if line.startswith("group "):
+            table.append((line[len("group "):], []))
+        elif line.startswith("  ") and line.split()[0] != "layer":
+            layer_id, _, rank = line.split()
+            table[-1][1].append((layer_id, int(rank)))
+    return table
+
+
 class TestRanks:
     def test_rank_is_one_based_largest_first(self):
         report = synthetic_report([0.3, 0.1, 0.2])
-        rows = group_rank_table(report)[0][1]
-        assert [r[2] for r in rows] == [1, 3, 2]
+        rows = rendered_rows(report)[0][1]
+        assert rows == [("s0.b0.ATTN", 1), ("s0.b1.ATTN", 3), ("s0.b2.ATTN", 2)]
 
     def test_tie_goes_to_shallower(self):
         report = synthetic_report([0.1, 0.2, 0.05, 0.2])
-        rows = group_rank_table(report)[0][1]
+        rows = rendered_rows(report)[0][1]
         # the two 0.2 layers: depths 1 and 3, shallower ranks higher
-        assert rows[1][2] == 1
-        assert rows[3][2] == 2
+        assert rows[1][1] == 1
+        assert rows[3][1] == 2
 
     def test_singleton_group(self):
         report = synthetic_report([0.7])
-        assert group_rank_table(report)[0][1][0][2] == 1
-
-    def test_global_ranks(self):
-        report = synthetic_report([0.3, 0.1, 0.2])
-        assert report.global_ranks() == {
-            "s0.b0.ATTN": 1,
-            "s0.b1.ATTN": 3,
-            "s0.b2.ATTN": 2,
-        }
+        assert rendered_rows(report) == [("s0.ATTN", [("s0.b0.ATTN", 1)])]
 
     def test_rank_consistent_with_argsort(self, toy):
         rng = np.random.default_rng(11)
         pre = make_ckpt(toy, 5, rng)
         ft = make_ckpt(toy, 5, rng)
         report = compute_angles(pre, ft, toy)
-        for gid, rows in group_rank_table(report):
-            for (l1, a1, r1) in rows:
-                for (l2, a2, r2) in rows:
-                    if a1 > a2:
-                        assert r1 < r2
+        for e1 in report.entries:
+            for e2 in report.entries:
+                if e1.group_id == e2.group_id and e1.angle > e2.angle:
+                    assert e1.rank_in_group < e2.rank_in_group
+
+    def test_render_orders_groups_by_stage_then_category(self):
+        # stage indices sort as numbers (s2 before s10); layers keep report order
+        entries = (
+            AngleEntry("s10.b0.ATTN", "s10.ATTN", 0.5, 1),
+            AngleEntry("s2.b0.FFN", "s2.FFN", 0.25, 2),
+            AngleEntry("s2.b1.FFN", "s2.FFN", 0.75, 1),
+            AngleEntry("s2.b0.ATTN", "s2.ATTN", 0.125, 1),
+        )
+        report = AngleReport("swin_b", entries, 0.0625, "00" * 32, "11" * 32, ("head.weight",))
+        assert render_rank_table(report) == (
+            "arch: swin_b\n"
+            "whole-model angle: 0.062500 rad\n"
+            "\n"
+            "group s2.ATTN\n"
+            "  layer            angle(rad)  rank\n"
+            "  s2.b0.ATTN         0.125000     1\n"
+            "\n"
+            "group s2.FFN\n"
+            "  layer            angle(rad)  rank\n"
+            "  s2.b0.FFN          0.250000     2\n"
+            "  s2.b1.FFN          0.750000     1\n"
+            "\n"
+            "group s10.ATTN\n"
+            "  layer            angle(rad)  rank\n"
+            "  s10.b0.ATTN        0.500000     1\n"
+            "\n"
+            "excluded tensors: head.weight\n"
+        )
 
     def test_render_smoke(self, toy):
         rng = np.random.default_rng(12)

@@ -17,7 +17,6 @@ from fapft.checkpoint import (
     Checkpoint,
     CheckpointReader,
     chunk_length,
-    diff_checkpoints,
     read_checkpoint,
     read_checkpoint_metadata,
     write_checkpoint,
@@ -683,54 +682,3 @@ class TestRoundTrip:
         c1 = Checkpoint({"w": t}, {"pft.seed": "1"})
         c2 = Checkpoint({"w": t}, {"pft.seed": "2"})
         assert c1.content_hash != c2.content_hash
-
-
-class TestDiff:
-    def test_self_diff(self):
-        ckpt = random_checkpoint(np.random.default_rng(29))
-        report = diff_checkpoints(ckpt, ckpt)
-        assert report.identical
-        assert set(report.value_equal) == set(ckpt.tensors)
-
-    def test_negated_tensor(self):
-        data = np.array([1.0, -3.0, 2.0], dtype=np.float32)
-        a = Checkpoint({"w": Tensor(data), "u": Tensor([5.0])})
-        b = Checkpoint({"w": Tensor(-data), "u": Tensor([5.0])})
-        report = diff_checkpoints(a, b)
-        assert report.value_equal == ["u"]
-        assert report.value_diff == [("w", 6.0)]  # 2 * max|value|
-
-    def test_signed_zero_is_a_value_difference(self):
-        a = Checkpoint({"w": Tensor([0.0, 1.0])})
-        b = Checkpoint({"w": Tensor([-0.0, 1.0])})
-        report = diff_checkpoints(a, b)
-        assert report.value_equal == []
-        assert report.value_diff == [("w", 0.0)]
-        assert not report.identical
-
-    def test_missing_tensor(self):
-        a = Checkpoint({"w": Tensor([1.0]), "x": Tensor([2.0])})
-        b = Checkpoint({"w": Tensor([1.0])})
-        report = diff_checkpoints(a, b)
-        assert report.only_in_a == ["x"]
-        assert report.only_in_b == []
-
-    def test_shape_mismatch(self):
-        a = Checkpoint({"w": Tensor([1.0, 2.0])})
-        b = Checkpoint({"w": Tensor([[1.0], [2.0]])})
-        report = diff_checkpoints(a, b)
-        assert report.shape_mismatch == [("w", (2,), (2, 1))]
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(31)
-        a = random_checkpoint(rng)
-        b = random_checkpoint(rng)
-        report = diff_checkpoints(a, b)
-        pieces = (
-            report.only_in_a
-            + report.only_in_b
-            + [n for n, _, _ in report.shape_mismatch]
-            + report.value_equal
-            + [n for n, _ in report.value_diff]
-        )
-        assert sorted(pieces) == sorted(set(a.tensors) | set(b.tensors))

@@ -18,7 +18,8 @@ from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.schemas import COMMAND_SCHEMAS
 from fapft.soup import arch_from_checkpoint
 from fapft.tensors import Tensor
-from fapft.train import TrainConfig, train
+from fapft.model import ModelDims, init_params
+from fapft.train import SyntheticSpec, TrainConfig, generate_dataset, train
 
 CONFIG = {
     "arch": {
@@ -326,6 +327,14 @@ def _report(path=(), value=None) -> bytes:
     return json.dumps(obj).encode()
 
 
+def _small_config(**arch) -> bytes:
+    """A train config of the SMALL_DIMS model with two classes, with ``arch``'s changes."""
+    dims = {**SMALL_DIMS, "num_classes": 2, **arch}
+    dataset = {**CONFIG["dataset"], "num_classes": dims["num_classes"],
+               "seq_len": dims["seq_len"], "feature_dim": dims["model_dim"]}
+    return json.dumps({**CONFIG, "arch": dims, "dataset": dataset}).encode()
+
+
 def _greedy_planned(changed: str) -> dict:
     """A greedy recipe of two runs that share a plan freezing the FFN layers
     (strategy B), with its eval config; the second run changed tensor ``changed``."""
@@ -335,15 +344,25 @@ def _greedy_planned(changed: str) -> dict:
     recipe = {"mode": "greedy", "base": "base.ckpt",
               "inputs": [{"path": "r1.ckpt", "plan": "p.json"},
                          {"path": "r2.ckpt", "plan": "p.json"}]}
-    config = {**CONFIG, "arch": {**SMALL_DIMS, "num_classes": 2},
-              "dataset": {**CONFIG["dataset"], "num_classes": 2, "seq_len": 2, "feature_dim": 4}}
     return {
         "base.ckpt": base.canonical_bytes(),
         "r1.ckpt": base.canonical_bytes(),
         "r2.ckpt": Checkpoint(changed, SMALL_META).canonical_bytes(),
         "p.json": _plan(),
         "r.json": json.dumps(recipe).encode(),
-        "c.json": json.dumps(config).encode(),
+        "c.json": _small_config(),
+    }
+
+
+def _greedy_scored_by(**arch) -> dict:
+    """A greedy recipe of two SMALL_DIMS runs with two classes, and an eval
+    config whose model differs from theirs by ``arch``."""
+    recipe = {"mode": "greedy", "inputs": [{"path": "r1.ckpt"}, {"path": "r2.ckpt"}]}
+    return {
+        "r1.ckpt": _small_ckpt(1).canonical_bytes(),
+        "r2.ckpt": _small_ckpt(2).canonical_bytes(),
+        "r.json": json.dumps(recipe).encode(),
+        "c.json": _small_config(**arch),
     }
 
 
@@ -351,6 +370,7 @@ SMALL_ARCH = ["--arch", "toy_vit", "--dims", json.dumps(SMALL_DIMS)]
 SMALL_PARAMS = ["params", *SMALL_ARCH, "--classes", "2"]
 SMALL_PLAN = ["plan", *SMALL_ARCH, "--difficulty", "easy"]
 POSITIVE = "argument --{}: must be a positive finite number"
+GREEDY_SMALL = ["soup", "--recipe", "@r.json", "--eval-config", "@c.json", "--out", "@s.ckpt"]
 ANGLES_TOY = ["angles", "--pre", "@pre.ckpt", "--ft", "@ft.ckpt", "--arch", "toy_vit",
               "--out", "@a.json"]
 
@@ -452,6 +472,14 @@ BAD_INPUTS = [
      ["soup", "--recipe", "@r.json", "--eval-config", "@c.json", "--out", "@s.ckpt"],
      _greedy_planned("blocks.0.mlp.fc1.weight"), 2,
      "r2.ckpt: frozen tensor 'blocks.0.mlp.fc1.weight' differs from the base"),
+    # a greedy soup's candidates are scored by the eval config's model, so they
+    # must hold its tensors: a wider head would score labels the runs never had
+    ("soup_greedy_eval_config_more_classes", GREEDY_SMALL, _greedy_scored_by(num_classes=3), 2,
+     "r1.ckpt: tensor 'head.weight' has shape (2, 4), the --eval-config model needs (3, 4)"),
+    ("soup_greedy_eval_config_deeper", GREEDY_SMALL, _greedy_scored_by(depth=2), 2,
+     "r1.ckpt: lacks tensor 'blocks.1.norm1.weight' of the --eval-config model"),
+    ("soup_greedy_eval_config_shallower", GREEDY_SMALL, _greedy_scored_by(depth=0), 2,
+     "r1.ckpt: tensor 'blocks.0.attn.proj.bias' is not in the --eval-config model"),
     # top-k values are checked before any training, so no artifact is left behind
     ("pipeline_series_exceeds_depth",
      ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--series", "1,5",
@@ -934,6 +962,50 @@ class TestSoupCommand:
         assert sorted(os.listdir(tmp_path)) == [
             "a.ckpt", "a.ckpt.manifest.json", "b.ckpt", "recipe.json",
         ]
+
+    def test_greedy_soup_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
+        # five runs that differ only in the head: four heads are the task's
+        # class centers plus noise, and the middle run's head is louder noise,
+        # which lowers the soup's accuracy, so greedy rejects it
+        dims = ModelDims(**CONFIG["arch"])
+        shared = init_params(dims, np.random.default_rng(5))
+        centers = generate_dataset(SyntheticSpec(**CONFIG["dataset"])).shifted_centers
+        rng = np.random.default_rng(6)
+        heads = [centers + 2.0 * rng.normal(size=centers.shape) for _ in range(4)]
+        heads.insert(2, 20.0 * rng.normal(size=centers.shape))
+        meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(CONFIG["arch"])}
+        for i, head in enumerate(heads):
+            write_checkpoint(Checkpoint({**shared, "head.weight": head}, meta), tmp_path / f"r{i}.ckpt")
+        recipe = {"mode": "greedy", "inputs": [{"path": f"r{i}.ckpt"} for i in range(5)]}
+        (tmp_path / "r.json").write_text(json.dumps(recipe))
+        (tmp_path / "c.json").write_text(json.dumps(CONFIG))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "soup", "--recipe", "r.json", "--eval-config", "c.json",
+                                 "--out", "s.ckpt", "--json")
+        assert code == 0, err
+        hashes = [
+            "c363cc4337d855ba24b90f5809e58eca4fd1fbd6ba298a4f2c7bee006982390e",
+            "15525fc361fb8ff8a3f304fd1ccbdfa059f8e654d2aec3c9d1f1c3a0ffe690ed",
+            "9ef05cc9ea3204a67474aad162f0e8fb7c9a2ebb66033f3f59bd161446c95497",
+            "29c5c3917f2067b9681db59a0c3e4bd8eb6e7e74bded454d75767eed5786c15a",
+            "f1aae8e835b3daf4b96e1b3dd3866ca82447a80413a025354ec4b54849103a66",
+        ]
+        output_hash = "caed197e7c0b03128dcf8b7cd91ad36c683f47ab3fc1918ca23ec72bb62d828d"
+        assert json.loads(out) == {
+            "mode": "greedy",
+            "output_hash": output_hash,
+            "inputs": [
+                {"path": f"r{i}.ckpt", "hash": h, "weight": 1.0} for i, h in enumerate(hashes)
+            ],
+            "param_total": None,
+            "param_total_display": None,
+            "classes": None,
+        }
+        soup = read_checkpoint("s.ckpt")
+        assert soup.content_hash == output_hash
+        # the kept runs, best own accuracy first; the noise head r2 is not among them
+        kept = [i["hash"] for i in json.loads(soup.metadata["pft.soup_inputs"])]
+        assert kept == [hashes[i] for i in (1, 3, 4, 0)]
 
 
 class TestPlannedSoup:

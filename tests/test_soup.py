@@ -449,6 +449,19 @@ class TestGreedy:
         expected = uniform_soup_checkpoints(good)
         assert out.tensors["w"].bitwise_equal(expected.tensors["w"])
 
+    def test_returns_a_soup_it_scored(self):
+        # the kept soup was merged and scored already; it is not merged again
+        rng = np.random.default_rng(9)
+        ckpts = [simple_ckpt({"w": rng.normal(size=8)}) for _ in range(4)]
+        scored = []
+
+        def evaluate(c):
+            scored.append(c)
+            return -float(np.abs(c.tensors["w"].array).sum())
+
+        out = greedy_soup(ckpts, evaluate)
+        assert any(out is c for c in scored[len(ckpts):])
+
     def test_eval_failure_wrapped(self):
         def broken(c):
             raise RuntimeError("no data")
