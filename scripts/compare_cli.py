@@ -3,12 +3,13 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 54 invocations of all ten subcommands, in text and
+checkouts) runs the same 56 invocations of all ten subcommands, in text and
 ``--json`` mode, with ``--out`` where a command takes it, a ``grad-check``
-that passes and one that fails, a usage error, a missing file, and a data
-error for each kind of JSON input (train config, dataset spec, recipe, plan
-and angle report, each holding a value of the wrong type), each command in
-its own process and working directory. Stdout, stderr (with timings
+that passes and one that fails, a usage error, a missing file, a data error
+for each kind of JSON input (train config, dataset spec, recipe, plan and
+angle report, each holding a value of the wrong type), and a greedy soup
+refused for a run that changed a frozen layer, each command in its own
+process and working directory. Stdout, stderr (with timings
 masked), exit codes and the bytes of every file left behind must be equal.
 Exit status 0 means identical, 1 lists the differences. One tree takes about
 ten seconds on two CPUs.
@@ -51,6 +52,10 @@ INPUTS = {
                     "inputs": [{"path": "ft_text/run.ckpt"}, {"path": "ftp_text/run.ckpt"}]},
     # recipe.json's runs, merged greedily: the frozen-layer check runs first
     "greedy_planned.json": {**RECIPE, "mode": "greedy"},
+    # the same check refuses a full fine-tune, which changed the frozen layers
+    "greedy_frozen_changed.json": {
+        **RECIPE, "mode": "greedy",
+        "inputs": [RECIPE["inputs"][0], {"path": "ft_text/run.ckpt", "plan": "plan_text.json"}]},
     # one value of the wrong type in each kind of JSON input
     "bad_config.json": {**CONFIG, "seed": "7"},
     "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
@@ -94,6 +99,8 @@ def _commands(mode: str, j: list):
            "--classes", "4", "--out", f"soupg_{mode}.ckpt", *j]
     yield ["soup", "--recipe", "greedy_planned.json", "--eval-config", "config.json",
            "--classes", "4", "--out", f"soupgp_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "greedy_frozen_changed.json", "--eval-config", "config.json",
+           "--out", f"soupgf_{mode}.ckpt", *j]
     yield ["pipeline", "--config", "config.json", "--difficulty", "easy",
            "--series", "1,2", "--out", f"pipe_{mode}", *j]
     yield ["pipeline", "--config", "config.json", "--difficulty", "challenging",

@@ -52,8 +52,8 @@ from .planner import FapftPolicy, default_policy, plan_fapft
 from .soup import (
     SoupRecipe,
     arch_from_checkpoint,
-    check_frozen,
     greedy_soup,
+    read_inputs,
     soup_manifest,
     uniform_soup,
 )
@@ -296,9 +296,7 @@ def _cmd_soup(args):
             raise UsageError("greedy recipes need --eval-config for held-out accuracy")
         config = TrainConfig.from_json(read_text(args.eval_config))
         plans = recipe.plans()
-        if plans is not None:
-            check_frozen(recipe, plans)
-        candidates = [read_checkpoint(i.path) for i in recipe.inputs]
+        candidates = read_inputs(recipe, plans)
         _check_eval_model(config, recipe.inputs, candidates)
         merged = greedy_soup(candidates, _accuracy_eval(config))
         input_hashes = [c.content_hash for c in candidates]

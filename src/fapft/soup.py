@@ -37,6 +37,7 @@ from .checkpoint import (
     CheckpointReader,
     canonical_header,
     chunk_length,
+    read_checkpoint,
     read_checkpoint_metadata,
     read_text,
     write_all,
@@ -63,7 +64,7 @@ __all__ = [
     "soup_param_total",
     "soup_manifest",
     "arch_from_checkpoint",
-    "check_frozen",
+    "read_inputs",
 ]
 
 
@@ -189,14 +190,14 @@ def _mean_of_equal(arrays: Sequence[np.ndarray], out: np.ndarray | None = None) 
     return np.add(arrays[0], np.float32(0), out=out) if len(arrays) > 1 else arrays[0]
 
 
-def _merged(inputs, weights, base=None, frozen=frozenset()):
+def _merged(inputs, weights, base=None, frozen=frozenset(), paths=()):
     """(name, start, mean) for every chunk of ``inputs`` (checked compatible),
     in name and offset order, taking one chunk of each input at a time. With
     ``base`` (its ``frozen`` shapes checked by :func:`_frozen_names`), the
     inputs' tensors named in ``frozen`` must equal the base's bitwise,
     and every base tensor is read, and so validated, on the way; a mismatch
-    is raised once the tensor's last chunk is taken, naming the first input
-    that differs anywhere in it.
+    is raised once the tensor's last chunk is taken, naming the path (in
+    ``paths``) of the first input that differs anywhere in it.
 
     With every weight 1.0, a chunk that no input changed is copied
     (:func:`_mean_of_equal`); any other chunk is averaged in float64. A mean
@@ -225,7 +226,7 @@ def _merged(inputs, weights, base=None, frozen=frozenset()):
                 )
                 if differs < len(inputs) and start + chunks[0].size == sizes[name]:
                     raise IncompatibleCheckpoints(
-                        f"{inputs[differs].path}: frozen tensor {name!r} differs from the base"
+                        f"{paths[differs]}: frozen tensor {name!r} differs from the base"
                     )
         mean = out[: chunks[0].size]
         if unit and (name in frozen or all(bits_equal(c, chunks[0], mask) for c in chunks[1:])):
@@ -284,8 +285,9 @@ def uniform_soup(
         base = None
         if plans is not None:
             base = stack.enter_context(CheckpointReader(recipe.base, hashed=False))
-        inputs = [stack.enter_context(CheckpointReader(i.path)) for i in recipe.inputs]
-        frozen = _frozen_names(base, plans, inputs) if base is not None else frozenset()
+        paths = [i.path for i in recipe.inputs]
+        inputs = [stack.enter_context(CheckpointReader(path)) for path in paths]
+        frozen = _frozen_names(base, plans, inputs, paths) if base is not None else frozenset()
         shapes = _check_compatible(inputs)
         # the header goes in last, once the input hashes are known; each is 64
         # hex digits, so its length is known now
@@ -293,7 +295,7 @@ def uniform_soup(
         header_len = len(canonical_header(shapes.items(), _soup_metadata(inputs, weights, unknown)))
         with write_atomic(out) as fh:
             fh.seek(header_len)
-            for _, _, mean in _merged(inputs, weights, base, frozen):
+            for _, _, mean in _merged(inputs, weights, base, frozen, paths):
                 write_all(fh, mean)
             hashes = [inp.content_hash for inp in inputs]
             header = canonical_header(shapes.items(), _soup_metadata(inputs, weights, hashes))
@@ -305,17 +307,18 @@ def uniform_soup(
     return output_hash, hashes
 
 
-def check_frozen(recipe: SoupRecipe, plans: Sequence[FreezePlan]) -> None:
-    """Raise what :func:`uniform_soup` raises when an input lacks, reshaped or
-    changed a tensor of a layer that no plan trains. A greedy soup merges in
-    memory, so it checks its recipe here first."""
-    with ExitStack() as stack:
-        base = stack.enter_context(CheckpointReader(recipe.base, hashed=False))
-        inputs = [stack.enter_context(CheckpointReader(i.path, hashed=False)) for i in recipe.inputs]
-        frozen = _frozen_names(base, plans, inputs)
-        _check_compatible(inputs)
-        for _ in _merged(inputs, [1.0] * len(inputs), base, frozen):
-            pass  # the merge compares as it goes; its means are not needed
+def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[Checkpoint]:
+    """Every input of ``recipe``, each file read once. With ``plans`` (the
+    recipe's own), the inputs must pass :func:`uniform_soup`'s frozen-layer check."""
+    paths = [i.path for i in recipe.inputs]
+    inputs = [read_checkpoint(path) for path in paths]
+    if plans is not None:
+        with CheckpointReader(recipe.base, hashed=False) as base:
+            frozen = _frozen_names(base, plans, inputs, paths)
+            _check_compatible(inputs)
+            for _ in _merged(inputs, [1.0] * len(inputs), base, frozen, paths):
+                pass  # the merge compares as it goes; its means are not needed
+    return inputs
 
 
 # bytes per read when the written soup is hashed back: 256 KB
@@ -330,9 +333,9 @@ def _sha256_file(fh) -> str:
     return digest.hexdigest()
 
 
-def _frozen_names(base, plans: Sequence[FreezePlan], inputs) -> frozenset[str]:
+def _frozen_names(base, plans: Sequence[FreezePlan], inputs, paths) -> frozenset[str]:
     """The tensors of the layers that no plan trains, after checking that the
-    base and every input have them, with one shape.
+    base and every input (at ``paths``) have them, with one shape.
 
     Chunks are flat, so the shapes are compared here: the same bytes under
     another shape are another tensor."""
@@ -342,13 +345,13 @@ def _frozen_names(base, plans: Sequence[FreezePlan], inputs) -> frozenset[str]:
     for name in frozen:
         if name not in base.shapes:
             raise IncompatibleCheckpoints(f"base checkpoint lacks tensor {name!r}")
-    for inp in inputs:
+    for path, inp in zip(paths, inputs):
         for name in frozen:
             if name not in inp.shapes:
-                raise IncompatibleCheckpoints(f"{inp.path}: lacks frozen tensor {name!r}")
+                raise IncompatibleCheckpoints(f"{path}: lacks frozen tensor {name!r}")
             if inp.shapes[name] != base.shapes[name]:
                 raise IncompatibleCheckpoints(
-                    f"{inp.path}: frozen tensor {name!r} differs from the base"
+                    f"{path}: frozen tensor {name!r} differs from the base"
                 )
     return frozenset(frozen)
 

@@ -236,6 +236,11 @@ class TrainConfig:
             raise InvalidValue("dataset feature_dim must equal model_dim")
         if self.dataset.seq_len != self.arch.seq_len:
             raise InvalidValue("dataset seq_len must equal the model seq_len")
+        if self.dataset.num_classes > self.arch.num_classes:
+            raise InvalidValue("dataset num_classes must be <= the model num_classes")
+        # the 80/20 split needs 2 samples to leave one for training and one for validation
+        if self.dataset.num_classes * self.dataset.samples_per_class < 2:
+            raise InvalidValue("dataset must hold at least 2 samples per task")
 
     def descriptor(self) -> ArchDescriptor:
         dims = self.arch.to_dict()
@@ -597,6 +602,8 @@ def grad_check(
             numeric = (plus - minus) / (2.0 * step_size)
             analytic = float(grads[name].ravel()[coord])
             rel = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-6)
+            if not math.isfinite(rel):  # max() would keep worst over a NaN
+                raise DivergenceError(f"grad_check: {name} has a non-finite gradient error")
             worst = max(worst, rel)
         per_tensor[name] = worst
     worst_tensor = max(per_tensor, key=lambda n: per_tensor[n])

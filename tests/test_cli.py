@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import fapft
 from fapft.angles import compute_angles, render_rank_table
 from fapft.arch import describe_arch, manual_strategy
+from fapft import checkpoint
 from fapft.cli import main
 from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.schemas import COMMAND_SCHEMAS
@@ -366,6 +367,14 @@ def _greedy_scored_by(**arch) -> dict:
     }
 
 
+def _greedy_scored_on(**dataset) -> dict:
+    """:func:`_greedy_scored_by`'s recipe, with an eval config of the runs'
+    model whose dataset has ``dataset``'s changes."""
+    config = json.loads(_small_config())
+    config["dataset"].update(dataset)
+    return {**_greedy_scored_by(), "c.json": json.dumps(config).encode()}
+
+
 SMALL_ARCH = ["--arch", "toy_vit", "--dims", json.dumps(SMALL_DIMS)]
 SMALL_PARAMS = ["params", *SMALL_ARCH, "--classes", "2"]
 SMALL_PLAN = ["plan", *SMALL_ARCH, "--difficulty", "easy"]
@@ -497,6 +506,19 @@ BAD_INPUTS = [
     ("train_config_float_count", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("dataset", samples_per_class=1.5)}, 2,
      "samples_per_class must be an int"),
+    # a label the head has no output for, and a task too small to split 80/20
+    ("train_config_more_classes_than_head", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("dataset", num_classes=8)}, 2,
+     "invalid train config: dataset num_classes must be <= the model num_classes"),
+    ("soup_greedy_eval_config_more_classes_than_head", GREEDY_SMALL,
+     _greedy_scored_on(num_classes=3), 2,
+     "invalid train config: dataset num_classes must be <= the model num_classes"),
+    ("train_config_one_sample", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("dataset", num_classes=1, samples_per_class=1)}, 2,
+     "invalid train config: dataset must hold at least 2 samples per task"),
+    ("grad_check_one_sample", ["grad-check", "--config", "@c.json", "--out", "@g.json"],
+     {"c.json": _config("dataset", num_classes=1, samples_per_class=1)}, 2,
+     "invalid train config: dataset must hold at least 2 samples per task"),
     ("train_config_float_depth", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("arch", depth=2.0)}, 2, "depth must be an int"),
     ("train_config_float_epochs", ["train", "--config", "@c.json", "--out", "@out"],
@@ -1008,6 +1030,35 @@ class TestSoupCommand:
         assert kept == [hashes[i] for i in (1, 3, 4, 0)]
 
 
+def _planned_head_runs(root: Path, changed: str | None = None) -> None:
+    """The five runs of ``test_greedy_soup_bytes_are_pinned`` in ``root``,
+    as a greedy recipe ``r.json`` whose runs share a base and a plan that
+    freezes the FFN layers (strategy B), with the eval config ``c.json``.
+    With ``changed``, the noise-head run r2 also moved that tensor off the base."""
+    dims = ModelDims(**CONFIG["arch"])
+    shared = init_params(dims, np.random.default_rng(5))
+    centers = generate_dataset(SyntheticSpec(**CONFIG["dataset"])).shifted_centers
+    rng = np.random.default_rng(6)
+    heads = [centers + 2.0 * rng.normal(size=centers.shape) for _ in range(4)]
+    heads.insert(2, 20.0 * rng.normal(size=centers.shape))
+    meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(CONFIG["arch"])}
+    write_checkpoint(Checkpoint(shared, meta), root / "base.ckpt")
+    for i, head in enumerate(heads):
+        run = {**shared, "head.weight": head}
+        if changed is not None and i == 2:
+            run[changed] = shared[changed] + 1.0
+        write_checkpoint(Checkpoint(run, meta), root / f"r{i}.ckpt")
+    arch = TrainConfig.from_json(json.dumps(CONFIG)).descriptor()
+    (root / "p.json").write_text(manual_strategy(arch, "B").to_json_text())
+    inputs = [{"path": f"r{i}.ckpt", "plan": "p.json"} for i in range(5)]
+    (root / "r.json").write_text(json.dumps({"mode": "greedy", "base": "base.ckpt",
+                                             "inputs": inputs}))
+    (root / "c.json").write_text(json.dumps(CONFIG))
+
+
+GREEDY_HEADS = ["soup", "--recipe", "r.json", "--eval-config", "c.json", "--out", "s.ckpt"]
+
+
 class TestPlannedSoup:
     def test_manifest_param_totals(self, capsys, workdir, tmp_path):
         from dataclasses import replace
@@ -1091,6 +1142,46 @@ class TestPlannedSoup:
         assert code == 0, err
         plan = manual_strategy(describe_arch("toy_vit", **SMALL_DIMS), "B")
         assert json.loads(out)["param_total"] == 2 * plan.trainable_param_count(2)
+
+    def test_greedy_with_plans_reads_each_input_once(self, capsys, tmp_path, monkeypatch):
+        _planned_head_runs(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        opened = []
+        real_open = checkpoint._open
+
+        def counted_open(path):
+            opened.append(path)
+            return real_open(path)
+
+        monkeypatch.setattr(checkpoint, "_open", counted_open)
+        code, out, err = run_cli(capsys, *GREEDY_HEADS, "--json")
+        assert code == 0, err
+        assert [opened.count(f"r{i}.ckpt") for i in range(5)] == [1] * 5
+        # the frozen-layer check changes no bit: this is the pinned soup
+        assert json.loads(out)["output_hash"] == (
+            "caed197e7c0b03128dcf8b7cd91ad36c683f47ab3fc1918ca23ec72bb62d828d"
+        )
+
+    def test_greedy_refuses_a_changed_frozen_layer_it_would_reject(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        _planned_head_runs(tmp_path, changed="blocks.0.mlp.fc1.weight")
+        monkeypatch.chdir(tmp_path)
+        # without plans, greedy rejects r2, whose head is noise
+        recipe = json.loads(Path("r.json").read_text())
+        plain = {"mode": "greedy", "inputs": [{"path": i["path"]} for i in recipe["inputs"]]}
+        Path("plain.json").write_text(json.dumps(plain))
+        code, _, err = run_cli(capsys, "soup", "--recipe", "plain.json", "--eval-config",
+                               "c.json", "--out", "plain.ckpt")
+        assert code == 0, err
+        kept = json.loads(read_checkpoint("plain.ckpt").metadata["pft.soup_inputs"])
+        assert len(kept) == 4
+        assert read_checkpoint("r2.ckpt").content_hash not in {i["hash"] for i in kept}
+        # with plans, its frozen layer is checked all the same
+        code, _, err = run_cli(capsys, *GREEDY_HEADS)
+        assert code == 2
+        assert "r2.ckpt: frozen tensor 'blocks.0.mlp.fc1.weight' differs from the base" in err
+        assert not Path("s.ckpt").exists()
 
     def test_greedy_without_eval_config_is_usage_error(self, capsys, workdir, tmp_path):
         recipe_path = tmp_path / "recipe.json"

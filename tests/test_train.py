@@ -191,6 +191,22 @@ class TestGradCheck:
         assert result.max_rel_error > 1e-3
         assert result.worst_tensor == target
 
+    def test_nan_gradient_is_a_divergence(self, monkeypatch):
+        # max() keeps the worst error so far over a NaN one, so a NaN must raise
+        module = importlib.import_module("fapft.train")
+        exact = module.loss_and_grads
+
+        def nan_head_bias(*args):
+            loss, grads = exact(*args)
+            if "head.bias" in grads:
+                grads["head.bias"] = np.full_like(grads["head.bias"], np.nan)
+            return loss, grads
+
+        monkeypatch.setattr(module, "loss_and_grads", nan_head_bias)
+        cfg = config(schedule=ScheduleConfig(epochs=1, warmup_epochs=0, batch_size=8))
+        with pytest.raises(DivergenceError, match="head.bias"):
+            grad_check(cfg, samples=200)
+
     def test_rejects_large_dims(self):
         dims = ModelDims(depth=3, model_dim=16, heads=2, ffn_dim=32, seq_len=4, num_classes=4)
         spec = replace(SPEC, feature_dim=16)
