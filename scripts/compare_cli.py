@@ -3,16 +3,16 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 56 invocations of all ten subcommands, in text and
-``--json`` mode, with ``--out`` where a command takes it, a ``grad-check``
-that passes and one that fails, a usage error, a missing file, a data error
-for each kind of JSON input (train config, dataset spec, recipe, plan and
-angle report, each holding a value of the wrong type), and a greedy soup
-refused for a run that changed a frozen layer, each command in its own
-process and working directory. Stdout, stderr (with timings
-masked), exit codes and the bytes of every file left behind must be equal.
-Exit status 0 means identical, 1 lists the differences. One tree takes about
-ten seconds on two CPUs.
+checkouts) runs the same 60 invocations of all ten subcommands, in text and
+``--json`` mode, with ``--out`` where a command takes it, two plans of the
+four-stage ``swin_b``, a ``grad-check`` that passes and one that fails, a
+usage error, a missing file, a data error for each kind of JSON input (train
+config, dataset spec, recipe, plan and angle report, each holding a value of
+the wrong type), and a greedy soup refused for a run that changed a frozen
+layer, each command in its own process and working directory. Stdout, stderr
+(with timings masked), exit codes and the bytes of every file left behind must
+be equal. Exit status 0 means identical, 1 lists the differences. One tree
+takes about ten seconds on two CPUs.
 """
 
 import hashlib
@@ -91,6 +91,8 @@ def _commands(mode: str, j: list):
     yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "plan_text.json",
            "--classes", "4", "--out", f"params_{mode}.json", *j]
     yield ["params", "--arch", "vit_b16", "--strategy", "attn_only", "--classes", "1000", *j]
+    yield ["params", "--arch", "swin_b", "--strategy", "D", "--classes", "1000", *j]
+    yield ["params", "--arch", "swin_b", "--strategy", "linear_probe", "--classes", "100", *j]
     yield ["soup", "--recipe", "recipe.json", "--classes", "4",
            "--out", f"soup_{mode}.ckpt", *j]
     yield ["soup", "--recipe", "recipe_plain.json", "--out", f"soupp_{mode}.ckpt",

@@ -214,9 +214,7 @@ class ConsistencyMatrix:
         }
 
 
-def rank_consistency(
-    reports: list[AngleReport], ids: list[str] | None = None
-) -> ConsistencyMatrix:
+def rank_consistency(reports: list[AngleReport]) -> ConsistencyMatrix:
     """Pairwise tau-b over angle values in canonical layer order, plus their mean.
 
     Correlations are computed on raw angle values rather than pre-binned
@@ -231,10 +229,6 @@ def rank_consistency(
     layer_orders = {tuple(e.layer_id for e in r.entries) for r in reports}
     if len(layer_orders) != 1:
         raise IncompatibleReports("reports disagree on the layer inventory")
-    if ids is None:
-        ids = [r.finetuned_hash[:12] for r in reports]
-    elif len(ids) != len(reports):
-        raise InvalidValue("one id per report required")
 
     vectors = [r.angles_in_order() for r in reports]
     n = len(reports)
@@ -246,7 +240,7 @@ def rank_consistency(
             tau[i][j] = tau[j][i] = t
             off_diagonal.append(t)
     return ConsistencyMatrix(
-        report_ids=tuple(ids),
+        report_ids=tuple(r.finetuned_hash[:12] for r in reports),
         tau=tuple(tuple(row) for row in tau),
         mean_tau=sum(off_diagonal) / len(off_diagonal),
     )

@@ -68,9 +68,11 @@ def _numel(shape: Sequence[int]) -> int:
 
 @dataclass(frozen=True)
 class StageSpec:
-    """Dimensions of one stage: block count plus per-block widths."""
+    """Dimensions of one stage: block count plus per-block widths. The tensor
+    names of block ``b`` start with ``f"{prefix}.{b}"``."""
 
     index: int
+    prefix: str
     blocks: int
     dim: int
     heads: int
@@ -102,19 +104,12 @@ class LayerRef:
 
 @dataclass(frozen=True)
 class HomogeneousGroup:
-    """Layers of one (stage, category) sharing structure and parameter count."""
+    """Layers of one (stage, category), built from one ``StageSpec`` and so
+    sharing structure and parameter count."""
 
     stage: int
     category: str
     members: tuple[LayerRef, ...]
-
-    def __post_init__(self):
-        counts = {m.param_count for m in self.members}
-        shapes = {tuple(sorted(m.tensors.values())) for m in self.members}
-        if len(counts) != 1 or len(shapes) != 1:
-            raise InvalidValue(
-                f"group s{self.stage}.{self.category} is not homogeneous"
-            )
 
     @property
     def group_id(self) -> str:
@@ -163,29 +158,28 @@ class ArchDescriptor:
         self,
         arch_id: str,
         stages: Sequence[StageSpec],
-        layers: Sequence[LayerRef],
         non_residual: Mapping[str, tuple[int, ...]],
         head_feature_dim: int,
         dims: Mapping[str, int] | None = None,
     ):
         self.arch_id = arch_id
         self.stages = tuple(stages)
-        self.layers = tuple(sorted(layers, key=lambda l: l.depth_key))
         self.non_residual = dict(non_residual)
         self.head_feature_dim = head_feature_dim
         self.dims = dict(dims or {})
-        self.layer_map: dict[str, LayerRef] = {l.layer_id: l for l in self.layers}
-        groups = []
-        for stage in self.stages:
-            for category in _CATEGORIES:
-                members = tuple(
-                    l
-                    for l in self.layers
-                    if l.stage == stage.index and l.category == category
-                )
-                if members:
-                    groups.append(HomogeneousGroup(stage.index, category, members))
+        layers, groups = [], []
+        for stage in self.stages:  # depth order; a stage of no blocks has no groups
+            blocks = [
+                (LayerRef(stage.index, b, ATTN, _attn_tensors(f"{stage.prefix}.{b}", stage)),
+                 LayerRef(stage.index, b, FFN, _ffn_tensors(f"{stage.prefix}.{b}", stage)))
+                for b in range(stage.blocks)
+            ]
+            layers.extend(layer for block in blocks for layer in block)
+            groups.extend(HomogeneousGroup(stage.index, category, members)
+                          for category, members in zip(_CATEGORIES, zip(*blocks)))
+        self.layers = tuple(layers)
         self.groups: tuple[HomogeneousGroup, ...] = tuple(groups)
+        self.layer_map: dict[str, LayerRef] = {l.layer_id: l for l in self.layers}
         self._owner: dict[str, LayerRef | str] = {}
         for layer in self.layers:
             for name in layer.tensors:
@@ -242,12 +236,7 @@ class ArchDescriptor:
 
 
 def _build_vit_b16() -> ArchDescriptor:
-    stage = StageSpec(index=0, blocks=12, dim=768, heads=12, ffn_dim=3072)
-    layers = []
-    for b in range(stage.blocks):
-        prefix = f"blocks.{b}"
-        layers.append(LayerRef(0, b, ATTN, _attn_tensors(prefix, stage)))
-        layers.append(LayerRef(0, b, FFN, _ffn_tensors(prefix, stage)))
+    stage = StageSpec(index=0, prefix="blocks", blocks=12, dim=768, heads=12, ffn_dim=3072)
     tokens = (224 // 16) ** 2 + 1  # patches + class token
     non_residual = {
         "patch_embed.proj.weight": (768, 3, 16, 16),
@@ -257,7 +246,7 @@ def _build_vit_b16() -> ArchDescriptor:
         "norm.weight": (768,),
         "norm.bias": (768,),
     }
-    return ArchDescriptor("vit_b16", [stage], layers, non_residual, 768)
+    return ArchDescriptor("vit_b16", [stage], non_residual, 768)
 
 
 def _build_swin_b() -> ArchDescriptor:
@@ -266,6 +255,7 @@ def _build_swin_b() -> ArchDescriptor:
     stages = [
         StageSpec(
             index=s,
+            prefix=f"stages.{s}.blocks",
             blocks=depths[s],
             dim=128 * 2**s,
             heads=heads[s],
@@ -274,12 +264,6 @@ def _build_swin_b() -> ArchDescriptor:
         )
         for s in range(4)
     ]
-    layers = []
-    for stage in stages:
-        for b in range(stage.blocks):
-            prefix = f"stages.{stage.index}.blocks.{b}"
-            layers.append(LayerRef(stage.index, b, ATTN, _attn_tensors(prefix, stage)))
-            layers.append(LayerRef(stage.index, b, FFN, _ffn_tensors(prefix, stage)))
     non_residual: dict[str, tuple[int, ...]] = {
         "patch_embed.proj.weight": (128, 3, 4, 4),
         "patch_embed.proj.bias": (128,),
@@ -293,7 +277,7 @@ def _build_swin_b() -> ArchDescriptor:
         non_residual[f"stages.{s}.downsample.reduction.weight"] = (2 * d, 4 * d)
     non_residual["norm.weight"] = (1024,)
     non_residual["norm.bias"] = (1024,)
-    return ArchDescriptor("swin_b", stages, layers, non_residual, 1024)
+    return ArchDescriptor("swin_b", stages, non_residual, 1024)
 
 
 _TOY_DEFAULTS = {"depth": 4, "model_dim": 32, "heads": 4, "seq_len": 8}  # ffn_dim: 4 * model_dim
@@ -325,12 +309,8 @@ def toy_vit_arch(
     :mod:`fapft.model`. Depth 0, a head-only model, is allowed here for the
     model's sake; :func:`describe_arch` asks for at least one block.
     """
-    stage = StageSpec(index=0, blocks=depth, dim=model_dim, heads=heads, ffn_dim=ffn_dim)
-    layers = []
-    for b in range(stage.blocks):
-        prefix = f"blocks.{b}"
-        layers.append(LayerRef(0, b, ATTN, _attn_tensors(prefix, stage)))
-        layers.append(LayerRef(0, b, FFN, _ffn_tensors(prefix, stage)))
+    stage = StageSpec(index=0, prefix="blocks", blocks=depth, dim=model_dim, heads=heads,
+                      ffn_dim=ffn_dim)
     non_residual = {
         "pos_embed": (seq_len, model_dim),
         "norm.weight": (model_dim,),
@@ -340,7 +320,7 @@ def toy_vit_arch(
         "depth": depth, "model_dim": model_dim, "heads": heads,
         "ffn_dim": ffn_dim, "seq_len": seq_len,
     }
-    return ArchDescriptor("toy_vit", [stage], layers, non_residual, model_dim, dims)
+    return ArchDescriptor("toy_vit", [stage], non_residual, model_dim, dims)
 
 
 def describe_arch(arch_id: str, /, **dims) -> ArchDescriptor:
@@ -432,16 +412,10 @@ def _make_plan(
     non_residual_trainable: bool = False,
     policy: Mapping[str, object] | None = None,
 ) -> FreezePlan:
-    ordered = tuple(sorted(layers, key=lambda l: l.depth_key))
-    seen = set()
-    for layer in ordered:
-        if layer.layer_id in seen:
-            raise InvalidValue(f"duplicate trainable layer {layer.layer_id}")
-        seen.add(layer.layer_id)
     return FreezePlan(
         arch_id=arch.arch_id,
         strategy_tag=tag,
-        trainable=ordered,
+        trainable=tuple(sorted(layers, key=lambda l: l.depth_key)),
         head_feature_dim=arch.head_feature_dim,
         non_residual_total=arch.non_residual_param_count,
         non_residual_trainable=non_residual_trainable,

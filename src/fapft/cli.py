@@ -115,9 +115,12 @@ def _resolve_arch(arch_id: str, dims_raw: str | None, metadata=None):
 
 def _ints(raw: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in raw.split(","))
+        values = tuple(int(part) for part in raw.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {raw!r}") from None
+    if min(values) < 0:
+        raise argparse.ArgumentTypeError(f"values must be >= 0, got {raw!r}")
+    return values
 
 
 def _positive_int(raw: str, message: str = "must be a positive int") -> int:
@@ -162,7 +165,10 @@ def _record_run(out_dir: Path | None, stem: str, result) -> dict:
         "final_val_accuracy": result.metrics[-1].val_accuracy,
     }
     if out_dir:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise IoError(f"cannot write {out_dir}: {exc}") from exc
         write_checkpoint(result.final_checkpoint, out_dir / f"{stem}.ckpt")
         _write_text(out_dir / f"{stem}.metrics.jsonl", result.metrics_jsonl())
         _write_text(out_dir / f"{stem}.json", _emit_json(summary))
@@ -517,12 +523,12 @@ def _cmd_dataset(args):
         },
     )
     write_checkpoint(container, args.out)
-    cut = int(0.8 * len(data.finetune_y))
+    _, train_y, _, val_y = data.task_split("finetune")
     obj = {
         "content_hash": data.content_hash(),
-        "samples": int(len(data.finetune_y)),
-        "train_samples": cut,
-        "val_samples": int(len(data.finetune_y)) - cut,
+        "samples": len(data.finetune_y),
+        "train_samples": len(train_y),
+        "val_samples": len(val_y),
         "path": str(args.out),
     }
     return obj, (

@@ -22,7 +22,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -376,7 +375,6 @@ class RunResult:
     final_checkpoint: Checkpoint
     metrics: tuple[EpochMetrics, ...]
     config: TrainConfig
-    wall_time: float  # informational only; never serialized into artifacts
 
     @property
     def config_hash(self) -> str:
@@ -474,7 +472,6 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
     state, no updates and no gradients, and a frozen prefix of the model runs
     once per split instead of once per step.
     """
-    started = time.monotonic()
     dims = config.arch
     arch = config.descriptor()
     # only this task's split outlives the dataset
@@ -532,7 +529,6 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
         final_checkpoint=_final_checkpoint(params, config),
         metrics=tuple(metrics),
         config=config,
-        wall_time=time.monotonic() - started,
     )
 
 

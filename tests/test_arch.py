@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import pytest
 
 from fapft.arch import (
@@ -86,6 +89,22 @@ class TestDescriptors:
         assert arch.groups[0].member_param_count == attn
         assert arch.groups[1].member_param_count == ffn
         assert arch.non_residual_param_count == t * d + 2 * d
+
+    # tensor names, their shapes and their order, group membership and the
+    # schema order in which init_params draws tensors
+    @pytest.mark.parametrize("arch_id, digest", [
+        ("vit_b16", "425d3bfb40c1d5cd6ca48406129165eb89dab057499a304140116158562743f5"),
+        ("swin_b", "cd31d42326247c12e22f451cb8756401db574e8dd06e3f689e28eb0f5a76913d"),
+        ("toy_vit", "7a0b391777212ca8e4f9f144dd461641540e1dc28c0b9ea9893ad4141e895a59"),
+    ])
+    def test_layer_inventory_is_pinned(self, arch_id, digest):
+        arch = describe_arch(arch_id)
+        inventory = json.dumps({
+            "layers": [[l.layer_id, list(l.tensors.items())] for l in arch.layers],
+            "groups": [[g.group_id, [m.layer_id for m in g.members]] for g in arch.groups],
+            "schema": list(arch.schema_shapes(1000).items()),
+        })
+        assert hashlib.sha256(inventory.encode()).hexdigest() == digest
 
     def test_sum_rule(self):
         for arch_id in ("vit_b16", "swin_b", "toy_vit"):

@@ -458,6 +458,17 @@ BAD_INPUTS = [
     ("pipeline_series_not_ints",
      ["pipeline", "--config", "@missing.json", "--difficulty", "easy", "--series", "1,x"],
      {}, 1, "argument --series"),
+    # a negative top-k is refused by the flag, before any file is read
+    ("pipeline_negative_topk",
+     ["pipeline", "--config", "@missing.json", "--difficulty", "easy", "--topk", "-1"],
+     {}, 1, "argument --topk"),
+    ("pipeline_negative_series",
+     ["pipeline", "--config", "@missing.json", "--difficulty", "easy", "--series", "1,-2"],
+     {}, 1, "argument --series: values must be >= 0, got '1,-2'"),
+    ("plan_negative_topk",
+     ["plan", "--arch", "vit_b16", "--report", "@missing.json", "--difficulty", "easy",
+      "--topk", "1,-1"],
+     {}, 1, "argument --topk"),
     ("grad_check_zero_step", ["grad-check", "--step", "0"], {}, 1, POSITIVE.format("step")),
     ("grad_check_negative_step", ["grad-check", "--step", "-0.5"], {}, 1, POSITIVE.format("step")),
     ("grad_check_nan_step", ["grad-check", "--step", "nan"], {}, 1, POSITIVE.format("step")),
@@ -519,6 +530,12 @@ BAD_INPUTS = [
     ("grad_check_one_sample", ["grad-check", "--config", "@c.json", "--out", "@g.json"],
      {"c.json": _config("dataset", num_classes=1, samples_per_class=1)}, 2,
      "invalid train config: dataset must hold at least 2 samples per task"),
+    # an --out that cannot become a directory, because a file holds its place
+    ("train_out_is_a_file", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("arch"), "out": b""}, 2, "out: [Errno 17] File exists"),
+    ("pipeline_out_under_a_file",
+     ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--out", "@out/x"],
+     {"c.json": _config("arch"), "out": b""}, 2, "out/x: [Errno 20] Not a directory"),
     ("train_config_float_depth", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("arch", depth=2.0)}, 2, "depth must be an int"),
     ("train_config_float_epochs", ["train", "--config", "@c.json", "--out", "@out"],
