@@ -17,23 +17,13 @@ from fapft import (
     plan_series,
     soup_millions_str,
 )
-from fapft.angles import AngleEntry, AngleReport
+from fapft.angles import AngleReport, rank_entries
 
 
 def depth_report(arch):
     """A synthetic angle report (angle grows with depth) just to drive selection."""
     angles = {l.layer_id: 0.01 * l.block + l.stage for l in arch.layers}
-    entries = []
-    for group in arch.groups:
-        members = sorted(group.members, key=lambda l: l.depth_key)
-        order = sorted(range(len(members)), key=lambda i: -angles[members[i].layer_id])
-        ranks = {members[i].layer_id: r + 1 for r, i in enumerate(order)}
-        entries += [
-            AngleEntry(m.layer_id, group.group_id, angles[m.layer_id], ranks[m.layer_id])
-            for m in members
-        ]
-    entries.sort(key=lambda e: arch.layer_map[e.layer_id].depth_key)
-    return AngleReport(arch.arch_id, tuple(entries), 0.3, "00" * 32, "11" * 32, ())
+    return AngleReport(arch.arch_id, rank_entries(arch, angles), 0.3, "00" * 32, "11" * 32, ())
 
 
 vit = describe_arch("vit_b16")

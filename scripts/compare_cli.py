@@ -3,8 +3,9 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 60 invocations of all ten subcommands, in text and
-``--json`` mode, with ``--out`` where a command takes it, two plans of the
+checkouts) runs the same 64 invocations of all ten subcommands, in text and
+``--json`` mode, with ``--out`` where a command takes it, the angles of a
+checkpoint against itself (all tied) and a plan from them, two plans of the
 four-stage ``swin_b``, a ``grad-check`` that passes and one that fails, a
 usage error, a missing file, a data error for each kind of JSON input (train
 config, dataset spec, recipe, plan and angle report, each holding a value of
@@ -80,6 +81,11 @@ def _commands(mode: str, j: list):
            "--arch", "toy_vit", "--out", f"angles_{mode}.json", *j]
     yield ["angles", "--pre", "ft_text/run.ckpt", "--ft", "pre_json/run.ckpt",
            "--arch", "toy_vit", "--dims", D, "--out", f"angles2_{mode}.json", *j]
+    # a checkpoint against itself: every angle is 0.0, so the tie rule alone ranks
+    yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "pre_text/run.ckpt",
+           "--arch", "toy_vit", "--out", f"angles_self_{mode}.json", *j]
+    yield ["plan", "--report", "angles_self_text.json", "--arch", "toy_vit", "--dims", D,
+           "--magnitude", "small", "--topk", "1", "--classes", "4", *j]
     yield ["plan", "--report", "angles_text.json", "--arch", "toy_vit", "--dims", D,
            "--difficulty", "easy", "--out", f"plan_{mode}.json", *j]
     yield ["plan", "--report", "angles_text.json", "--arch", "toy_vit", "--dims", D,

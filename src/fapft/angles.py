@@ -18,6 +18,7 @@ blocks, whatever the tensor sizes.
 from __future__ import annotations
 
 import json
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -41,6 +42,7 @@ __all__ = [
     "ConsistencyMatrix",
     "compute_angles",
     "rank_consistency",
+    "rank_entries",
     "render_rank_table",
 ]
 
@@ -128,6 +130,19 @@ def report_from_json(data) -> AngleReport:
         )
 
 
+def rank_entries(arch: ArchDescriptor, angles: Mapping[str, float]) -> tuple[AngleEntry, ...]:
+    """One entry per layer of ``arch``, in its layer order, holding the layer's
+    angle (from ``angles``, keyed by layer id) and its rank in its homogeneous
+    group: largest angle first. The sort is stable over the group's members,
+    which are in depth order, so ties go to the shallower layer."""
+    entries: dict[str, AngleEntry] = {}
+    for group in arch.groups:
+        order = sorted(group.members, key=lambda l: -angles[l.layer_id])
+        for rank, l in enumerate(order, 1):
+            entries[l.layer_id] = AngleEntry(l.layer_id, group.group_id, angles[l.layer_id], rank)
+    return tuple(entries[l.layer_id] for l in arch.layers)
+
+
 def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
     """Per-layer and whole-model angles between a pre-trained and a fine-tuned
     checkpoint, each a :class:`Checkpoint` in memory or a
@@ -170,27 +185,9 @@ def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
 
     excluded = sorted((pre_shapes.keys() | ft_shapes.keys()) - residual)
 
-    entries = []
-    for group in arch.groups:
-        members = sorted(group.members, key=lambda l: l.depth_key)
-        order = sorted(
-            range(len(members)), key=lambda i: (-angles[members[i].layer_id], i)
-        )
-        ranks = {members[i].layer_id: r + 1 for r, i in enumerate(order)}
-        for member in members:
-            entries.append(
-                AngleEntry(
-                    layer_id=member.layer_id,
-                    group_id=group.group_id,
-                    angle=angles[member.layer_id],
-                    rank_in_group=ranks[member.layer_id],
-                )
-            )
-    entries.sort(key=lambda e: arch.layer_map[e.layer_id].depth_key)
-
     return AngleReport(
         arch_id=arch.arch_id,
-        entries=tuple(entries),
+        entries=rank_entries(arch, angles),
         whole_model_angle=whole.angle("whole model"),
         pretrained_hash=pre.content_hash,
         finetuned_hash=ft.content_hash,

@@ -362,7 +362,6 @@ class FreezePlan:
     trainable: tuple[LayerRef, ...]
     head_feature_dim: int
     non_residual_total: int
-    head_trainable: bool = True
     non_residual_trainable: bool = False
     policy: Mapping[str, object] | None = None
 
@@ -384,7 +383,6 @@ class FreezePlan:
         return (
             self.arch_id == other.arch_id
             and set(self.trainable_layer_ids) == set(other.trainable_layer_ids)
-            and self.head_trainable == other.head_trainable
             and self.non_residual_trainable == other.non_residual_trainable
         )
 
@@ -394,7 +392,7 @@ class FreezePlan:
             "strategy_tag": self.strategy_tag,
             "policy": dict(self.policy) if self.policy is not None else None,
             "trainable_layers": list(self.trainable_layer_ids),
-            "head_trainable": self.head_trainable,
+            "head_trainable": True,
             "non_residual_trainable": self.non_residual_trainable,
             "param_count_by_classes": {
                 str(n): self.trainable_param_count(n) for n in classes
@@ -517,7 +515,7 @@ def manual_strategy(arch: ArchDescriptor, tag: str) -> FreezePlan:
         raise InvalidValue(f"unknown manual strategy {tag!r}")
     attn = [l for l in arch.layers if l.category == ATTN]
     ffn = [l for l in arch.layers if l.category == FFN]
-    blocks = sorted({(l.stage, l.block) for l in arch.layers})
+    blocks = [(l.stage, l.block) for l in attn]
     if key == "A":
         return _make_plan(arch, "A", arch.layers, non_residual_trainable=True)
     if key == "B":

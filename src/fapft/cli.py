@@ -151,9 +151,21 @@ def _positive_number(raw: str) -> float:
     return value
 
 
+def _out_dir(out: str | None) -> Path | None:
+    """The ``--out`` directory of a training command, made before it trains,
+    so an unusable path fails before any work is done."""
+    if not out:
+        return None
+    path = Path(out)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def _record_run(out_dir: Path | None, stem: str, result) -> dict:
-    """A run's summary, after writing its artifacts under ``out_dir`` (created
-    if need be) when given."""
+    """A run's summary, after writing its artifacts under ``out_dir`` when given."""
     config = result.config
     summary = {
         "config_hash": result.config_hash,
@@ -165,10 +177,6 @@ def _record_run(out_dir: Path | None, stem: str, result) -> dict:
         "final_val_accuracy": result.metrics[-1].val_accuracy,
     }
     if out_dir:
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            raise IoError(f"cannot write {out_dir}: {exc}") from exc
         write_checkpoint(result.final_checkpoint, out_dir / f"{stem}.ckpt")
         _write_text(out_dir / f"{stem}.metrics.jsonl", result.metrics_jsonl())
         _write_text(out_dir / f"{stem}.json", _emit_json(summary))
@@ -336,10 +344,11 @@ def _cmd_train(args):
     if args.plan:
         config = replace(config, freeze=plan_from_json(read_text(args.plan), config.descriptor()))
     init = read_checkpoint(args.init) if args.init else None
+    out_dir = _out_dir(args.out)
     started = time.monotonic()
     result = train(config, init=init)
     print(f"trained in {time.monotonic() - started:.2f}s", file=sys.stderr)
-    summary = _record_run(Path(args.out) if args.out else None, "run", result)
+    summary = _record_run(out_dir, "run", result)
     return summary, (
         f"{summary['task']} [{summary['strategy_tag'] or 'FULL'}] epochs={summary['epochs']} "
         f"loss={summary['final_train_loss']:.6f} "
@@ -355,11 +364,10 @@ def _cmd_pipeline(args):
     # every top-k value is checked against the architecture before any training
     for topk in ([args.topk] if args.topk else []) + [(k,) for k in args.series or ()]:
         replace(policy, topk_per_stage=topk).validate_for(arch)
-    out_dir = Path(args.out) if args.out else None  # made by the first _record_run
+    pre_ckpt = read_checkpoint(args.pre) if args.pre else None
+    out_dir = _out_dir(args.out)
 
-    if args.pre:
-        pre_ckpt = read_checkpoint(args.pre)
-    else:
+    if pre_ckpt is None:
         pre_result = train(replace(config, task="pretrain", freeze=None))
         pre_ckpt = pre_result.final_checkpoint
         _record_run(out_dir, "pretrained", pre_result)

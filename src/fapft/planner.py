@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .arch import ArchDescriptor, FreezePlan, describe_arch
+from .arch import ArchDescriptor, FreezePlan, _make_plan
 from .angles import AngleReport
 from .errors import IncompatibleReports, InvalidPolicy, InvalidValue, NoGuidelines, require_int
 
@@ -49,13 +49,10 @@ class FapftPolicy:
 
     magnitude: str
     topk_per_stage: tuple[int, ...]
-    difficulty_tag: str | None = None
 
     def __post_init__(self):
         if self.magnitude not in MAGNITUDES:
             raise InvalidPolicy(f"magnitude must be one of {MAGNITUDES}")
-        if self.difficulty_tag is not None and self.difficulty_tag not in DIFFICULTIES:
-            raise InvalidPolicy(f"difficulty must be one of {DIFFICULTIES}")
         for k in self.topk_per_stage:
             try:
                 require_int("topk value", k, 0)
@@ -81,28 +78,25 @@ class FapftPolicy:
         }
 
 
-def default_policy(arch: ArchDescriptor | str, difficulty: str) -> FapftPolicy:
+def default_policy(arch: ArchDescriptor, difficulty: str) -> FapftPolicy:
     """Guideline starting policy for an architecture and task difficulty.
 
     The desk-scale ``toy_vit`` family uses the same one-third ratio as the
-    one-stage reference model (topk = max(1, depth // 3)); it needs a full
+    one-stage reference model (topk = max(1, depth // 3)), read from the
     descriptor since its depth is configurable.
     """
     if difficulty not in DIFFICULTIES:
         raise InvalidValue(f"difficulty must be one of {DIFFICULTIES}")
-    arch_id = arch if isinstance(arch, str) else arch.arch_id
-    if arch_id == "toy_vit":
-        descriptor = describe_arch("toy_vit") if isinstance(arch, str) else arch
-        depth = descriptor.stages[0].blocks
+    if arch.arch_id == "toy_vit":
         magnitude = "small" if difficulty == "easy" else "large"
-        return FapftPolicy(magnitude, (max(1, depth // 3),), difficulty)
-    table = GUIDELINE_DEFAULTS.get(arch_id)
+        return FapftPolicy(magnitude, (max(1, arch.stages[0].blocks // 3),))
+    table = GUIDELINE_DEFAULTS.get(arch.arch_id)
     if table is None:
         raise NoGuidelines(
-            f"no guideline defaults for {arch_id!r}; supply an explicit policy"
+            f"no guideline defaults for {arch.arch_id!r}; supply an explicit policy"
         )
     magnitude, topk = table[difficulty]
-    return FapftPolicy(magnitude, topk, difficulty)
+    return FapftPolicy(magnitude, topk)
 
 
 def plan_fapft(
@@ -119,27 +113,16 @@ def plan_fapft(
     if missing:
         raise IncompatibleReports(f"report lacks angles for layers: {missing}")
 
+    # members are in depth order and the sort is stable, so ties go to the
+    # shallower layer
     sign = -1.0 if policy.magnitude == "large" else 1.0
     selected = []
     for group in arch.groups:
         k = policy.topk_per_stage[group.stage]
-        order = sorted(
-            group.members,
-            key=lambda l: (sign * report.angle_of(l.layer_id), l.depth_key),
+        selected.extend(
+            sorted(group.members, key=lambda l: sign * report.angle_of(l.layer_id))[:k]
         )
-        selected.extend(order[:k])
-
-    from .arch import _make_plan  # shared constructor keeps ordering canonical
-
-    return _make_plan(
-        arch,
-        "FAPFT",
-        selected,
-        policy={
-            "magnitude": policy.magnitude,
-            "topk_per_stage": list(policy.topk_per_stage),
-        },
-    )
+    return _make_plan(arch, "FAPFT", selected, policy=policy.to_json_obj())
 
 
 def plan_series(

@@ -555,13 +555,10 @@ def grad_check(
     config: TrainConfig,
     samples: int = 200,
     step_size: float = 1e-5,
-    corrupt: str | None = None,
 ) -> GradCheckResult:
     """Analytic gradients vs central finite differences, fully in 64-bit.
 
-    Coordinates are sampled across every tensor role. ``corrupt`` injects a
-    deliberate error into one tensor's analytic gradient so tests can verify
-    the check actually catches and names faults.
+    Coordinates are sampled across every tensor role.
     """
     dims = config.arch
     if dims.model_dim > 16 or dims.depth > 2:
@@ -574,10 +571,6 @@ def grad_check(
     params32 = init_params(dims, np.random.default_rng([config.seed, _STREAM_INIT]))
     params = {n: a.astype(np.float64) for n, a in params32.items()}
     _, grads = loss_and_grads(params, x, y, dims)
-    if corrupt is not None:
-        if corrupt not in grads:
-            raise InvalidValue(f"no tensor named {corrupt!r} to corrupt")
-        grads[corrupt] = grads[corrupt] + 0.01 * (1.0 + np.abs(grads[corrupt]))
 
     rng = np.random.default_rng([config.seed, _STREAM_GRADCHECK])
     names = sorted(params)
@@ -653,7 +646,6 @@ def run_fapft_pipeline(
         policy = FapftPolicy(
             magnitude=magnitude or policy.magnitude,
             topk_per_stage=tuple(topk) if topk is not None else policy.topk_per_stage,
-            difficulty_tag=difficulty,
         )
     plan = plan_fapft(report, arch, policy)
 

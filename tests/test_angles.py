@@ -11,6 +11,7 @@ from fapft.angles import (
     AngleReport,
     compute_angles,
     rank_consistency,
+    rank_entries,
     render_rank_table,
     report_from_json,
 )
@@ -355,15 +356,12 @@ class TestComputeAngles:
         assert report.finetuned_hash == ft.content_hash
 
 
-def synthetic_report(angles_by_depth, arch_id="toy_vit", group="s0.ATTN"):
-    order = sorted(
-        range(len(angles_by_depth)), key=lambda i: (-angles_by_depth[i], i)
-    )
-    ranks = {i: r + 1 for r, i in enumerate(order)}
-    entries = tuple(
-        AngleEntry(f"s0.b{i}.ATTN", group, angles_by_depth[i], ranks[i])
-        for i in range(len(angles_by_depth))
-    )
+def synthetic_report(angles_by_depth, arch_id="toy_vit"):
+    """A report of the attention layers of a toy model as deep as
+    ``angles_by_depth``, with those angles, ranked by the library's rule."""
+    arch = describe_arch("toy_vit", depth=len(angles_by_depth))
+    angles = {l.layer_id: angles_by_depth[l.block] for l in arch.layers}
+    entries = tuple(e for e in rank_entries(arch, angles) if e.group_id == "s0.ATTN")
     return AngleReport(
         arch_id=arch_id,
         entries=entries,
@@ -402,6 +400,15 @@ class TestRanks:
     def test_singleton_group(self):
         report = synthetic_report([0.7])
         assert rendered_rows(report) == [("s0.ATTN", [("s0.b0.ATTN", 1)])]
+
+    def test_self_comparison_ranks_each_group_in_depth_order(self, toy):
+        # every angle is 0.0, so every rank in a group comes from the tie rule
+        ckpt = make_ckpt(toy, 5, np.random.default_rng(16))
+        report = compute_angles(ckpt, ckpt, toy)
+        assert {e.angle for e in report.entries} == {0.0}
+        ranks = {e.layer_id: e.rank_in_group for e in report.entries}
+        for group in toy.groups:
+            assert [ranks[l.layer_id] for l in group.members] == [1, 2, 3]
 
     def test_rank_consistent_with_argsort(self, toy):
         rng = np.random.default_rng(11)

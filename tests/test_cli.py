@@ -949,6 +949,26 @@ class TestTrainCommand:
         summary = json.loads((out_dir / "run.json").read_text())
         assert summary["checkpoint_hash"] == json.loads(out)["checkpoint_hash"]
 
+    def test_unusable_out_fails_before_training(self, capsys, tmp_path, monkeypatch):
+        trained = []
+
+        def no_training(*args, **kwargs):
+            trained.append(args)
+            raise AssertionError("trained before checking --out")
+
+        monkeypatch.setattr("fapft.cli.train", no_training)
+        (tmp_path / "c.json").write_text(json.dumps(CONFIG))
+        (tmp_path / "out").write_bytes(b"")
+        config = str(tmp_path / "c.json")
+        for argv in (
+            ["train", "--config", config, "--out", str(tmp_path / "out")],
+            ["pipeline", "--config", config, "--difficulty", "easy",
+             "--out", str(tmp_path / "out" / "x")],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2 and "cannot write" in err, err
+        assert trained == []
+
 
 class TestSoupCommand:
     def test_uniform_soup(self, capsys, workdir, tmp_path):

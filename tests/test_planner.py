@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from fapft.angles import AngleEntry, AngleReport
-from fapft.arch import describe_arch, full_plan, linear_probe_plan, millions_str
+from fapft.angles import AngleReport, rank_entries
+from fapft.arch import ArchDescriptor, describe_arch, full_plan, linear_probe_plan, millions_str
 from fapft.errors import (
     IncompatibleReports,
     InvalidPolicy,
@@ -15,21 +15,9 @@ from fapft.planner import FapftPolicy, default_policy, plan_fapft, plan_series
 def report_for(arch, angle_fn):
     """Build an AngleReport assigning angle_fn(layer) to each residual layer."""
     angles = {l.layer_id: float(angle_fn(l)) for l in arch.layers}
-    entries = []
-    for group in arch.groups:
-        members = sorted(group.members, key=lambda l: l.depth_key)
-        order = sorted(
-            range(len(members)), key=lambda i: (-angles[members[i].layer_id], i)
-        )
-        ranks = {members[i].layer_id: r + 1 for r, i in enumerate(order)}
-        entries.extend(
-            AngleEntry(m.layer_id, group.group_id, angles[m.layer_id], ranks[m.layer_id])
-            for m in members
-        )
-    entries.sort(key=lambda e: arch.layer_map[e.layer_id].depth_key)
     return AngleReport(
         arch_id=arch.arch_id,
-        entries=tuple(entries),
+        entries=rank_entries(arch, angles),
         whole_model_angle=0.5,
         pretrained_hash="aa" * 32,
         finetuned_hash="bb" * 32,
@@ -52,36 +40,33 @@ def vit_report(vit):
 
 class TestDefaultPolicy:
     def test_vit_challenging(self):
-        policy = default_policy("vit_b16", "challenging")
+        policy = default_policy(describe_arch("vit_b16"), "challenging")
         assert policy.magnitude == "large"
         assert policy.topk_per_stage == (4,)
 
     def test_vit_easy(self):
-        policy = default_policy("vit_b16", "easy")
+        policy = default_policy(describe_arch("vit_b16"), "easy")
         assert policy.magnitude == "small"
         assert policy.topk_per_stage == (4,)
 
     def test_swin_defaults(self):
-        assert default_policy("swin_b", "easy") == FapftPolicy(
-            "small", (2, 2, 6, 1), "easy"
-        )
-        assert default_policy("swin_b", "challenging") == FapftPolicy(
-            "large", (0, 0, 6, 2), "challenging"
-        )
+        swin = describe_arch("swin_b")
+        assert default_policy(swin, "easy") == FapftPolicy("small", (2, 2, 6, 1))
+        assert default_policy(swin, "challenging") == FapftPolicy("large", (0, 0, 6, 2))
 
     def test_toy_scales_with_depth(self):
         deep = describe_arch("toy_vit", depth=6)
         assert default_policy(deep, "challenging").topk_per_stage == (2,)
         shallow = describe_arch("toy_vit", depth=2)
-        assert default_policy(shallow, "easy") == FapftPolicy("small", (1,), "easy")
+        assert default_policy(shallow, "easy") == FapftPolicy("small", (1,))
 
     def test_no_guidelines(self):
         with pytest.raises(NoGuidelines):
-            default_policy("mystery_net", "easy")
+            default_policy(ArchDescriptor("mystery_net", [], {}, 8), "easy")
 
     def test_bad_difficulty(self):
         with pytest.raises(InvalidValue):
-            default_policy("vit_b16", "medium")
+            default_policy(describe_arch("vit_b16"), "medium")
 
     def test_policy_validation(self):
         with pytest.raises(InvalidPolicy):
@@ -102,7 +87,7 @@ class TestPlanFapft:
         ffn = [lid for lid in plan.trainable_layer_ids if lid.endswith("FFN")]
         assert sorted(ffn) == ["s0.b10.FFN", "s0.b11.FFN"]
         assert plan.strategy_tag == "FAPFT"
-        assert plan.head_trainable and not plan.non_residual_trainable
+        assert plan.to_json_obj()["head_trainable"] and not plan.non_residual_trainable
 
     def test_top2_small_picks_shallowest(self, vit, vit_report):
         plan = plan_fapft(vit_report, vit, FapftPolicy("small", (2,)))

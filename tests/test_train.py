@@ -184,10 +184,20 @@ class TestGradCheck:
         )
         assert grad_check(cfg, samples=200).max_rel_error <= 1e-7
 
-    def test_corruption_detected_and_named(self):
-        cfg = config(schedule=ScheduleConfig(epochs=1, warmup_epochs=0, batch_size=8))
+    def test_corruption_detected_and_named(self, monkeypatch):
+        module = importlib.import_module("fapft.train")
+        exact = module.loss_and_grads
         target = "blocks.1.mlp.fc1.weight"
-        result = grad_check(cfg, samples=200, corrupt=target)
+
+        def corrupted(*args):
+            loss, grads = exact(*args)
+            if target in grads:
+                grads[target] = grads[target] + 0.01 * (1.0 + np.abs(grads[target]))
+            return loss, grads
+
+        monkeypatch.setattr(module, "loss_and_grads", corrupted)
+        cfg = config(schedule=ScheduleConfig(epochs=1, warmup_epochs=0, batch_size=8))
+        result = grad_check(cfg, samples=200)
         assert result.max_rel_error > 1e-3
         assert result.worst_tensor == target
 
