@@ -16,6 +16,7 @@ counts of concrete tensor shapes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
@@ -59,13 +60,6 @@ _CATEGORIES = (ATTN, FFN)
 _IGNORED_SUFFIXES = (".attn.relative_position_index", ".attn_mask")
 
 
-def _numel(shape: Sequence[int]) -> int:
-    n = 1
-    for d in shape:
-        n *= int(d)
-    return n
-
-
 @dataclass(frozen=True)
 class StageSpec:
     """Dimensions of one stage: block count plus per-block widths. The tensor
@@ -95,7 +89,7 @@ class LayerRef:
 
     @property
     def param_count(self) -> int:
-        return sum(_numel(s) for s in self.tensors.values())
+        return sum(math.prod(s) for s in self.tensors.values())
 
     @property
     def depth_key(self) -> tuple[int, int, int]:
@@ -214,7 +208,7 @@ class ArchDescriptor:
 
     @property
     def non_residual_param_count(self) -> int:
-        return sum(_numel(s) for s in self.non_residual.values())
+        return sum(math.prod(s) for s in self.non_residual.values())
 
     def head_param_count(self, num_classes: int) -> int:
         if num_classes <= 0:

@@ -106,7 +106,7 @@ def canonical_header(shapes: Iterable[tuple[str, tuple[int, ...]]], metadata) ->
     header: dict[str, object] = {}
     offset = 0
     for name, shape in sorted(shapes):
-        nbytes = int(np.prod(shape, dtype=np.int64)) * _F32.itemsize
+        nbytes = math.prod(shape) * _F32.itemsize
         header[name] = {
             "dtype": "F32",
             "shape": list(shape),
@@ -253,13 +253,10 @@ def write_all(fh, part) -> None:
 
 def write_checkpoint(ckpt: Checkpoint, path) -> str:
     """Write the canonical serialization to ``path``; returns the content hash."""
-    parts = ckpt._canonical_parts()
     with write_atomic(path) as fh:
-        for part in parts:
+        for part in ckpt._canonical_parts():
             write_all(fh, part)
-    if ckpt._hash is None:
-        ckpt._hash = _sha256(parts)
-    return ckpt._hash
+    return ckpt.content_hash
 
 
 def _parse_header(blob: bytes, payload_size: int, path):
@@ -331,7 +328,7 @@ def _header_entries(blob: bytes, payload_size: int):
                 f"tensor {name!r} offsets [{begin}, {end}) out of bounds "
                 f"for payload of {payload_size} bytes"
             )
-        expected = int(np.prod(shape, dtype=np.int64)) * dtype.itemsize
+        expected = math.prod(shape) * dtype.itemsize
         if end - begin != expected:
             raise CorruptFile(
                 f"tensor {name!r} spans {end - begin} bytes but shape {shape} "

@@ -61,6 +61,7 @@ from .tensors import Tensor
 from .train import (
     SyntheticSpec,
     TrainConfig,
+    _params_from_init,
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
@@ -339,11 +340,21 @@ def _train_config(path) -> TrainConfig:
     return config
 
 
+def _init_checkpoint(path: str | None, config: TrainConfig) -> Checkpoint | None:
+    """The ``--init``/``--pre`` checkpoint, checked against the config's model
+    as ``train`` checks it, so a mismatch fails before ``--out`` is made."""
+    if not path:
+        return None
+    init = read_checkpoint(path)
+    _params_from_init(init, config.descriptor(), config.arch, config.seed)
+    return init
+
+
 def _cmd_train(args):
     config = _train_config(args.config)
     if args.plan:
         config = replace(config, freeze=plan_from_json(read_text(args.plan), config.descriptor()))
-    init = read_checkpoint(args.init) if args.init else None
+    init = _init_checkpoint(args.init, config)
     out_dir = _out_dir(args.out)
     started = time.monotonic()
     result = train(config, init=init)
@@ -364,7 +375,7 @@ def _cmd_pipeline(args):
     # every top-k value is checked against the architecture before any training
     for topk in ([args.topk] if args.topk else []) + [(k,) for k in args.series or ()]:
         replace(policy, topk_per_stage=topk).validate_for(arch)
-    pre_ckpt = read_checkpoint(args.pre) if args.pre else None
+    pre_ckpt = _init_checkpoint(args.pre, config)
     out_dir = _out_dir(args.out)
 
     if pre_ckpt is None:

@@ -22,7 +22,6 @@ counts, not the merged model's size: a soup costs every run's fine-tuning.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from contextlib import ExitStack
@@ -276,7 +275,10 @@ def uniform_soup(
     mismatch means the runs did not share the base they claim and the soup is
     refused. ``plans`` are the recipe's own, when the caller has already read
     them with :meth:`SoupRecipe.plans`. The write is atomic: on any error,
-    even midway, no file is left behind.
+    even midway, no file is left behind. Once the soup is in place, it is read
+    back through a :class:`CheckpointReader`, which checks it as it checks
+    every input and hashes it; if that read fails, the soup stays without a
+    manifest and the error is raised.
     """
     if plans is None:
         plans = recipe.plans()
@@ -302,9 +304,10 @@ def uniform_soup(
             assert len(header) == header_len
             fh.seek(0)
             write_all(fh, header)
-            fh.seek(0)
-            output_hash = _sha256_file(fh)
-    return output_hash, hashes
+    with CheckpointReader(out) as written:
+        for _ in written.chunks():
+            pass
+    return written.content_hash, hashes
 
 
 def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[Checkpoint]:
@@ -319,18 +322,6 @@ def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[
             for _ in _merged(inputs, [1.0] * len(inputs), base, frozen, paths):
                 pass  # the merge compares as it goes; its means are not needed
     return inputs
-
-
-# bytes per read when the written soup is hashed back: 256 KB
-_READ_BLOCK = 1 << 18
-
-
-def _sha256_file(fh) -> str:
-    digest = hashlib.sha256()
-    block = bytearray(_READ_BLOCK)
-    while got := fh.readinto(block):
-        digest.update(memoryview(block)[:got])
-    return digest.hexdigest()
 
 
 def _frozen_names(base, plans: Sequence[FreezePlan], inputs, paths) -> frozenset[str]:

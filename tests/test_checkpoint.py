@@ -144,6 +144,17 @@ class TestRead:
         with pytest.raises(CorruptFile):
             read_checkpoint(p)
 
+    def test_element_count_is_exact(self, tmp_path):
+        # 2**64 elements: an int64 product wraps to 0 and would match the empty span
+        blob = build_file(
+            {"x": {"dtype": "F32", "shape": [2**32, 2**32], "data_offsets": [0, 0]}}, b""
+        )
+        p = tmp_path / "huge.ckpt"
+        p.write_bytes(blob)
+        with pytest.raises(CorruptFile, match=r"tensor 'x' spans 0 bytes but shape "
+                           r"\[4294967296, 4294967296\] with dtype F32 needs 73786976294838206464"):
+            CheckpointReader(p)
+
     def test_duplicate_names(self, tmp_path):
         raw = b'{"a":{"dtype":"F32","shape":[1],"data_offsets":[0,4]},"a":{"dtype":"F32","shape":[1],"data_offsets":[0,4]}}'
         p = tmp_path / "dup.ckpt"

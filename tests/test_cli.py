@@ -309,6 +309,13 @@ def _header_too_many_digits() -> bytes:
     return len(header).to_bytes(8, "little") + header + bytes(4)
 
 
+def _header_of_2_64_elements() -> bytes:
+    """A checkpoint file of one empty-span tensor of 2**64 elements, a count
+    that wraps to 0 in int64."""
+    header = b'{"x":{"data_offsets":[0,0],"dtype":"F32","shape":[4294967296,4294967296]}}'
+    return len(header).to_bytes(8, "little") + header
+
+
 def _plan(**over) -> bytes:
     """The JSON of a toy_vit (SMALL_DIMS) plan with ``over``'s fields."""
     plan = manual_strategy(describe_arch("toy_vit", **SMALL_DIMS), "B")
@@ -637,6 +644,11 @@ BAD_INPUTS = [
     ("angles_header_too_many_digits", ANGLES_TOY,
      {"pre.ckpt": _header_too_many_digits(), "ft.ckpt": _small_ckpt(2).canonical_bytes()}, 2,
      "pre.ckpt: malformed header JSON"),
+    ("train_init_elements_overflow_int64",
+     ["train", "--config", "@c.json", "--init", "@i.ckpt", "--out", "@out"],
+     {"c.json": _config("arch"), "i.ckpt": _header_of_2_64_elements()}, 2,
+     "i.ckpt: tensor 'x' spans 0 bytes but shape [4294967296, 4294967296] with dtype F32 "
+     "needs 73786976294838206464"),
     # bad flag values are usage errors that name the flag
     ("rank_one_report", ["rank", "--reports", "@a.json", "--out", "@o.json"],
      {"a.json": _report()}, 1, "rank needs at least 2 --reports"),
@@ -968,6 +980,20 @@ class TestTrainCommand:
             code, _, err = run_cli(capsys, *argv)
             assert code == 2 and "cannot write" in err, err
         assert trained == []
+
+    def test_mismatched_init_leaves_no_out_dir(self, capsys, tmp_path):
+        (tmp_path / "c.json").write_bytes(_small_config(depth=2))
+        (tmp_path / "shallow.ckpt").write_bytes(_small_ckpt(1).canonical_bytes())
+        config, shallow = str(tmp_path / "c.json"), str(tmp_path / "shallow.ckpt")
+        for argv in (
+            ["train", "--config", config, "--init", shallow, "--out", str(tmp_path / "newdir")],
+            ["pipeline", "--config", config, "--difficulty", "easy", "--pre", shallow,
+             "--out", str(tmp_path / "newpipe")],
+        ):
+            code, _, err = run_cli(capsys, *argv)
+            assert code == 2, err
+            assert "init checkpoint lacks tensor 'blocks.1.norm1.weight'" in err
+        assert sorted(os.listdir(tmp_path)) == ["c.json", "shallow.ckpt"]
 
 
 class TestSoupCommand:
