@@ -19,6 +19,7 @@ from fapft import (
     SyntheticSpec,
     Tensor,
     TrainConfig,
+    accuracy,
     compute_angles,
     describe_arch,
     generate_dataset,
@@ -29,7 +30,6 @@ from fapft import (
     soup_param_total,
     train,
 )
-from fapft.model import predict
 
 dims = ModelDims(depth=6, model_dim=32, heads=4, ffn_dim=64, seq_len=8, num_classes=8)
 spec = SyntheticSpec(
@@ -59,8 +59,7 @@ _, _, x_val, y_val = data.task_split("finetune")
 
 
 def held_out_accuracy(ckpt: Checkpoint) -> float:
-    params = {name: t.array for name, t in ckpt.tensors.items()}
-    return float((predict(params, x_val, dims) == y_val).mean())
+    return accuracy(ckpt, dims, x_val, y_val)
 
 
 print("\nfive partial runs, varying only top-k:")

@@ -57,6 +57,7 @@ from .train import (
     SyntheticDataset,
     SyntheticSpec,
     TrainConfig,
+    accuracy,
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
@@ -123,6 +124,7 @@ __all__ = [
     "SeriesResult",
     "generate_dataset",
     "train",
+    "accuracy",
     "grad_check",
     "run_fapft_pipeline",
     "run_plan_series",

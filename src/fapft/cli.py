@@ -47,7 +47,6 @@ from .errors import (
     UsageError,
     parse_json,
 )
-from .model import predict
 from .planner import FapftPolicy, default_policy, plan_fapft
 from .soup import (
     SoupRecipe,
@@ -62,6 +61,7 @@ from .train import (
     SyntheticSpec,
     TrainConfig,
     _params_from_init,
+    accuracy,
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
@@ -291,17 +291,6 @@ def _check_eval_model(config: TrainConfig, inputs, candidates) -> None:
             )
 
 
-def _accuracy_eval(config: TrainConfig):
-    data = generate_dataset(config.dataset)
-    _, _, x_val, y_val = data.task_split(config.task)
-
-    def evaluate(ckpt: Checkpoint) -> float:
-        params = {name: t.array for name, t in ckpt.tensors.items()}
-        return float((predict(params, x_val, config.arch) == y_val).mean())
-
-    return evaluate
-
-
 def _cmd_soup(args):
     if not args.out:
         raise UsageError("soup requires --out for the merged checkpoint")
@@ -313,7 +302,8 @@ def _cmd_soup(args):
         plans = recipe.plans()
         candidates = read_inputs(recipe, plans)
         _check_eval_model(config, recipe.inputs, candidates)
-        merged = greedy_soup(candidates, _accuracy_eval(config))
+        _, _, x_val, y_val = generate_dataset(config.dataset).task_split(config.task)
+        merged = greedy_soup(candidates, lambda c: accuracy(c, config.arch, x_val, y_val))
         input_hashes = [c.content_hash for c in candidates]
         output_hash = write_checkpoint(merged, args.out)
     else:

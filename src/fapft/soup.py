@@ -189,44 +189,57 @@ def _mean_of_equal(arrays: Sequence[np.ndarray], out: np.ndarray | None = None) 
     return np.add(arrays[0], np.float32(0), out=out) if len(arrays) > 1 else arrays[0]
 
 
+def _checked_chunks(inputs, base, frozen, paths, mask):
+    """(name, start, chunks) for every chunk of ``inputs`` (checked
+    compatible), in name and offset order, taking one chunk of each input and
+    of ``base`` at a time, so that every base tensor is read, and so
+    validated, on the way. The inputs' tensors named in ``frozen`` (their
+    shapes checked by :func:`_frozen_names`) must equal the base's bitwise; a
+    mismatch is raised once the tensor's last chunk is taken, naming the path
+    (in ``paths``) of the first input that differs anywhere in it. ``mask``,
+    a bool array a chunk long, holds the comparisons."""
+    sizes = {name: math.prod(shape) for name, shape in inputs[0].shapes.items()}
+    # the first input whose current frozen tensor differs from the base; a
+    # mismatch raises at the end of its tensor, so this never carries over
+    differs = len(inputs)
+    for name, start, chunks in zip_chunks(*inputs, base):
+        *chunks, reference = chunks
+        if chunks[0] is None:
+            continue  # a tensor of the base alone
+        if name in frozen:
+            differs = next(
+                (i for i, c in enumerate(chunks[:differs])
+                 if not bits_equal(c, reference, mask)),
+                differs,
+            )
+            if differs < len(inputs) and start + chunks[0].size == sizes[name]:
+                raise IncompatibleCheckpoints(
+                    f"{paths[differs]}: frozen tensor {name!r} differs from the base"
+                )
+        yield name, start, chunks
+
+
 def _merged(inputs, weights, base=None, frozen=frozenset(), paths=()):
     """(name, start, mean) for every chunk of ``inputs`` (checked compatible),
     in name and offset order, taking one chunk of each input at a time. With
-    ``base`` (its ``frozen`` shapes checked by :func:`_frozen_names`), the
-    inputs' tensors named in ``frozen`` must equal the base's bitwise,
-    and every base tensor is read, and so validated, on the way; a mismatch
-    is raised once the tensor's last chunk is taken, naming the path (in
-    ``paths``) of the first input that differs anywhere in it.
+    ``base``, the chunks are those of :func:`_checked_chunks`, which checks
+    the ``frozen`` tensors against the base.
 
     With every weight 1.0, a chunk that no input changed is copied
     (:func:`_mean_of_equal`); any other chunk is averaged in float64. A mean
     is valid until the next one is taken: the merge writes every chunk into
     one set of buffers, allocated here."""
     unit = all(w == 1.0 for w in weights)
-    sources = list(inputs) + ([base] if base is not None else [])
-    sizes = {name: math.prod(shape) for name, shape in inputs[0].shapes.items()}
-    length = min(chunk_length(len(sources)), max(sizes.values(), default=0))
+    sizes = [math.prod(shape) for shape in inputs[0].shapes.values()]
+    length = min(chunk_length(len(inputs) + (base is not None)), max(sizes, default=0))
     out = np.empty(length, np.float32)  # the mean of a chunk
     mask = np.empty(length, bool)  # the bitwise comparisons
     work = mean_scratch(length)  # the float64 sums
-    # the first input whose current frozen tensor differs from the base; a
-    # mismatch raises at the end of its tensor, so this never carries over
-    differs = len(inputs)
-    for name, start, chunks in zip_chunks(*sources):
-        if base is not None:
-            *chunks, reference = chunks
-            if chunks[0] is None:
-                continue  # a tensor of the base alone
-            if name in frozen:
-                differs = next(
-                    (i for i, c in enumerate(chunks[:differs])
-                     if not bits_equal(c, reference, mask)),
-                    differs,
-                )
-                if differs < len(inputs) and start + chunks[0].size == sizes[name]:
-                    raise IncompatibleCheckpoints(
-                        f"{paths[differs]}: frozen tensor {name!r} differs from the base"
-                    )
+    if base is None:
+        steps = zip_chunks(*inputs)
+    else:
+        steps = _checked_chunks(inputs, base, frozen, paths, mask)
+    for name, start, chunks in steps:
         mean = out[: chunks[0].size]
         if unit and (name in frozen or all(bits_equal(c, chunks[0], mask) for c in chunks[1:])):
             yield name, start, _mean_of_equal(chunks, mean)
@@ -319,8 +332,9 @@ def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[
         with CheckpointReader(recipe.base, hashed=False) as base:
             frozen = _frozen_names(base, plans, inputs, paths)
             _check_compatible(inputs)
-            for _ in _merged(inputs, [1.0] * len(inputs), base, frozen, paths):
-                pass  # the merge compares as it goes; its means are not needed
+            mask = np.empty(chunk_length(len(inputs) + 1), bool)
+            for _ in _checked_chunks(inputs, base, frozen, paths, mask):
+                pass
     return inputs
 
 

@@ -30,7 +30,9 @@ from .arch import ArchDescriptor, FreezePlan, describe_arch, linear_probe_plan, 
 from .angles import AngleReport, compute_angles
 from .checkpoint import Checkpoint
 from .errors import (
+    DimensionMismatch,
     DivergenceError,
+    EmptyInput,
     IncompatibleCheckpoints,
     IncompatiblePlan,
     InvalidValue,
@@ -61,6 +63,7 @@ __all__ = [
     "SeriesResult",
     "generate_dataset",
     "train",
+    "accuracy",
     "grad_check",
     "run_fapft_pipeline",
     "run_plan_series",
@@ -461,6 +464,20 @@ def _frozen_prefix(trainable: set[str], dims: ModelDims) -> int | None:
 
 def _accuracy(params, x, y, dims, start) -> float:
     return float((predict(params, x, dims, start=start) == y).mean())
+
+
+def accuracy(ckpt: Checkpoint, dims: ModelDims, x, y) -> float:
+    """The fraction of the samples ``x`` that the ``toy_vit`` model ``dims``,
+    with ``ckpt``'s weights, assigns to their labels ``y``.
+
+    This scores the stored float32 weights; a run's ``val_accuracy`` scores
+    its float64 master weights, so the two need not agree."""
+    if len(x) != len(y):
+        raise DimensionMismatch(f"{len(x)} samples but {len(y)} labels")
+    if len(y) == 0:
+        raise EmptyInput("accuracy needs at least one sample")
+    params = {name: t.array for name, t in ckpt.tensors.items()}
+    return _accuracy(params, x, y, dims, None)
 
 
 def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:

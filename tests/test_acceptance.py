@@ -45,7 +45,7 @@ from fapft.arch import (
 from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.cli import main as cli_main
 from fapft.errors import CorruptFile, FormatError, InvalidValue, UnsupportedDtype
-from fapft.model import ModelDims, predict
+from fapft.model import ModelDims
 from fapft.planner import FapftPolicy, plan_fapft, plan_series
 from fapft.soup import uniform_soup_checkpoints
 from fapft.tensors import Tensor, kendall_tau, vec_angle
@@ -54,6 +54,7 @@ from fapft.train import (
     ScheduleConfig,
     SyntheticSpec,
     TrainConfig,
+    accuracy,
     generate_dataset,
     grad_check,
     run_fapft_pipeline,
@@ -535,8 +536,7 @@ def test_criterion_9_soup_properties():
     accuracies = [run.final_val_accuracy for run in series.runs]
     data = generate_dataset(spec)
     _, _, x_val, y_val = data.task_split("finetune")
-    params = {name: t.array for name, t in series.soup.tensors.items()}
-    soup_acc = float((predict(params, x_val, dims) == y_val).mean())
+    soup_acc = accuracy(series.soup, dims, x_val, y_val)
 
     elapsed = time.monotonic() - started
     ok = soup_acc >= min(accuracies)

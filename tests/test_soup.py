@@ -24,6 +24,7 @@ from fapft.soup import (
     SoupInput,
     SoupRecipe,
     greedy_soup,
+    read_inputs,
     soup_param_total,
     uniform_soup,
     uniform_soup_checkpoints,
@@ -250,6 +251,26 @@ class TestRecipe:
         with pytest.raises(IncompatibleCheckpoints, match="run1.ckpt: lacks frozen tensor"):
             uniform_soup(recipe, tmp_path / "lacking" / "soup.ckpt")
         assert not (tmp_path / "lacking" / "soup.ckpt").exists()
+
+    def test_frozen_check_computes_no_mean(self, tmp_path, monkeypatch):
+        # read_inputs needs only the comparisons against the base, even
+        # where the runs changed their trained layers
+        rng = np.random.default_rng(14)
+        base = toy_base(rng)
+        runs = [toy_run(base, rng) for _ in range(3)]
+        recipe = write_recipe(tmp_path, base, runs)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0][0].size)
+            return mean_arrays(*args, **kwargs)
+
+        monkeypatch.setattr(soup_module, "mean_arrays", counted)
+        inputs = read_inputs(recipe, recipe.plans())
+        assert calls == []
+        assert [c.content_hash for c in inputs] == [run.content_hash for run in runs]
+        uniform_soup(recipe, tmp_path / "soup.ckpt")
+        assert sum(calls) == sum(base.tensors[name].size for name in TRAINED)
 
     def test_weighted_soup_matches_mean_stack(self, tmp_path):
         rng = np.random.default_rng(10)

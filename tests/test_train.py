@@ -6,6 +6,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import fapft
+
 from fapft.angles import compute_angles
 from fapft.arch import (
     _make_plan,
@@ -16,7 +18,9 @@ from fapft.arch import (
 )
 from fapft.checkpoint import Checkpoint
 from fapft.errors import (
+    DimensionMismatch,
     DivergenceError,
+    EmptyInput,
     IncompatiblePlan,
     InvalidValue,
 )
@@ -39,6 +43,7 @@ from fapft.train import (
     _AdamW,
     _frozen_prefix,
     _trainable_names,
+    accuracy,
     cosine_warmup_lr,
     generate_dataset,
     grad_check,
@@ -492,6 +497,30 @@ class TestTrain:
     def test_dataset_model_dim_tied(self):
         with pytest.raises(InvalidValue):
             config(dataset=replace(SPEC, feature_dim=8))
+
+
+class TestAccuracy:
+    def test_equals_one_sample_forward_passes(self, pretrained):
+        _, _, x, y = generate_dataset(SPEC).task_split("finetune")
+        params = _params64({name: t.array for name, t in pretrained.tensors.items()})
+        logits = [_forward(params, x[i : i + 1], DIMS, None)[0] for i in range(len(y))]
+        expected = float((np.argmax(np.concatenate(logits), axis=-1) == y).mean())
+        assert 0.0 < expected < 1.0  # a mix-up of samples or labels would show
+        assert accuracy(pretrained, DIMS, x, y) == expected
+
+    def test_labels_must_match_samples(self, pretrained):
+        _, _, x, y = generate_dataset(SPEC).task_split("finetune")
+        with pytest.raises(DimensionMismatch, match=f"{len(y)} samples but 1 labels"):
+            accuracy(pretrained, DIMS, x, y[:1])
+
+    def test_empty_split(self, pretrained):
+        _, _, x, y = generate_dataset(SPEC).task_split("finetune")
+        with pytest.raises(EmptyInput):
+            accuracy(pretrained, DIMS, x[:0], y[:0])
+
+    def test_exported(self):
+        assert "accuracy" in fapft.__all__
+        assert fapft.accuracy is accuracy
 
 
 def _traced_peak(fn) -> int:
