@@ -3,15 +3,16 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 66 invocations of all ten subcommands, in text and
+checkouts) runs the same 68 invocations of all ten subcommands, in text and
 ``--json`` mode, with ``--out`` where a command takes it, the angles of a
 checkpoint against itself (all tied) and a plan from them, two plans of the
 four-stage ``swin_b``, a ``grad-check`` that passes and one that fails, a
 usage error, a missing file, a data error for each kind of JSON input (train
 config, dataset spec, recipe, plan and angle report, each holding a value of
 the wrong type), a ``train --init`` checkpoint shallower than the config's
-model, and a greedy soup refused for a run that changed a frozen layer, each
-command in its own process and working directory. Stdout, stderr (with
+model and one deeper than it, and a greedy soup refused for a run that
+changed a frozen layer, each command in its own process and working
+directory. Stdout, stderr (with
 timings masked), exit codes and the bytes of every file left behind must be
 equal. Exit status 0 means identical, 1 lists the differences. One tree
 takes about ten seconds on two CPUs.
@@ -48,6 +49,8 @@ INPUTS = {
     "pre_config.json": {**CONFIG, "task": "pretrain"},
     # a model one block deeper than the checkpoints it is told to start from
     "deep_config.json": {**CONFIG, "arch": {**CONFIG["arch"], "depth": 3}},
+    # and one block shallower
+    "shallow_config.json": {**CONFIG, "arch": {**CONFIG["arch"], "depth": 1}},
     "spec.json": CONFIG["dataset"],
     "recipe.json": RECIPE,
     "recipe_plain.json": {"inputs": [{"path": "ft_text/run.ckpt", "weight": 2.0},
@@ -124,6 +127,8 @@ def _commands(mode: str, j: list):
     yield ["train", "--config", "bad_config.json", "--out", f"bad_{mode}", *j]
     yield ["train", "--config", "deep_config.json", "--init", "pre_text/run.ckpt",
            "--out", f"deep_{mode}", *j]
+    yield ["train", "--config", "shallow_config.json", "--init", "pre_text/run.ckpt",
+           "--out", f"shallow_{mode}", *j]
     yield ["dataset", "--spec", "bad_spec.json", "--out", f"bad_{mode}.ckpt", *j]
     yield ["soup", "--recipe", "bad_recipe.json", "--out", f"bad_{mode}.ckpt", *j]
     yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "bad_plan.json",

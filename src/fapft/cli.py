@@ -27,7 +27,6 @@ from .arch import (
     manual_strategy,
     millions_str,
     plan_from_json,
-    toy_vit_arch,
 )
 from .checkpoint import (
     Checkpoint,
@@ -40,13 +39,13 @@ from .checkpoint import (
 )
 from .errors import (
     FormatError,
-    IncompatibleCheckpoints,
     InvalidValue,
     IoError,
     PftError,
     UsageError,
     parse_json,
 )
+from .model import _checked_params
 from .planner import FapftPolicy, default_policy, plan_fapft
 from .soup import (
     SoupRecipe,
@@ -265,32 +264,6 @@ def _cmd_params(args):
     return obj, f"{exact}\n{millions_str(exact)}M\n"
 
 
-def _check_eval_model(config: TrainConfig, inputs, candidates) -> None:
-    """Refuse a greedy candidate that the eval config's model does not describe:
-    it must hold that model's tensors, each with its shape, and no others."""
-    d = config.arch
-    shapes = toy_vit_arch(d.depth, d.model_dim, d.heads, d.ffn_dim, d.seq_len).schema_shapes(
-        d.num_classes
-    )
-    for inp, ckpt in zip(inputs, candidates):
-        for name, shape in shapes.items():
-            tensor = ckpt.tensors.get(name)
-            if tensor is None:
-                raise IncompatibleCheckpoints(
-                    f"{inp.path}: lacks tensor {name!r} of the --eval-config model"
-                )
-            if tensor.shape != shape:
-                raise IncompatibleCheckpoints(
-                    f"{inp.path}: tensor {name!r} has shape {tensor.shape}, "
-                    f"the --eval-config model needs {shape}"
-                )
-        extra = sorted(ckpt.tensors.keys() - shapes.keys())
-        if extra:
-            raise IncompatibleCheckpoints(
-                f"{inp.path}: tensor {extra[0]!r} is not in the --eval-config model"
-            )
-
-
 def _cmd_soup(args):
     if not args.out:
         raise UsageError("soup requires --out for the merged checkpoint")
@@ -301,7 +274,9 @@ def _cmd_soup(args):
         config = TrainConfig.from_json(read_text(args.eval_config))
         plans = recipe.plans()
         candidates = read_inputs(recipe, plans)
-        _check_eval_model(config, recipe.inputs, candidates)
+        for inp, c in zip(recipe.inputs, candidates):
+            arrays = {n: t.array for n, t in c.tensors.items()}
+            _checked_params(arrays, config.arch, inp.path, "--eval-config model")
         _, _, x_val, y_val = generate_dataset(config.dataset).task_split(config.task)
         merged = greedy_soup(candidates, lambda c: accuracy(c, config.arch, x_val, y_val))
         input_hashes = [c.content_hash for c in candidates]
@@ -336,7 +311,7 @@ def _init_checkpoint(path: str | None, config: TrainConfig) -> Checkpoint | None
     if not path:
         return None
     init = read_checkpoint(path)
-    _params_from_init(init, config.descriptor(), config.arch, config.seed)
+    _params_from_init(init, config.arch, config.seed)
     return init
 
 

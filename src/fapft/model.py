@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .arch import MAX_TOY_DEPTH, toy_vit_arch
-from .errors import InvalidValue, require_int
+from .errors import IncompatibleCheckpoints, InvalidValue, require_int
 
 __all__ = [
     "ModelDims",
@@ -89,6 +89,27 @@ def _schema(dims: ModelDims) -> Mapping[str, tuple[int, ...]]:
     arch = toy_vit_arch(dims.depth, dims.model_dim, dims.heads, dims.ffn_dim, dims.seq_len)
     shapes = arch.schema_shapes(dims.num_classes)
     return MappingProxyType({"pos_embed": shapes.pop("pos_embed"), **shapes})
+
+
+def _checked_params(
+    arrays: Mapping[str, np.ndarray], dims: ModelDims, what: str, model: str = "model"
+) -> dict[str, np.ndarray]:
+    """``arrays`` in :func:`_schema` order, once they are the weights of the
+    ``toy_vit`` model ``dims``: each of its tensors, with its shape, and no
+    other. ``what`` names the input and ``model`` the model in the messages."""
+    shapes = _schema(dims)
+    for name, shape in shapes.items():
+        array = arrays.get(name)
+        if array is None:
+            raise IncompatibleCheckpoints(f"{what}: lacks tensor {name!r} of the {model}")
+        if array.shape != shape:
+            raise IncompatibleCheckpoints(
+                f"{what}: tensor {name!r} has shape {array.shape}, the {model} needs {shape}"
+            )
+    extra = sorted(arrays.keys() - shapes.keys())
+    if extra:
+        raise IncompatibleCheckpoints(f"{what}: tensor {extra[0]!r} is not in the {model}")
+    return {name: arrays[name] for name in shapes}
 
 
 def init_params(dims: ModelDims, rng: np.random.Generator) -> dict[str, np.ndarray]:

@@ -33,7 +33,6 @@ from .errors import (
     DimensionMismatch,
     DivergenceError,
     EmptyInput,
-    IncompatibleCheckpoints,
     IncompatiblePlan,
     InvalidValue,
     parse_json,
@@ -43,6 +42,7 @@ from .errors import (
 )
 from .model import (
     ModelDims,
+    _checked_params,
     hidden_state,
     init_params,
     loss_and_grads,
@@ -413,27 +413,15 @@ def _trainable_names(
     return names
 
 
-def _params_from_init(init: Checkpoint, arch: ArchDescriptor, dims: ModelDims, seed: int):
-    shapes = arch.schema_shapes(dims.num_classes)
-    params: dict[str, np.ndarray] = {}
-    head_matches = (
-        "head.weight" in init.tensors
-        and init.tensors["head.weight"].shape == shapes["head.weight"]
-    )
-    for name, shape in shapes.items():
-        tensor = init.tensors.get(name)
-        if name in ("head.weight", "head.bias") and not head_matches:
-            continue  # re-initialized below
-        if tensor is None:
-            raise IncompatibleCheckpoints(f"init checkpoint lacks tensor {name!r}")
-        if tensor.shape != shape:
-            raise IncompatibleCheckpoints(
-                f"init tensor {name!r} has shape {tensor.shape}, model needs {shape}"
-            )
-        params[name] = tensor.array  # the optimizer copies it into its flat vector
-    if not head_matches:
+def _params_from_init(init: Checkpoint, dims: ModelDims, seed: int):
+    """``init``'s weights for the model ``dims``; a head of another class
+    count, or none, is drawn afresh from the run seed."""
+    params = {name: t.array for name, t in init.tensors.items()}
+    head = params.get("head.weight")
+    if head is None or head.shape != (dims.num_classes, dims.model_dim):
         params = reinit_head(params, dims, np.random.default_rng([seed, _STREAM_HEAD]))
-    return params
+    # the optimizer copies each array into its flat vector
+    return _checked_params(params, dims, "init checkpoint", "config's model")
 
 
 def _final_checkpoint(params64, config: TrainConfig) -> Checkpoint:
@@ -476,7 +464,7 @@ def accuracy(ckpt: Checkpoint, dims: ModelDims, x, y) -> float:
         raise DimensionMismatch(f"{len(x)} samples but {len(y)} labels")
     if len(y) == 0:
         raise EmptyInput("accuracy needs at least one sample")
-    params = {name: t.array for name, t in ckpt.tensors.items()}
+    params = _checked_params({n: t.array for n, t in ckpt.tensors.items()}, dims, "checkpoint")
     return _accuracy(params, x, y, dims, None)
 
 
@@ -485,9 +473,10 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
 
     ``init=None`` starts from a fresh seed-derived initialization. With an
     init checkpoint, the head is re-initialized when its class count differs
-    from the config's. Under a freeze plan, frozen tensors get no optimizer
-    state, no updates and no gradients, and a frozen prefix of the model runs
-    once per split instead of once per step.
+    from the config's; ``init`` must hold every other tensor of the model,
+    with its shape, and no tensor outside it. Under a freeze plan, frozen
+    tensors get no optimizer state, no updates and no gradients, and a frozen
+    prefix of the model runs once per split instead of once per step.
     """
     dims = config.arch
     arch = config.descriptor()
@@ -497,7 +486,7 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
     if init is None:
         params32 = init_params(dims, np.random.default_rng([config.seed, _STREAM_INIT]))
     else:
-        params32 = _params_from_init(init, arch, dims, config.seed)
+        params32 = _params_from_init(init, dims, config.seed)
     trainable = _trainable_names(config.freeze, arch, dims)
     # 64-bit master weights during the run, as views of the optimizer's flat
     # vector; storage stays 32-bit at both ends

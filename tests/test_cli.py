@@ -263,10 +263,13 @@ SMALL_DIMS = {"depth": 1, "model_dim": 4, "heads": 1, "ffn_dim": 8, "seq_len": 2
 SMALL_META = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(SMALL_DIMS)}
 
 
-def _small_ckpt(seed) -> Checkpoint:
-    shapes = describe_arch("toy_vit", **SMALL_DIMS).schema_shapes(2)
+def _small_ckpt(seed, **dims) -> Checkpoint:
+    """A two-class checkpoint of the SMALL_DIMS model, with ``dims``' changes."""
+    dims = {**SMALL_DIMS, **dims}
+    shapes = describe_arch("toy_vit", **dims).schema_shapes(2)
     rng = np.random.default_rng(seed)
-    return Checkpoint({n: rng.normal(size=s) for n, s in shapes.items()}, SMALL_META)
+    meta = {"pft.arch_id": "toy_vit", "pft.arch_config": json.dumps(dims)}
+    return Checkpoint({n: rng.normal(size=s) for n, s in shapes.items()}, meta)
 
 
 def _with_nan_last(ckpt: Checkpoint) -> bytes:
@@ -644,6 +647,12 @@ BAD_INPUTS = [
     ("angles_header_too_many_digits", ANGLES_TOY,
      {"pre.ckpt": _header_too_many_digits(), "ft.ckpt": _small_ckpt(2).canonical_bytes()}, 2,
      "pre.ckpt: malformed header JSON"),
+    # an init checkpoint is the config's model, but for its head, so a block
+    # the config lacks is refused rather than left out of the run
+    ("train_init_deeper_than_config",
+     ["train", "--config", "@c.json", "--init", "@i.ckpt", "--out", "@out"],
+     {"c.json": _small_config(), "i.ckpt": _small_ckpt(1, depth=2).canonical_bytes()}, 2,
+     "init checkpoint: tensor 'blocks.1.attn.proj.bias' is not in the config's model"),
     ("train_init_elements_overflow_int64",
      ["train", "--config", "@c.json", "--init", "@i.ckpt", "--out", "@out"],
      {"c.json": _config("arch"), "i.ckpt": _header_of_2_64_elements()}, 2,
@@ -992,7 +1001,10 @@ class TestTrainCommand:
         ):
             code, _, err = run_cli(capsys, *argv)
             assert code == 2, err
-            assert "init checkpoint lacks tensor 'blocks.1.norm1.weight'" in err
+            assert (
+                "init checkpoint: lacks tensor 'blocks.1.norm1.weight' of the config's model"
+                in err
+            )
         assert sorted(os.listdir(tmp_path)) == ["c.json", "shallow.ckpt"]
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 
@@ -21,6 +22,7 @@ from fapft.errors import (
     DimensionMismatch,
     DivergenceError,
     EmptyInput,
+    IncompatibleCheckpoints,
     IncompatiblePlan,
     InvalidValue,
 )
@@ -458,6 +460,21 @@ class TestTrain:
         result = train(config(arch=dims9, dataset=spec9), init=pretrained)
         assert result.final_checkpoint.tensors["head.weight"].shape == (9, 16)
 
+    def test_headless_init_trains_like_one_of_another_class_count(self, pretrained):
+        # both heads are drawn afresh from the run seed's head stream
+        body = {n: t for n, t in pretrained.tensors.items() if not n.startswith("head.")}
+        head9 = reinit_head({}, replace(DIMS, num_classes=9), np.random.default_rng(0))
+        headless = train(config(), init=Checkpoint(body)).final_checkpoint
+        other = train(config(), init=Checkpoint({**body, **head9})).final_checkpoint
+        assert headless.canonical_bytes() == other.canonical_bytes()
+
+    def test_init_deeper_than_config_refused(self, pretrained):
+        with pytest.raises(
+            IncompatibleCheckpoints,
+            match="init checkpoint: tensor 'blocks.1.attn.proj.bias' is not in the config's model",
+        ):
+            train(config(arch=replace(DIMS, depth=1)), init=pretrained)
+
     def test_divergence_reported_with_epoch(self):
         cfg = config(optimizer=OptimizerConfig(learning_rate=1e18))
         with pytest.raises(DivergenceError, match="epoch"):
@@ -517,6 +534,34 @@ class TestAccuracy:
         _, _, x, y = generate_dataset(SPEC).task_split("finetune")
         with pytest.raises(EmptyInput):
             accuracy(pretrained, DIMS, x[:0], y[:0])
+
+    @pytest.mark.parametrize(
+        "change, dims, message",
+        [
+            pytest.param(
+                {"head.weight": np.zeros((9, 16)), "head.bias": np.zeros(9)}, DIMS,
+                "checkpoint: tensor 'head.weight' has shape (9, 16), the model needs (4, 16)",
+                id="nine_classes",
+            ),
+            pytest.param(
+                {}, replace(DIMS, depth=1),
+                "checkpoint: tensor 'blocks.1.attn.proj.bias' is not in the model",
+                id="deeper_than_dims",
+            ),
+            pytest.param(
+                {"blocks.1.norm1.weight": None}, DIMS,
+                "checkpoint: lacks tensor 'blocks.1.norm1.weight' of the model",
+                id="lacks_a_tensor",
+            ),
+        ],
+    )
+    def test_another_model_refused(self, pretrained, change, dims, message):
+        # the head's class count and the blocks present would otherwise pick
+        # the model scored, whatever ``dims`` says
+        _, _, x, y = generate_dataset(SPEC).task_split("finetune")
+        tensors = {n: t for n, t in {**pretrained.tensors, **change}.items() if t is not None}
+        with pytest.raises(IncompatibleCheckpoints, match=re.escape(message)):
+            accuracy(Checkpoint(tensors), dims, x, y)
 
     def test_exported(self):
         assert "accuracy" in fapft.__all__
