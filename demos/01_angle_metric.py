@@ -1,15 +1,18 @@
 """Weight-space angles, rank correlation, and weight averaging on small vectors.
 
 The angle between a layer's flattened weights before and after fine-tuning
-measures how much that layer moved. This demo exercises the three primitives
-everything else is built from: vec_angle, kendall_tau, and mean_stack.
+measures how much that layer moved. This demo exercises three primitives on
+float32 arrays: vec_angle, kendall_tau and mean_stack. Checkpoints hold their
+tensors as read-only float32 arrays, and soups average them blockwise with
+mean_arrays, the kernel under mean_stack.
 """
 
 import math
 
 import numpy as np
 
-from fapft import Tensor, kendall_tau, mean_stack, vec_angle
+from fapft import kendall_tau, mean_stack, vec_angle
+from fapft.tensors import bits_equal
 
 print("== angles between flat weight vectors ==")
 print(f"identical directions        -> {vec_angle([3, 4], [3, 4]):.6f} rad")
@@ -33,14 +36,14 @@ print(f"reversed ordering  -> tau = {kendall_tau(angles_run1, angles_rev):+.3f}"
 print(f"identical ordering -> tau = {kendall_tau(angles_run1, angles_run1):+.3f}")
 
 print("\n== weight averaging ==")
-a = Tensor([0.0, 0.0, 0.0])
-b = Tensor([1.0, 2.0, 3.0])
-print(f"uniform mean of two tensors: {mean_stack([a, b]).array.tolist()}")
-print(f"3:1 weighted mean:           {mean_stack([a, b], weights=[3, 1]).array.tolist()}")
+a = np.float32([0.0, 0.0, 0.0])
+b = np.float32([1.0, 2.0, 3.0])
+print(f"uniform mean of two tensors: {mean_stack([a, b]).tolist()}")
+print(f"3:1 weighted mean:           {mean_stack([a, b], weights=[3, 1]).tolist()}")
 
-same = Tensor(rng.normal(size=5).astype("float32"))
+same = rng.normal(size=5).astype("float32")
 merged = mean_stack([same, same, same])
-print(f"averaging identical tensors is exact: {merged.bitwise_equal(same)}")
+print(f"averaging identical tensors is exact: {bits_equal(merged, same)}")
 
 assert abs(vec_angle([1, 0], [1, 1]) - math.pi / 4) < 1e-12
 print("\nall checks passed")

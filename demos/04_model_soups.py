@@ -17,7 +17,6 @@ from fapft import (
     OptimizerConfig,
     ScheduleConfig,
     SyntheticSpec,
-    Tensor,
     TrainConfig,
     accuracy,
     compute_angles,
@@ -81,7 +80,7 @@ members = [run.final_checkpoint for run in series.runs]
 rng = np.random.default_rng(99)
 corrupted = Checkpoint(
     {
-        name: Tensor(rng.normal(size=t.shape).astype(np.float32), name=name)
+        name: rng.normal(size=t.shape).astype(np.float32)
         for name, t in members[0].tensors.items()
     },
     dict(members[0].metadata),

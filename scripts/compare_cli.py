@@ -3,19 +3,20 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 68 invocations of all ten subcommands, in text and
+checkouts) runs the same 70 invocations of all ten subcommands, in text and
 ``--json`` mode, with ``--out`` where a command takes it, the angles of a
 checkpoint against itself (all tied) and a plan from them, two plans of the
 four-stage ``swin_b``, a ``grad-check`` that passes and one that fails, a
 usage error, a missing file, a data error for each kind of JSON input (train
 config, dataset spec, recipe, plan and angle report, each holding a value of
 the wrong type), a ``train --init`` checkpoint shallower than the config's
-model and one deeper than it, and a greedy soup refused for a run that
-changed a frozen layer, each command in its own process and working
-directory. Stdout, stderr (with
-timings masked), exit codes and the bytes of every file left behind must be
-equal. Exit status 0 means identical, 1 lists the differences. One tree
-takes about ten seconds on two CPUs.
+model and one deeper than it, a greedy soup refused for a run that
+changed a frozen layer, and a ``report`` over summaries whose accuracy is NaN
+or an int beyond the float range, each command in its own process, in one
+working directory per tree. Stdout, stderr (with timings masked), exit codes
+and the bytes of every file left behind must be equal. Exit status 0 means
+identical, 1 lists the differences. One tree takes about 17 seconds on two
+CPUs.
 """
 
 import hashlib
@@ -75,6 +76,12 @@ INPUTS = {
                                        "excluded_tensors": []}},
 }
 
+# summaries whose accuracy parses but is not a finite float
+SUMMARIES = {
+    "summaries/nan.json": '{"final_val_accuracy": NaN, "strategy_tag": "B"}',
+    "summaries/huge.json": '{"final_val_accuracy": 1%s, "strategy_tag": "B"}' % ("0" * 399),
+}
+
 
 def _commands(mode: str, j: list):
     """The invocations of one mode; later ones read what the text-mode runs
@@ -120,6 +127,7 @@ def _commands(mode: str, j: list):
     yield ["pipeline", "--config", "config.json", "--difficulty", "challenging",
            "--pre", "pre_text/run.ckpt", *j]
     yield ["report", "--dir", "pipe_text", "--out", f"report_{mode}.json", *j]
+    yield ["report", "--dir", "summaries", "--out", f"report_summaries_{mode}.json", *j]
     yield ["grad-check", "--out", f"gc_{mode}.json", *j]
     yield ["grad-check", "--tolerance", "1e-30", "--out", f"gcf_{mode}.json", *j]
     yield ["params", "--arch", "vit_b16", "--strategy", "zz", "--classes", "10", *j]
@@ -147,6 +155,9 @@ def record(src: str, work: Path) -> dict:
     """What every invocation printed and returned, and the hash of every file."""
     for name, obj in INPUTS.items():
         (work / name).write_text(json.dumps(obj))
+    (work / "summaries").mkdir()
+    for name, text in SUMMARIES.items():
+        (work / name).write_text(text)
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "OPENBLAS_NUM_THREADS": "1"}
     runs = []
     for argv in invocations():

@@ -46,7 +46,7 @@ from .soup import (
     uniform_soup,
     uniform_soup_checkpoints,
 )
-from .tensors import Tensor, kendall_tau, mean_stack, vec_angle
+from .tensors import kendall_tau, mean_stack, vec_angle
 from .train import (
     GradCheckResult,
     OptimizerConfig,
@@ -69,7 +69,6 @@ __all__ = [
     "__version__",
     "errors",
     # tensors
-    "Tensor",
     "vec_angle",
     "kendall_tau",
     "mean_stack",

@@ -43,8 +43,8 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .errors import CorruptFile, FormatError, IoError, UnsupportedDtype
-from .tensors import Tensor, all_finite
+from .errors import CorruptFile, FormatError, InvalidValue, IoError, UnsupportedDtype
+from .tensors import all_finite
 
 __all__ = [
     "Checkpoint",
@@ -126,13 +126,17 @@ def _sha256(parts) -> str:
     return digest.hexdigest()
 
 
-def _payload_view(tensor: Tensor) -> np.ndarray:
+def _payload_view(array: np.ndarray) -> np.ndarray:
     """A tensor's little-endian float32 bytes as a flat uint8 view (no copy on LE hosts)."""
-    return tensor.array.astype(_F32, copy=False).reshape(-1).view(np.uint8)
+    return array.astype(_F32, copy=False).reshape(-1).view(np.uint8)
 
 
 class Checkpoint:
     """An immutable named map of tensors plus a string metadata map.
+
+    Each tensor is a read-only, C-contiguous float32 array holding no NaN and
+    no infinity. The constructor converts any array-like to one; an array that
+    already is contiguous float32 is not copied, but is made read-only.
 
     Toolkit producers namespace their metadata keys as ``pft.*``
     (``pft.arch_id``, ``pft.seed``, ``pft.epoch``, ``pft.producer``, ...).
@@ -142,15 +146,17 @@ class Checkpoint:
 
     def __init__(
         self,
-        tensors: Mapping[str, Tensor],
+        tensors: Mapping[str, object],
         metadata: Mapping[str, str] | None = None,
     ):
-        clean: dict[str, Tensor] = {}
-        for name, tensor in tensors.items():
+        clean: dict[str, np.ndarray] = {}
+        for name, data in tensors.items():
             _validate_name(name)
-            if not isinstance(tensor, Tensor):
-                tensor = Tensor(tensor, name=name)
-            clean[name] = tensor
+            array = np.ascontiguousarray(data, dtype=np.float32)
+            if not all_finite(array):
+                raise InvalidValue(f"tensor {name} contains non-finite values")
+            array.setflags(write=False)
+            clean[name] = array
         meta: dict[str, str] = {}
         for k, v in (metadata or {}).items():
             if not isinstance(k, str) or not isinstance(v, str):
@@ -161,7 +167,7 @@ class Checkpoint:
         self._hash: str | None = None
 
     @property
-    def tensors(self) -> Mapping[str, Tensor]:
+    def tensors(self) -> Mapping[str, np.ndarray]:
         return MappingProxyType(self._tensors)
 
     @property
@@ -177,7 +183,7 @@ class Checkpoint:
         """(name, start, chunk) in the order :meth:`CheckpointReader.chunks`
         yields them; each chunk is a flat view of the tensor."""
         for name in sorted(self._tensors):
-            flat = self._tensors[name].array.reshape(-1)
+            flat = self._tensors[name].reshape(-1)
             for start in _chunk_starts(flat.size, length):
                 yield name, start, flat[start : start + length]
 

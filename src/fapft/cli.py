@@ -44,6 +44,7 @@ from .errors import (
     PftError,
     UsageError,
     parse_json,
+    require_finite,
 )
 from .model import _checked_params
 from .planner import FapftPolicy, default_policy, plan_fapft
@@ -55,7 +56,6 @@ from .soup import (
     soup_manifest,
     uniform_soup,
 )
-from .tensors import Tensor
 from .train import (
     SyntheticSpec,
     TrainConfig,
@@ -275,8 +275,7 @@ def _cmd_soup(args):
         plans = recipe.plans()
         candidates = read_inputs(recipe, plans)
         for inp, c in zip(recipe.inputs, candidates):
-            arrays = {n: t.array for n, t in c.tensors.items()}
-            _checked_params(arrays, config.arch, inp.path, "--eval-config model")
+            _checked_params(c.tensors, config.arch, inp.path, "--eval-config model")
         _, _, x_val, y_val = generate_dataset(config.dataset).task_split(config.task)
         merged = greedy_soup(candidates, lambda c: accuracy(c, config.arch, x_val, y_val))
         input_hashes = [c.content_hash for c in candidates]
@@ -442,8 +441,12 @@ def _cmd_report(args):
             except FormatError:  # not UTF-8, or not JSON
                 continue
             accuracy = data.get("final_val_accuracy") if isinstance(data, dict) else None
-            # a summary whose accuracy is not a number is listed without it
-            if isinstance(accuracy, (int, float)) and not isinstance(accuracy, bool):
+            # a summary whose accuracy is not a finite number is listed without it
+            try:
+                require_finite("final_val_accuracy", accuracy)
+            except InvalidValue:
+                pass
+            else:
                 entry["final_val_accuracy"] = accuracy
                 entry["strategy_tag"] = data.get("strategy_tag")
         artifacts.append(entry)
@@ -494,10 +497,10 @@ def _cmd_dataset(args):
     spec = SyntheticSpec.from_dict(parse_json(read_text(args.spec), "dataset spec"))
     data = generate_dataset(spec)
     tensors = {
-        "pretrain.features": Tensor(data.pretrain_x),
-        "pretrain.labels": Tensor(data.pretrain_y.astype("float32")),
-        "finetune.features": Tensor(data.finetune_x),
-        "finetune.labels": Tensor(data.finetune_y.astype("float32")),
+        "pretrain.features": data.pretrain_x,
+        "pretrain.labels": data.pretrain_y,
+        "finetune.features": data.finetune_x,
+        "finetune.labels": data.finetune_y,
     }
     container = Checkpoint(
         tensors,

@@ -127,7 +127,7 @@ def init_params(dims: ModelDims, rng: np.random.Generator) -> dict[str, np.ndarr
 
 
 def reinit_head(
-    params: dict[str, np.ndarray], dims: ModelDims, rng: np.random.Generator
+    params: Mapping[str, np.ndarray], dims: ModelDims, rng: np.random.Generator
 ) -> dict[str, np.ndarray]:
     out = dict(params)
     out["head.weight"] = _trunc_normal(

@@ -52,7 +52,7 @@ from .errors import (
     parse_json,
     reading,
 )
-from .tensors import Tensor, bits_equal, mean_arrays, mean_scratch, mean_weights
+from .tensors import bits_equal, mean_arrays, mean_scratch, mean_weights
 
 __all__ = [
     "SoupInput",
@@ -271,8 +271,7 @@ def uniform_soup_checkpoints(
     means = {name: np.empty(shape, np.float32) for name, shape in _check_compatible(ckpts).items()}
     for name, start, mean in _merged(ckpts, weights):
         means[name].reshape(-1)[start : start + mean.size] = mean
-    tensors = {name: Tensor(mean, name=name) for name, mean in means.items()}
-    return Checkpoint(tensors, _soup_metadata(ckpts, weights, [c.content_hash for c in ckpts]))
+    return Checkpoint(means, _soup_metadata(ckpts, weights, [c.content_hash for c in ckpts]))
 
 
 def uniform_soup(

@@ -1,8 +1,9 @@
-"""Dense tensor values and the scalar numerics the rest of the toolkit builds on.
+"""The numerics on float32 arrays that the rest of the toolkit builds on:
+bit comparison, vector angles, rank correlation and weighted means.
 
 Storage precision is 32-bit; every reduction (dot products, norms, sums)
-accumulates in 64-bit. All values are immutable after construction and all
-functions here are pure, so concurrent use needs no locking.
+accumulates in 64-bit. No function keeps state between calls, so concurrent
+calls that share no buffer need no locking.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (
 )
 
 __all__ = [
-    "Tensor", "PairStats", "all_finite", "bits_equal", "pair_scratch", "pair_stats", "vec_angle",
+    "PairStats", "all_finite", "bits_equal", "pair_scratch", "pair_stats", "vec_angle",
     "kendall_tau", "mean_arrays", "mean_scratch", "mean_stack", "mean_weights",
 ]
 
@@ -37,44 +38,6 @@ _BLOCK = 8192
 # sums of one block stay in cache while every input is added into them. The
 # mean is elementwise, so no block length changes its bits.
 _MEAN_BLOCK = 1 << 16
-
-
-class Tensor:
-    """An immutable dense tensor: float32 values in row-major order plus an optional name.
-
-    Non-finite values are rejected at construction; NaN/Inf never propagate
-    silently into angles or rankings.
-    """
-
-    __slots__ = ("array", "name")
-
-    def __init__(self, data, name: str | None = None):
-        arr = np.ascontiguousarray(data, dtype=np.float32)
-        if not all_finite(arr):
-            raise InvalidValue(
-                f"tensor {name or '<unnamed>'} contains non-finite values"
-            )
-        arr.setflags(write=False)
-        object.__setattr__(self, "array", arr)
-        object.__setattr__(self, "name", name)
-
-    def __setattr__(self, key, value):
-        raise AttributeError("Tensor is immutable")
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(self.array.shape)
-
-    @property
-    def size(self) -> int:
-        return int(self.array.size)
-
-    def bitwise_equal(self, other: "Tensor") -> bool:
-        """Equal bit patterns (so ``-0.0`` differs from ``+0.0``), compared without copies."""
-        return bits_equal(self.array, other.array)
-
-    def __repr__(self):
-        return f"Tensor(name={self.name!r}, shape={self.shape})"
 
 
 def all_finite(a: np.ndarray) -> bool:
@@ -97,8 +60,6 @@ def bits_equal(a: np.ndarray, b: np.ndarray, mask: np.ndarray | None = None) -> 
 
 
 def _as_flat_f64(x, label: str) -> np.ndarray:
-    if isinstance(x, Tensor):
-        x = x.array
     arr = np.asarray(x, dtype=np.float64).ravel()
     if not np.all(np.isfinite(arr)):
         raise InvalidValue(f"{label} contains non-finite values")
@@ -307,23 +268,23 @@ def mean_arrays(
 
 
 def mean_stack(
-    tensors: Sequence[Tensor], weights: Sequence[float] | None = None
-) -> Tensor:
-    """Elementwise weighted mean of same-shape tensors.
+    arrays: Sequence[np.ndarray], weights: Sequence[float] | None = None
+) -> np.ndarray:
+    """Elementwise weighted mean of same-shape finite arrays, as a new float32 array.
 
     Accumulates in 64-bit and rounds once to storage precision
     (:func:`mean_arrays`). Weights are normalized by their sum; ``None``
-    means uniform. A single input is reproduced exactly.
+    means uniform. A single float32 input is reproduced exactly.
     """
-    tensors = list(tensors)
-    if not tensors:
-        raise EmptyInput("mean_stack needs at least one tensor")
-    shape = tensors[0].shape
-    for t in tensors[1:]:
-        if t.shape != shape:
-            raise DimensionMismatch(f"shape mismatch: {t.shape} vs {shape}")
-    weights = mean_weights(weights, len(tensors))
-    name = tensors[0].name if len({t.name for t in tensors}) == 1 else None
-    if len(tensors) == 1:
-        return Tensor(tensors[0].array, name=name)
-    return Tensor(mean_arrays([t.array for t in tensors], weights), name=name)
+    arrays = [np.asarray(a, dtype=np.float32) for a in arrays]
+    if not arrays:
+        raise EmptyInput("mean_stack needs at least one array")
+    for a in arrays:
+        if a.shape != arrays[0].shape:
+            raise DimensionMismatch(f"shape mismatch: {a.shape} vs {arrays[0].shape}")
+        if not all_finite(a):
+            raise InvalidValue("mean_stack input contains non-finite values")
+    weights = mean_weights(weights, len(arrays))
+    if len(arrays) == 1:
+        return arrays[0].copy()
+    return mean_arrays(arrays, weights)

@@ -51,7 +51,6 @@ from .model import (
 )
 from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
 from .soup import uniform_soup_checkpoints
-from .tensors import Tensor
 
 __all__ = [
     "SyntheticSpec",
@@ -416,7 +415,7 @@ def _trainable_names(
 def _params_from_init(init: Checkpoint, dims: ModelDims, seed: int):
     """``init``'s weights for the model ``dims``; a head of another class
     count, or none, is drawn afresh from the run seed."""
-    params = {name: t.array for name, t in init.tensors.items()}
+    params = init.tensors
     head = params.get("head.weight")
     if head is None or head.shape != (dims.num_classes, dims.model_dim):
         params = reinit_head(params, dims, np.random.default_rng([seed, _STREAM_HEAD]))
@@ -425,10 +424,7 @@ def _params_from_init(init: Checkpoint, dims: ModelDims, seed: int):
 
 
 def _final_checkpoint(params64, config: TrainConfig) -> Checkpoint:
-    tensors = {
-        name: Tensor(arr.astype(np.float32), name=name)
-        for name, arr in params64.items()
-    }
+    tensors = {name: arr.astype(np.float32) for name, arr in params64.items()}
     metadata = {
         "pft.arch_id": "toy_vit",
         "pft.arch_config": json.dumps(config.arch.to_dict(), sort_keys=True),
@@ -464,7 +460,10 @@ def accuracy(ckpt: Checkpoint, dims: ModelDims, x, y) -> float:
         raise DimensionMismatch(f"{len(x)} samples but {len(y)} labels")
     if len(y) == 0:
         raise EmptyInput("accuracy needs at least one sample")
-    params = _checked_params({n: t.array for n, t in ckpt.tensors.items()}, dims, "checkpoint")
+    sample = (dims.seq_len, dims.model_dim)
+    if np.shape(x)[1:] != sample:
+        raise DimensionMismatch(f"samples of shape {np.shape(x)[1:]}, the model needs {sample}")
+    params = _checked_params(ckpt.tensors, dims, "checkpoint")
     return _accuracy(params, x, y, dims, None)
 
 

@@ -48,7 +48,7 @@ from fapft.errors import CorruptFile, FormatError, InvalidValue, UnsupportedDtyp
 from fapft.model import ModelDims
 from fapft.planner import FapftPolicy, plan_fapft, plan_series
 from fapft.soup import uniform_soup_checkpoints
-from fapft.tensors import Tensor, kendall_tau, vec_angle
+from fapft.tensors import bits_equal, kendall_tau, vec_angle
 from fapft.train import (
     OptimizerConfig,
     ScheduleConfig,
@@ -247,7 +247,7 @@ def test_criterion_4_checkpoint_codec(tmp_path):
         again = read_checkpoint(path)
         assert again.content_hash == h == ckpt.content_hash
         for name in ckpt.tensors:
-            assert again.tensors[name].bitwise_equal(ckpt.tensors[name])
+            assert bits_equal(again.tensors[name], ckpt.tensors[name])
         assert dict(again.metadata) == dict(ckpt.metadata)
 
     ckpt = random_checkpoint(rng)
@@ -381,8 +381,8 @@ def test_criterion_6_freezing_contract(hard_pretrained):
             trainable_tensors.update(arch.layer_map[lid].tensors)
         final = result.final_checkpoint
         for name in sorted(set(hard_pretrained.tensors) - trainable_tensors):
-            assert name in final.tensors and final.tensors[name].bitwise_equal(
-                hard_pretrained.tensors[name]
+            assert name in final.tensors and bits_equal(
+                final.tensors[name], hard_pretrained.tensors[name]
             ), (plan.strategy_tag, name)
         report = compute_angles(hard_pretrained, result.final_checkpoint, arch)
         trained_layers = set(plan.trainable_layer_ids)
@@ -509,18 +509,18 @@ def test_criterion_9_soup_properties():
 
     # elementwise-mean oracle within 1 ulp of storage precision
     ckpts = [
-        Checkpoint({"w": Tensor(rng.normal(size=128).astype(np.float32), name="w")})
+        Checkpoint({"w": rng.normal(size=128).astype(np.float32)})
         for _ in range(5)
     ]
     soup = uniform_soup_checkpoints(ckpts)
-    stack = np.stack([c.tensors["w"].array.astype(np.float64) for c in ckpts])
+    stack = np.stack([c.tensors["w"].astype(np.float64) for c in ckpts])
     oracle = (stack.sum(axis=0) / 5).astype(np.float32)
     ulp = np.spacing(np.abs(oracle))
-    assert np.all(np.abs(soup.tensors["w"].array - oracle) <= ulp)
+    assert np.all(np.abs(soup.tensors["w"] - oracle) <= ulp)
 
     # identity on identical inputs
     same = uniform_soup_checkpoints([ckpts[0]] * 4)
-    assert same.tensors["w"].bitwise_equal(ckpts[0].tensors["w"])
+    assert bits_equal(same.tensors["w"], ckpts[0].tensors["w"])
 
     # a 5-run series soup holds up on held-out data
     dims = ModelDims(depth=6, model_dim=32, heads=4, ffn_dim=64, seq_len=8, num_classes=8)

@@ -25,7 +25,7 @@ from fapft.errors import (
     IncompatibleReports,
     InvalidValue,
 )
-from fapft.tensors import PairStats, Tensor, pair_stats
+from fapft.tensors import PairStats, pair_stats
 
 
 def make_ckpt(arch, num_classes, rng, mutate=None):
@@ -35,7 +35,7 @@ def make_ckpt(arch, num_classes, rng, mutate=None):
         data = rng.normal(size=shape).astype(np.float32)
         if mutate is not None:
             data = mutate(name, data)
-        tensors[name] = Tensor(data, name=name)
+        tensors[name] = data
     return Checkpoint(tensors, {"pft.arch_id": arch.arch_id})
 
 
@@ -52,7 +52,7 @@ def wide(tmp_path_factory):
     rng = np.random.default_rng(44)
     pre = make_ckpt(arch, 3, rng)
     # a small move, as in fine-tuning: an angle near 0 shows the last bits of its sums
-    ft = Checkpoint({n: t.array + np.float32(1e-3) * t.array[::-1] for n, t in pre.tensors.items()},
+    ft = Checkpoint({n: t + np.float32(1e-3) * t[::-1] for n, t in pre.tensors.items()},
                     pre.metadata)
     directory = tmp_path_factory.mktemp("wide")
     paths = (directory / "pre.ckpt", directory / "ft.ckpt")
@@ -79,7 +79,7 @@ class TestComputeAngles:
 
         ft = Checkpoint(
             {
-                n: Tensor(negate(n, t.array.copy()), name=n)
+                n: negate(n, t.copy())
                 for n, t in pre.tensors.items()
             },
             dict(pre.metadata),
@@ -99,7 +99,7 @@ class TestComputeAngles:
 
         def flip(names):
             return Checkpoint(
-                {n: Tensor(-t.array if n in names else t.array, name=n)
+                {n: -t if n in names else t
                  for n, t in pre.tensors.items()}
             )
 
@@ -133,7 +133,7 @@ class TestComputeAngles:
 
         def oracle(names):
             u, v = (
-                np.concatenate([c.tensors[n].array.ravel() for n in sorted(names)])
+                np.concatenate([c.tensors[n].ravel() for n in sorted(names)])
                 .astype(np.longdouble)
                 for c in (pre, ft)
             )
@@ -154,7 +154,7 @@ class TestComputeAngles:
         rng = np.random.default_rng(seed)
         pre = make_ckpt(arch, 5, rng)
         ft = Checkpoint(
-            {n: Tensor(t.array + np.float32(0.2) * t.array[::-1], name=n)
+            {n: t + np.float32(0.2) * t[::-1]
              for n, t in pre.tensors.items()}
         )
         report = compute_angles(pre, ft, arch)
@@ -167,8 +167,8 @@ class TestComputeAngles:
         for layer in arch.layers:
             sums = [0.0, 0.0, 0.0]
             for name in sorted(layer.tensors):
-                a = pre.tensors[name].array.astype(np.float64).ravel()
-                b = ft.tensors[name].array.astype(np.float64).ravel()
+                a = pre.tensors[name].astype(np.float64).ravel()
+                b = ft.tensors[name].astype(np.float64).ravel()
                 for i, (x, y) in enumerate([(a, b), (a, a), (b, b)]):
                     sums[i] += float(np.dot(x, y))
                     whole[i] += float(np.dot(x, y))
@@ -188,7 +188,7 @@ class TestComputeAngles:
         for layer in arch.layers:
             acc = PairStats()
             for name in sorted(layer.tensors):
-                stats = pair_stats(pre.tensors[name].array, ft.tensors[name].array)
+                stats = pair_stats(pre.tensors[name], ft.tensors[name])
                 acc += stats
                 whole += stats
             expected[layer.layer_id] = acc.angle()
@@ -248,7 +248,7 @@ class TestComputeAngles:
 
         ft = Checkpoint(
             {
-                n: Tensor(perturb(n, t.array.copy()), name=n)
+                n: perturb(n, t.copy())
                 for n, t in pre.tensors.items()
             }
         )
@@ -256,10 +256,10 @@ class TestComputeAngles:
 
         # independent oracle: concatenate in sorted name order, plain dot math
         u = np.concatenate(
-            [pre.tensors[n].array.astype(np.float64).ravel() for n in sorted(target.tensors)]
+            [pre.tensors[n].astype(np.float64).ravel() for n in sorted(target.tensors)]
         )
         v = np.concatenate(
-            [ft.tensors[n].array.astype(np.float64).ravel() for n in sorted(target.tensors)]
+            [ft.tensors[n].astype(np.float64).ravel() for n in sorted(target.tensors)]
         )
         expected = math.acos(
             float(u @ v) / (math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)))
@@ -284,7 +284,7 @@ class TestComputeAngles:
 
         def scaled(ckpt, c):
             return Checkpoint(
-                {n: Tensor(t.array * np.float32(c), name=n) for n, t in ckpt.tensors.items()}
+                {n: t * np.float32(c) for n, t in ckpt.tensors.items()}
             )
 
         # powers of two scale exactly at storage precision
@@ -341,9 +341,7 @@ class TestComputeAngles:
         rng = np.random.default_rng(9)
         pre = make_ckpt(toy, 5, rng)
         tensors = dict(pre.tensors)
-        tensors["blocks.0.norm1.weight"] = Tensor(
-            np.zeros(4, dtype=np.float32), name="blocks.0.norm1.weight"
-        )
+        tensors["blocks.0.norm1.weight"] = np.zeros(4, dtype=np.float32)
         with pytest.raises(IncompatibleCheckpoints):
             compute_angles(pre, Checkpoint(tensors), toy)
 

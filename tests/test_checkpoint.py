@@ -29,7 +29,7 @@ from fapft.errors import (
     IoError,
     UnsupportedDtype,
 )
-from fapft.tensors import _BLOCK, _MEAN_BLOCK, Tensor
+from fapft.tensors import _BLOCK, _MEAN_BLOCK, bits_equal
 
 
 def build_file(header: dict, payload: bytes) -> bytes:
@@ -46,7 +46,7 @@ def random_checkpoint(rng, max_tensors=8, max_elems=256, with_metadata=True):
         if int(np.prod(shape)) > max_elems:
             shape = (int(rng.integers(1, max_elems)),)
         data = rng.normal(size=shape).astype(np.float32)
-        tensors[f"t{i}.w"] = Tensor(data)
+        tensors[f"t{i}.w"] = data
     metadata = (
         {"pft.arch_id": "toy_vit", "pft.seed": str(int(rng.integers(0, 99)))}
         if with_metadata and rng.random() < 0.7
@@ -65,7 +65,7 @@ class TestRead:
         p.write_bytes(blob)
         ckpt = read_checkpoint(p)
         assert list(ckpt.tensors) == ["w"]
-        assert np.array_equal(ckpt.tensors["w"].array, [1.0, 2.0])
+        assert np.array_equal(ckpt.tensors["w"], [1.0, 2.0])
 
     def test_header_length_exceeding_file(self, tmp_path):
         p = tmp_path / "bad.ckpt"
@@ -186,8 +186,8 @@ class TestRead:
         p = tmp_path / "mixed.ckpt"
         p.write_bytes(blob)
         ckpt = read_checkpoint(p)
-        assert np.array_equal(ckpt.tensors["half"].array, f16.astype(np.float32))
-        assert np.array_equal(ckpt.tensors["wide"].array, f64.astype(np.float32))
+        assert np.array_equal(ckpt.tensors["half"], f16.astype(np.float32))
+        assert np.array_equal(ckpt.tensors["wide"], f64.astype(np.float32))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(IoError):
@@ -221,20 +221,20 @@ class TestRead:
             return arr
 
         for t in again.tensors.values():
-            assert t.array.dtype == np.float32
-            assert t.array.flags.c_contiguous
-            assert not t.array.flags.writeable
+            assert t.dtype == np.float32
+            assert t.flags.c_contiguous
+            assert not t.flags.writeable
             # no tensor keeps the whole file in memory
-            assert owner(t.array).nbytes == t.array.nbytes < p.stat().st_size
+            assert owner(t).nbytes == t.nbytes < p.stat().st_size
 
     def test_overwriting_the_file_leaves_loaded_values(self, tmp_path):
         p = tmp_path / "reused.ckpt"
-        ckpt = Checkpoint({"w": Tensor(np.arange(6, dtype=np.float32).reshape(2, 3))})
+        ckpt = Checkpoint({"w": np.arange(6, dtype=np.float32).reshape(2, 3)})
         write_checkpoint(ckpt, p)
         again = read_checkpoint(p)
         with open(p, "r+b") as fh:  # same inode, new payload
-            fh.write(Checkpoint({"w": Tensor(-np.ones((2, 3)))}).canonical_bytes())
-        assert np.array_equal(again.tensors["w"].array, ckpt.tensors["w"].array)
+            fh.write(Checkpoint({"w": -np.ones((2, 3))}).canonical_bytes())
+        assert np.array_equal(again.tensors["w"], ckpt.tensors["w"])
         assert again.content_hash == ckpt.content_hash
         assert again.canonical_bytes() == ckpt.canonical_bytes()
 
@@ -290,6 +290,44 @@ def raw_file(header_text: str, payload: bytes) -> bytes:
     return struct.pack("<Q", len(raw)) + raw + payload
 
 
+class TestCheckpoint:
+    """What an in-memory checkpoint holds for the values it is built from."""
+
+    def test_rejects_nan_and_inf(self):
+        with pytest.raises(InvalidValue, match="^tensor w contains non-finite values$"):
+            Checkpoint({"w": [1.0, float("nan")]})
+        with pytest.raises(InvalidValue, match="^tensor b contains non-finite values$"):
+            Checkpoint({"a": [1.0], "b": np.array([float("inf"), 0.0])})
+
+    def test_zero_extent_shape(self):
+        ckpt = Checkpoint({"w": np.zeros((0, 3), dtype=np.float32)})
+        assert ckpt.tensors["w"].shape == (0, 3)
+        assert ckpt.tensors["w"].size == 0
+        assert ckpt.shapes == {"w": (0, 3)}
+
+    def test_immutable(self):
+        ckpt = Checkpoint({"w": [1.0, 2.0]})
+        with pytest.raises(ValueError):
+            ckpt.tensors["w"][0] = 5.0
+        with pytest.raises(TypeError):
+            ckpt.tensors["w"] = np.zeros(2, dtype=np.float32)
+
+    def test_storage_is_contiguous_float32(self):
+        # a list, a transposed float64 array and a strided int array
+        for data in ([0.1, 0.2], np.arange(6.0).reshape(2, 3).T, np.arange(8)[::2]):
+            arr = Checkpoint({"w": data}).tensors["w"]
+            assert arr.dtype == np.float32
+            assert arr.flags.c_contiguous
+            assert not arr.flags.writeable
+            assert np.array_equal(arr, np.asarray(data, dtype=np.float32))
+
+    def test_contiguous_float32_is_not_copied(self):
+        data = np.arange(6, dtype=np.float32).reshape(2, 3)
+        arr = Checkpoint({"w": data}).tensors["w"]
+        assert np.shares_memory(arr, data)
+        assert not arr.flags.writeable
+
+
 class TestContentHashSource:
     def test_canonical_file_hash_is_file_sha256(self, tmp_path):
         blob = build_file(
@@ -300,7 +338,7 @@ class TestContentHashSource:
         again = read_checkpoint(p)
         assert again.content_hash == hashlib.sha256(blob).hexdigest()
         rebuilt = Checkpoint(
-            {"v": Tensor(V), "w": Tensor(W)}, {"note": "caf\u00e9"}
+            {"v": V, "w": W}, {"note": "caf\u00e9"}
         )
         assert rebuilt.canonical_bytes() == blob
 
@@ -315,7 +353,7 @@ class TestContentHashSource:
         assert again.content_hash == hashlib.sha256(reserialized).hexdigest()
         assert again.content_hash != hashlib.sha256(blob).hexdigest()
         in_memory = Checkpoint(
-            {n: Tensor(t.array.copy()) for n, t in again.tensors.items()},
+            {n: t.copy() for n, t in again.tensors.items()},
             dict(again.metadata),
         )
         assert again.content_hash == in_memory.content_hash
@@ -346,8 +384,8 @@ class TestReader:
                 assert not chunk.flags.writeable
                 assert chunk.dtype == np.float32
                 assert chunk.tobytes() == written[name][start : start + chunk.size].tobytes()
-                flat = whole.tensors[name].array.reshape(-1)
-                assert Tensor(chunk).bitwise_equal(Tensor(flat[start : start + chunk.size]))
+                flat = whole.tensors[name].reshape(-1)
+                assert bits_equal(chunk, flat[start : start + chunk.size])
             assert keys == [(name, 0) for name in sorted(written)]
             assert reader.content_hash == whole.content_hash
 
@@ -380,7 +418,7 @@ class TestReader:
             for name, chunks in joined.items():
                 expected = sources[name].astype(np.float32).tobytes()
                 assert np.concatenate(chunks).tobytes() == expected
-                assert whole.tensors[name].array.tobytes() == expected
+                assert whole.tensors[name].tobytes() == expected
             assert reader.content_hash == whole.content_hash
 
     def test_chunk_length_shares_one_budget(self):
@@ -392,7 +430,7 @@ class TestReader:
             assert length % _BLOCK == 0 and length % _MEAN_BLOCK == 0
             assert sources > 8 or sources * 2 * length * 4 <= _CHUNK_BUDGET
         # zip_chunks reads every source in chunks of that length
-        ckpt = Checkpoint({"w": Tensor(np.arange(_CHUNK + 3, dtype=np.float32))})
+        ckpt = Checkpoint({"w": np.arange(_CHUNK + 3, dtype=np.float32)})
         for sources in (2, 3, 5):
             starts = [start for _, start, _ in zip_chunks(*[ckpt] * sources)]
             assert starts == list(range(0, _CHUNK + 3, chunk_length(sources)))
@@ -400,7 +438,7 @@ class TestReader:
     def test_unhashed_reader_holds_one_buffer(self, tmp_path):
         # no hash runs behind an unhashed reader, so one buffer serves
         p = tmp_path / "long.ckpt"
-        write_checkpoint(Checkpoint({"w": Tensor(np.ones(3 * _CHUNK))}), p)
+        write_checkpoint(Checkpoint({"w": np.ones(3 * _CHUNK)}), p)
         with CheckpointReader(p) as reader:  # starts the hash thread before tracing
             for _ in reader.chunks():
                 pass
@@ -417,7 +455,7 @@ class TestReader:
 
     def test_empty_tensor_is_one_empty_chunk(self, tmp_path):
         p = tmp_path / "empty.ckpt"
-        ckpt = Checkpoint({"a": Tensor(np.zeros((2, 0))), "b": Tensor([1.0])})
+        ckpt = Checkpoint({"a": np.zeros((2, 0)), "b": [1.0]})
         write_checkpoint(ckpt, p)
         with CheckpointReader(p) as reader:
             got = [(name, start, chunk.size) for name, start, chunk in reader.chunks()]
@@ -473,7 +511,7 @@ class TestReader:
 
     def test_no_hash_before_the_last_tensor(self, tmp_path):
         p = tmp_path / "two.ckpt"
-        write_checkpoint(Checkpoint({"a": Tensor([1.0]), "b": Tensor([2.0])}), p)
+        write_checkpoint(Checkpoint({"a": [1.0], "b": [2.0]}), p)
         with CheckpointReader(p) as reader:
             stream = reader.chunks()
             next(stream)
@@ -496,7 +534,7 @@ class TestReader:
 
     def test_file_truncated_after_open(self, tmp_path):
         p = tmp_path / "cut.ckpt"
-        write_checkpoint(Checkpoint({"a": Tensor([1.0]), "b": Tensor(np.ones(64))}), p)
+        write_checkpoint(Checkpoint({"a": [1.0], "b": np.ones(64)}), p)
         with CheckpointReader(p) as reader:
             os.truncate(p, p.stat().st_size - 4)
             with pytest.raises(IoError, match="short read"):
@@ -529,7 +567,7 @@ class TestReader:
 
 class TestReadMetadata:
     def test_matches_full_read(self, tmp_path):
-        ckpt = Checkpoint({"w": Tensor([1.0, 2.0])}, {"pft.arch_id": "toy_vit", "k": "v"})
+        ckpt = Checkpoint({"w": [1.0, 2.0]}, {"pft.arch_id": "toy_vit", "k": "v"})
         p = tmp_path / "meta.ckpt"
         write_checkpoint(ckpt, p)
         assert read_checkpoint_metadata(p) == dict(read_checkpoint(p).metadata)
@@ -573,8 +611,8 @@ class TestWrite:
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_insertion_order_irrelevant(self, tmp_path):
-        a = Tensor([1.0], name="a")
-        b = Tensor([2.0], name="b")
+        a = np.float32([1.0])
+        b = np.float32([2.0])
         c1 = Checkpoint({"a": a, "b": b})
         c2 = Checkpoint({"b": b, "a": a})
         assert c1.canonical_bytes() == c2.canonical_bytes()
@@ -633,15 +671,15 @@ class TestWrite:
 
     def test_reserved_name_rejected(self):
         with pytest.raises(FormatError):
-            Checkpoint({"__metadata__": Tensor([1.0])})
+            Checkpoint({"__metadata__": [1.0]})
 
     def test_bad_names_rejected(self):
         with pytest.raises(FormatError):
-            Checkpoint({"has space": Tensor([1.0])})
+            Checkpoint({"has space": [1.0]})
         with pytest.raises(FormatError):
-            Checkpoint({"": Tensor([1.0])})
+            Checkpoint({"": [1.0]})
         with pytest.raises(FormatError):
-            Checkpoint({"café": Tensor([1.0])})
+            Checkpoint({"café": [1.0]})
 
 
 class TestRoundTrip:
@@ -658,16 +696,16 @@ class TestRoundTrip:
             assert dict(again.metadata) == dict(ckpt.metadata)
             assert set(again.tensors) == set(ckpt.tensors)
             for name in ckpt.tensors:
-                assert again.tensors[name].bitwise_equal(ckpt.tensors[name])
+                assert bits_equal(again.tensors[name], ckpt.tensors[name])
 
     def test_large_round_trip(self, tmp_path):
         rng = np.random.default_rng(19)
         data = rng.normal(size=1_000_000).astype(np.float32)
-        ckpt = Checkpoint({"big": Tensor(data)}, {"pft.producer": "test"})
+        ckpt = Checkpoint({"big": data}, {"pft.producer": "test"})
         p = tmp_path / "big.ckpt"
         write_checkpoint(ckpt, p)
         again = read_checkpoint(p)
-        assert again.tensors["big"].bitwise_equal(ckpt.tensors["big"])
+        assert bits_equal(again.tensors["big"], ckpt.tensors["big"])
         assert again.content_hash == ckpt.content_hash
 
     def test_mutations_never_silent(self, tmp_path):
@@ -689,7 +727,7 @@ class TestRoundTrip:
             assert again.content_hash != original_hash, f"silent mutation at byte {pos}"
 
     def test_metadata_changes_hash(self):
-        t = Tensor([1.0, 2.0], name="w")
+        t = np.float32([1.0, 2.0])
         c1 = Checkpoint({"w": t}, {"pft.seed": "1"})
         c2 = Checkpoint({"w": t}, {"pft.seed": "2"})
         assert c1.content_hash != c2.content_hash

@@ -18,7 +18,6 @@ from fapft.cli import main
 from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.schemas import COMMAND_SCHEMAS
 from fapft.soup import arch_from_checkpoint
-from fapft.tensors import Tensor
 from fapft.model import ModelDims, init_params
 from fapft.train import SyntheticSpec, TrainConfig, generate_dataset, train
 
@@ -350,7 +349,7 @@ def _greedy_planned(changed: str) -> dict:
     """A greedy recipe of two runs that share a plan freezing the FFN layers
     (strategy B), with its eval config; the second run changed tensor ``changed``."""
     base = _small_ckpt(1)
-    arrays = {name: t.array for name, t in base.tensors.items()}
+    arrays = dict(base.tensors)
     changed = {**arrays, changed: arrays[changed] + 1}
     recipe = {"mode": "greedy", "base": "base.ckpt",
               "inputs": [{"path": "r1.ckpt", "plan": "p.json"},
@@ -674,9 +673,27 @@ BAD_INPUTS = [
     ("params_dims_bool_dimension",
      ["params", "--arch", "toy_vit", "--dims", '{"heads": false}', "--classes", "2"],
      {}, 1, "--dims: toy_vit dimension heads must be an int, got False"),
-    # a summary whose accuracy is not a number is listed without it
+    # a summary whose accuracy is not a finite number is listed without it:
+    # a string, NaN, a number read as infinity, and an int beyond the float
+    # range; as JSON, no NaN or Infinity is written
     ("report_accuracy_not_a_number", ["report", "--dir", "@."],
      {"run.json": b'{"final_val_accuracy": "x"}'}, 0, "  run.json                     summary\n"),
+    ("report_accuracy_nan", ["report", "--dir", "@."],
+     {"run.json": b'{"final_val_accuracy": NaN}'}, 0, "  run.json                     summary\n"),
+    ("report_accuracy_infinite", ["report", "--dir", "@."],
+     {"run.json": b'{"final_val_accuracy": 1e999}'}, 0, "  run.json                     summary\n"),
+    ("report_accuracy_int_beyond_float", ["report", "--dir", "@."],
+     {"run.json": b'{"final_val_accuracy": 1%s}' % (b"0" * 399)}, 0,
+     "  run.json                     summary\n"),
+    ("report_json_accuracy_nan", ["report", "--dir", "@.", "--json"],
+     {"run.json": b'{"final_val_accuracy": NaN}'}, 0,
+     '"file": "run.json",\n      "kind": "summary"\n'),
+    ("report_json_accuracy_infinite", ["report", "--dir", "@.", "--json"],
+     {"run.json": b'{"final_val_accuracy": 1e999}'}, 0,
+     '"file": "run.json",\n      "kind": "summary"\n'),
+    ("report_json_accuracy_int_beyond_float", ["report", "--dir", "@.", "--json"],
+     {"run.json": b'{"final_val_accuracy": 1%s}' % (b"0" * 399)}, 0,
+     '"file": "run.json",\n      "kind": "summary"\n'),
 ]
 
 
@@ -780,7 +797,7 @@ def non_canonical_file(ckpt: Checkpoint) -> bytes:
     indented header: the same content hash as the canonical file, other bytes."""
     header, payload, offset = {}, [], 0
     for name in sorted(ckpt.tensors, reverse=True):
-        data = ckpt.tensors[name].array.astype("<f8").tobytes()
+        data = ckpt.tensors[name].astype("<f8").tobytes()
         shape = list(ckpt.tensors[name].shape)
         header[name] = {"dtype": "F64", "shape": shape, "data_offsets": [offset, offset + len(data)]}
         payload.append(data)
@@ -1029,11 +1046,11 @@ class TestSoupCommand:
         a = read_checkpoint(workdir["pre"])
         b = read_checkpoint(workdir["ft"])
         expected = (
-            a.tensors["norm.weight"].array.astype(np.float64)
-            + b.tensors["norm.weight"].array.astype(np.float64)
+            a.tensors["norm.weight"].astype(np.float64)
+            + b.tensors["norm.weight"].astype(np.float64)
         ) / 2
         assert np.array_equal(
-            merged.tensors["norm.weight"].array, expected.astype(np.float32)
+            merged.tensors["norm.weight"], expected.astype(np.float32)
         )
 
     def test_out_may_name_an_input(self, capsys, workdir, tmp_path):
@@ -1387,8 +1404,8 @@ class TestDeterminism:
         pre, ft = {}, {}
         for name, shape in arch.schema_shapes(4).items():
             data = rng.normal(size=shape).astype(np.float32)
-            pre[name] = Tensor(data, name=name)
-            ft[name] = Tensor(data + rng.normal(scale=0.05, size=shape), name=name)
+            pre[name] = data
+            ft[name] = data + rng.normal(scale=0.05, size=shape)
         write_checkpoint(Checkpoint(pre), tmp_path / "pre.ckpt")
         write_checkpoint(Checkpoint(ft), tmp_path / "ft.ckpt")
         src = str(Path(fapft.__file__).resolve().parents[1])

@@ -29,7 +29,7 @@ from fapft.soup import (
     uniform_soup,
     uniform_soup_checkpoints,
 )
-from fapft.tensors import Tensor, mean_arrays, mean_stack
+from fapft.tensors import bits_equal, mean_arrays, mean_stack
 
 
 F32_INFO = np.finfo(np.float32)
@@ -44,7 +44,7 @@ SPECIAL_F32 = [
 
 def simple_ckpt(values_by_name, metadata=None):
     return Checkpoint(
-        {n: Tensor(np.asarray(v, dtype=np.float32), name=n) for n, v in values_by_name.items()},
+        {n: np.asarray(v, dtype=np.float32) for n, v in values_by_name.items()},
         metadata or {},
     )
 
@@ -69,7 +69,7 @@ def toy_base(rng) -> Checkpoint:
 
 def toy_run(base, rng, **replaced) -> Checkpoint:
     """A run of ``PLAN`` from ``base``: its trained tensors moved, then ``replaced`` applied."""
-    tensors = {n: t.array for n, t in base.tensors.items()}
+    tensors = dict(base.tensors)
     for name in TRAINED:
         tensors[name] = tensors[name] + rng.normal(size=tensors[name].shape).astype(np.float32)
     tensors.update(replaced)
@@ -115,14 +115,14 @@ class TestUniform:
         soup = uniform_soup_checkpoints(
             [simple_ckpt({"w": [0.0, 0.0]}), simple_ckpt({"w": [2.0, 2.0]})]
         )
-        assert np.array_equal(soup.tensors["w"].array, [1.0, 1.0])
+        assert np.array_equal(soup.tensors["w"], [1.0, 1.0])
 
     def test_identical_inputs_identity(self):
         rng = np.random.default_rng(1)
         ckpt = simple_ckpt({"a": rng.normal(size=16), "b": rng.normal(size=(3, 3))})
         soup = uniform_soup_checkpoints([ckpt] * 5)
         for name in ckpt.tensors:
-            assert soup.tensors[name].bitwise_equal(ckpt.tensors[name])
+            assert bits_equal(soup.tensors[name], ckpt.tensors[name])
 
     def test_matches_independent_mean_oracle(self):
         rng = np.random.default_rng(2)
@@ -132,9 +132,9 @@ class TestUniform:
         ]
         soup = uniform_soup_checkpoints(ckpts)
         for name in ("w", "v"):
-            stack = np.stack([c.tensors[name].array.astype(np.float64) for c in ckpts])
+            stack = np.stack([c.tensors[name].astype(np.float64) for c in ckpts])
             oracle = (stack.sum(axis=0) / 5).astype(np.float32)
-            got = soup.tensors[name].array
+            got = soup.tensors[name]
             ulp = np.spacing(np.abs(oracle).astype(np.float32))
             assert np.all(np.abs(got - oracle) <= ulp)
 
@@ -145,17 +145,17 @@ class TestUniform:
         soup1 = uniform_soup_checkpoints(ckpts, ws)
         perm = [3, 1, 0, 2]
         soup2 = uniform_soup_checkpoints([ckpts[i] for i in perm], [ws[i] for i in perm])
-        assert soup1.tensors["w"].bitwise_equal(soup2.tensors["w"])
+        assert bits_equal(soup1.tensors["w"], soup2.tensors["w"])
 
     def test_degree_one_homogeneity(self):
         rng = np.random.default_rng(4)
         ckpts = [simple_ckpt({"w": rng.normal(size=32)}) for _ in range(3)]
         scaled = [
-            simple_ckpt({"w": c.tensors["w"].array * np.float32(2.0)}) for c in ckpts
+            simple_ckpt({"w": c.tensors["w"] * np.float32(2.0)}) for c in ckpts
         ]
         s1 = uniform_soup_checkpoints(ckpts)
         s2 = uniform_soup_checkpoints(scaled)
-        assert np.allclose(s2.tensors["w"].array, 2.0 * s1.tensors["w"].array, rtol=1e-6)
+        assert np.allclose(s2.tensors["w"], 2.0 * s1.tensors["w"], rtol=1e-6)
 
     def test_name_mismatch(self):
         with pytest.raises(IncompatibleCheckpoints):
@@ -174,10 +174,10 @@ class TestUniform:
         ckpts = [simple_ckpt({"w": [-0.0, -0.0, 1.0]}) for _ in range(3)]
         for weights in (None, [0.5, 2.0, 0.37]):
             soup = uniform_soup_checkpoints(ckpts, weights)
-            assert np.signbit(soup.tensors["w"].array).tolist() == [False, False, False]
+            assert np.signbit(soup.tensors["w"]).tolist() == [False, False, False]
         for weights in (None, [0.37]):
             soup = uniform_soup_checkpoints(ckpts[:1], weights)
-            assert soup.tensors["w"].bitwise_equal(ckpts[0].tensors["w"])
+            assert bits_equal(soup.tensors["w"], ckpts[0].tensors["w"])
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -238,9 +238,9 @@ class TestRecipe:
         base = toy_base(rng)
         good = [toy_run(base, rng) for _ in range(2)]
         soup = soup_file(write_recipe(tmp_path / "good", base, good), tmp_path / "soup.ckpt")
-        assert soup.tensors[FROZEN].bitwise_equal(base.tensors[FROZEN])
+        assert bits_equal(soup.tensors[FROZEN], base.tensors[FROZEN])
 
-        tampered = toy_run(base, rng, **{FROZEN: base.tensors[FROZEN].array + np.float32(1.0)})
+        tampered = toy_run(base, rng, **{FROZEN: base.tensors[FROZEN] + np.float32(1.0)})
         recipe = write_recipe(tmp_path / "tampered", base, [good[0], tampered])
         with pytest.raises(IncompatibleCheckpoints, match="run1.ckpt: frozen tensor"):
             uniform_soup(recipe, tmp_path / "tampered" / "soup.ckpt")
@@ -280,7 +280,7 @@ class TestRecipe:
         soup = soup_file(write_recipe(tmp_path, base, runs, weights), tmp_path / "soup.ckpt")
         for name in base.tensors:
             expected = mean_stack([run.tensors[name] for run in runs], weights)
-            assert soup.tensors[name].bitwise_equal(expected)
+            assert bits_equal(soup.tensors[name], expected)
 
     def test_memory_peak_below_one_input_file(self, tmp_path):
         # streamed tensor by tensor: the merge never holds a whole checkpoint
@@ -299,7 +299,7 @@ class TestRecipe:
         write_checkpoint(base, tmp_path / "base.ckpt")
         inputs = []
         for i in range(5):
-            moved = {n: t.array + np.float32(0.01 * (i + 1)) if n in trained else t.array
+            moved = {n: t + np.float32(0.01 * (i + 1)) if n in trained else t
                      for n, t in base.tensors.items()}
             write_checkpoint(Checkpoint(moved, meta), tmp_path / f"run{i}.ckpt")
             inputs.append(SoupInput(str(tmp_path / f"run{i}.ckpt"), 1.0, str(tmp_path / "plan.json")))
@@ -344,7 +344,7 @@ class TestRecipe:
         assert base.tensors[frozen].size > 2 * _CHUNK
         runs = []
         for index in (2 * _CHUNK + 5, 3):
-            tampered = base.tensors[frozen].array.copy()
+            tampered = base.tensors[frozen].copy()
             tampered.reshape(-1)[index] += np.float32(1.0)
             runs.append(Checkpoint({**base.tensors, frozen: tampered}, meta))
         plan = manual_strategy(arch, "B")
@@ -386,8 +386,8 @@ class TestRecipe:
         assert peak < (len(inputs) + 2) * 2 * _CHUNK * 4
         soup = read_checkpoint(tmp_path / "soup.ckpt")
         for name in ("v", "w"):
-            whole = mean_arrays([run.tensors[name].array for run in runs], [1.0] * 3)
-            assert soup.tensors[name].array.tobytes() == whole.tobytes()
+            whole = mean_arrays([run.tensors[name] for run in runs], [1.0] * 3)
+            assert soup.tensors[name].tobytes() == whole.tobytes()
         assert soup.canonical_bytes() == uniform_soup_checkpoints(runs).canonical_bytes()
 
     def test_memory_stays_flat_as_inputs_are_added(self, tmp_path):
@@ -442,7 +442,7 @@ class TestGreedy:
     def test_singleton(self):
         ckpt = simple_ckpt({"w": [1.0, 2.0]})
         out = greedy_soup([ckpt], lambda c: 0.5)
-        assert out.tensors["w"].bitwise_equal(ckpt.tensors["w"])
+        assert bits_equal(out.tensors["w"], ckpt.tensors["w"])
 
     def test_all_improving_equals_uniform(self):
         rng = np.random.default_rng(7)
@@ -452,11 +452,11 @@ class TestGreedy:
         def evaluate(c):
             # reward closeness to the full average: every addition helps
             return -float(
-                np.abs(c.tensors["w"].array - target.tensors["w"].array).sum()
+                np.abs(c.tensors["w"] - target.tensors["w"]).sum()
             )
 
         out = greedy_soup(ckpts, evaluate)
-        assert out.tensors["w"].bitwise_equal(target.tensors["w"])
+        assert bits_equal(out.tensors["w"], target.tensors["w"])
 
     def test_corrupted_member_rejected(self):
         rng = np.random.default_rng(8)
@@ -464,11 +464,11 @@ class TestGreedy:
         corrupted = simple_ckpt({"w": rng.normal(size=8) * 100.0})
 
         def evaluate(c):
-            return -float(np.abs(c.tensors["w"].array).sum())
+            return -float(np.abs(c.tensors["w"]).sum())
 
         out = greedy_soup(good + [corrupted], evaluate)
         expected = uniform_soup_checkpoints(good)
-        assert out.tensors["w"].bitwise_equal(expected.tensors["w"])
+        assert bits_equal(out.tensors["w"], expected.tensors["w"])
 
     def test_returns_a_soup_it_scored(self):
         # the kept soup was merged and scored already; it is not merged again
@@ -478,7 +478,7 @@ class TestGreedy:
 
         def evaluate(c):
             scored.append(c)
-            return -float(np.abs(c.tensors["w"].array).sum())
+            return -float(np.abs(c.tensors["w"]).sum())
 
         out = greedy_soup(ckpts, evaluate)
         assert any(out is c for c in scored[len(ckpts):])

@@ -13,7 +13,7 @@ from fapft.errors import (
 from fapft.tensors import (
     _BLOCK,
     PairStats,
-    Tensor,
+    bits_equal,
     kendall_tau,
     mean_arrays,
     mean_stack,
@@ -50,33 +50,32 @@ def fsum_dot(x, y) -> float:
 ORACLE_SIZES = [1, _BLOCK, _BLOCK + 1, 3 * _BLOCK + 123]
 
 
-class TestTensor:
-    def test_rejects_nan_and_inf(self):
-        with pytest.raises(InvalidValue):
-            Tensor([1.0, float("nan")])
-        with pytest.raises(InvalidValue):
-            Tensor([float("inf"), 0.0])
-
-    def test_zero_extent_shape(self):
-        t = Tensor(np.zeros((0, 3), dtype=np.float32))
-        assert t.shape == (0, 3)
-        assert t.size == 0
-
-    def test_immutable(self):
-        t = Tensor([1.0, 2.0])
-        with pytest.raises(ValueError):
-            t.array[0] = 5.0
-        with pytest.raises(AttributeError):
-            t.name = "x"
-
-    def test_storage_is_float32(self):
-        t = Tensor([0.1, 0.2])
-        assert t.array.dtype == np.float32
-
+class TestBitsEqual:
     def test_signed_zeros_are_not_bitwise_equal(self):
-        assert not Tensor([-0.0, 1.0]).bitwise_equal(Tensor([0.0, 1.0]))
-        assert Tensor([-0.0, 1.0]).bitwise_equal(Tensor([-0.0, 1.0]))
-        assert not Tensor([1.0, 2.0]).bitwise_equal(Tensor([[1.0, 2.0]]))
+        neg = np.float32([-0.0, 1.0])
+        assert not bits_equal(neg, np.float32([0.0, 1.0]))
+        assert bits_equal(neg, neg.copy())
+        assert not bits_equal(np.float32([1.0, 2.0]), np.float32([[1.0, 2.0]]))
+
+    def test_shape_mismatch_with_equal_elements(self):
+        a = np.arange(6, dtype=np.float32)
+        mask = np.ones(8, dtype=bool)
+        for other in (a.reshape(2, 3), a.reshape(1, 6), a[:5]):
+            assert not bits_equal(a, other)
+            assert not bits_equal(a, other, mask)
+
+    def test_with_and_without_mask(self):
+        a = np.random.default_rng(31).normal(size=(3, 5)).astype(np.float32)
+        b = a.copy()
+        b[2, 4] = np.nextafter(b[2, 4], np.float32(np.inf))
+        nan = np.float32([np.nan, 1.0])
+        mask = np.empty(a.size + 3, dtype=bool)  # longer than needed
+        assert bits_equal(a, a.copy()) and bits_equal(a, a.copy(), mask)
+        assert not bits_equal(a, b) and not bits_equal(a, b, mask)
+        # the mask holds the elementwise result
+        assert mask[: a.size].tolist() == [True] * (a.size - 1) + [False]
+        # bit patterns, not values: a NaN equals its own bits
+        assert bits_equal(nan, nan.copy()) and bits_equal(nan, nan.copy(), mask)
 
 
 class TestVecAngle:
@@ -135,7 +134,7 @@ class TestVecAngle:
             vec_angle([1.0, float("nan")], [1.0, 2.0])
 
     def test_accepts_tensor_inputs(self):
-        assert vec_angle(Tensor([1.0, 0.0]), Tensor([1.0, 0.0])) == 0.0
+        assert vec_angle(np.float32([1.0, 0.0]), np.float32([1.0, 0.0])) == 0.0
 
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_blocked_vectors_match_exact_oracle(self, n):
@@ -268,28 +267,30 @@ class TestKendallTau:
 
 class TestMeanStack:
     def test_uniform_mean(self):
-        out = mean_stack([Tensor([1.0, 2.0]), Tensor([3.0, 4.0])])
-        assert np.array_equal(out.array, np.array([2.0, 3.0], dtype=np.float32))
+        out = mean_stack([np.float32([1.0, 2.0]), np.float32([3.0, 4.0])])
+        assert out.dtype == np.float32
+        assert np.array_equal(out, np.array([2.0, 3.0], dtype=np.float32))
 
     def test_idempotent_on_identical(self):
-        t = Tensor(np.random.default_rng(41).normal(size=(5, 7)).astype(np.float32))
+        t = np.random.default_rng(41).normal(size=(5, 7)).astype(np.float32)
         out = mean_stack([t, t, t])
-        assert out.bitwise_equal(t)
+        assert bits_equal(out, t)
 
     def test_weighted(self):
-        out = mean_stack([Tensor([0.0, 0.0]), Tensor([1.0, 1.0])], weights=[3.0, 1.0])
-        assert np.array_equal(out.array, np.array([0.25, 0.25], dtype=np.float32))
+        out = mean_stack([np.float32([0.0, 0.0]), np.float32([1.0, 1.0])], weights=[3.0, 1.0])
+        assert np.array_equal(out, np.array([0.25, 0.25], dtype=np.float32))
 
     def test_single_input_reproduced_exactly(self):
-        t = Tensor(np.random.default_rng(43).normal(size=64).astype(np.float32))
-        assert mean_stack([t]).bitwise_equal(t)
-        assert mean_stack([t], weights=[0.37]).bitwise_equal(t)
+        t = np.random.default_rng(43).normal(size=64).astype(np.float32)
+        assert bits_equal(mean_stack([t]), t)
+        assert bits_equal(mean_stack([t], weights=[0.37]), t)
+        assert not np.shares_memory(mean_stack([t]), t)
 
     def test_negative_zero(self):
-        zeros = Tensor([-0.0, -0.0])
+        zeros = np.float32([-0.0, -0.0])
         for weights in (None, [0.5, 2.0]):
-            assert not np.signbit(mean_stack([zeros, zeros], weights).array).any()
-        assert mean_stack([zeros], [0.37]).bitwise_equal(zeros)
+            assert not np.signbit(mean_stack([zeros, zeros], weights)).any()
+        assert bits_equal(mean_stack([zeros], [0.37]), zeros)
 
     def test_blocked_sums_match_whole_array_sums(self):
         # several blocks of float64 sums, and the last one partial; the oracle
@@ -304,26 +305,29 @@ class TestMeanStack:
                 acc += np.multiply(a, w, dtype=np.float64)
             expected = (acc / sum(weights)).astype(np.float32)
             assert mean_arrays(arrays, weights).tobytes() == expected.tobytes()
-            got = mean_stack([Tensor(a) for a in arrays], weights)
-            assert got.array.tobytes() == expected.tobytes()
+            got = mean_stack(arrays, weights)
+            assert got.tobytes() == expected.tobytes()
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(47)
-        ts = [Tensor(rng.normal(size=16).astype(np.float32)) for _ in range(4)]
+        ts = [rng.normal(size=16).astype(np.float32) for _ in range(4)]
         ws = [1.0, 2.0, 3.0, 4.0]
         out1 = mean_stack(ts, ws)
         perm = [2, 0, 3, 1]
         out2 = mean_stack([ts[i] for i in perm], [ws[i] for i in perm])
-        assert out1.bitwise_equal(out2)
+        assert bits_equal(out1, out2)
 
     def test_errors(self):
         with pytest.raises(EmptyInput):
             mean_stack([])
         with pytest.raises(DimensionMismatch):
-            mean_stack([Tensor([1.0]), Tensor([1.0, 2.0])])
+            mean_stack([np.float32([1.0]), np.float32([1.0, 2.0])])
         with pytest.raises(DimensionMismatch):
-            mean_stack([Tensor([1.0])], weights=[1.0, 2.0])
+            mean_stack([np.float32([1.0])], weights=[1.0, 2.0])
         with pytest.raises(InvalidValue):
-            mean_stack([Tensor([1.0]), Tensor([2.0])], weights=[0.0, 0.0])
+            mean_stack([np.float32([1.0]), np.float32([2.0])], weights=[0.0, 0.0])
         with pytest.raises(InvalidValue):
-            mean_stack([Tensor([1.0]), Tensor([2.0])], weights=[-1.0, 2.0])
+            mean_stack([np.float32([1.0]), np.float32([2.0])], weights=[-1.0, 2.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(InvalidValue, match="non-finite"):
+                mean_stack([np.float32([1.0]), np.float32([bad])])

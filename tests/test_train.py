@@ -37,6 +37,7 @@ from fapft.model import (
 )
 from fapft.planner import plan_series
 from fapft.soup import uniform_soup_checkpoints
+from fapft.tensors import bits_equal
 from fapft.train import (
     OptimizerConfig,
     ScheduleConfig,
@@ -99,7 +100,7 @@ def assert_unchanged_outside(before: Checkpoint, after: Checkpoint, trained: set
     frozen = (before.tensors.keys() | after.tensors.keys()) - trained
     for name in sorted(frozen):
         assert name in before.tensors and name in after.tensors, name
-        assert after.tensors[name].bitwise_equal(before.tensors[name]), name
+        assert bits_equal(after.tensors[name], before.tensors[name]), name
     return frozen
 
 
@@ -519,7 +520,7 @@ class TestTrain:
 class TestAccuracy:
     def test_equals_one_sample_forward_passes(self, pretrained):
         _, _, x, y = generate_dataset(SPEC).task_split("finetune")
-        params = _params64({name: t.array for name, t in pretrained.tensors.items()})
+        params = _params64(pretrained.tensors)
         logits = [_forward(params, x[i : i + 1], DIMS, None)[0] for i in range(len(y))]
         expected = float((np.argmax(np.concatenate(logits), axis=-1) == y).mean())
         assert 0.0 < expected < 1.0  # a mix-up of samples or labels would show
@@ -529,6 +530,15 @@ class TestAccuracy:
         _, _, x, y = generate_dataset(SPEC).task_split("finetune")
         with pytest.raises(DimensionMismatch, match=f"{len(y)} samples but 1 labels"):
             accuracy(pretrained, DIMS, x, y[:1])
+
+    def test_samples_of_another_shape_refused(self, pretrained):
+        _, _, x, y = generate_dataset(SPEC).task_split("finetune")
+        n, seq, dim = x.shape
+        assert (seq, dim) == (DIMS.seq_len, DIMS.model_dim)
+        for bad in (x[:, :, : dim // 2], x[:, : seq - 1], x[:, :, :, None], x.reshape(n, -1)):
+            message = f"samples of shape {bad.shape[1:]}, the model needs {(seq, dim)}"
+            with pytest.raises(DimensionMismatch, match=re.escape(message)):
+                accuracy(pretrained, DIMS, bad, y)
 
     def test_empty_split(self, pretrained):
         _, _, x, y = generate_dataset(SPEC).task_split("finetune")
