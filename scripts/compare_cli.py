@@ -3,19 +3,22 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 70 invocations of all ten subcommands, in text and
+checkouts) runs the same 80 invocations of all ten subcommands, in text and
 ``--json`` mode, with ``--out`` where a command takes it, the angles of a
 checkpoint against itself (all tied) and a plan from them, two plans of the
-four-stage ``swin_b``, a ``grad-check`` that passes and one that fails, a
-usage error, a missing file, a data error for each kind of JSON input (train
-config, dataset spec, recipe, plan and angle report, each holding a value of
-the wrong type), a ``train --init`` checkpoint shallower than the config's
-model and one deeper than it, a greedy soup refused for a run that
-changed a frozen layer, and a ``report`` over summaries whose accuracy is NaN
-or an int beyond the float range, each command in its own process, in one
-working directory per tree. Stdout, stderr (with timings masked), exit codes
-and the bytes of every file left behind must be equal. Exit status 0 means
-identical, 1 lists the differences. One tree takes about 17 seconds on two
+four-stage ``swin_b``, the counts of full fine-tuning of ``swin_b`` and of
+the last half of ``vit_b16``'s blocks, a ``grad-check`` that passes and one
+that fails, a usage error, a missing file, a data error for each kind of JSON
+input (train config, dataset spec, recipe, plan and angle report, each
+holding a value of the wrong type), a ``train --init`` checkpoint shallower
+than the config's model and one deeper than it, a greedy soup refused for a
+run that changed a frozen layer, a run that tuned its non-residual tensors
+souped under a plan that freezes them, a soup whose ``--manifest`` names its
+``--out``, and a ``report`` over summaries whose accuracy is NaN or an int
+beyond the float range, each command in its own process, in one working
+directory per tree. Stdout, stderr (with timings masked), exit codes and the
+bytes of every file left behind must be equal. Exit status 0 means
+identical, 1 lists the differences. One tree takes about 20 seconds on two
 CPUs.
 """
 
@@ -64,6 +67,16 @@ INPUTS = {
     "greedy_frozen_changed.json": {
         **RECIPE, "mode": "greedy",
         "inputs": [RECIPE["inputs"][0], {"path": "ft_text/run.ckpt", "plan": "plan_text.json"}]},
+    # the attention layers with the non-residual tensors, and without them
+    "plan_nr.json": {"arch_id": "toy_vit", "strategy_tag": "NR", "policy": None,
+                     "trainable_layers": ["s0.b0.ATTN", "s0.b1.ATTN"], "head_trainable": True,
+                     "non_residual_trainable": True},
+    "plan_nr_frozen.json": {"arch_id": "toy_vit", "strategy_tag": "NR", "policy": None,
+                            "trainable_layers": ["s0.b0.ATTN", "s0.b1.ATTN"],
+                            "head_trainable": True, "non_residual_trainable": False},
+    # a run of plan_nr.json, whose pos_embed moved, souped as if it froze it
+    "recipe_nr.json": {"base": "pre_text/run.ckpt",
+                       "inputs": [{"path": "ftnr_text/run.ckpt", "plan": "plan_nr_frozen.json"}]},
     # one value of the wrong type in each kind of JSON input
     "bad_config.json": {**CONFIG, "seed": "7"},
     "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
@@ -105,6 +118,8 @@ def _commands(mode: str, j: list):
            "--magnitude", "large", "--topk", "2", "--classes", "4", *j]
     yield ["train", "--config", "config.json", "--plan", "plan_text.json",
            "--init", "pre_text/run.ckpt", "--out", f"ftp_{mode}", *j]
+    yield ["train", "--config", "config.json", "--plan", "plan_nr.json",
+           "--init", "pre_text/run.ckpt", "--out", f"ftnr_{mode}", *j]
     yield ["rank", "--reports", "angles_text.json", "angles2_text.json",
            "--out", f"rank_{mode}.json", *j]
     yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "plan_text.json",
@@ -112,6 +127,8 @@ def _commands(mode: str, j: list):
     yield ["params", "--arch", "vit_b16", "--strategy", "attn_only", "--classes", "1000", *j]
     yield ["params", "--arch", "swin_b", "--strategy", "D", "--classes", "1000", *j]
     yield ["params", "--arch", "swin_b", "--strategy", "linear_probe", "--classes", "100", *j]
+    yield ["params", "--arch", "swin_b", "--strategy", "full", "--classes", "1000", *j]
+    yield ["params", "--arch", "vit_b16", "--strategy", "I", "--classes", "100", *j]
     yield ["soup", "--recipe", "recipe.json", "--classes", "4",
            "--out", f"soup_{mode}.ckpt", *j]
     yield ["soup", "--recipe", "recipe_plain.json", "--out", f"soupp_{mode}.ckpt",
@@ -122,6 +139,9 @@ def _commands(mode: str, j: list):
            "--classes", "4", "--out", f"soupgp_{mode}.ckpt", *j]
     yield ["soup", "--recipe", "greedy_frozen_changed.json", "--eval-config", "config.json",
            "--out", f"soupgf_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "recipe_nr.json", "--out", f"soupnr_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "recipe_plain.json", "--out", f"soupm_{mode}.ckpt",
+           "--manifest", f"soupm_{mode}.ckpt", *j]
     yield ["pipeline", "--config", "config.json", "--difficulty", "easy",
            "--series", "1,2", "--out", f"pipe_{mode}", *j]
     yield ["pipeline", "--config", "config.json", "--difficulty", "challenging",

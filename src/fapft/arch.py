@@ -3,21 +3,22 @@
 A *layer* is an entire residual-connected unit: the attention or feed-forward
 module together with its preceding normalization. Layers with identical
 structure and parameter count form a *homogeneous group*; multi-stage models
-group per stage. Everything outside residual units (patch embedding, class
+group per stage. Every tensor outside residual units (patch embedding, class
 token, positional embedding, downsamplers, final norm) is *non-residual* and
-frozen by default in every partial plan; the classifier head is always
-trainable.
+frozen by default in every partial plan; the classifier head's tensors are
+always trainable. A plan's trainable set is a set of tensor names
+(:attr:`FreezePlan.trainable_names`).
 
-Parameter counts are closed-form functions of the stage dimensions. There are
-no lookup tables of totals anywhere: a count is always the sum of the element
-counts of concrete tensor shapes.
+Parameter counts follow from the stage dimensions. There are no lookup
+tables of totals anywhere: every count, a plan's included, is one sum of the
+element counts of concrete tensor shapes (:func:`_element_total`).
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
 
@@ -53,11 +54,16 @@ __all__ = [
 ATTN = "ATTN"
 FFN = "FFN"
 _CATEGORIES = (ATTN, FFN)
+_HEAD = ("head.weight", "head.bias")
 
 # Buffers that real-world hierarchical checkpoints carry inside attention
 # modules; they hold indices/masks, not parameters, and are skipped by
 # map_tensors and every count.
 _IGNORED_SUFFIXES = (".attn.relative_position_index", ".attn_mask")
+
+
+def _element_total(shapes: Iterable[tuple[int, ...]]) -> int:
+    return sum(math.prod(shape) for shape in shapes)
 
 
 @dataclass(frozen=True)
@@ -89,7 +95,7 @@ class LayerRef:
 
     @property
     def param_count(self) -> int:
-        return sum(math.prod(s) for s in self.tensors.values())
+        return _element_total(self.tensors.values())
 
     @property
     def depth_key(self) -> tuple[int, int, int]:
@@ -203,24 +209,14 @@ class ArchDescriptor:
     # -- counting ----------------------------------------------------------
 
     @property
-    def residual_param_count(self) -> int:
-        return sum(l.param_count for l in self.layers)
-
-    @property
     def non_residual_param_count(self) -> int:
-        return sum(math.prod(s) for s in self.non_residual.values())
+        return _element_total(self.non_residual.values())
 
     def head_param_count(self, num_classes: int) -> int:
-        if num_classes <= 0:
-            raise InvalidValue(f"num_classes must be positive, got {num_classes}")
-        return self.head_feature_dim * num_classes + num_classes
+        return _element_total(self.head_shapes(num_classes).values())
 
     def full_param_count(self, num_classes: int) -> int:
-        return (
-            self.residual_param_count
-            + self.non_residual_param_count
-            + self.head_param_count(num_classes)
-        )
+        return _element_total(self.schema_shapes(num_classes).values())
 
     def __repr__(self):
         return (
@@ -344,18 +340,19 @@ def describe_arch(arch_id: str, /, **dims) -> ArchDescriptor:
 
 @dataclass(frozen=True)
 class FreezePlan:
-    """The trainable set of one fine-tuning run.
+    """The trainable tensors of one fine-tuning run (``trainable_names``).
 
     The classifier head is trainable in every plan (the head of a fresh task
     has to be learned, and linear probing consists of exactly that), while
-    non-residual modules are frozen unless explicitly enabled.
+    non-residual tensors are frozen unless explicitly enabled. ``arch``, the
+    descriptor the plan was built from, is not compared: plans of descriptors
+    built apart are equal.
     """
 
     arch_id: str
     strategy_tag: str
     trainable: tuple[LayerRef, ...]
-    head_feature_dim: int
-    non_residual_total: int
+    arch: ArchDescriptor = field(compare=False, repr=False)
     non_residual_trainable: bool = False
     policy: Mapping[str, object] | None = None
 
@@ -363,22 +360,21 @@ class FreezePlan:
     def trainable_layer_ids(self) -> tuple[str, ...]:
         return tuple(l.layer_id for l in self.trainable)
 
-    def trainable_param_count(self, num_classes: int) -> int:
-        if num_classes <= 0:
-            raise InvalidValue(f"num_classes must be positive, got {num_classes}")
-        total = sum(l.param_count for l in self.trainable)
-        total += self.head_feature_dim * num_classes + num_classes
+    @property
+    def trainable_names(self) -> frozenset[str]:
+        """The names of the tensors a run under this plan updates."""
+        names = [name for layer in self.trainable for name in layer.tensors]
         if self.non_residual_trainable:
-            total += self.non_residual_total
-        return total
+            names.extend(self.arch.non_residual)
+        return frozenset((*names, *_HEAD))
+
+    def trainable_param_count(self, num_classes: int) -> int:
+        shapes = self.arch.schema_shapes(num_classes)
+        return _element_total(shapes[name] for name in self.trainable_names)
 
     def same_selection(self, other: "FreezePlan") -> bool:
         """Selection equality regardless of how the plan was produced."""
-        return (
-            self.arch_id == other.arch_id
-            and set(self.trainable_layer_ids) == set(other.trainable_layer_ids)
-            and self.non_residual_trainable == other.non_residual_trainable
-        )
+        return self.arch_id == other.arch_id and self.trainable_names == other.trainable_names
 
     def to_json_obj(self, classes: Iterable[int] = (100, 1000)) -> dict:
         return {
@@ -408,8 +404,7 @@ def _make_plan(
         arch_id=arch.arch_id,
         strategy_tag=tag,
         trainable=tuple(sorted(layers, key=lambda l: l.depth_key)),
-        head_feature_dim=arch.head_feature_dim,
-        non_residual_total=arch.non_residual_param_count,
+        arch=arch,
         non_residual_trainable=non_residual_trainable,
         policy=policy,
     )
@@ -545,7 +540,7 @@ def map_tensors(arch: ArchDescriptor, tensor_names: Iterable[str]):
     assignment: dict[str, LayerRef | str] = {}
     unmatched = []
     for name in tensor_names:
-        if name in ("head.weight", "head.bias"):
+        if name in _HEAD:
             assignment[name] = "head"
             continue
         owner = arch._owner.get(name)

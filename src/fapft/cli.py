@@ -267,6 +267,8 @@ def _cmd_params(args):
 def _cmd_soup(args):
     if not args.out:
         raise UsageError("soup requires --out for the merged checkpoint")
+    if args.manifest and Path(args.manifest).resolve() == Path(args.out).resolve():
+        raise UsageError("soup --manifest must name another file than --out")
     recipe = SoupRecipe.from_file(args.recipe)
     if recipe.mode == "greedy":
         if not args.eval_config:

@@ -1,8 +1,8 @@
 """Model soups: weight averaging across fine-tuned checkpoints.
 
 Partial fine-tuning adds a dimension to souping: runs can differ only in
-which layers were trainable. When per-run freeze plans and the shared base
-checkpoint are supplied, the merger verifies that layers frozen in every run
+which tensors were trainable. When per-run freeze plans and the shared base
+checkpoint are supplied, the merger verifies that the tensors no plan trains
 are still bitwise equal to the base. The soup then keeps them bitwise, since
 their mean is a mean of identical values, with one exception: an element
 that is -0.0 becomes +0.0 when two or more runs are averaged, as in any
@@ -282,8 +282,8 @@ def uniform_soup(
     order.
 
     Every input (and the base) is streamed in step, so memory holds a few
-    chunks, not a tensor. With plans attached, every layer frozen in all
-    runs must still match the base checkpoint bitwise in every input; a
+    chunks, not a tensor. With plans attached, every tensor that no plan
+    trains must still match the base checkpoint bitwise in every input; a
     mismatch means the runs did not share the base they claim and the soup is
     refused. ``plans`` are the recipe's own, when the caller has already read
     them with :meth:`SoupRecipe.plans`. The write is atomic: on any error,
@@ -324,7 +324,7 @@ def uniform_soup(
 
 def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[Checkpoint]:
     """Every input of ``recipe``, each file read once. With ``plans`` (the
-    recipe's own), the inputs must pass :func:`uniform_soup`'s frozen-layer check."""
+    recipe's own), the inputs must pass :func:`uniform_soup`'s frozen-tensor check."""
     paths = [i.path for i in recipe.inputs]
     inputs = [read_checkpoint(path) for path in paths]
     if plans is not None:
@@ -338,14 +338,15 @@ def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[
 
 
 def _frozen_names(base, plans: Sequence[FreezePlan], inputs, paths) -> frozenset[str]:
-    """The tensors of the layers that no plan trains, after checking that the
-    base and every input (at ``paths``) have them, with one shape.
+    """The base's tensors, non-residual too, that no plan trains, after checking
+    that the base and every input (at ``paths``) have them, with one shape.
 
     Chunks are flat, so the shapes are compared here: the same bytes under
     another shape are another tensor."""
-    trained = {layer_id for plan in plans for layer_id in plan.trainable_layer_ids}
-    layers = arch_from_checkpoint(base.metadata).layers
-    frozen = [name for l in layers if l.layer_id not in trained for name in l.tensors]
+    trained = frozenset().union(*(plan.trainable_names for plan in plans))
+    # every plan trains the head, so the schema of any class count will do
+    schema = arch_from_checkpoint(base.metadata).schema_shapes(1)
+    frozen = [name for name in schema if name not in trained]
     for name in frozen:
         if name not in base.shapes:
             raise IncompatibleCheckpoints(f"base checkpoint lacks tensor {name!r}")

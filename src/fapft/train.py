@@ -318,7 +318,7 @@ class _AdamW:
     textbook order; the frozen tensors lie behind that range, untouched.
     """
 
-    def __init__(self, arrays, trainable: set[str], config: OptimizerConfig):
+    def __init__(self, arrays, trainable: frozenset[str], config: OptimizerConfig):
         self.config = config
         self.t = 0
         layout = sorted(arrays, key=lambda n: (n not in trainable, not _uses_weight_decay(n)))
@@ -394,22 +394,17 @@ class RunResult:
 
 def _trainable_names(
     plan: FreezePlan | None, arch: ArchDescriptor, dims: ModelDims
-) -> set[str]:
+) -> frozenset[str]:
     if plan is None:
-        return set(arch.schema_shapes(dims.num_classes))
+        return frozenset(arch.schema_shapes(dims.num_classes))
     if plan.arch_id != arch.arch_id:
         raise IncompatiblePlan(
             f"plan is for {plan.arch_id!r}, run is {arch.arch_id!r}"
         )
-    names = {"head.weight", "head.bias"}
-    for lid in plan.trainable_layer_ids:
-        layer = arch.layer_map.get(lid)
-        if layer is None:
-            raise IncompatiblePlan(f"plan names unknown layer {lid!r}")
-        names.update(layer.tensors)
-    if plan.non_residual_trainable:
-        names.update(arch.non_residual)
-    return names
+    unknown = [lid for lid in plan.trainable_layer_ids if lid not in arch.layer_map]
+    if unknown:
+        raise IncompatiblePlan(f"plan names unknown layer {unknown[0]!r}")
+    return plan.trainable_names
 
 
 def _params_from_init(init: Checkpoint, dims: ModelDims, seed: int):
@@ -437,7 +432,7 @@ def _final_checkpoint(params64, config: TrainConfig) -> Checkpoint:
     return Checkpoint(tensors, metadata)
 
 
-def _frozen_prefix(trainable: set[str], dims: ModelDims) -> int | None:
+def _frozen_prefix(trainable: frozenset[str], dims: ModelDims) -> int | None:
     """Shallowest block with a trainable tensor (``depth`` if none), or None
     when ``pos_embed`` trains and no hidden state is constant."""
     if "pos_embed" in trainable:

@@ -416,6 +416,10 @@ BAD_INPUTS = [
      {}, 1, "dataset requires --out"),
     ("soup_checks_out_first", ["soup", "--recipe", "@missing.json"],
      {}, 1, "soup requires --out"),
+    # the manifest would overwrite the soup; refused before the recipe is read
+    ("soup_manifest_is_out",
+     ["soup", "--recipe", "@missing.json", "--out", "@s.ckpt", "--manifest", "./s.ckpt"],
+     {}, 1, "soup --manifest must name another file than --out"),
     ("soup_negative_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      {"r.json": _recipe({"weight": -1})}, 2, "weights must be finite and positive"),
     # JSON's NaN token

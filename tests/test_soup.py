@@ -1,6 +1,7 @@
 import json
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -251,6 +252,32 @@ class TestRecipe:
         with pytest.raises(IncompatibleCheckpoints, match="run1.ckpt: lacks frozen tensor"):
             uniform_soup(recipe, tmp_path / "lacking" / "soup.ckpt")
         assert not (tmp_path / "lacking" / "soup.ckpt").exists()
+
+    # the frozen-tensor check of a uniform soup, and of a greedy one, which
+    # reads its inputs whole
+    FROZEN_CHECKS = {
+        "uniform": uniform_soup,
+        "greedy": lambda recipe, out: read_inputs(replace(recipe, mode="greedy"), recipe.plans()),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(FROZEN_CHECKS))
+    def test_non_residual_tensors_no_plan_trains_are_checked(self, tmp_path, mode):
+        # PLAN trains no non-residual tensor, so a run that moved pos_embed
+        # did not start from the base
+        check = self.FROZEN_CHECKS[mode]
+        rng = np.random.default_rng(16)
+        base = toy_base(rng)
+        moved = base.tensors["pos_embed"] + np.float32(1.0)
+        runs = [toy_run(base, rng), toy_run(base, rng, pos_embed=moved)]
+        recipe = write_recipe(tmp_path / "frozen", base, runs)
+        with pytest.raises(IncompatibleCheckpoints,
+                           match="run1.ckpt: frozen tensor 'pos_embed' differs from the base"):
+            check(recipe, tmp_path / "frozen" / "soup.ckpt")
+        assert not (tmp_path / "frozen" / "soup.ckpt").exists()
+
+        tuned = replace(PLAN, non_residual_trainable=True)
+        recipe = write_recipe(tmp_path / "tuned", base, runs, plan=tuned)
+        check(recipe, tmp_path / "tuned" / "soup.ckpt")
 
     def test_frozen_check_computes_no_mean(self, tmp_path, monkeypatch):
         # read_inputs needs only the comparisons against the base, even

@@ -9,10 +9,11 @@ import pytest
 
 import fapft
 
-from fapft.angles import compute_angles
+from fapft.angles import AngleReport, compute_angles, rank_entries
 from fapft.arch import (
     _make_plan,
     describe_arch,
+    full_plan,
     linear_probe_plan,
     manual_strategy,
     toy_vit_arch,
@@ -35,7 +36,7 @@ from fapft.model import (
     loss_and_grads,
     reinit_head,
 )
-from fapft.planner import plan_series
+from fapft.planner import FapftPolicy, plan_fapft, plan_series
 from fapft.soup import uniform_soup_checkpoints
 from fapft.tensors import bits_equal
 from fapft.train import (
@@ -440,6 +441,51 @@ class TestOptimizer:
         assert not _uses_weight_decay("blocks.0.norm1.weight")
         assert not _uses_weight_decay("norm.weight")
         assert not _uses_weight_decay("head.bias")
+
+
+def _fapft_plan(arch):
+    """The ``plan_fapft`` plan of the larger-angle layer in each group, the
+    angles growing with depth."""
+    angles = {layer.layer_id: 0.1 * (i + 1) for i, layer in enumerate(arch.layers)}
+    report = AngleReport(
+        arch_id=arch.arch_id,
+        entries=rank_entries(arch, angles),
+        whole_model_angle=0.5,
+        pretrained_hash="aa" * 32,
+        finetuned_hash="bb" * 32,
+        excluded_tensors=(),
+    )
+    return plan_fapft(report, arch, FapftPolicy("large", (1,)))
+
+
+class TestTrainableCount:
+    """A plan's reported count is the size of the tensors the trainer updates."""
+
+    PLANS = {
+        "none": lambda arch: None,
+        "full": full_plan,
+        "linear_probe": linear_probe_plan,
+        **{f"manual_{tag}": lambda arch, tag=tag: manual_strategy(arch, tag)
+           for tag in "ABCDEFGHI"},
+        "fapft": _fapft_plan,
+        "non_residual": lambda arch: _layers_plan(arch, ("s0.b1.ATTN",), non_residual=True),
+    }
+
+    @pytest.mark.parametrize("classes", [4, 9])
+    @pytest.mark.parametrize("case", sorted(PLANS))
+    def test_optimizer_holds_the_counted_tensors(self, case, classes):
+        dims = replace(DIMS, num_classes=classes)
+        # the plan comes from a descriptor of its own, as a plan file's does
+        plan = self.PLANS[case](toy_arch(dims))
+        arch = toy_arch(dims)
+        arrays = {n: np.zeros(s) for n, s in arch.schema_shapes(classes).items()}
+        optimizer = _AdamW(arrays, _trainable_names(plan, arch, dims), OPT)
+        if plan is None:
+            assert set(optimizer.trainable) == set(arrays)
+            assert optimizer.size == arch.full_param_count(classes)
+        else:
+            assert set(optimizer.trainable) == plan.trainable_names
+            assert optimizer.size == plan.trainable_param_count(classes)
 
 
 class TestTrain:
