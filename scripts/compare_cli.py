@@ -3,7 +3,7 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 80 invocations of all ten subcommands, in text and
+checkouts) runs the same 88 invocations of all ten subcommands, in text and
 ``--json`` mode, with ``--out`` where a command takes it, the angles of a
 checkpoint against itself (all tied) and a plan from them, two plans of the
 four-stage ``swin_b``, the counts of full fine-tuning of ``swin_b`` and of
@@ -14,8 +14,11 @@ holding a value of the wrong type), a ``train --init`` checkpoint shallower
 than the config's model and one deeper than it, a greedy soup refused for a
 run that changed a frozen layer, a run that tuned its non-residual tensors
 souped under a plan that freezes them, a soup whose ``--manifest`` names its
-``--out``, and a ``report`` over summaries whose accuracy is NaN or an int
-beyond the float range, each command in its own process, in one working
+``--out``, a ``report`` over summaries whose accuracy is NaN or an int
+beyond the float range, the angles of a pair under ``--dims`` of another
+width than theirs, a uniform soup whose second input, a run one block
+shallower, lacks tensors of the first, and, last, a soup whose ``--manifest``
+names one of its inputs, each command in its own process, in one working
 directory per tree. Stdout, stderr (with timings masked), exit codes and the
 bytes of every file left behind must be equal. Exit status 0 means
 identical, 1 lists the differences. One tree takes about 20 seconds on two
@@ -77,6 +80,13 @@ INPUTS = {
     # a run of plan_nr.json, whose pos_embed moved, souped as if it froze it
     "recipe_nr.json": {"base": "pre_text/run.ckpt",
                        "inputs": [{"path": "ftnr_text/run.ckpt", "plan": "plan_nr_frozen.json"}]},
+    # a run of depth 1 after one of depth 2: the second input lacks tensors
+    "recipe_shallow.json": {"inputs": [{"path": "ft_text/run.ckpt"},
+                                       {"path": "shallowrun_text/run.ckpt"}]},
+    # each mode's plain soup, as the second input of a soup whose manifest names it
+    **{f"recipe_own_{mode}.json": {"inputs": [{"path": "ft_text/run.ckpt"},
+                                              {"path": f"soupp_{mode}.ckpt"}]}
+       for mode in ("text", "json")},
     # one value of the wrong type in each kind of JSON input
     "bad_config.json": {**CONFIG, "seed": "7"},
     "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
@@ -162,6 +172,14 @@ def _commands(mode: str, j: list):
     yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "bad_plan.json",
            "--classes", "4", *j]
     yield ["rank", "--reports", "bad_report.json", "bad_report.json", *j]
+    yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "ft_text/run.ckpt",
+           "--arch", "toy_vit", "--dims", json.dumps({**DIMS, "model_dim": 8}),
+           "--out", f"angles_narrow_{mode}.json", *j]
+    yield ["train", "--config", "shallow_config.json", "--out", f"shallowrun_{mode}", *j]
+    yield ["soup", "--recipe", "recipe_shallow.json", "--out", f"soups_{mode}.ckpt", *j]
+    # last, since a tree that lets the manifest through overwrites the input
+    yield ["soup", "--recipe", f"recipe_own_{mode}.json", "--out", f"soupo_{mode}.ckpt",
+           "--manifest", f"soupp_{mode}.ckpt", *j]
 
 
 def invocations():

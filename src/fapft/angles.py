@@ -25,13 +25,13 @@ from functools import cached_property
 from .arch import ArchDescriptor, map_tensors
 from .checkpoint import zip_chunks
 from .errors import (
-    IncompatibleCheckpoints,
     IncompatibleReports,
     InvalidValue,
     parse_json,
     reading,
     require_finite,
     require_int,
+    require_shapes,
     require_str,
 )
 from .tensors import PairStats, kendall_tau, pair_scratch, pair_stats
@@ -149,26 +149,19 @@ def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
     :class:`CheckpointReader` of a file (which is then read once, in step
     with the other, one chunk at a time)."""
     # every name must be assignable under the architecture's schema, and
-    # every residual tensor must be in both checkpoints with one shape
+    # each checkpoint must hold the architecture's residual tensors, with
+    # their shapes
     pre_shapes, ft_shapes = pre.shapes, ft.shapes
     map_tensors(arch, pre_shapes)
     map_tensors(arch, ft_shapes)
-    residual_names = [name for layer in arch.layers for name in sorted(layer.tensors)]
-    for name in residual_names:
-        if name not in pre_shapes or name not in ft_shapes:
-            side = "pre-trained" if name not in pre_shapes else "fine-tuned"
-            raise IncompatibleCheckpoints(
-                f"residual tensor {name!r} missing from the {side} checkpoint"
-            )
-        if pre_shapes[name] != ft_shapes[name]:
-            raise IncompatibleCheckpoints(
-                f"residual tensor {name!r} has shape {pre_shapes[name]} vs {ft_shapes[name]}"
-            )
+    residual = {name: shape for layer in arch.layers for name, shape in layer.tensors.items()}
+    for side, shapes in (("pre-trained", pre_shapes), ("fine-tuned", ft_shapes)):
+        held = {name: shapes[name] for name in residual if name in shapes}
+        require_shapes(held, residual, f"{side} checkpoint", f"{arch.arch_id} model")
 
     # each pair is reduced once, chunk after chunk; its sums then go to its
     # layer and to the whole model, both in the fixed per-tensor order, so the
     # result does not depend on map insertion order or on the read order
-    residual = set(residual_names)
     stats: dict[str, PairStats] = {}
     scratch = pair_scratch()
     for name, _, (a, b) in zip_chunks(pre, ft):
@@ -183,7 +176,7 @@ def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
             whole += stats[name]
         angles[layer.layer_id] = acc.angle(layer.layer_id)
 
-    excluded = sorted((pre_shapes.keys() | ft_shapes.keys()) - residual)
+    excluded = sorted((pre_shapes.keys() | ft_shapes.keys()) - residual.keys())
 
     return AngleReport(
         arch_id=arch.arch_id,

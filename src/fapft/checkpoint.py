@@ -136,7 +136,9 @@ class Checkpoint:
 
     Each tensor is a read-only, C-contiguous float32 array holding no NaN and
     no infinity. The constructor converts any array-like to one; an array that
-    already is contiguous float32 is not copied, but is made read-only.
+    already is contiguous float32 and owns its memory is not copied, but is
+    made read-only. A view is copied: freezing it would not freeze the array
+    it views, whose writes would change the tensor under its hash.
 
     Toolkit producers namespace their metadata keys as ``pft.*``
     (``pft.arch_id``, ``pft.seed``, ``pft.epoch``, ``pft.producer``, ...).
@@ -153,6 +155,8 @@ class Checkpoint:
         for name, data in tensors.items():
             _validate_name(name)
             array = np.ascontiguousarray(data, dtype=np.float32)
+            if not array.flags.owndata:
+                array = array.copy()
             if not all_finite(array):
                 raise InvalidValue(f"tensor {name} contains non-finite values")
             array.setflags(write=False)

@@ -270,6 +270,11 @@ def _cmd_soup(args):
     if args.manifest and Path(args.manifest).resolve() == Path(args.out).resolve():
         raise UsageError("soup --manifest must name another file than --out")
     recipe = SoupRecipe.from_file(args.recipe)
+    manifest_path = args.manifest or f"{args.out}.manifest.json"
+    reads = [args.recipe, args.eval_config, recipe.base]
+    reads += [path for i in recipe.inputs for path in (i.path, i.plan_path)]
+    if Path(manifest_path).resolve() in {Path(p).resolve() for p in reads if p is not None}:
+        raise UsageError(f"soup manifest {manifest_path} would overwrite a file the soup reads")
     if recipe.mode == "greedy":
         if not args.eval_config:
             raise UsageError("greedy recipes need --eval-config for held-out accuracy")
@@ -287,7 +292,6 @@ def _cmd_soup(args):
         output_hash, input_hashes = uniform_soup(recipe, args.out, plans)
     inputs = [(i.path, h, i.weight) for i, h in zip(recipe.inputs, input_hashes)]
     manifest = soup_manifest(recipe.mode, inputs, output_hash, plans, args.classes)
-    manifest_path = args.manifest or f"{args.out}.manifest.json"
     _write_text(manifest_path, _emit_json(manifest))
     text = f"soup checkpoint {output_hash}\n"
     if manifest["param_total"] is not None:

@@ -1,5 +1,6 @@
 """Exception hierarchy for the toolkit, the value checks that raise
-``InvalidValue``, and the boundary for data read from outside.
+``InvalidValue``, the one check of a checkpoint's tensor names and shapes,
+and the boundary for data read from outside.
 
 Two broad families matter to callers (and to the CLI exit-code contract):
 ``DataError`` covers malformed or incompatible inputs (files, plans,
@@ -91,6 +92,23 @@ def require_str(name: str, value) -> str:
     if not isinstance(value, str):
         raise InvalidValue(f"{name} must be a string, got {value!r}")
     return value
+
+
+def require_shapes(shapes, need, what: str, of: str) -> None:
+    """Raise ``IncompatibleCheckpoints`` unless ``shapes`` (tensor name ->
+    shape) holds exactly the tensors of ``need``, each with its shape.
+    ``what`` names the checkpoint and ``of`` what it is checked against; a
+    caller that needs only some of a checkpoint's tensors passes only those."""
+    for name, shape in need.items():
+        if name not in shapes:
+            raise IncompatibleCheckpoints(f"{what}: lacks tensor {name!r} of the {of}")
+        if shapes[name] != shape:
+            raise IncompatibleCheckpoints(
+                f"{what}: tensor {name!r} has shape {shapes[name]}, the {of} needs {shape}"
+            )
+    extra = sorted(shapes.keys() - need.keys())
+    if extra:
+        raise IncompatibleCheckpoints(f"{what}: tensor {extra[0]!r} is not in the {of}")
 
 
 class EmptyInput(NumericError):

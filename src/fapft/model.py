@@ -30,7 +30,7 @@ from typing import Mapping
 import numpy as np
 
 from .arch import MAX_TOY_DEPTH, toy_vit_arch
-from .errors import IncompatibleCheckpoints, InvalidValue, require_int
+from .errors import InvalidValue, require_int, require_shapes
 
 __all__ = [
     "ModelDims",
@@ -98,17 +98,7 @@ def _checked_params(
     ``toy_vit`` model ``dims``: each of its tensors, with its shape, and no
     other. ``what`` names the input and ``model`` the model in the messages."""
     shapes = _schema(dims)
-    for name, shape in shapes.items():
-        array = arrays.get(name)
-        if array is None:
-            raise IncompatibleCheckpoints(f"{what}: lacks tensor {name!r} of the {model}")
-        if array.shape != shape:
-            raise IncompatibleCheckpoints(
-                f"{what}: tensor {name!r} has shape {array.shape}, the {model} needs {shape}"
-            )
-    extra = sorted(arrays.keys() - shapes.keys())
-    if extra:
-        raise IncompatibleCheckpoints(f"{what}: tensor {extra[0]!r} is not in the {model}")
+    require_shapes({name: array.shape for name, array in arrays.items()}, shapes, what, model)
     return {name: arrays[name] for name in shapes}
 
 

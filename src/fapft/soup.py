@@ -51,6 +51,7 @@ from .errors import (
     InvalidValue,
     parse_json,
     reading,
+    require_shapes,
 )
 from .tensors import bits_equal, mean_arrays, mean_scratch, mean_weights
 
@@ -163,18 +164,13 @@ class SoupRecipe:
         return plans
 
 
-def _check_compatible(sources) -> dict[str, tuple[int, ...]]:
-    """The first source's tensor shapes, after checking every other source's
-    names and shapes against them."""
+def _check_compatible(sources, paths=()) -> dict[str, tuple[int, ...]]:
+    """The first source's tensor shapes, after checking every other source
+    against them; a source is named by its path in ``paths``, else as
+    ``input i``, counting from 1."""
     first = sources[0].shapes
-    for source in sources[1:]:
-        shapes = source.shapes
-        if shapes.keys() != first.keys():
-            extra = sorted(shapes.keys() ^ first.keys())[:5]
-            raise IncompatibleCheckpoints(f"tensor name sets differ; mismatched names: {extra}")
-        for name, shape in first.items():
-            if shapes[name] != shape:
-                raise IncompatibleCheckpoints(f"tensor {name!r} has shape {shapes[name]} vs {shape}")
+    for i, source in enumerate(sources[1:], 1):
+        require_shapes(source.shapes, first, paths[i] if paths else f"input {i + 1}", "first input")
     return first
 
 
@@ -302,7 +298,7 @@ def uniform_soup(
         paths = [i.path for i in recipe.inputs]
         inputs = [stack.enter_context(CheckpointReader(path)) for path in paths]
         frozen = _frozen_names(base, plans, inputs, paths) if base is not None else frozenset()
-        shapes = _check_compatible(inputs)
+        shapes = _check_compatible(inputs, paths)
         # the header goes in last, once the input hashes are known; each is 64
         # hex digits, so its length is known now
         unknown = ["0" * 64] * len(inputs)
@@ -330,7 +326,7 @@ def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[
     if plans is not None:
         with CheckpointReader(recipe.base, hashed=False) as base:
             frozen = _frozen_names(base, plans, inputs, paths)
-            _check_compatible(inputs)
+            _check_compatible(inputs, paths)
             mask = np.empty(chunk_length(len(inputs) + 1), bool)
             for _ in _checked_chunks(inputs, base, frozen, paths, mask):
                 pass
@@ -339,25 +335,19 @@ def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[
 
 def _frozen_names(base, plans: Sequence[FreezePlan], inputs, paths) -> frozenset[str]:
     """The base's tensors, non-residual too, that no plan trains, after checking
-    that the base and every input (at ``paths``) have them, with one shape.
+    that the base (a reader), then every input (at ``paths``), holds them with
+    the shapes of the base's declared architecture.
 
     Chunks are flat, so the shapes are compared here: the same bytes under
     another shape are another tensor."""
     trained = frozenset().union(*(plan.trainable_names for plan in plans))
     # every plan trains the head, so the schema of any class count will do
-    schema = arch_from_checkpoint(base.metadata).schema_shapes(1)
-    frozen = [name for name in schema if name not in trained]
-    for name in frozen:
-        if name not in base.shapes:
-            raise IncompatibleCheckpoints(f"base checkpoint lacks tensor {name!r}")
-    for path, inp in zip(paths, inputs):
-        for name in frozen:
-            if name not in inp.shapes:
-                raise IncompatibleCheckpoints(f"{path}: lacks frozen tensor {name!r}")
-            if inp.shapes[name] != base.shapes[name]:
-                raise IncompatibleCheckpoints(
-                    f"{path}: frozen tensor {name!r} differs from the base"
-                )
+    arch = arch_from_checkpoint(base.metadata)
+    frozen = {n: shape for n, shape in arch.schema_shapes(1).items() if n not in trained}
+    for path, source in [(base.path, base), *zip(paths, inputs)]:
+        shapes = source.shapes
+        held = {name: shapes[name] for name in frozen if name in shapes}
+        require_shapes(held, frozen, path, f"base's {arch.arch_id} model")
     return frozenset(frozen)
 
 

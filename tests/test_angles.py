@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import struct
 import tracemalloc
 
@@ -344,6 +345,30 @@ class TestComputeAngles:
         tensors["blocks.0.norm1.weight"] = np.zeros(4, dtype=np.float32)
         with pytest.raises(IncompatibleCheckpoints):
             compute_angles(pre, Checkpoint(tensors), toy)
+
+    # a descriptor of the checkpoints' depth but another width: its residual
+    # tensors have the checkpoints' names and other shapes
+    OTHER_WIDTHS = {
+        "model_dim": ({"model_dim": 4},
+                      "tensor 'blocks.0.norm1.weight' has shape (8,), "
+                      "the toy_vit model needs (4,)"),
+        "ffn_dim": ({"ffn_dim": 16},
+                    "tensor 'blocks.0.mlp.fc1.weight' has shape (32, 8), "
+                    "the toy_vit model needs (16, 8)"),
+    }
+
+    @pytest.mark.parametrize("width", sorted(OTHER_WIDTHS))
+    def test_descriptor_of_another_width(self, toy, width):
+        change, message = self.OTHER_WIDTHS[width]
+        other = describe_arch("toy_vit", **{**toy.dims, **change})
+        rng = np.random.default_rng(17)
+        pre, ft = make_ckpt(toy, 5, rng), make_ckpt(toy, 5, rng)
+        # each side is checked against the descriptor, not only against the other
+        fits = make_ckpt(other, 5, rng)
+        for side, pair in (("pre-trained", (pre, ft)), ("fine-tuned", (fits, ft))):
+            expected = re.escape(f"{side} checkpoint: {message}")
+            with pytest.raises(IncompatibleCheckpoints, match=expected):
+                compute_angles(*pair, other)
 
     def test_provenance_hashes(self, toy):
         rng = np.random.default_rng(10)

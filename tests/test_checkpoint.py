@@ -322,10 +322,22 @@ class TestCheckpoint:
             assert np.array_equal(arr, np.asarray(data, dtype=np.float32))
 
     def test_contiguous_float32_is_not_copied(self):
-        data = np.arange(6, dtype=np.float32).reshape(2, 3)
+        data = np.zeros((2, 3), dtype=np.float32)
         arr = Checkpoint({"w": data}).tensors["w"]
         assert np.shares_memory(arr, data)
         assert not arr.flags.writeable
+
+    def test_view_is_copied(self):
+        # freezing a view would not freeze its base, whose writes would
+        # change the tensor under its hash
+        base = np.zeros((2, 4), dtype=np.float32)
+        ckpt = Checkpoint({"w": base[0]})
+        digest = ckpt.content_hash
+        base[0, 0] = 1.0
+        assert not np.shares_memory(ckpt.tensors["w"], base)
+        assert np.array_equal(ckpt.tensors["w"], np.zeros(4, dtype=np.float32))
+        assert Checkpoint({"w": np.zeros(4, dtype=np.float32)}).content_hash == digest
+        assert base.flags.writeable
 
 
 class TestContentHashSource:

@@ -364,6 +364,15 @@ def _greedy_planned(changed: str) -> dict:
     }
 
 
+def _uniform_planned() -> dict:
+    """:func:`_greedy_planned`'s two runs, which keep the layers their plan
+    freezes, in a uniform recipe."""
+    files = _greedy_planned("blocks.0.attn.proj.bias")
+    recipe = {**json.loads(files.pop("r.json")), "mode": "uniform"}
+    del files["c.json"]
+    return {**files, "r.json": json.dumps(recipe).encode()}
+
+
 def _greedy_scored_by(**arch) -> dict:
     """A greedy recipe of two SMALL_DIMS runs with two classes, and an eval
     config whose model differs from theirs by ``arch``."""
@@ -420,6 +429,13 @@ BAD_INPUTS = [
     ("soup_manifest_is_out",
      ["soup", "--recipe", "@missing.json", "--out", "@s.ckpt", "--manifest", "./s.ckpt"],
      {}, 1, "soup --manifest must name another file than --out"),
+    # nor may it overwrite a file the soup reads; refused before any checkpoint is opened
+    ("soup_manifest_is_an_input",
+     ["soup", "--recipe", "@r.json", "--out", "@s.ckpt", "--manifest", "@r2.ckpt"],
+     _uniform_planned(), 1, "would overwrite a file the soup reads"),
+    ("soup_manifest_is_the_base",
+     ["soup", "--recipe", "@r.json", "--out", "@s.ckpt", "--manifest", "@base.ckpt"],
+     _uniform_planned(), 1, "would overwrite a file the soup reads"),
     ("soup_negative_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      {"r.json": _recipe({"weight": -1})}, 2, "weights must be finite and positive"),
     # JSON's NaN token
@@ -495,11 +511,14 @@ BAD_INPUTS = [
     ("grad_check_negative_samples", ["grad-check", "--samples", "-5"], {}, 1,
      "argument --samples: must be a positive int, got '-5'"),
     ("soup_input_lacks_frozen_tensor", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
-     _lacking_frozen_tensor(), 2, "run.ckpt: lacks frozen tensor 'blocks.0.mlp.fc1.weight'"),
-    # the same bytes under another shape are another tensor
+     _lacking_frozen_tensor(), 2,
+     "run.ckpt: lacks tensor 'blocks.0.mlp.fc1.weight' of the base's toy_vit model"),
+    # the same bytes under another shape are another tensor, and the base is
+    # checked against the architecture its metadata declares
     ("soup_base_frozen_tensor_reshaped", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      _reshaped_frozen_base(), 2,
-     "run.ckpt: frozen tensor 'blocks.0.mlp.fc1.weight' differs from the base"),
+     "base.ckpt: tensor 'blocks.0.mlp.fc1.weight' has shape (4, 8), "
+     "the base's toy_vit model needs (8, 4)"),
     # a greedy soup makes the uniform soup's check of the layers frozen in all runs
     ("soup_greedy_frozen_tensor_changed",
      ["soup", "--recipe", "@r.json", "--eval-config", "@c.json", "--out", "@s.ckpt"],
@@ -647,6 +666,12 @@ BAD_INPUTS = [
      {"c.json": _config("arch", depth=1025)}, 2, "invalid train config: depth must be <= 1024"),
     ("angles_arch_config_depth_above_bound", ANGLES_TOY, _angles_arch_config('{"depth": 1025}'),
      2, "invalid pft.arch_config metadata: toy_vit dimension depth must be <= 1024"),
+    # each checkpoint must hold the residual tensors of the --dims model
+    ("angles_dims_of_another_width",
+     [*ANGLES_TOY, "--dims", json.dumps({**SMALL_DIMS, "model_dim": 2})],
+     {"pre.ckpt": _small_ckpt(1).canonical_bytes(), "ft.ckpt": _small_ckpt(2).canonical_bytes()},
+     2, "pre-trained checkpoint: tensor 'blocks.0.norm1.weight' has shape (4,), "
+        "the toy_vit model needs (2,)"),
     ("angles_header_too_many_digits", ANGLES_TOY,
      {"pre.ckpt": _header_too_many_digits(), "ft.ckpt": _small_ckpt(2).canonical_bytes()}, 2,
      "pre.ckpt: malformed header JSON"),

@@ -1,4 +1,5 @@
 import json
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -170,6 +171,27 @@ class TestUniform:
                 [simple_ckpt({"w": [1.0]}), simple_ckpt({"w": [1.0, 2.0]})]
             )
 
+    # the second of three inputs lacks a tensor of the first, or holds one more
+    MISMATCHED = {
+        "lacks": ({"w": [1.0]}, "lacks tensor 'v' of the first input"),
+        "extra": ({"v": [1.0], "w": [1.0], "x": [1.0]}, "tensor 'x' is not in the first input"),
+    }
+
+    @pytest.mark.parametrize("case", sorted(MISMATCHED))
+    def test_mismatched_input_is_named(self, tmp_path, case):
+        second, message = self.MISMATCHED[case]
+        ckpts = [simple_ckpt({"v": [1.0], "w": [1.0]}), simple_ckpt(second),
+                 simple_ckpt({"v": [2.0], "w": [2.0]})]
+        with pytest.raises(IncompatibleCheckpoints, match=f"^input 2: {message}$"):
+            uniform_soup_checkpoints(ckpts)
+        paths = [tmp_path / f"in{i}.ckpt" for i in range(3)]
+        for ckpt, path in zip(ckpts, paths):
+            write_checkpoint(ckpt, path)
+        recipe = SoupRecipe(inputs=tuple(SoupInput(str(p)) for p in paths))
+        with pytest.raises(IncompatibleCheckpoints, match=f"^{re.escape(str(paths[1]))}: {message}$"):
+            uniform_soup(recipe, tmp_path / "soup.ckpt")
+        assert not (tmp_path / "soup.ckpt").exists()
+
     def test_negative_zero(self):
         # a mean of inputs that are all -0.0 is +0.0; a single input is kept as it is
         ckpts = [simple_ckpt({"w": [-0.0, -0.0, 1.0]}) for _ in range(3)]
@@ -249,7 +271,8 @@ class TestRecipe:
 
         lacking = toy_run(base, rng, **{FROZEN: None})
         recipe = write_recipe(tmp_path / "lacking", base, [good[0], lacking])
-        with pytest.raises(IncompatibleCheckpoints, match="run1.ckpt: lacks frozen tensor"):
+        with pytest.raises(IncompatibleCheckpoints,
+                           match=f"run1.ckpt: lacks tensor '{FROZEN}' of the base's toy_vit model"):
             uniform_soup(recipe, tmp_path / "lacking" / "soup.ckpt")
         assert not (tmp_path / "lacking" / "soup.ckpt").exists()
 
