@@ -3,26 +3,12 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same 88 invocations of all ten subcommands, in text and
-``--json`` mode, with ``--out`` where a command takes it, the angles of a
-checkpoint against itself (all tied) and a plan from them, two plans of the
-four-stage ``swin_b``, the counts of full fine-tuning of ``swin_b`` and of
-the last half of ``vit_b16``'s blocks, a ``grad-check`` that passes and one
-that fails, a usage error, a missing file, a data error for each kind of JSON
-input (train config, dataset spec, recipe, plan and angle report, each
-holding a value of the wrong type), a ``train --init`` checkpoint shallower
-than the config's model and one deeper than it, a greedy soup refused for a
-run that changed a frozen layer, a run that tuned its non-residual tensors
-souped under a plan that freezes them, a soup whose ``--manifest`` names its
-``--out``, a ``report`` over summaries whose accuracy is NaN or an int
-beyond the float range, the angles of a pair under ``--dims`` of another
-width than theirs, a uniform soup whose second input, a run one block
-shallower, lacks tensors of the first, and, last, a soup whose ``--manifest``
-names one of its inputs, each command in its own process, in one working
-directory per tree. Stdout, stderr (with timings masked), exit codes and the
-bytes of every file left behind must be equal. Exit status 0 means
-identical, 1 lists the differences. One tree takes about 20 seconds on two
-CPUs.
+checkouts) runs the same invocations of all ten subcommands, in text and
+``--json`` mode, each command in its own process, in one working directory
+per tree; comments in ``_commands`` explain the less obvious ones. Stdout,
+stderr (with timings masked), exit codes and the bytes of every file left
+behind must be equal. Exit status 0 means identical, 1 lists the
+differences. One tree takes about 20 seconds on two CPUs.
 """
 
 import hashlib
@@ -175,6 +161,9 @@ def _commands(mode: str, j: list):
     yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "ft_text/run.ckpt",
            "--arch", "toy_vit", "--dims", json.dumps({**DIMS, "model_dim": 8}),
            "--out", f"angles_narrow_{mode}.json", *j]
+    # a dataset container as the fine-tuned side: it holds no tensor of the model
+    yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "d_text.ckpt",
+           "--arch", "toy_vit", "--dims", D, *j]
     yield ["train", "--config", "shallow_config.json", "--out", f"shallowrun_{mode}", *j]
     yield ["soup", "--recipe", "recipe_shallow.json", "--out", f"soups_{mode}.ckpt", *j]
     # last, since a tree that lets the manifest through overwrites the input

@@ -29,7 +29,6 @@ from .arch import (
     full_plan,
     linear_probe_plan,
     manual_strategy,
-    map_tensors,
     millions_str,
     plan_from_json,
     soup_millions_str,
@@ -85,7 +84,6 @@ __all__ = [
     "manual_strategy",
     "full_plan",
     "linear_probe_plan",
-    "map_tensors",
     "plan_from_json",
     "millions_str",
     "soup_millions_str",

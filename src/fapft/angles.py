@@ -22,7 +22,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
-from .arch import ArchDescriptor, map_tensors
+from .arch import ArchDescriptor
 from .checkpoint import zip_chunks
 from .errors import (
     IncompatibleReports,
@@ -45,6 +45,10 @@ __all__ = [
     "rank_entries",
     "render_rank_table",
 ]
+
+# Buffers that real-world hierarchical checkpoints carry inside attention
+# modules; they hold indices/masks, not parameters, and angles skip them.
+_IGNORED_SUFFIXES = (".attn.relative_position_index", ".attn_mask")
 
 
 @dataclass(frozen=True)
@@ -148,15 +152,15 @@ def compute_angles(pre, ft, arch: ArchDescriptor) -> AngleReport:
     checkpoint, each a :class:`Checkpoint` in memory or a
     :class:`CheckpointReader` of a file (which is then read once, in step
     with the other, one chunk at a time)."""
-    # every name must be assignable under the architecture's schema, and
     # each checkpoint must hold the architecture's residual tensors, with
-    # their shapes
+    # their shapes, and no tensor the architecture does not name; the
+    # non-residual tensors, the head and attention buffers are not compared
     pre_shapes, ft_shapes = pre.shapes, ft.shapes
-    map_tensors(arch, pre_shapes)
-    map_tensors(arch, ft_shapes)
     residual = {name: shape for layer in arch.layers for name, shape in layer.tensors.items()}
+    skipped = arch.non_residual.keys() | arch.head_shapes(1).keys()
     for side, shapes in (("pre-trained", pre_shapes), ("fine-tuned", ft_shapes)):
-        held = {name: shapes[name] for name in residual if name in shapes}
+        held = {name: shape for name, shape in shapes.items()
+                if name not in skipped and not name.endswith(_IGNORED_SUFFIXES)}
         require_shapes(held, residual, f"{side} checkpoint", f"{arch.arch_id} model")
 
     # each pair is reduced once, chunk after chunk; its sums then go to its

@@ -27,7 +27,6 @@ from .errors import (
     IncompatiblePlan,
     InvalidValue,
     UnknownArchitecture,
-    UnmappedTensor,
     parse_json,
     require_int,
 )
@@ -45,7 +44,6 @@ __all__ = [
     "full_plan",
     "linear_probe_plan",
     "toy_vit_arch",
-    "map_tensors",
     "millions_str",
     "soup_millions_str",
     "MANUAL_STRATEGY_ALIASES",
@@ -55,11 +53,6 @@ ATTN = "ATTN"
 FFN = "FFN"
 _CATEGORIES = (ATTN, FFN)
 _HEAD = ("head.weight", "head.bias")
-
-# Buffers that real-world hierarchical checkpoints carry inside attention
-# modules; they hold indices/masks, not parameters, and are skipped by
-# map_tensors and every count.
-_IGNORED_SUFFIXES = (".attn.relative_position_index", ".attn_mask")
 
 
 def _element_total(shapes: Iterable[tuple[int, ...]]) -> int:
@@ -180,12 +173,6 @@ class ArchDescriptor:
         self.layers = tuple(layers)
         self.groups: tuple[HomogeneousGroup, ...] = tuple(groups)
         self.layer_map: dict[str, LayerRef] = {l.layer_id: l for l in self.layers}
-        self._owner: dict[str, LayerRef | str] = {}
-        for layer in self.layers:
-            for name in layer.tensors:
-                self._owner[name] = layer
-        for name in self.non_residual:
-            self._owner[name] = "non_residual"
 
     # -- schema ------------------------------------------------------------
 
@@ -529,32 +516,6 @@ def full_plan(arch: ArchDescriptor) -> FreezePlan:
 
 def linear_probe_plan(arch: ArchDescriptor) -> FreezePlan:
     return _make_plan(arch, "LINEAR_PROBE", ())
-
-
-def map_tensors(arch: ArchDescriptor, tensor_names: Iterable[str]):
-    """Assign every tensor name to its layer, ``"non_residual"``, or ``"head"``.
-
-    Known non-parameter buffers are skipped. Unmatched names raise
-    UnmappedTensor listing all offenders.
-    """
-    assignment: dict[str, LayerRef | str] = {}
-    unmatched = []
-    for name in tensor_names:
-        if name in _HEAD:
-            assignment[name] = "head"
-            continue
-        owner = arch._owner.get(name)
-        if owner is not None:
-            assignment[name] = owner
-            continue
-        if any(name.endswith(suffix) for suffix in _IGNORED_SUFFIXES):
-            continue
-        unmatched.append(name)
-    if unmatched:
-        raise UnmappedTensor(
-            f"{arch.arch_id}: unmapped tensor names: {sorted(unmatched)}"
-        )
-    return assignment
 
 
 # ---------------------------------------------------------------------------

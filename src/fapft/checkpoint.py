@@ -138,7 +138,9 @@ class Checkpoint:
     no infinity. The constructor converts any array-like to one; an array that
     already is contiguous float32 and owns its memory is not copied, but is
     made read-only. A view is copied: freezing it would not freeze the array
-    it views, whose writes would change the tensor under its hash.
+    it views, whose writes would change the tensor under its hash. An owning
+    array is frozen in place, so a view of it made before the checkpoint was
+    built stays writeable; such a view must not be written through.
 
     Toolkit producers namespace their metadata keys as ``pft.*``
     (``pft.arch_id``, ``pft.seed``, ``pft.epoch``, ``pft.producer``, ...).

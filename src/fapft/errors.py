@@ -137,10 +137,6 @@ class UnknownArchitecture(DataError):
     pass
 
 
-class UnmappedTensor(DataError):
-    pass
-
-
 # angle analysis
 class IncompatibleCheckpoints(DataError):
     pass

@@ -627,26 +627,29 @@ def run_fapft_pipeline(
 ) -> PipelineResult:
     """Angle-guided partial fine-tuning, end to end, with shared hyper-parameters.
 
-    1. fully fine-tune the pre-trained weights on the task;
-    2. compute per-layer angles against the pre-trained weights;
-    3. resolve the policy (guideline defaults for the difficulty, with
-       optional explicit overrides) and select layers per group;
+    1. resolve the policy (guideline defaults for the difficulty, with
+       optional explicit overrides) and check it against the architecture,
+       so a bad policy is refused before any training;
+    2. fully fine-tune the pre-trained weights on the task;
+    3. compute per-layer angles against the pre-trained weights and select
+       layers per group;
     4. partially fine-tune the pre-trained weights under the resulting plan,
        using the same hyper-parameters as the full run.
 
     Full fine-tuning and linear probing come back as baselines.
     """
     arch = config.descriptor()
-    full_config = replace(config, task="finetune", freeze=None)
-    full = train(full_config, init=pre_ckpt)
-    report = compute_angles(pre_ckpt, full.final_checkpoint, arch)
-
     policy = default_policy(arch, difficulty)
     if topk is not None or magnitude is not None:
         policy = FapftPolicy(
             magnitude=magnitude or policy.magnitude,
             topk_per_stage=tuple(topk) if topk is not None else policy.topk_per_stage,
         )
+    policy.validate_for(arch)
+
+    full_config = replace(config, task="finetune", freeze=None)
+    full = train(full_config, init=pre_ckpt)
+    report = compute_angles(pre_ckpt, full.final_checkpoint, arch)
     plan = plan_fapft(report, arch, policy)
 
     fapft = train(replace(full_config, freeze=plan), init=pre_ckpt)

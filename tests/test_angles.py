@@ -315,12 +315,28 @@ class TestComputeAngles:
         )
 
     def test_head_and_non_residual_excluded(self, toy):
+        # a pair that differs only in tensors angles do not compare still gets
+        # a report: a head of another class count, an attention buffer
+        # (indices, not parameters) on one side, no pos_embed on the other
         rng = np.random.default_rng(7)
-        pre = make_ckpt(toy, 5, rng)
-        ft = make_ckpt(toy, 9, rng)  # different head size is fine
-        report = compute_angles(pre, ft, toy)
-        assert "head.weight" in report.excluded_tensors
-        assert "pos_embed" in report.excluded_tensors
+        buffer = "blocks.0.attn.relative_position_index"
+        pre = {**make_ckpt(toy, 5, rng).tensors, buffer: np.arange(16, dtype=np.float32)}
+        ft = dict(make_ckpt(toy, 9, rng).tensors)
+        del ft["pos_embed"]
+        report = compute_angles(Checkpoint(pre), Checkpoint(ft), toy)
+        excluded = {*toy.non_residual, "head.weight", "head.bias", buffer}
+        assert report.excluded_tensors == tuple(sorted(excluded))
+        assert len(report.entries) == len(toy.layers)
+
+    @pytest.mark.parametrize("side", ["pre-trained", "fine-tuned"])
+    def test_unknown_tensor_is_named(self, toy, side):
+        rng = np.random.default_rng(19)
+        pair = [make_ckpt(toy, 5, rng), make_ckpt(toy, 5, rng)]
+        i = ["pre-trained", "fine-tuned"].index(side)
+        pair[i] = Checkpoint({**pair[i].tensors, "mystery.weight": np.ones(3, np.float32)})
+        expected = f"{side} checkpoint: tensor 'mystery.weight' is not in the toy_vit model"
+        with pytest.raises(IncompatibleCheckpoints, match=re.escape(expected)):
+            compute_angles(*pair, toy)
 
     def test_zero_norm_layer_is_named(self, toy):
         rng = np.random.default_rng(13)

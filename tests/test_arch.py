@@ -9,7 +9,6 @@ from fapft.arch import (
     full_plan,
     linear_probe_plan,
     manual_strategy,
-    map_tensors,
     millions_str,
     plan_from_json,
     soup_millions_str,
@@ -17,7 +16,6 @@ from fapft.arch import (
 from fapft.errors import (
     InvalidValue,
     UnknownArchitecture,
-    UnmappedTensor,
 )
 from fapft.model import ModelDims
 
@@ -247,35 +245,6 @@ class TestParamCount:
         for n in (0, -1):
             with pytest.raises(InvalidValue):
                 plan.trainable_param_count(n)
-
-
-class TestMapTensors:
-    def test_vit_examples(self):
-        arch = describe_arch("vit_b16")
-        out = map_tensors(
-            arch, ["blocks.3.attn.qkv.weight", "pos_embed", "head.weight"]
-        )
-        layer = out["blocks.3.attn.qkv.weight"]
-        assert (layer.stage, layer.block, layer.category) == (0, 3, "ATTN")
-        assert out["pos_embed"] == "non_residual"
-        assert out["head.weight"] == "head"
-
-    def test_complete_schema_maps(self):
-        for arch_id in ("vit_b16", "swin_b", "toy_vit"):
-            arch = describe_arch(arch_id)
-            names = list(arch.schema_shapes(17))
-            out = map_tensors(arch, names)
-            assert set(out) == set(names)
-
-    def test_buffers_skipped(self):
-        arch = describe_arch("swin_b")
-        out = map_tensors(arch, ["stages.0.blocks.0.attn.relative_position_index"])
-        assert out == {}
-
-    def test_unmapped_raises_with_offender(self):
-        arch = describe_arch("vit_b16")
-        with pytest.raises(UnmappedTensor, match="mystery"):
-            map_tensors(arch, ["mystery.weight"])
 
 
 class TestPlanJson:

@@ -25,6 +25,7 @@ from fapft.errors import (
     EmptyInput,
     IncompatibleCheckpoints,
     IncompatiblePlan,
+    InvalidPolicy,
     InvalidValue,
 )
 from fapft.model import (
@@ -669,6 +670,17 @@ class TestPipeline:
         probe = run_fapft_pipeline(pretrained, config(), "easy", topk=(0,))
         assert probe.plan.same_selection(linear_probe_plan(arch))
         assert len(result.angle_report.entries) == len(arch.layers)
+
+    @pytest.mark.parametrize("bad", [{"topk": (99,)}, {"magnitude": "medium"}],
+                             ids=["topk", "magnitude"])
+    def test_bad_policy_is_refused_before_training(self, pretrained, monkeypatch, bad):
+        def no_training(*args, **kwargs):
+            raise AssertionError("train() ran before the policy was checked")
+
+        module = importlib.import_module("fapft.train")  # ``fapft.train`` is also a function
+        monkeypatch.setattr(module, "train", no_training)
+        with pytest.raises(InvalidPolicy):
+            run_fapft_pipeline(pretrained, config(), "challenging", **bad)
 
     def test_default_policy_used(self, pretrained):
         result = run_fapft_pipeline(pretrained, config(), "challenging")
