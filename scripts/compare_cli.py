@@ -80,6 +80,9 @@ INPUTS = {
     "bad_plan.json": {"arch_id": "toy_vit", "strategy_tag": "B", "policy": None,
                       "trainable_layers": "s0.b0.ATTN", "head_trainable": True,
                       "non_residual_trainable": False},
+    # one sample, so no training sample after the 80/20 split
+    "one_sample_spec.json": {"num_classes": 1, "seq_len": 2, "samples_per_class": 1,
+                             "feature_dim": 4, "seed": 1},
     "bad_report.json": {"arch_id": 5, "entries": [], "whole_model_angle": 0.5,
                         "provenance": {"pretrained_hash": "a", "finetuned_hash": "b",
                                        "excluded_tensors": []}},
@@ -164,6 +167,10 @@ def _commands(mode: str, j: list):
     # a dataset container as the fine-tuned side: it holds no tensor of the model
     yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "d_text.ckpt",
            "--arch", "toy_vit", "--dims", D, *j]
+    # a report of depth 2 planned for depth 1: it holds every layer id of depth 1
+    yield ["plan", "--report", "angles_text.json", "--arch", "toy_vit",
+           "--dims", json.dumps({**DIMS, "depth": 1}), "--magnitude", "large", "--topk", "1", *j]
+    yield ["dataset", "--spec", "one_sample_spec.json", "--out", f"d1_{mode}.ckpt", *j]
     yield ["train", "--config", "shallow_config.json", "--out", f"shallowrun_{mode}", *j]
     yield ["soup", "--recipe", "recipe_shallow.json", "--out", f"soups_{mode}.ckpt", *j]
     # last, since a tree that lets the manifest through overwrites the input

@@ -217,12 +217,12 @@ def rank_consistency(reports: list[AngleReport]) -> ConsistencyMatrix:
     """
     if len(reports) < 2:
         raise InvalidValue("need at least 2 reports for consistency")
-    arch_ids = {r.arch_id for r in reports}
-    if len(arch_ids) != 1:
-        raise IncompatibleReports(f"mixed architectures: {sorted(arch_ids)}")
-    layer_orders = {tuple(e.layer_id for e in r.entries) for r in reports}
-    if len(layer_orders) != 1:
-        raise IncompatibleReports("reports disagree on the layer inventory")
+    models = {(r.arch_id, tuple(e.layer_id for e in r.entries)) for r in reports}
+    if len(models) != 1:
+        raise IncompatibleReports(
+            f"reports disagree on the architecture or its layers: "
+            f"{sorted((arch_id, len(layers)) for arch_id, layers in models)}"
+        )
 
     vectors = [r.angles_in_order() for r in reports]
     n = len(reports)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Mapping, Sequence
 
@@ -145,7 +145,10 @@ def _ffn_tensors(prefix: str, stage: StageSpec) -> dict[str, tuple[int, ...]]:
 
 
 class ArchDescriptor:
-    """Layer inventory, tensor-name schema, groups, and head schema of one architecture."""
+    """Layer inventory, tensor-name schema, groups, and head schema of one architecture.
+
+    Two descriptors are equal, and hash alike, exactly when their ``arch_id``
+    and ``dims`` are: when they describe the same model, however built."""
 
     def __init__(
         self,
@@ -205,11 +208,17 @@ class ArchDescriptor:
     def full_param_count(self, num_classes: int) -> int:
         return _element_total(self.schema_shapes(num_classes).values())
 
+    def __eq__(self, other):
+        if not isinstance(other, ArchDescriptor):
+            return NotImplemented
+        return (self.arch_id, self.dims) == (other.arch_id, other.dims)
+
+    def __hash__(self):
+        return hash((self.arch_id, *sorted(self.dims.items())))
+
     def __repr__(self):
-        return (
-            f"ArchDescriptor({self.arch_id!r}, {len(self.layers)} layers, "
-            f"{len(self.groups)} groups)"
-        )
+        dims = "".join(f", {key}={value}" for key, value in self.dims.items())
+        return f"ArchDescriptor({self.arch_id!r}{dims})"
 
 
 def _build_vit_b16() -> ArchDescriptor:
@@ -331,17 +340,21 @@ class FreezePlan:
 
     The classifier head is trainable in every plan (the head of a fresh task
     has to be learned, and linear probing consists of exactly that), while
-    non-residual tensors are frozen unless explicitly enabled. ``arch``, the
-    descriptor the plan was built from, is not compared: plans of descriptors
-    built apart are equal.
+    non-residual tensors are frozen unless explicitly enabled. ``arch`` is the
+    model the plan is for; descriptors compare by value, so plans of
+    descriptors built apart for one model are equal, and plans for two sizes
+    of one architecture are not.
     """
 
-    arch_id: str
+    arch: ArchDescriptor
     strategy_tag: str
     trainable: tuple[LayerRef, ...]
-    arch: ArchDescriptor = field(compare=False, repr=False)
     non_residual_trainable: bool = False
     policy: Mapping[str, object] | None = None
+
+    @property
+    def arch_id(self) -> str:
+        return self.arch.arch_id
 
     @property
     def trainable_layer_ids(self) -> tuple[str, ...]:
@@ -361,7 +374,7 @@ class FreezePlan:
 
     def same_selection(self, other: "FreezePlan") -> bool:
         """Selection equality regardless of how the plan was produced."""
-        return self.arch_id == other.arch_id and self.trainable_names == other.trainable_names
+        return self.arch == other.arch and self.trainable_names == other.trainable_names
 
     def to_json_obj(self, classes: Iterable[int] = (100, 1000)) -> dict:
         return {
@@ -388,10 +401,9 @@ def _make_plan(
     policy: Mapping[str, object] | None = None,
 ) -> FreezePlan:
     return FreezePlan(
-        arch_id=arch.arch_id,
+        arch=arch,
         strategy_tag=tag,
         trainable=tuple(sorted(layers, key=lambda l: l.depth_key)),
-        arch=arch,
         non_residual_trainable=non_residual_trainable,
         policy=policy,
     )

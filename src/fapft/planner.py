@@ -102,16 +102,15 @@ def default_policy(arch: ArchDescriptor, difficulty: str) -> FapftPolicy:
 def plan_fapft(
     report: AngleReport, arch: ArchDescriptor, policy: FapftPolicy
 ) -> FreezePlan:
-    """Select per-group top-k layers by angle and return the resulting plan."""
-    if report.arch_id != arch.arch_id:
+    """Select per-group top-k layers by angle and return the resulting plan.
+    ``report`` must hold the angles of ``arch``'s layers, no more, in order."""
+    layer_ids = [e.layer_id for e in report.entries]
+    if (report.arch_id, layer_ids) != (arch.arch_id, [l.layer_id for l in arch.layers]):
         raise IncompatibleReports(
-            f"report is for {report.arch_id!r}, descriptor is {arch.arch_id!r}"
+            f"report is for {report.arch_id} with {len(report.entries)} layers, "
+            f"not for {arch!r} with {len(arch.layers)} layers"
         )
     policy.validate_for(arch)
-    reported = {e.layer_id for e in report.entries}
-    missing = [l.layer_id for l in arch.layers if l.layer_id not in reported]
-    if missing:
-        raise IncompatibleReports(f"report lacks angles for layers: {missing}")
 
     # members are in depth order and the sort is stable, so ties go to the
     # shallower layer

@@ -353,9 +353,9 @@ def _frozen_names(base, plans: Sequence[FreezePlan], inputs, paths) -> frozenset
 
 def soup_param_total(plans: Sequence[FreezePlan], num_classes: int) -> int:
     """Sum of each run's exact trainable-parameter count."""
-    arch_ids = {p.arch_id for p in plans}
-    if len(arch_ids) > 1:
-        raise IncompatibleReports(f"mixed architectures: {sorted(arch_ids)}")
+    archs = {p.arch for p in plans}
+    if len(archs) > 1:
+        raise IncompatibleReports(f"mixed architectures: {sorted(map(repr, archs))}")
     return sum(p.trainable_param_count(num_classes) for p in plans)
 
 

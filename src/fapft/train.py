@@ -111,6 +111,9 @@ class SyntheticSpec:
             require_finite(name, getattr(self, name))
             if getattr(self, name) < 0:
                 raise InvalidValue(f"{name} must be >= 0")
+        # the 80/20 split needs 2 samples to leave one for training and one for validation
+        if self.num_classes * self.samples_per_class < 2:
+            raise InvalidValue("dataset must hold at least 2 samples per task")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -221,6 +224,9 @@ class ScheduleConfig:
 
 @dataclass(frozen=True)
 class TrainConfig:
+    """One run. A ``freeze`` plan for another model than :meth:`descriptor` is
+    refused, so the config records only counts of the tensors its run updates."""
+
     arch: ModelDims
     optimizer: OptimizerConfig
     schedule: ScheduleConfig
@@ -239,9 +245,10 @@ class TrainConfig:
             raise InvalidValue("dataset seq_len must equal the model seq_len")
         if self.dataset.num_classes > self.arch.num_classes:
             raise InvalidValue("dataset num_classes must be <= the model num_classes")
-        # the 80/20 split needs 2 samples to leave one for training and one for validation
-        if self.dataset.num_classes * self.dataset.samples_per_class < 2:
-            raise InvalidValue("dataset must hold at least 2 samples per task")
+        if self.freeze is not None and self.freeze.arch != self.descriptor():
+            raise IncompatiblePlan(
+                f"plan is for {self.freeze.arch!r}, the config's model is {self.descriptor()!r}"
+            )
 
     def descriptor(self) -> ArchDescriptor:
         dims = self.arch.to_dict()
@@ -392,21 +399,6 @@ class RunResult:
         )
 
 
-def _trainable_names(
-    plan: FreezePlan | None, arch: ArchDescriptor, dims: ModelDims
-) -> frozenset[str]:
-    if plan is None:
-        return frozenset(arch.schema_shapes(dims.num_classes))
-    if plan.arch_id != arch.arch_id:
-        raise IncompatiblePlan(
-            f"plan is for {plan.arch_id!r}, run is {arch.arch_id!r}"
-        )
-    unknown = [lid for lid in plan.trainable_layer_ids if lid not in arch.layer_map]
-    if unknown:
-        raise IncompatiblePlan(f"plan names unknown layer {unknown[0]!r}")
-    return plan.trainable_names
-
-
 def _params_from_init(init: Checkpoint, dims: ModelDims, seed: int):
     """``init``'s weights for the model ``dims``; a head of another class
     count, or none, is drawn afresh from the run seed."""
@@ -470,10 +462,10 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
     from the config's; ``init`` must hold every other tensor of the model,
     with its shape, and no tensor outside it. Under a freeze plan, frozen
     tensors get no optimizer state, no updates and no gradients, and a frozen
-    prefix of the model runs once per split instead of once per step.
+    prefix of the model runs once per split instead of once per step. A run
+    updates its plan's ``trainable_names``, or every tensor without a plan.
     """
     dims = config.arch
-    arch = config.descriptor()
     # only this task's split outlives the dataset
     x_train, y_train, x_val, y_val = generate_dataset(config.dataset).task_split(config.task)
 
@@ -481,7 +473,7 @@ def train(config: TrainConfig, init: Checkpoint | None = None) -> RunResult:
         params32 = init_params(dims, np.random.default_rng([config.seed, _STREAM_INIT]))
     else:
         params32 = _params_from_init(init, dims, config.seed)
-    trainable = _trainable_names(config.freeze, arch, dims)
+    trainable = config.freeze.trainable_names if config.freeze else frozenset(params32)
     # 64-bit master weights during the run, as views of the optimizer's flat
     # vector; storage stays 32-bit at both ends
     optimizer = _AdamW(params32, trainable, config.optimizer)

@@ -12,6 +12,7 @@ from fapft.arch import (
     millions_str,
     plan_from_json,
     soup_millions_str,
+    toy_vit_arch,
 )
 from fapft.errors import (
     InvalidValue,
@@ -142,6 +143,20 @@ class TestDescriptors:
             with pytest.raises(InvalidValue, match=f"depth must be <= {MAX_TOY_DEPTH}"):
                 ModelDims(depth=depth, **dims)
 
+    def test_descriptors_compare_by_value(self):
+        toy = describe_arch("toy_vit", depth=2)
+        apart = toy_vit_arch(depth=2, model_dim=32, heads=4, ffn_dim=128, seq_len=8)
+        assert toy is not apart and toy == apart and hash(toy) == hash(apart)
+        assert describe_arch("vit_b16") == describe_arch("vit_b16")
+        assert repr(toy) == (
+            "ArchDescriptor('toy_vit', depth=2, model_dim=32, heads=4, ffn_dim=128, seq_len=8)"
+        )
+        others = [describe_arch("toy_vit", depth=3), describe_arch("toy_vit", depth=2, seq_len=4),
+                  describe_arch("toy_vit", depth=2, model_dim=16), describe_arch("vit_b16")]
+        for other in others:
+            assert toy != other, other
+        assert len({toy, apart, *others}) == 5
+
     @pytest.mark.parametrize("dims", [{"depth": True}, {"heads": True}, {"model_dim": {}},
                                       {"ffn_dim": 2.0}, {"seq_len": "8"}])
     def test_toy_dimensions_are_ints(self, dims):
@@ -214,6 +229,15 @@ class TestManualStrategies:
         assert probe.trainable_param_count(1000) == 769_000
         assert millions_str(probe.trainable_param_count(1000)) == "0.77"
         assert millions_str(probe.trainable_param_count(100)) == "0.08"
+
+    def test_plans_of_two_widths_differ(self):
+        narrow, wide = (describe_arch("toy_vit", depth=2, model_dim=m, heads=2) for m in (8, 16))
+        assert linear_probe_plan(narrow) == linear_probe_plan(describe_arch(
+            "toy_vit", depth=2, model_dim=8, heads=2))
+        assert linear_probe_plan(narrow) != linear_probe_plan(wide)
+        assert not manual_strategy(narrow, "B").same_selection(manual_strategy(wide, "B"))
+        assert (linear_probe_plan(narrow).trainable_param_count(3),
+                linear_probe_plan(wide).trainable_param_count(3)) == (27, 51)
 
 
 class TestParamCount:

@@ -558,10 +558,15 @@ BAD_INPUTS = [
      "invalid train config: dataset num_classes must be <= the model num_classes"),
     ("train_config_one_sample", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("dataset", num_classes=1, samples_per_class=1)}, 2,
-     "invalid train config: dataset must hold at least 2 samples per task"),
+     "invalid dataset spec: dataset must hold at least 2 samples per task"),
     ("grad_check_one_sample", ["grad-check", "--config", "@c.json", "--out", "@g.json"],
      {"c.json": _config("dataset", num_classes=1, samples_per_class=1)}, 2,
-     "invalid train config: dataset must hold at least 2 samples per task"),
+     "invalid dataset spec: dataset must hold at least 2 samples per task"),
+    # a container with no training sample, which the dataset schema refuses
+    ("dataset_one_sample", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
+     {"spec.json": json.dumps({"num_classes": 1, "seq_len": 2, "samples_per_class": 1,
+                               "feature_dim": 4, "seed": 1}).encode()}, 2,
+     "invalid dataset spec: dataset must hold at least 2 samples per task"),
     # an --out that cannot become a directory, because a file holds its place
     ("train_out_is_a_file", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("arch"), "out": b""}, 2, "out: [Errno 17] File exists"),
@@ -636,6 +641,13 @@ BAD_INPUTS = [
     ("rank_float_rank", ["rank", "--reports", "@a.json", "@a.json", "--out", "@o.json"],
      {"a.json": _report(("entries", 0, "rank_in_group"), 1.7)}, 2,
      "rank_in_group must be an int, got 1.7"),
+    # a deeper model's report holds every layer id of the shallower one
+    ("plan_report_of_deeper_model", [*SMALL_PLAN, "--report", "@a.json", "--out", "@p.json"],
+     {"a.json": compute_angles(_small_ckpt(1, depth=2), _small_ckpt(2, depth=2),
+                               describe_arch("toy_vit", **{**SMALL_DIMS, "depth": 2}))
+      .to_json_text().encode()}, 2,
+     "report is for toy_vit with 4 layers, not for ArchDescriptor('toy_vit', depth=1, "
+     "model_dim=4, heads=1, ffn_dim=8, seq_len=2) with 2 layers"),
     ("plan_int_hash", [*SMALL_PLAN, "--report", "@a.json", "--out", "@p.json"],
      {"a.json": _report(("provenance", "pretrained_hash"), 5)}, 2,
      "pretrained_hash must be a string, got 5"),

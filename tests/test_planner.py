@@ -153,9 +153,16 @@ class TestPlanFapft:
             plan_fapft(vit_report, vit, FapftPolicy("large", (13,)))
         with pytest.raises(InvalidPolicy):
             plan_fapft(vit_report, vit, FapftPolicy("large", (1, 1)))
-        swin = describe_arch("swin_b")
-        with pytest.raises(IncompatibleReports):
-            plan_fapft(vit_report, swin, FapftPolicy("large", (0, 0, 1, 1)))
+
+    @pytest.mark.parametrize("report_arch, arch, topk", [
+        # a deeper model's report holds every layer id of the shallower one
+        (describe_arch("toy_vit", depth=4), describe_arch("toy_vit", depth=2), (1,)),
+        (describe_arch("vit_b16"), describe_arch("swin_b"), (0, 0, 1, 1)),
+    ], ids=["deeper", "other_arch"])
+    def test_report_of_another_model_refused(self, report_arch, arch, topk):
+        report = report_for(report_arch, lambda l: l.block)
+        with pytest.raises(IncompatibleReports, match=f"not for .* with {len(arch.layers)} layers"):
+            plan_fapft(report, arch, FapftPolicy("large", topk))
 
 
 class TestPlanSeries:

@@ -486,6 +486,10 @@ class TestParamTotal:
         swin = describe_arch("swin_b")
         with pytest.raises(IncompatibleReports):
             soup_param_total([full_plan(vit), full_plan(swin)], 10)
+        # one architecture at two widths is two models
+        narrow, wide = (describe_arch("toy_vit", depth=2, model_dim=m, heads=2) for m in (8, 16))
+        with pytest.raises(IncompatibleReports, match="model_dim=16"):
+            soup_param_total([manual_strategy(narrow, "B"), manual_strategy(wide, "B")], 3)
 
 
 class TestGreedy:

@@ -47,7 +47,6 @@ from fapft.train import (
     TrainConfig,
     _AdamW,
     _frozen_prefix,
-    _trainable_names,
     accuracy,
     cosine_warmup_lr,
     generate_dataset,
@@ -266,10 +265,15 @@ class TestFreezing:
             else:
                 assert entry.angle == 0.0
 
-    def test_plan_arch_mismatch(self, pretrained):
-        vit = describe_arch("vit_b16")
-        with pytest.raises(IncompatiblePlan):
-            train(config(freeze=manual_strategy(vit, "B")), init=pretrained)
+    @pytest.mark.parametrize("arch", [
+        describe_arch("vit_b16"),
+        toy_arch(replace(DIMS, depth=DIMS.depth + 1)),
+        # same depth, so the same layer ids, but other shapes and counts
+        toy_arch(replace(DIMS, model_dim=2 * DIMS.model_dim)),
+    ], ids=["vit_b16", "deeper", "wider"])
+    def test_plan_arch_mismatch(self, arch):
+        with pytest.raises(IncompatiblePlan, match="plan is for ArchDescriptor"):
+            config(freeze=manual_strategy(arch, "B"))
 
 
 DEPTH0 = ModelDims(depth=0, model_dim=16, heads=2, ffn_dim=32, seq_len=4, num_classes=4)
@@ -312,9 +316,7 @@ class TestFreezeAware:
         if non_residual is None:
             trainable = set(selection)
         else:
-            arch = toy_arch(dims)
-            plan = _layers_plan(arch, selection, non_residual)
-            trainable = _trainable_names(plan, arch, dims)
+            trainable = _layers_plan(toy_arch(dims), selection, non_residual).trainable_names
         start = _frozen_prefix(trainable, dims)
         assert start == expected_start
         params, x, y = _batch(dims)
@@ -480,7 +482,8 @@ class TestTrainableCount:
         plan = self.PLANS[case](toy_arch(dims))
         arch = toy_arch(dims)
         arrays = {n: np.zeros(s) for n, s in arch.schema_shapes(classes).items()}
-        optimizer = _AdamW(arrays, _trainable_names(plan, arch, dims), OPT)
+        trainable = plan.trainable_names if plan else frozenset(arrays)
+        optimizer = _AdamW(arrays, trainable, OPT)
         if plan is None:
             assert set(optimizer.trainable) == set(arrays)
             assert optimizer.size == arch.full_param_count(classes)
