@@ -73,6 +73,8 @@ INPUTS = {
     **{f"recipe_own_{mode}.json": {"inputs": [{"path": "ft_text/run.ckpt"},
                                               {"path": f"soupp_{mode}.ckpt"}]}
        for mode in ("text", "json")},
+    # a dataset container as the base of planned runs: it declares no model
+    "recipe_no_arch.json": {**RECIPE, "base": "d_text.ckpt"},
     # one value of the wrong type in each kind of JSON input
     "bad_config.json": {**CONFIG, "seed": "7"},
     "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
@@ -173,6 +175,7 @@ def _commands(mode: str, j: list):
     yield ["dataset", "--spec", "one_sample_spec.json", "--out", f"d1_{mode}.ckpt", *j]
     yield ["train", "--config", "shallow_config.json", "--out", f"shallowrun_{mode}", *j]
     yield ["soup", "--recipe", "recipe_shallow.json", "--out", f"soups_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "recipe_no_arch.json", "--out", f"soupna_{mode}.ckpt", *j]
     # last, since a tree that lets the manifest through overwrites the input
     yield ["soup", "--recipe", f"recipe_own_{mode}.json", "--out", f"soupo_{mode}.ckpt",
            "--manifest", f"soupp_{mode}.ckpt", *j]

@@ -487,6 +487,8 @@ MANUAL_STRATEGY_ALIASES = {
     "first_half_blocks": "H",
     "last_half_blocks": "I",
 }
+# each alias and letter, lowercase, with its strategy's letter
+_MANUAL_STRATEGY_KEYS = {**MANUAL_STRATEGY_ALIASES, **{key.lower(): key for key in "ABCDEFGHI"}}
 
 
 def manual_strategy(arch: ArchDescriptor, tag: str) -> FreezePlan:
@@ -498,8 +500,8 @@ def manual_strategy(arch: ArchDescriptor, tag: str) -> FreezePlan:
     the blocks (both layers of each block). Odd counts split floor/ceil with
     the extra element in the last half.
     """
-    key = MANUAL_STRATEGY_ALIASES.get(tag.lower(), tag.upper())
-    if key not in "ABCDEFGHI" or len(key) != 1:
+    key = _MANUAL_STRATEGY_KEYS.get(tag.lower())
+    if key is None:
         raise InvalidValue(f"unknown manual strategy {tag!r}")
     attn = [l for l in arch.layers if l.category == ATTN]
     ffn = [l for l in arch.layers if l.category == FFN]

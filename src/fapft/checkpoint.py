@@ -50,7 +50,6 @@ __all__ = [
     "Checkpoint",
     "CheckpointReader",
     "read_checkpoint",
-    "read_checkpoint_metadata",
     "read_text",
     "write_checkpoint",
     "write_atomic",
@@ -271,15 +270,9 @@ def write_checkpoint(ckpt: Checkpoint, path) -> str:
     return ckpt.content_hash
 
 
-def _parse_header(blob: bytes, payload_size: int, path):
-    """Metadata and entries of the raw header of the file at ``path``; errors name the file."""
-    try:
-        return _header_entries(blob, payload_size)
-    except (FormatError, CorruptFile, UnsupportedDtype) as exc:
-        raise type(exc)(f"{path}: {exc}") from exc
+def _parse_header(blob: bytes, payload_size: int):
+    """Metadata and entries of a raw header, checked against the payload size."""
 
-
-def _header_entries(blob: bytes, payload_size: int):
     def reject_duplicates(pairs):
         seen = set()
         out = {}
@@ -456,7 +449,10 @@ class CheckpointReader:
                 raise CorruptFile(f"{path}: header length {header_len} exceeds file size {size}")
             header = bytearray(header_len)
             _read_into(self._fh, header, 8, path)
-            self.metadata, self._entries = _parse_header(bytes(header), size - 8 - header_len, path)
+            try:
+                self.metadata, self._entries = _parse_header(bytes(header), size - 8 - header_len)
+            except (FormatError, CorruptFile, UnsupportedDtype) as exc:
+                raise type(exc)(f"{path}: {exc}") from exc
         except BaseException:
             self._fh.close()
             raise
@@ -545,12 +541,6 @@ def read_checkpoint(path) -> Checkpoint:
         for name, start, chunk in reader.chunks():
             arrays[name].reshape(-1)[start : start + chunk.size] = chunk
     return Checkpoint(arrays, reader.metadata)
-
-
-def read_checkpoint_metadata(path) -> dict[str, str]:
-    """The metadata map of a checkpoint file; reads and validates the header only."""
-    with CheckpointReader(path) as reader:
-        return reader.metadata
 
 
 def zip_chunks(*sources) -> Iterator[tuple[str, int, list]]:

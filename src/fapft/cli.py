@@ -20,7 +20,6 @@ from pathlib import Path
 from . import __version__
 from .angles import compute_angles, rank_consistency, render_rank_table, report_from_json
 from .arch import (
-    MANUAL_STRATEGY_ALIASES,
     describe_arch,
     full_plan,
     linear_probe_plan,
@@ -91,9 +90,9 @@ def _write_out(args, obj):
         _write_text(args.out, _emit_json(obj))
 
 
-def _resolve_arch(arch_id: str, dims_raw: str | None, metadata=None):
+def _resolve_arch(arch_id: str, dims_raw: str | None, pre: CheckpointReader | None = None):
     """The architecture named on the command line; a ``toy_vit`` without
-    ``--dims`` takes its dimensions from checkpoint ``metadata`` when given."""
+    ``--dims`` takes its dimensions from the checkpoint ``pre`` when given."""
     try:
         dims = {} if dims_raw is None else json.loads(dims_raw)
     except ValueError as exc:  # JSONDecodeError, or an int of too many digits
@@ -105,8 +104,8 @@ def _resolve_arch(arch_id: str, dims_raw: str | None, metadata=None):
             return describe_arch(arch_id, **dims)
         except InvalidValue as exc:
             raise UsageError(f"--dims: {exc}") from exc
-    if arch_id == "toy_vit" and metadata is not None and "pft.arch_config" in metadata:
-        return arch_from_checkpoint(metadata)
+    if arch_id == "toy_vit" and pre is not None and "pft.arch_config" in pre.metadata:
+        return arch_from_checkpoint(pre)
     return describe_arch(arch_id)
 
 
@@ -191,7 +190,7 @@ def _record_run(out_dir: Path | None, stem: str, result) -> dict:
 
 def _cmd_angles(args):
     with CheckpointReader(args.pre) as pre, CheckpointReader(args.ft) as ft:
-        arch = _resolve_arch(args.arch, args.dims, pre.metadata)
+        arch = _resolve_arch(args.arch, args.dims, pre)
         report = compute_angles(pre, ft, arch)
     if args.out:
         _write_text(args.out, report.to_json_text())
@@ -243,15 +242,12 @@ def _cmd_params(args):
     if args.plan:
         plan = plan_from_json(read_text(args.plan), arch)
     else:
-        tag = args.strategy.lower()
-        if tag == "linear_probe":
-            plan = linear_probe_plan(arch)
-        elif tag in ("full", "a"):
-            plan = full_plan(arch)
-        elif tag in MANUAL_STRATEGY_ALIASES or tag in tuple("bcdefghi"):
-            plan = manual_strategy(arch, args.strategy)
-        else:
-            raise UsageError(f"unknown --strategy {args.strategy!r}")
+        named = {"full": full_plan, "a": full_plan, "linear_probe": linear_probe_plan}
+        build = named.get(args.strategy.lower())
+        try:
+            plan = build(arch) if build else manual_strategy(arch, args.strategy)
+        except InvalidValue:
+            raise UsageError(f"unknown --strategy {args.strategy!r}") from None
     exact = plan.trainable_param_count(args.classes)
     obj = {
         "arch_id": arch.arch_id,

@@ -37,16 +37,17 @@ from .checkpoint import (
     canonical_header,
     chunk_length,
     read_checkpoint,
-    read_checkpoint_metadata,
     read_text,
     write_all,
     write_atomic,
     zip_chunks,
 )
 from .errors import (
+    DataError,
     EvaluationError,
     FormatError,
     IncompatibleCheckpoints,
+    IncompatiblePlan,
     IncompatibleReports,
     InvalidValue,
     parse_json,
@@ -68,8 +69,14 @@ __all__ = [
 ]
 
 
-def arch_from_checkpoint(ckpt: Checkpoint | Mapping[str, str]) -> ArchDescriptor:
-    """Rebuild the descriptor recorded in a toolkit-produced checkpoint or its metadata map."""
+def arch_from_checkpoint(ckpt: Checkpoint | CheckpointReader | Mapping) -> ArchDescriptor:
+    """Rebuild the descriptor recorded in a toolkit-produced checkpoint, a
+    reader of one, or its metadata map; a reader's errors name its file."""
+    if isinstance(ckpt, CheckpointReader):
+        try:
+            return arch_from_checkpoint(ckpt.metadata)
+        except DataError as exc:
+            raise type(exc)(f"{ckpt.path}: {exc}") from exc
     metadata = ckpt.metadata if isinstance(ckpt, Checkpoint) else ckpt
     arch_id = metadata.get("pft.arch_id")
     if arch_id is None:
@@ -151,11 +158,12 @@ class SoupRecipe:
         return cls.from_json(read_text(path))
 
     def plans(self) -> list[FreezePlan] | None:
-        """Each input's freeze plan, resolved against the base checkpoint's
-        architecture; None when the recipe attaches no plans."""
+        """Each input's freeze plan, resolved against the model that the base
+        checkpoint's header declares; None when the recipe attaches no plans."""
         if not any(i.plan_path for i in self.inputs):
             return None
-        arch = arch_from_checkpoint(read_checkpoint_metadata(self.base))
+        with CheckpointReader(self.base, hashed=False) as base:
+            arch = arch_from_checkpoint(base)
         plans = []
         for inp in self.inputs:
             if inp.plan_path is None:
@@ -281,12 +289,12 @@ def uniform_soup(
     chunks, not a tensor. With plans attached, every tensor that no plan
     trains must still match the base checkpoint bitwise in every input; a
     mismatch means the runs did not share the base they claim and the soup is
-    refused. ``plans`` are the recipe's own, when the caller has already read
-    them with :meth:`SoupRecipe.plans`. The write is atomic: on any error,
-    even midway, no file is left behind. Once the soup is in place, it is read
-    back through a :class:`CheckpointReader`, which checks it as it checks
-    every input and hashes it; if that read fails, the soup stays without a
-    manifest and the error is raised.
+    refused. ``plans``, the recipe's own when the caller has already read them
+    (:meth:`SoupRecipe.plans`), must be for the base's declared model. The
+    write is atomic: on any error, even midway, no file is left behind. Once
+    the soup is in place, it is read back through a :class:`CheckpointReader`,
+    which checks it as it checks every input and hashes it; if that read
+    fails, the soup stays without a manifest and the error is raised.
     """
     if plans is None:
         plans = recipe.plans()
@@ -335,14 +343,17 @@ def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[
 
 def _frozen_names(base, plans: Sequence[FreezePlan], inputs, paths) -> frozenset[str]:
     """The base's tensors, non-residual too, that no plan trains, after checking
-    that the base (a reader), then every input (at ``paths``), holds them with
-    the shapes of the base's declared architecture.
+    that every plan is for the base's declared model, then that the base (a
+    reader), then every input (at ``paths``), holds them with its shapes.
 
     Chunks are flat, so the shapes are compared here: the same bytes under
     another shape are another tensor."""
+    arch = arch_from_checkpoint(base)
+    for plan in plans:
+        if plan.arch != arch:
+            raise IncompatiblePlan(f"plan is for {plan.arch!r}, the base's model is {arch!r}")
     trained = frozenset().union(*(plan.trainable_names for plan in plans))
     # every plan trains the head, so the schema of any class count will do
-    arch = arch_from_checkpoint(base.metadata)
     frozen = {n: shape for n, shape in arch.schema_shapes(1).items() if n not in trained}
     for path, source in [(base.path, base), *zip(paths, inputs)]:
         shapes = source.shapes

@@ -2,9 +2,11 @@ import hashlib
 import json
 import os
 import re
+import signal
 import struct
 import sys
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -18,7 +20,6 @@ from fapft.checkpoint import (
     CheckpointReader,
     chunk_length,
     read_checkpoint,
-    read_checkpoint_metadata,
     write_checkpoint,
     zip_chunks,
 )
@@ -521,6 +522,37 @@ class TestReader:
         assert not any(t.is_alive() for t in threads)
         assert results == [True] * 40
 
+    # Python 3.12 and later warn that a multi-threaded process forks
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    def test_forked_child_starts_its_own_hash_thread(self, tmp_path):
+        # a forked child has no copy of the parent's hash thread, so a child
+        # that handed its hash updates to the parent's pool would wait forever
+        p = tmp_path / "fork.ckpt"
+        expected = write_checkpoint(random_checkpoint(np.random.default_rng(41)), p)
+
+        def stream_hash():
+            with CheckpointReader(p) as reader:
+                for _ in reader.chunks():
+                    pass
+            return reader.content_hash
+
+        assert stream_hash() == expected  # the hash thread now runs
+        pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                code = 0 if stream_hash() == expected else 3
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG)) == (0, 0) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        if done == (0, 0):
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert done != (0, 0), "the forked child still waits for its hash after 30 s"
+        assert os.waitstatus_to_exitcode(done[1]) == 0
+
     def test_no_hash_before_the_last_tensor(self, tmp_path):
         p = tmp_path / "two.ckpt"
         write_checkpoint(Checkpoint({"a": [1.0], "b": [2.0]}), p)
@@ -575,41 +607,6 @@ class TestReader:
         for read in (read_checkpoint, CheckpointReader):
             with pytest.raises(error, match=f"^{re.escape(str(p))}: "):
                 read(p)
-
-
-class TestReadMetadata:
-    def test_matches_full_read(self, tmp_path):
-        ckpt = Checkpoint({"w": [1.0, 2.0]}, {"pft.arch_id": "toy_vit", "k": "v"})
-        p = tmp_path / "meta.ckpt"
-        write_checkpoint(ckpt, p)
-        assert read_checkpoint_metadata(p) == dict(read_checkpoint(p).metadata)
-        assert read_checkpoint_metadata(p) == {"pft.arch_id": "toy_vit", "k": "v"}
-
-    def test_reads_header_only(self, tmp_path):
-        blob = build_file(
-            {"w": {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]},
-             "__metadata__": {"pft.arch_id": "toy_vit"}},
-            np.array([np.nan], dtype="<f4").tobytes(),
-        )
-        p = tmp_path / "nan.ckpt"
-        p.write_bytes(blob)
-        assert read_checkpoint_metadata(p) == {"pft.arch_id": "toy_vit"}
-        with pytest.raises(CorruptFile):
-            read_checkpoint(p)
-
-    def test_header_is_still_validated(self, tmp_path):
-        p = tmp_path / "oob.ckpt"
-        p.write_bytes(
-            build_file({"a": {"dtype": "F32", "shape": [4], "data_offsets": [0, 16]}}, b"\x00" * 8)
-        )
-        with pytest.raises(CorruptFile):
-            read_checkpoint_metadata(p)
-        q = tmp_path / "tiny.ckpt"
-        q.write_bytes(b"\x01\x02")
-        with pytest.raises(CorruptFile):
-            read_checkpoint_metadata(q)
-        with pytest.raises(IoError):
-            read_checkpoint_metadata(tmp_path / "absent.ckpt")
 
 
 class TestWrite:

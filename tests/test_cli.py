@@ -373,6 +373,12 @@ def _uniform_planned() -> dict:
     return {**files, "r.json": json.dumps(recipe).encode()}
 
 
+def _uniform_planned_base(metadata: dict) -> dict:
+    """:func:`_uniform_planned`'s recipe, whose base's metadata is ``metadata``."""
+    base = _small_ckpt(1)
+    return {**_uniform_planned(), "base.ckpt": Checkpoint(base.tensors, metadata).canonical_bytes()}
+
+
 def _greedy_scored_by(**arch) -> dict:
     """A greedy recipe of two SMALL_DIMS runs with two classes, and an eval
     config whose model differs from theirs by ``arch``."""
@@ -673,6 +679,17 @@ BAD_INPUTS = [
     ("angles_arch_config_too_many_digits", ANGLES_TOY,
      _angles_arch_config('{"depth": ' + "1" * 5000 + "}"), 2,
      "malformed pft.arch_config metadata"),
+    # a checkpoint's declared model is read from its metadata, so an error names the file
+    ("angles_pre_without_arch_id", ANGLES_TOY,
+     {"pre.ckpt": Checkpoint(_small_ckpt(1).tensors, {"pft.arch_config": json.dumps(SMALL_DIMS)})
+      .canonical_bytes(), "ft.ckpt": _small_ckpt(2).canonical_bytes()}, 2,
+     "pre.ckpt: checkpoint has no pft.arch_id metadata"),
+    ("soup_base_without_arch_id", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     _uniform_planned_base({"pft.arch_config": json.dumps(SMALL_DIMS)}), 2,
+     "error: base.ckpt: checkpoint has no pft.arch_id metadata"),
+    ("soup_base_arch_config_not_an_object", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     _uniform_planned_base({**SMALL_META, "pft.arch_config": "[1]"}), 2,
+     "error: base.ckpt: pft.arch_config metadata must be a JSON object, got '[1]'"),
     # a descriptor holds a layer per block, so a toy_vit depth is bounded
     ("train_config_depth_above_bound", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("arch", depth=1025)}, 2, "invalid train config: depth must be <= 1024"),

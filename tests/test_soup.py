@@ -1,4 +1,5 @@
 import json
+import os
 import re
 import struct
 import tracemalloc
@@ -18,8 +19,10 @@ from fapft.errors import (
     EvaluationError,
     FormatError,
     IncompatibleCheckpoints,
+    IncompatiblePlan,
     IncompatibleReports,
     InvalidValue,
+    IoError,
 )
 from fapft import soup as soup_module
 from fapft.soup import (
@@ -301,6 +304,61 @@ class TestRecipe:
         tuned = replace(PLAN, non_residual_trainable=True)
         recipe = write_recipe(tmp_path / "tuned", base, runs, plan=tuned)
         check(recipe, tmp_path / "tuned" / "soup.ckpt")
+
+    @pytest.mark.parametrize("mode", ["uniform", "greedy"])
+    def test_plans_for_another_model_are_refused(self, tmp_path, mode):
+        # a soup averages runs of one model: plans of another toy_vit width
+        # than the base's, or of two widths, are refused before any file is
+        # written, though the narrow runs hold every tensor the wide plans freeze
+        check = {
+            "uniform": lambda recipe, plans: uniform_soup(recipe, tmp_path / "soup.ckpt", plans),
+            "greedy": read_inputs,
+        }[mode]
+        wide_arch = describe_arch("toy_vit", **{**TOY_DIMS, "model_dim": 16})
+        narrow, wide = (manual_strategy(arch, "D") for arch in (TOY_ARCH, wide_arch))
+        assert (narrow.trainable_param_count(3), wide.trainable_param_count(3)) == (331, 1171)
+        rng = np.random.default_rng(17)
+        base = toy_base(rng)
+        recipe = write_recipe(tmp_path, base, [toy_run(base, rng) for _ in range(2)])
+        files = sorted(os.listdir(tmp_path))
+        message = f"plan is for {wide_arch!r}, the base's model is {TOY_ARCH!r}"
+        for plans in ([wide, wide], [narrow, wide]):
+            with pytest.raises(IncompatiblePlan, match=re.escape(message)):
+                check(recipe, plans)
+            assert sorted(os.listdir(tmp_path)) == files
+
+    def test_plans_read_only_the_base_header(self, tmp_path):
+        # the base's payload is checked when the soup streams it, not when
+        # its declared model resolves the plans
+        rng = np.random.default_rng(18)
+        base = toy_base(rng)
+        recipe = write_recipe(tmp_path, base, [toy_run(base, rng)])
+        with open(recipe.base, "wb") as fh:
+            fh.write(with_nan(base, FROZEN, 0))
+        assert recipe.plans() == [PLAN]
+        with pytest.raises(CorruptFile, match=f"^{re.escape(recipe.base)}: tensor {FROZEN} "):
+            uniform_soup(recipe, tmp_path / "soup.ckpt")
+
+    def test_plans_validate_the_base_header(self, tmp_path):
+        # every error met reading the base's declared model names the base
+        rng = np.random.default_rng(19)
+        base = toy_base(rng)
+        recipe = write_recipe(tmp_path, base, [toy_run(base, rng)])
+        no_arch_id = {"pft.arch_config": base.metadata["pft.arch_config"]}
+        not_an_object = {**base.metadata, "pft.arch_config": "[1]"}
+        for blob, error in [
+            (b"\x01\x02", CorruptFile),
+            (base.canonical_bytes()[:-4], CorruptFile),
+            (Checkpoint(base.tensors, no_arch_id).canonical_bytes(), FormatError),
+            (Checkpoint(base.tensors, not_an_object).canonical_bytes(), FormatError),
+        ]:
+            with open(recipe.base, "wb") as fh:
+                fh.write(blob)
+            with pytest.raises(error, match=f"^{re.escape(recipe.base)}: "):
+                recipe.plans()
+        os.remove(recipe.base)
+        with pytest.raises(IoError, match=re.escape(recipe.base)):
+            recipe.plans()
 
     def test_frozen_check_computes_no_mean(self, tmp_path, monkeypatch):
         # read_inputs needs only the comparisons against the base, even
