@@ -15,6 +15,7 @@ import hashlib
 import json
 import os
 import re
+import struct
 import subprocess
 import sys
 import tempfile
@@ -75,6 +76,10 @@ INPUTS = {
        for mode in ("text", "json")},
     # a dataset container as the base of planned runs: it declares no model
     "recipe_no_arch.json": {**RECIPE, "base": "d_text.ckpt"},
+    # recipe.json's runs, merged greedily, the last one's frozen pos_embed reshaped
+    "greedy_reshaped.json": {
+        **RECIPE, "mode": "greedy",
+        "inputs": [RECIPE["inputs"][0], {"path": "reshaped_run.ckpt", "plan": "plan_text.json"}]},
     # one value of the wrong type in each kind of JSON input
     "bad_config.json": {**CONFIG, "seed": "7"},
     "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
@@ -95,6 +100,36 @@ SUMMARIES = {
     "summaries/nan.json": '{"final_val_accuracy": NaN, "strategy_tag": "B"}',
     "summaries/huge.json": '{"final_val_accuracy": 1%s, "strategy_tag": "B"}' % ("0" * 399),
 }
+
+
+def _declare_vit_b16(header: dict) -> None:
+    header["__metadata__"] = {"pft.arch_id": "vit_b16", "pft.arch_config": "{}"}
+
+
+def _transpose_pos_embed(header: dict) -> None:
+    header["pos_embed"]["shape"].reverse()
+
+
+# checkpoints copied from one that an invocation wrote, with their header
+# edited: name -> (source, edit)
+DERIVED = {
+    # the pre-trained toy run, declaring a vit_b16 model
+    "vit_pre.ckpt": ("pre_text/run.ckpt", _declare_vit_b16),
+    # a planned run whose frozen pos_embed holds the same bytes under another shape
+    "reshaped_run.ckpt": ("ftp_text/run.ckpt", _transpose_pos_embed),
+}
+
+
+def _derive(work: Path) -> None:
+    """Write each derived checkpoint whose source exists and which does not yet."""
+    for name, (source, edit) in DERIVED.items():
+        if (work / source).exists() and not (work / name).exists():
+            blob = (work / source).read_bytes()
+            (length,) = struct.unpack("<Q", blob[:8])
+            header = json.loads(blob[8 : 8 + length])
+            edit(header)
+            raw = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+            (work / name).write_bytes(struct.pack("<Q", len(raw)) + raw + blob[8 + length :])
 
 
 def _commands(mode: str, j: list):
@@ -176,6 +211,11 @@ def _commands(mode: str, j: list):
     yield ["train", "--config", "shallow_config.json", "--out", f"shallowrun_{mode}", *j]
     yield ["soup", "--recipe", "recipe_shallow.json", "--out", f"soups_{mode}.ckpt", *j]
     yield ["soup", "--recipe", "recipe_no_arch.json", "--out", f"soupna_{mode}.ckpt", *j]
+    # --arch toy_vit without --dims, given a --pre that declares another model
+    yield ["angles", "--pre", "vit_pre.ckpt", "--ft", "ft_text/run.ckpt", "--arch", "toy_vit",
+           "--out", f"angles_vit_{mode}.json", *j]
+    yield ["soup", "--recipe", "greedy_reshaped.json", "--eval-config", "config.json",
+           "--out", f"soupgr_{mode}.ckpt", *j]
     # last, since a tree that lets the manifest through overwrites the input
     yield ["soup", "--recipe", f"recipe_own_{mode}.json", "--out", f"soupo_{mode}.ckpt",
            "--manifest", f"soupp_{mode}.ckpt", *j]
@@ -198,6 +238,7 @@ def record(src: str, work: Path) -> dict:
     env = {**os.environ, "PYTHONPATH": str(Path(src).resolve()), "OPENBLAS_NUM_THREADS": "1"}
     runs = []
     for argv in invocations():
+        _derive(work)
         done = subprocess.run([sys.executable, "-m", "fapft.cli", *argv], cwd=work, env=env,
                               capture_output=True, text=True, timeout=600)
         err = re.sub(r"\d+\.\d+s", "<T>s", done.stderr)

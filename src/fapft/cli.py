@@ -92,7 +92,7 @@ def _write_out(args, obj):
 
 def _resolve_arch(arch_id: str, dims_raw: str | None, pre: CheckpointReader | None = None):
     """The architecture named on the command line; a ``toy_vit`` without
-    ``--dims`` takes its dimensions from the checkpoint ``pre`` when given."""
+    ``--dims`` takes its dimensions from the ``toy_vit`` that ``pre`` declares."""
     try:
         dims = {} if dims_raw is None else json.loads(dims_raw)
     except ValueError as exc:  # JSONDecodeError, or an int of too many digits
@@ -105,6 +105,10 @@ def _resolve_arch(arch_id: str, dims_raw: str | None, pre: CheckpointReader | No
         except InvalidValue as exc:
             raise UsageError(f"--dims: {exc}") from exc
     if arch_id == "toy_vit" and pre is not None and "pft.arch_config" in pre.metadata:
+        # without pft.arch_id, arch_from_checkpoint refuses the declaration
+        declared = pre.metadata.get("pft.arch_id", arch_id)
+        if declared != arch_id:
+            raise FormatError(f"{pre.path}: declares a {declared} model, but --arch is {arch_id}")
         return arch_from_checkpoint(pre)
     return describe_arch(arch_id)
 
@@ -276,7 +280,7 @@ def _cmd_soup(args):
             raise UsageError("greedy recipes need --eval-config for held-out accuracy")
         config = TrainConfig.from_json(read_text(args.eval_config))
         plans = recipe.plans()
-        candidates = read_inputs(recipe, plans)
+        candidates = read_inputs(recipe)
         for inp, c in zip(recipe.inputs, candidates):
             _checked_params(c.tensors, config.arch, inp.path, "--eval-config model")
         _, _, x_val, y_val = generate_dataset(config.dataset).task_split(config.task)
@@ -285,7 +289,7 @@ def _cmd_soup(args):
         output_hash = write_checkpoint(merged, args.out)
     else:
         plans = recipe.plans()
-        output_hash, input_hashes = uniform_soup(recipe, args.out, plans)
+        output_hash, input_hashes = uniform_soup(recipe, args.out)
     inputs = [(i.path, h, i.weight) for i, h in zip(recipe.inputs, input_hashes)]
     manifest = soup_manifest(recipe.mode, inputs, output_hash, plans, args.classes)
     _write_text(manifest_path, _emit_json(manifest))

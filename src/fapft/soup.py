@@ -1,8 +1,8 @@
 """Model soups: weight averaging across fine-tuned checkpoints.
 
 Partial fine-tuning adds a dimension to souping: runs can differ only in
-which tensors were trainable. When per-run freeze plans and the shared base
-checkpoint are supplied, the merger verifies that the tensors no plan trains
+which tensors were trainable. When a recipe attaches per-run freeze plans
+and names the shared base checkpoint, the merger verifies that the tensors no plan trains
 are still bitwise equal to the base. The soup then keeps them bitwise, since
 their mean is a mean of identical values, with one exception: an element
 that is -0.0 becomes +0.0 when two or more runs are averaged, as in any
@@ -36,7 +36,6 @@ from .checkpoint import (
     CheckpointReader,
     canonical_header,
     chunk_length,
-    read_checkpoint,
     read_text,
     write_all,
     write_atomic,
@@ -47,7 +46,6 @@ from .errors import (
     EvaluationError,
     FormatError,
     IncompatibleCheckpoints,
-    IncompatiblePlan,
     IncompatibleReports,
     InvalidValue,
     parse_json,
@@ -193,15 +191,18 @@ def _mean_of_equal(arrays: Sequence[np.ndarray], out: np.ndarray | None = None) 
     return np.add(arrays[0], np.float32(0), out=out) if len(arrays) > 1 else arrays[0]
 
 
-def _checked_chunks(inputs, base, frozen, paths, mask):
+def _checked_chunks(inputs, base, frozen, mask):
     """(name, start, chunks) for every chunk of ``inputs`` (checked
-    compatible), in name and offset order, taking one chunk of each input and
-    of ``base`` at a time, so that every base tensor is read, and so
-    validated, on the way. The inputs' tensors named in ``frozen`` (their
-    shapes checked by :func:`_frozen_names`) must equal the base's bitwise; a
-    mismatch is raised once the tensor's last chunk is taken, naming the path
-    (in ``paths``) of the first input that differs anywhere in it. ``mask``,
+    compatible), in name and offset order, taking one chunk of each input,
+    and of ``base`` when given, at a time, so that every base tensor is read,
+    and so validated, on the way. The inputs' tensors named in ``frozen``
+    (their shapes checked by :func:`_frozen_names`) must equal the base's
+    bitwise; a mismatch is raised once the tensor's last chunk is taken,
+    naming the first input (a reader) that differs anywhere in it. ``mask``,
     a bool array a chunk long, holds the comparisons."""
+    if base is None:
+        yield from zip_chunks(*inputs)
+        return
     sizes = {name: math.prod(shape) for name, shape in inputs[0].shapes.items()}
     # the first input whose current frozen tensor differs from the base; a
     # mismatch raises at the end of its tensor, so this never carries over
@@ -218,16 +219,15 @@ def _checked_chunks(inputs, base, frozen, paths, mask):
             )
             if differs < len(inputs) and start + chunks[0].size == sizes[name]:
                 raise IncompatibleCheckpoints(
-                    f"{paths[differs]}: frozen tensor {name!r} differs from the base"
+                    f"{inputs[differs].path}: frozen tensor {name!r} differs from the base"
                 )
         yield name, start, chunks
 
 
-def _merged(inputs, weights, base=None, frozen=frozenset(), paths=()):
+def _merged(inputs, weights, base=None, frozen=frozenset()):
     """(name, start, mean) for every chunk of ``inputs`` (checked compatible),
-    in name and offset order, taking one chunk of each input at a time. With
-    ``base``, the chunks are those of :func:`_checked_chunks`, which checks
-    the ``frozen`` tensors against the base.
+    in name and offset order: the chunks of :func:`_checked_chunks`, which
+    checks the ``frozen`` tensors against ``base`` when given.
 
     With every weight 1.0, a chunk that no input changed is copied
     (:func:`_mean_of_equal`); any other chunk is averaged in float64. A mean
@@ -239,11 +239,7 @@ def _merged(inputs, weights, base=None, frozen=frozenset(), paths=()):
     out = np.empty(length, np.float32)  # the mean of a chunk
     mask = np.empty(length, bool)  # the bitwise comparisons
     work = mean_scratch(length)  # the float64 sums
-    if base is None:
-        steps = zip_chunks(*inputs)
-    else:
-        steps = _checked_chunks(inputs, base, frozen, paths, mask)
-    for name, start, chunks in steps:
+    for name, start, chunks in _checked_chunks(inputs, base, frozen, mask):
         mean = out[: chunks[0].size]
         if unit and (name in frozen or all(bits_equal(c, chunks[0], mask) for c in chunks[1:])):
             yield name, start, _mean_of_equal(chunks, mean)
@@ -278,42 +274,44 @@ def uniform_soup_checkpoints(
     return Checkpoint(means, _soup_metadata(ckpts, weights, [c.content_hash for c in ckpts]))
 
 
-def uniform_soup(
-    recipe: SoupRecipe, out, plans: Sequence[FreezePlan] | None = None
-) -> tuple[str, list[str]]:
+def _open_recipe(recipe: SoupRecipe, stack: ExitStack, hashed: bool):
+    """The base (None without plans) and the inputs of ``recipe`` as readers
+    entered on ``stack``, the frozen tensors' names and the inputs' shapes,
+    once every header is checked and before any tensor data is read."""
+    plans = recipe.plans()  # resolved against the base's declared model
+    base = None
+    if plans is not None:
+        base = stack.enter_context(CheckpointReader(recipe.base, hashed=False))
+    inputs = [stack.enter_context(CheckpointReader(i.path, hashed)) for i in recipe.inputs]
+    frozen = frozenset() if plans is None else _frozen_names(base, plans, inputs)
+    return base, inputs, frozen, _check_compatible(inputs, [r.path for r in inputs])
+
+
+def uniform_soup(recipe: SoupRecipe, out) -> tuple[str, list[str]]:
     """Average a recipe's inputs into the checkpoint file ``out``, tensor by
     tensor; returns the soup's content hash and the inputs' hashes in recipe
     order.
 
     Every input (and the base) is streamed in step, so memory holds a few
-    chunks, not a tensor. With plans attached, every tensor that no plan
-    trains must still match the base checkpoint bitwise in every input; a
-    mismatch means the runs did not share the base they claim and the soup is
-    refused. ``plans``, the recipe's own when the caller has already read them
-    (:meth:`SoupRecipe.plans`), must be for the base's declared model. The
-    write is atomic: on any error, even midway, no file is left behind. Once
-    the soup is in place, it is read back through a :class:`CheckpointReader`,
-    which checks it as it checks every input and hashes it; if that read
-    fails, the soup stays without a manifest and the error is raised.
+    chunks, not a tensor, once :func:`_open_recipe` has checked every header.
+    With plans attached, every tensor that no plan trains must still match
+    the base checkpoint bitwise in every input; a mismatch means the runs did
+    not share the base they claim and the soup is refused. The write is
+    atomic: on any error, even midway, no file is left behind. Once the soup
+    is in place, it is read back through a :class:`CheckpointReader`, which
+    checks it as it checks every input and hashes it; if that read fails, the
+    soup stays without a manifest and the error is raised.
     """
-    if plans is None:
-        plans = recipe.plans()
     weights = [i.weight for i in recipe.inputs]
     with ExitStack() as stack:
-        base = None
-        if plans is not None:
-            base = stack.enter_context(CheckpointReader(recipe.base, hashed=False))
-        paths = [i.path for i in recipe.inputs]
-        inputs = [stack.enter_context(CheckpointReader(path)) for path in paths]
-        frozen = _frozen_names(base, plans, inputs, paths) if base is not None else frozenset()
-        shapes = _check_compatible(inputs, paths)
+        base, inputs, frozen, shapes = _open_recipe(recipe, stack, hashed=True)
         # the header goes in last, once the input hashes are known; each is 64
         # hex digits, so its length is known now
         unknown = ["0" * 64] * len(inputs)
         header_len = len(canonical_header(shapes.items(), _soup_metadata(inputs, weights, unknown)))
         with write_atomic(out) as fh:
             fh.seek(header_len)
-            for _, _, mean in _merged(inputs, weights, base, frozen, paths):
+            for _, _, mean in _merged(inputs, weights, base, frozen):
                 write_all(fh, mean)
             hashes = [inp.content_hash for inp in inputs]
             header = canonical_header(shapes.items(), _soup_metadata(inputs, weights, hashes))
@@ -326,39 +324,34 @@ def uniform_soup(
     return written.content_hash, hashes
 
 
-def read_inputs(recipe: SoupRecipe, plans: Sequence[FreezePlan] | None) -> list[Checkpoint]:
-    """Every input of ``recipe``, each file read once. With ``plans`` (the
-    recipe's own), the inputs must pass :func:`uniform_soup`'s frozen-tensor check."""
-    paths = [i.path for i in recipe.inputs]
-    inputs = [read_checkpoint(path) for path in paths]
-    if plans is not None:
-        with CheckpointReader(recipe.base, hashed=False) as base:
-            frozen = _frozen_names(base, plans, inputs, paths)
-            _check_compatible(inputs, paths)
-            mask = np.empty(chunk_length(len(inputs) + 1), bool)
-            for _ in _checked_chunks(inputs, base, frozen, paths, mask):
-                pass
-    return inputs
+def read_inputs(recipe: SoupRecipe) -> list[Checkpoint]:
+    """Every input of ``recipe`` in memory, each file read once, with the
+    checks of :func:`uniform_soup`: every header before any tensor data, and
+    with plans attached, each frozen tensor against the base's as it is read."""
+    with ExitStack() as stack:
+        base, inputs, frozen, shapes = _open_recipe(recipe, stack, hashed=False)
+        arrays = [{n: np.empty(shape, np.float32) for n, shape in shapes.items()} for _ in inputs]
+        mask = np.empty(chunk_length(len(inputs) + 1), bool)
+        for name, start, chunks in _checked_chunks(inputs, base, frozen, mask):
+            for held, chunk in zip(arrays, chunks):
+                held[name].reshape(-1)[start : start + chunk.size] = chunk
+    return [Checkpoint(held, inp.metadata) for held, inp in zip(arrays, inputs)]
 
 
-def _frozen_names(base, plans: Sequence[FreezePlan], inputs, paths) -> frozenset[str]:
+def _frozen_names(base, plans: Sequence[FreezePlan], inputs) -> frozenset[str]:
     """The base's tensors, non-residual too, that no plan trains, after checking
-    that every plan is for the base's declared model, then that the base (a
-    reader), then every input (at ``paths``), holds them with its shapes.
+    that the base, then every input (all readers), holds them with the shapes
+    of the plans' model, the base's declared one.
 
     Chunks are flat, so the shapes are compared here: the same bytes under
     another shape are another tensor."""
-    arch = arch_from_checkpoint(base)
-    for plan in plans:
-        if plan.arch != arch:
-            raise IncompatiblePlan(f"plan is for {plan.arch!r}, the base's model is {arch!r}")
+    arch = plans[0].arch
     trained = frozenset().union(*(plan.trainable_names for plan in plans))
     # every plan trains the head, so the schema of any class count will do
     frozen = {n: shape for n, shape in arch.schema_shapes(1).items() if n not in trained}
-    for path, source in [(base.path, base), *zip(paths, inputs)]:
-        shapes = source.shapes
-        held = {name: shapes[name] for name in frozen if name in shapes}
-        require_shapes(held, frozen, path, f"base's {arch.arch_id} model")
+    for source in (base, *inputs):
+        held = {name: source.shapes[name] for name in frozen if name in source.shapes}
+        require_shapes(held, frozen, source.path, f"base's {arch.arch_id} model")
     return frozenset(frozen)
 
 

@@ -684,6 +684,12 @@ BAD_INPUTS = [
      {"pre.ckpt": Checkpoint(_small_ckpt(1).tensors, {"pft.arch_config": json.dumps(SMALL_DIMS)})
       .canonical_bytes(), "ft.ckpt": _small_ckpt(2).canonical_bytes()}, 2,
      "pre.ckpt: checkpoint has no pft.arch_id metadata"),
+    # --arch toy_vit takes its dimensions from a --pre that declares a toy_vit, no other model
+    ("angles_pre_declares_another_arch", ANGLES_TOY,
+     {"pre.ckpt": Checkpoint(_small_ckpt(1).tensors,
+                             {"pft.arch_id": "vit_b16", "pft.arch_config": "{}"}).canonical_bytes(),
+      "ft.ckpt": _small_ckpt(2).canonical_bytes()}, 2,
+     "pre.ckpt: declares a vit_b16 model, but --arch is toy_vit"),
     ("soup_base_without_arch_id", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      _uniform_planned_base({"pft.arch_config": json.dumps(SMALL_DIMS)}), 2,
      "error: base.ckpt: checkpoint has no pft.arch_id metadata"),

@@ -19,12 +19,12 @@ from fapft.errors import (
     EvaluationError,
     FormatError,
     IncompatibleCheckpoints,
-    IncompatiblePlan,
     IncompatibleReports,
     InvalidValue,
     IoError,
 )
 from fapft import soup as soup_module
+from fapft.cli import main
 from fapft.soup import (
     SoupInput,
     SoupRecipe,
@@ -64,6 +64,15 @@ TRAINED = ["head.weight", "head.bias"] + [
     if layer.layer_id in PLAN.trainable_layer_ids
     for name in layer.tensors
 ]
+
+
+# an eval config of the TOY_DIMS model, for greedy soups run through the CLI
+EVAL_CONFIG = {
+    "arch": {**TOY_DIMS, "num_classes": 3}, "optimizer": {},
+    "schedule": {"epochs": 1, "warmup_epochs": 0, "batch_size": 8}, "seed": 1,
+    "dataset": {"num_classes": 3, "seq_len": 4, "samples_per_class": 10, "feature_dim": 8,
+                "seed": 1},
+}
 
 
 def toy_base(rng) -> Checkpoint:
@@ -283,7 +292,7 @@ class TestRecipe:
     # reads its inputs whole
     FROZEN_CHECKS = {
         "uniform": uniform_soup,
-        "greedy": lambda recipe, out: read_inputs(replace(recipe, mode="greedy"), recipe.plans()),
+        "greedy": lambda recipe, out: read_inputs(replace(recipe, mode="greedy")),
     }
 
     @pytest.mark.parametrize("mode", sorted(FROZEN_CHECKS))
@@ -306,26 +315,59 @@ class TestRecipe:
         check(recipe, tmp_path / "tuned" / "soup.ckpt")
 
     @pytest.mark.parametrize("mode", ["uniform", "greedy"])
-    def test_plans_for_another_model_are_refused(self, tmp_path, mode):
-        # a soup averages runs of one model: plans of another toy_vit width
-        # than the base's, or of two widths, are refused before any file is
-        # written, though the narrow runs hold every tensor the wide plans freeze
-        check = {
-            "uniform": lambda recipe, plans: uniform_soup(recipe, tmp_path / "soup.ckpt", plans),
-            "greedy": read_inputs,
-        }[mode]
-        wide_arch = describe_arch("toy_vit", **{**TOY_DIMS, "model_dim": 16})
-        narrow, wide = (manual_strategy(arch, "D") for arch in (TOY_ARCH, wide_arch))
-        assert (narrow.trainable_param_count(3), wide.trainable_param_count(3)) == (331, 1171)
+    def test_plan_of_another_width_is_refused(self, tmp_path, capsys, mode):
+        # a soup averages runs of one model: the recipe's plans are resolved
+        # against the base's declared model, so a plan of a wider toy_vit is
+        # refused before any file is written, though the narrow runs hold
+        # every tensor the wide plan freezes
+        wide = describe_arch("toy_vit", **{**TOY_DIMS, "model_dim": 16})
         rng = np.random.default_rng(17)
         base = toy_base(rng)
-        recipe = write_recipe(tmp_path, base, [toy_run(base, rng) for _ in range(2)])
+        runs = [toy_run(base, rng) for _ in range(2)]
+        recipe = replace(write_recipe(tmp_path, base, runs, plan=manual_strategy(wide, "D")),
+                         mode=mode)
+        (tmp_path / "r.json").write_text(json.dumps(
+            {"mode": mode, "base": recipe.base,
+             "inputs": [{"path": i.path, "plan": i.plan_path} for i in recipe.inputs]}))
+        (tmp_path / "c.json").write_text(json.dumps(EVAL_CONFIG))
         files = sorted(os.listdir(tmp_path))
-        message = f"plan is for {wide_arch!r}, the base's model is {TOY_ARCH!r}"
-        for plans in ([wide, wide], [narrow, wide]):
-            with pytest.raises(IncompatiblePlan, match=re.escape(message)):
-                check(recipe, plans)
-            assert sorted(os.listdir(tmp_path)) == files
+        message = "plan param_count_by_classes[100] is 2820, recomputed 1204"
+        with pytest.raises(FormatError, match=re.escape(message)):
+            if mode == "greedy":
+                read_inputs(recipe)
+            else:
+                uniform_soup(recipe, tmp_path / "soup.ckpt")
+        assert sorted(os.listdir(tmp_path)) == files
+        code = main(["soup", "--recipe", str(tmp_path / "r.json"), "--eval-config",
+                     str(tmp_path / "c.json"), "--out", str(tmp_path / "soup.ckpt")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == files
+
+    def test_headers_are_checked_before_any_tensor_is_read(self, tmp_path, monkeypatch):
+        # a greedy recipe whose last input holds a frozen tensor of another
+        # shape is refused on the headers alone; a good one reads each file once
+        rng = np.random.default_rng(20)
+        base = toy_base(rng)
+        runs = [toy_run(base, rng) for _ in range(3)]
+        reshaped = toy_run(base, rng, **{FROZEN: base.tensors[FROZEN].T})
+        reads = []
+        chunks = checkpoint.CheckpointReader.chunks
+
+        def counted(reader, *args, **kwargs):
+            reads.append(reader.path)
+            yield from chunks(reader, *args, **kwargs)
+
+        monkeypatch.setattr(checkpoint.CheckpointReader, "chunks", counted)
+        bad = replace(write_recipe(tmp_path / "bad", base, [*runs[:2], reshaped]), mode="greedy")
+        message = f"run2.ckpt: tensor '{FROZEN}' has shape (8, 32), the base's toy_vit model needs"
+        with pytest.raises(IncompatibleCheckpoints, match=re.escape(message)):
+            read_inputs(bad)
+        assert reads == []
+        good = replace(write_recipe(tmp_path / "good", base, runs), mode="greedy")
+        inputs = read_inputs(good)
+        assert sorted(reads) == sorted([good.base, *(i.path for i in good.inputs)])
+        assert [c.content_hash for c in inputs] == [run.content_hash for run in runs]
 
     def test_plans_read_only_the_base_header(self, tmp_path):
         # the base's payload is checked when the soup streams it, not when
@@ -374,7 +416,7 @@ class TestRecipe:
             return mean_arrays(*args, **kwargs)
 
         monkeypatch.setattr(soup_module, "mean_arrays", counted)
-        inputs = read_inputs(recipe, recipe.plans())
+        inputs = read_inputs(recipe)
         assert calls == []
         assert [c.content_hash for c in inputs] == [run.content_hash for run in runs]
         uniform_soup(recipe, tmp_path / "soup.ckpt")
@@ -412,12 +454,11 @@ class TestRecipe:
             write_checkpoint(Checkpoint(moved, meta), tmp_path / f"run{i}.ckpt")
             inputs.append(SoupInput(str(tmp_path / f"run{i}.ckpt"), 1.0, str(tmp_path / "plan.json")))
         recipe = SoupRecipe(inputs=tuple(inputs), base=str(tmp_path / "base.ckpt"))
-        plans = recipe.plans()
         file_size = (tmp_path / "run0.ckpt").stat().st_size
 
         tracemalloc.start()
         try:
-            uniform_soup(recipe, tmp_path / "soup.ckpt", plans)
+            uniform_soup(recipe, tmp_path / "soup.ckpt")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
