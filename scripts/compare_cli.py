@@ -80,6 +80,14 @@ INPUTS = {
     "greedy_reshaped.json": {
         **RECIPE, "mode": "greedy",
         "inputs": [RECIPE["inputs"][0], {"path": "reshaped_run.ckpt", "plan": "plan_text.json"}]},
+    # recipe.json with an empty plan, which names no file, on every input
+    "recipe_empty_plan.json": {
+        **RECIPE, "inputs": [{**i, "plan": ""} for i in RECIPE["inputs"]]},
+    # recipe.json with a plan on its first input only
+    "recipe_some_plans.json": {
+        **RECIPE, "inputs": [RECIPE["inputs"][0], {"path": RECIPE["inputs"][1]["path"]}]},
+    # recipe.json without its base
+    "recipe_plans_no_base.json": {"inputs": RECIPE["inputs"]},
     # one value of the wrong type in each kind of JSON input
     "bad_config.json": {**CONFIG, "seed": "7"},
     "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
@@ -211,6 +219,9 @@ def _commands(mode: str, j: list):
     yield ["train", "--config", "shallow_config.json", "--out", f"shallowrun_{mode}", *j]
     yield ["soup", "--recipe", "recipe_shallow.json", "--out", f"soups_{mode}.ckpt", *j]
     yield ["soup", "--recipe", "recipe_no_arch.json", "--out", f"soupna_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "recipe_empty_plan.json", "--out", f"soupep_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "recipe_some_plans.json", "--out", f"soupsp_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", "recipe_plans_no_base.json", "--out", f"soupnb_{mode}.ckpt", *j]
     # --arch toy_vit without --dims, given a --pre that declares another model
     yield ["angles", "--pre", "vit_pre.ckpt", "--ft", "ft_text/run.ckpt", "--arch", "toy_vit",
            "--out", f"angles_vit_{mode}.json", *j]

@@ -419,10 +419,18 @@ def _class_count(key) -> int | None:
     return count if count > 0 and key == str(count) else None
 
 
+def _valid_policy(value) -> bool:
+    """None, or an object that JSON writes: no NaN or Infinity, which it has no token for."""
+    try:
+        return value is None or isinstance(value, dict) and bool(json.dumps(value, allow_nan=False))
+    except (TypeError, ValueError):
+        return False
+
+
 # the fields of a plan's JSON form, what each must hold, and a test of it
 _PLAN_FIELDS = (
     ("strategy_tag", "a string", lambda v: isinstance(v, str)),
-    ("policy", "an object or null", lambda v: v is None or isinstance(v, dict)),
+    ("policy", "an object without NaN or Infinity, or null", _valid_policy),
     ("trainable_layers", "a list of strings",
      lambda v: isinstance(v, list) and all(isinstance(lid, str) for lid in v)),
     ("head_trainable", "true in every plan", lambda v: v is True),

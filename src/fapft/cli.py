@@ -279,8 +279,7 @@ def _cmd_soup(args):
         if not args.eval_config:
             raise UsageError("greedy recipes need --eval-config for held-out accuracy")
         config = TrainConfig.from_json(read_text(args.eval_config))
-        plans = recipe.plans()
-        candidates = read_inputs(recipe)
+        candidates, plans = read_inputs(recipe)
         for inp, c in zip(recipe.inputs, candidates):
             _checked_params(c.tensors, config.arch, inp.path, "--eval-config model")
         _, _, x_val, y_val = generate_dataset(config.dataset).task_split(config.task)
@@ -288,8 +287,7 @@ def _cmd_soup(args):
         input_hashes = [c.content_hash for c in candidates]
         output_hash = write_checkpoint(merged, args.out)
     else:
-        plans = recipe.plans()
-        output_hash, input_hashes = uniform_soup(recipe, args.out)
+        output_hash, input_hashes, plans = uniform_soup(recipe, args.out)
     inputs = [(i.path, h, i.weight) for i, h in zip(recipe.inputs, input_hashes)]
     manifest = soup_manifest(recipe.mode, inputs, output_hash, plans, args.classes)
     _write_text(manifest_path, _emit_json(manifest))

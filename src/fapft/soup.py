@@ -89,11 +89,11 @@ def arch_from_checkpoint(ckpt: Checkpoint | CheckpointReader | Mapping) -> ArchD
 
 
 def _recipe_path(value, field: str, optional: bool = False) -> str | None:
-    """A file name in a recipe: a string without NUL bytes (no file name
-    holds one); None, an absent field, only when ``optional``."""
+    """A file name in a recipe: a non-empty string without NUL bytes (no file
+    name is empty or holds one); None, an absent field, only when ``optional``."""
     if value is None and optional:
         return None
-    if not isinstance(value, str) or "\0" in value:
+    if not isinstance(value, str) or not value or "\0" in value:
         raise FormatError(f"recipe {field} must be a file name, got {value!r}")
     return value
 
@@ -114,7 +114,7 @@ class SoupInput:
 
 @dataclass(frozen=True)
 class SoupRecipe:
-    """Inputs, merge mode, and (when plans are attached) the shared base."""
+    """Inputs, merge mode, and (when plans are attached, to every input) the shared base."""
 
     inputs: tuple[SoupInput, ...]
     mode: str = "uniform"
@@ -133,8 +133,12 @@ class SoupRecipe:
         mean_weights([i.weight for i in self.inputs], len(self.inputs))
         if self.mode == "greedy" and any(i.weight != 1.0 for i in self.inputs):
             raise FormatError("a greedy soup averages uniformly; its input weights must be 1.0")
-        if any(i.plan_path for i in self.inputs) and self.base is None:
-            raise FormatError("recipe attaches plans but names no base checkpoint")
+        unplanned = [i for i in self.inputs if i.plan_path is None]
+        if len(unplanned) < len(self.inputs):
+            if self.base is None:
+                raise FormatError("recipe attaches plans but names no base checkpoint")
+            if unplanned:
+                raise FormatError(f"input {unplanned[0].path} has no plan but others do")
 
     @classmethod
     def from_json(cls, data) -> "SoupRecipe":
@@ -154,20 +158,6 @@ class SoupRecipe:
     @classmethod
     def from_file(cls, path) -> "SoupRecipe":
         return cls.from_json(read_text(path))
-
-    def plans(self) -> list[FreezePlan] | None:
-        """Each input's freeze plan, resolved against the model that the base
-        checkpoint's header declares; None when the recipe attaches no plans."""
-        if not any(i.plan_path for i in self.inputs):
-            return None
-        with CheckpointReader(self.base, hashed=False) as base:
-            arch = arch_from_checkpoint(base)
-        plans = []
-        for inp in self.inputs:
-            if inp.plan_path is None:
-                raise FormatError(f"input {inp.path} has no plan but others do")
-            plans.append(plan_from_json(read_text(inp.plan_path), arch))
-        return plans
 
 
 def _check_compatible(sources, paths=()) -> dict[str, tuple[int, ...]]:
@@ -276,21 +266,24 @@ def uniform_soup_checkpoints(
 
 def _open_recipe(recipe: SoupRecipe, stack: ExitStack, hashed: bool):
     """The base (None without plans) and the inputs of ``recipe`` as readers
-    entered on ``stack``, the frozen tensors' names and the inputs' shapes,
-    once every header is checked and before any tensor data is read."""
-    plans = recipe.plans()  # resolved against the base's declared model
-    base = None
-    if plans is not None:
+    entered on ``stack``, each input's plan (None without plans), the frozen
+    tensors' names and the inputs' shapes, once every header is checked and
+    before any tensor data is read. The only reader of a recipe's plans: each
+    input's plan file is read once, for the model the base's header declares."""
+    base = plans = None
+    if recipe.inputs[0].plan_path is not None:  # a recipe plans every input or none
         base = stack.enter_context(CheckpointReader(recipe.base, hashed=False))
+        arch = arch_from_checkpoint(base)
+        plans = [plan_from_json(read_text(i.plan_path), arch) for i in recipe.inputs]
     inputs = [stack.enter_context(CheckpointReader(i.path, hashed)) for i in recipe.inputs]
-    frozen = frozenset() if plans is None else _frozen_names(base, plans, inputs)
-    return base, inputs, frozen, _check_compatible(inputs, [r.path for r in inputs])
+    frozen = frozenset() if plans is None else _frozen_names(base, arch, plans, inputs)
+    return base, inputs, plans, frozen, _check_compatible(inputs, [r.path for r in inputs])
 
 
-def uniform_soup(recipe: SoupRecipe, out) -> tuple[str, list[str]]:
+def uniform_soup(recipe: SoupRecipe, out) -> tuple[str, list[str], list[FreezePlan] | None]:
     """Average a recipe's inputs into the checkpoint file ``out``, tensor by
-    tensor; returns the soup's content hash and the inputs' hashes in recipe
-    order.
+    tensor; returns the soup's content hash, then the inputs' hashes and the
+    plans they were checked by (None without plans), both in recipe order.
 
     Every input (and the base) is streamed in step, so memory holds a few
     chunks, not a tensor, once :func:`_open_recipe` has checked every header.
@@ -304,7 +297,7 @@ def uniform_soup(recipe: SoupRecipe, out) -> tuple[str, list[str]]:
     """
     weights = [i.weight for i in recipe.inputs]
     with ExitStack() as stack:
-        base, inputs, frozen, shapes = _open_recipe(recipe, stack, hashed=True)
+        base, inputs, plans, frozen, shapes = _open_recipe(recipe, stack, hashed=True)
         # the header goes in last, once the input hashes are known; each is 64
         # hex digits, so its length is known now
         unknown = ["0" * 64] * len(inputs)
@@ -321,31 +314,31 @@ def uniform_soup(recipe: SoupRecipe, out) -> tuple[str, list[str]]:
     with CheckpointReader(out) as written:
         for _ in written.chunks():
             pass
-    return written.content_hash, hashes
+    return written.content_hash, hashes, plans
 
 
-def read_inputs(recipe: SoupRecipe) -> list[Checkpoint]:
-    """Every input of ``recipe`` in memory, each file read once, with the
+def read_inputs(recipe: SoupRecipe) -> tuple[list[Checkpoint], list[FreezePlan] | None]:
+    """Every input of ``recipe`` in memory, each file read once, and the plans
+    they were checked by (None without plans), both in recipe order, with the
     checks of :func:`uniform_soup`: every header before any tensor data, and
     with plans attached, each frozen tensor against the base's as it is read."""
     with ExitStack() as stack:
-        base, inputs, frozen, shapes = _open_recipe(recipe, stack, hashed=False)
+        base, inputs, plans, frozen, shapes = _open_recipe(recipe, stack, hashed=False)
         arrays = [{n: np.empty(shape, np.float32) for n, shape in shapes.items()} for _ in inputs]
         mask = np.empty(chunk_length(len(inputs) + 1), bool)
         for name, start, chunks in _checked_chunks(inputs, base, frozen, mask):
             for held, chunk in zip(arrays, chunks):
                 held[name].reshape(-1)[start : start + chunk.size] = chunk
-    return [Checkpoint(held, inp.metadata) for held, inp in zip(arrays, inputs)]
+    return [Checkpoint(held, inp.metadata) for held, inp in zip(arrays, inputs)], plans
 
 
-def _frozen_names(base, plans: Sequence[FreezePlan], inputs) -> frozenset[str]:
+def _frozen_names(base, arch: ArchDescriptor, plans, inputs) -> frozenset[str]:
     """The base's tensors, non-residual too, that no plan trains, after checking
     that the base, then every input (all readers), holds them with the shapes
-    of the plans' model, the base's declared one.
+    of ``arch``, the model the base declares and the plans were read for.
 
     Chunks are flat, so the shapes are compared here: the same bytes under
     another shape are another tensor."""
-    arch = plans[0].arch
     trained = frozenset().union(*(plan.trainable_names for plan in plans))
     # every plan trains the head, so the schema of any class count will do
     frozen = {n: shape for n, shape in arch.schema_shapes(1).items() if n not in trained}

@@ -373,6 +373,20 @@ def _uniform_planned() -> dict:
     return {**files, "r.json": json.dumps(recipe).encode()}
 
 
+def _uniform_frozen_changed(*plans) -> dict:
+    """:func:`_greedy_planned`'s runs, the second of which changed a tensor
+    that its plan freezes, in a uniform recipe whose inputs name ``plans``
+    (None: no plan)."""
+    files = _greedy_planned("blocks.0.mlp.fc1.weight")
+    del files["c.json"]
+    recipe = {**json.loads(files["r.json"]), "mode": "uniform"}
+    for entry, plan in zip(recipe["inputs"], plans):
+        del entry["plan"]
+        if plan is not None:
+            entry["plan"] = plan
+    return {**files, "r.json": json.dumps(recipe).encode()}
+
+
 def _uniform_planned_base(metadata: dict) -> dict:
     """:func:`_uniform_planned`'s recipe, whose base's metadata is ``metadata``."""
     base = _small_ckpt(1)
@@ -457,6 +471,20 @@ BAD_INPUTS = [
     # no file name holds a NUL byte, and the OS refuses to open one
     ("soup_nul_in_path", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      {"r.json": _recipe({"path": "a\0b"})}, 2, "recipe path must be a file name, got 'a\\x00b'"),
+    # no file name is empty: an empty plan is not "no plan", which would
+    # skip the frozen-tensor check (with "p.json" this recipe exits 2)
+    ("soup_empty_plan", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     _uniform_frozen_changed("", ""), 2, "recipe plan must be a file name, got ''"),
+    ("soup_empty_path", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"path": ""})}, 2, "recipe path must be a file name, got ''"),
+    ("soup_empty_base", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe(base="")}, 2, "recipe base must be a file name, got ''"),
+    # plans go with a base, and on every input; both are refused as the recipe is read
+    ("soup_plan_on_some_inputs", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     _uniform_frozen_changed("p.json", None), 2, "input r2.ckpt has no plan but others do"),
+    ("soup_plans_without_base", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
+     {"r.json": _recipe({"plan": "p.json"})}, 2,
+     "recipe attaches plans but names no base checkpoint"),
     ("soup_plan_not_a_string", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      {"r.json": _recipe({"plan": 5}, base="b.ckpt")}, 2, "recipe plan must be a file name, got 5"),
     ("soup_base_not_a_string", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],

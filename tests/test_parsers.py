@@ -133,6 +133,7 @@ def test_any_dataset_spec_parses_or_is_a_data_error(doc):
 @example(doc={**PLAN, "param_count_by_classes": {"x": 1}})
 @example(doc={**PLAN, "non_residual_trainable": "no"})
 @example(doc={**PLAN, "trainable_layers": ["s0.b0.ATTN", "s0.b0.ATTN"]})
+@example(doc={**PLAN, "policy": {"": float("nan")}})
 def test_any_plan_parses_or_is_a_data_error(doc):
     plan = _parse(lambda data: plan_from_json(data, ARCH), doc)
     if plan is not None:

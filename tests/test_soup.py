@@ -4,6 +4,7 @@ import re
 import struct
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -117,7 +118,7 @@ def with_nan(ckpt: Checkpoint, name: str, index: int) -> bytes:
 
 def soup_file(recipe: SoupRecipe, path) -> Checkpoint:
     """The soup that ``uniform_soup`` writes to ``path``, read back."""
-    output_hash, input_hashes = uniform_soup(recipe, path)
+    output_hash, input_hashes, _ = uniform_soup(recipe, path)
     soup = read_checkpoint(path)
     assert soup.content_hash == output_hash
     assert input_hashes == [read_checkpoint(i.path).content_hash for i in recipe.inputs]
@@ -365,24 +366,34 @@ class TestRecipe:
             read_inputs(bad)
         assert reads == []
         good = replace(write_recipe(tmp_path / "good", base, runs), mode="greedy")
-        inputs = read_inputs(good)
+        inputs, _ = read_inputs(good)
         assert sorted(reads) == sorted([good.base, *(i.path for i in good.inputs)])
         assert [c.content_hash for c in inputs] == [run.content_hash for run in runs]
 
     def test_plans_read_only_the_base_header(self, tmp_path):
-        # the base's payload is checked when the soup streams it, not when
-        # its declared model resolves the plans
+        # in both modes, the plans are resolved from the base's header: its
+        # payload is checked when the soup streams it, after every input's header
         rng = np.random.default_rng(18)
         base = toy_base(rng)
-        recipe = write_recipe(tmp_path, base, [toy_run(base, rng)])
-        with open(recipe.base, "wb") as fh:
-            fh.write(with_nan(base, FROZEN, 0))
-        assert recipe.plans() == [PLAN]
-        with pytest.raises(CorruptFile, match=f"^{re.escape(recipe.base)}: tensor {FROZEN} "):
-            uniform_soup(recipe, tmp_path / "soup.ckpt")
+        run = toy_run(base, rng)
+        reshaped = toy_run(base, rng, **{FROZEN: base.tensors[FROZEN].T})
+        good = write_recipe(tmp_path / "good", base, [run])
+        for check in self.FROZEN_CHECKS.values():
+            assert check(good, tmp_path / "good" / "soup.ckpt")[-1] == [PLAN]
+        for name, runs, error, message in [
+            ("nan", [run], CorruptFile, f"base.ckpt: tensor {FROZEN} contains non-finite"),
+            ("header", [run, reshaped], IncompatibleCheckpoints, f"run1.ckpt: tensor '{FROZEN}'"),
+        ]:
+            recipe = write_recipe(tmp_path / name, base, runs)
+            with open(recipe.base, "wb") as fh:
+                fh.write(with_nan(base, FROZEN, 0))
+            for check in self.FROZEN_CHECKS.values():
+                with pytest.raises(error, match=f"^{re.escape(str(tmp_path / name / message))}"):
+                    check(recipe, tmp_path / name / "soup.ckpt")
+            assert not (tmp_path / name / "soup.ckpt").exists()
 
     def test_plans_validate_the_base_header(self, tmp_path):
-        # every error met reading the base's declared model names the base
+        # in both modes, every error met reading the base's declared model names the base
         rng = np.random.default_rng(19)
         base = toy_base(rng)
         recipe = write_recipe(tmp_path, base, [toy_run(base, rng)])
@@ -396,11 +407,51 @@ class TestRecipe:
         ]:
             with open(recipe.base, "wb") as fh:
                 fh.write(blob)
-            with pytest.raises(error, match=f"^{re.escape(recipe.base)}: "):
-                recipe.plans()
+            for check in self.FROZEN_CHECKS.values():
+                with pytest.raises(error, match=f"^{re.escape(recipe.base)}: "):
+                    check(recipe, tmp_path / "soup.ckpt")
         os.remove(recipe.base)
-        with pytest.raises(IoError, match=re.escape(recipe.base)):
-            recipe.plans()
+        for check in self.FROZEN_CHECKS.values():
+            with pytest.raises(IoError, match=re.escape(recipe.base)):
+                check(recipe, tmp_path / "soup.ckpt")
+        assert not (tmp_path / "soup.ckpt").exists()
+
+    @pytest.mark.parametrize("mode", ["uniform", "greedy"])
+    def test_soup_opens_the_base_once_and_reads_each_plan_once(self, tmp_path, monkeypatch, mode):
+        # a planned recipe through the CLI: the plans that check the runs
+        # are the manifest's, so no file is opened twice but a uniform
+        # soup, which reads its output back once
+        rng = np.random.default_rng(22)
+        base = toy_base(rng)
+        recipe = write_recipe(tmp_path, base, [toy_run(base, rng) for _ in range(2)])
+        plans = [str(tmp_path / f"plan{i}.json") for i in range(2)]
+        for path in plans:
+            Path(path).write_text(PLAN.to_json_text())
+        (tmp_path / "r.json").write_text(json.dumps(
+            {"mode": mode, "base": recipe.base,
+             "inputs": [{"path": i.path, "plan": p} for i, p in zip(recipe.inputs, plans)]}))
+        (tmp_path / "c.json").write_text(json.dumps(EVAL_CONFIG))
+        opened, read = [], []
+        init, read_text = checkpoint.CheckpointReader.__init__, soup_module.read_text
+
+        def counted_init(reader, path, *args, **kwargs):
+            opened.append(str(path))
+            init(reader, path, *args, **kwargs)
+
+        def counted_read(path):
+            read.append(str(path))
+            return read_text(path)
+
+        monkeypatch.setattr(checkpoint.CheckpointReader, "__init__", counted_init)
+        monkeypatch.setattr(soup_module, "read_text", counted_read)
+        out = str(tmp_path / "soup.ckpt")
+        assert main(["soup", "--recipe", str(tmp_path / "r.json"), "--eval-config",
+                     str(tmp_path / "c.json"), "--classes", "3", "--out", out]) == 0
+        written = [out] if mode == "uniform" else []
+        assert sorted(opened) == sorted([recipe.base, *(i.path for i in recipe.inputs), *written])
+        assert sorted(read) == sorted([str(tmp_path / "r.json"), *plans])
+        manifest = json.loads(Path(f"{out}.manifest.json").read_text())
+        assert manifest["param_total"] == 2 * PLAN.trainable_param_count(3)
 
     def test_frozen_check_computes_no_mean(self, tmp_path, monkeypatch):
         # read_inputs needs only the comparisons against the base, even
@@ -416,7 +467,7 @@ class TestRecipe:
             return mean_arrays(*args, **kwargs)
 
         monkeypatch.setattr(soup_module, "mean_arrays", counted)
-        inputs = read_inputs(recipe)
+        inputs, _ = read_inputs(recipe)
         assert calls == []
         assert [c.content_hash for c in inputs] == [run.content_hash for run in runs]
         uniform_soup(recipe, tmp_path / "soup.ckpt")
