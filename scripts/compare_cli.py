@@ -118,21 +118,38 @@ def _transpose_pos_embed(header: dict) -> None:
     header["pos_embed"]["shape"].reverse()
 
 
-# checkpoints copied from one that an invocation wrote, with their header
-# edited: name -> (source, edit)
+def _repeat_first_layer(report: dict) -> None:
+    report["entries"][2]["layer_id"] = report["entries"][0]["layer_id"]
+
+
+def _negate_first_angle(report: dict) -> None:
+    report["entries"][0]["angle"] = -0.1
+
+
+# files copied from one that an invocation wrote, with their JSON (a
+# checkpoint's header) edited: name -> (source, edit)
 DERIVED = {
     # the pre-trained toy run, declaring a vit_b16 model
     "vit_pre.ckpt": ("pre_text/run.ckpt", _declare_vit_b16),
     # a planned run whose frozen pos_embed holds the same bytes under another shape
     "reshaped_run.ckpt": ("ftp_text/run.ckpt", _transpose_pos_embed),
+    # the text-mode angle report, naming s0.b0.ATTN twice (the second in
+    # place of s0.b1.ATTN), and with a negative angle
+    "angles_twice.json": ("angles_text.json", _repeat_first_layer),
+    "angles_negative.json": ("angles_text.json", _negate_first_angle),
 }
 
 
 def _derive(work: Path) -> None:
-    """Write each derived checkpoint whose source exists and which does not yet."""
+    """Write each derived file whose source exists and which does not yet."""
     for name, (source, edit) in DERIVED.items():
         if (work / source).exists() and not (work / name).exists():
             blob = (work / source).read_bytes()
+            if name.endswith(".json"):
+                data = json.loads(blob)
+                edit(data)
+                (work / name).write_text(json.dumps(data))
+                continue
             (length,) = struct.unpack("<Q", blob[:8])
             header = json.loads(blob[8 : 8 + length])
             edit(header)
@@ -206,6 +223,11 @@ def _commands(mode: str, j: list):
     yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "bad_plan.json",
            "--classes", "4", *j]
     yield ["rank", "--reports", "bad_report.json", "bad_report.json", *j]
+    # reports that parse as JSON but rank a layer twice, or hold an angle below 0
+    for report in ("angles_twice.json", "angles_negative.json"):
+        yield ["rank", "--reports", report, report, *j]
+        yield ["plan", "--report", report, "--arch", "toy_vit", "--dims", D,
+               "--difficulty", "easy", *j]
     yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "ft_text/run.ckpt",
            "--arch", "toy_vit", "--dims", json.dumps({**DIMS, "model_dim": 8}),
            "--out", f"angles_narrow_{mode}.json", *j]

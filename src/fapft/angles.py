@@ -25,6 +25,7 @@ from functools import cached_property
 from .arch import ArchDescriptor
 from .checkpoint import zip_chunks
 from .errors import (
+    FormatError,
     IncompatibleReports,
     InvalidValue,
     parse_json,
@@ -105,10 +106,17 @@ class AngleReport:
         return json.dumps(self.to_json_obj(), sort_keys=True) + "\n"
 
 
+def _angle(name: str, value) -> float:
+    angle = require_finite(name, value)
+    if angle < 0:
+        raise InvalidValue(f"{name} must be >= 0, got {angle!r}")
+    return angle
+
+
 def report_from_json(data) -> AngleReport:
     """Rebuild a report from its JSON form. Ids, hashes and excluded tensor
-    names must be strings, angles finite numbers and ranks positive ints;
-    anything else is a ``FormatError``."""
+    names must be strings, angles finite numbers of at least 0, ranks
+    positive ints and layer ids unique; anything else is a ``FormatError``."""
     data = parse_json(data, "angle report")
     with reading("angle report"):
         provenance = data["provenance"]
@@ -119,15 +127,18 @@ def report_from_json(data) -> AngleReport:
             AngleEntry(
                 layer_id=require_str("layer_id", e["layer_id"]),
                 group_id=require_str("group_id", e["group_id"]),
-                angle=require_finite("angle", e["angle"]),
+                angle=_angle("angle", e["angle"]),
                 rank_in_group=require_int("rank_in_group", e["rank_in_group"], 1),
             )
             for e in data["entries"]
         )
+        layer_ids = [e.layer_id for e in entries]
+        if len(set(layer_ids)) < len(layer_ids):
+            raise FormatError(f"angle report names a layer twice: {layer_ids}")
         return AngleReport(
             arch_id=require_str("arch_id", data["arch_id"]),
             entries=entries,
-            whole_model_angle=require_finite("whole_model_angle", data["whole_model_angle"]),
+            whole_model_angle=_angle("whole_model_angle", data["whole_model_angle"]),
             pretrained_hash=require_str("pretrained_hash", provenance["pretrained_hash"]),
             finetuned_hash=require_str("finetuned_hash", provenance["finetuned_hash"]),
             excluded_tensors=tuple(require_str("excluded tensor", name) for name in excluded),

@@ -17,13 +17,13 @@ checkpoint hashes (or writes) its header and then each tensor's bytes in
 canonical order, without assembling the whole serialization.
 
 Every file is read by ``CheckpointReader``: it yields each tensor as flat
-float32 chunks through two reusable buffers, and SHA-256 of the canonical
-bytes runs on one helper thread while the caller works on a chunk and the
-next one is read (an unhashed reader needs one buffer). Files read in step by
-``zip_chunks`` share one budget of chunk buffers: the more files, the shorter
-the chunks (:func:`chunk_length`). Memory is bounded by that budget, not by
-the tensor, the file or the number of files. ``read_checkpoint`` puts an
-unhashed reader's chunks together into one array per tensor.
+float32 chunks through two reusable buffers (one if unhashed), and SHA-256 of
+the canonical bytes runs on a helper thread, alive only while the file is
+read, as the caller works on a chunk and the next is read. Files read in step
+by ``zip_chunks`` share that thread and one budget of chunk buffers: the more
+files, the shorter the chunks (:func:`chunk_length`). Memory is bounded by
+that budget, not by the tensor, the file or the number of files.
+``read_checkpoint`` joins an unhashed reader's chunks into one array each.
 
 Writes go to a temporary file beside the target, which then replaces it.
 """
@@ -35,7 +35,6 @@ import json
 import math
 import os
 import struct
-import threading
 from contextlib import contextmanager
 from pathlib import Path
 from types import MappingProxyType
@@ -184,9 +183,9 @@ class Checkpoint:
         """Tensor shapes in name order, as :class:`CheckpointReader` has them."""
         return {name: self._tensors[name].shape for name in sorted(self._tensors)}
 
-    def chunks(self, length: int = _CHUNK) -> Iterator[tuple[str, int, np.ndarray]]:
+    def chunks(self, length: int = _CHUNK, submit=None) -> Iterator[tuple[str, int, np.ndarray]]:
         """(name, start, chunk) in the order :meth:`CheckpointReader.chunks`
-        yields them; each chunk is a flat view of the tensor."""
+        yields them, as flat views of the tensors; ``submit`` is unused."""
         for name in sorted(self._tensors):
             flat = self._tensors[name].reshape(-1)
             for start in _chunk_starts(flat.size, length):
@@ -391,30 +390,25 @@ def _open(path):
         raise IoError(f"cannot read checkpoint from {path}: {exc}") from exc
 
 
-_hash_pool = None
-_hash_pool_lock = threading.Lock()
+@contextmanager
+def _hash_thread():
+    """A ``submit(fn, *args)`` that runs calls in order on one helper thread,
+    started by the first call and joined when the block ends."""
+    pool = None
 
+    def submit(fn, *args):
+        nonlocal pool
+        if pool is None:
+            # imported here: it brings in logging, 1 MB that reads with no hash need not pay
+            from concurrent.futures import ThreadPoolExecutor
+            pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fapft-hash")
+        return pool.submit(fn, *args)
 
-def _hasher():
-    """The one helper thread on which every reader's SHA-256 updates run, in
-    the order they are submitted."""
-    # imported here: concurrent.futures brings in logging, about 1 MB of
-    # memory that commands which never stream a file need not pay
-    from concurrent.futures import ThreadPoolExecutor
-
-    global _hash_pool
-    with _hash_pool_lock:
-        if _hash_pool is None:
-            _hash_pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="fapft-hash")
-        return _hash_pool
-
-
-def _forget_hasher() -> None:
-    global _hash_pool
-    _hash_pool = None  # a forked child has no helper thread; it starts its own
-
-
-os.register_at_fork(after_in_child=_forget_hasher)
+    try:
+        yield submit
+    finally:
+        if pool is not None:
+            pool.shutdown()
 
 
 class CheckpointReader:
@@ -425,8 +419,8 @@ class CheckpointReader:
     and yields it in flat read-only float32 chunks; F16 and F64 payloads are
     converted to float32 (exactly, where the value is representable). Each
     tensor is checked to be finite, and the canonical header and float32
-    bytes go to SHA-256 on one helper thread shared by all readers
-    (``hashlib`` releases the GIL), so once every chunk has been taken,
+    bytes go to SHA-256 on a helper thread, alive only while the file is
+    read (``hashlib`` releases the GIL), so once every chunk has been taken,
     ``content_hash`` equals ``read_checkpoint(path).content_hash``, whether
     or not the file is canonical; ``hashed=False`` skips the hash. Close it,
     or use it as a context manager.
@@ -460,7 +454,7 @@ class CheckpointReader:
         self.shapes = {name: self._entries[name][1] for name in sorted(self._entries)}
         self._hash: str | None = None
 
-    def chunks(self, length: int = _CHUNK) -> Iterator[tuple[str, int, np.ndarray]]:
+    def chunks(self, length: int = _CHUNK, submit=None) -> Iterator[tuple[str, int, np.ndarray]]:
         """(name, start, chunk) for every tensor in name order, and within a
         tensor in offset order; ``start`` counts elements, and a chunk holds
         at most ``length``.
@@ -468,10 +462,15 @@ class CheckpointReader:
         A chunk stays valid until the next one is taken. A hashed reader has
         two buffers that take turns, so the next chunk is read while the hash
         of the last one runs; a buffer is refilled only once the hash of the
-        chunk it last held is done. An unhashed reader has one buffer. A
-        tensor that holds a non-finite value raises ``CorruptFile`` when its
-        last chunk is taken.
+        chunk it last held is done. The updates go in order to ``submit``
+        (that of :func:`zip_chunks`), else to a thread of the stream's own. An
+        unhashed reader has one buffer. A tensor that holds a non-finite value
+        raises ``CorruptFile`` when its last chunk is taken.
         """
+        if self._hashed and submit is None:
+            with _hash_thread() as submit:
+                yield from self.chunks(length, submit)
+            return
         digest = None
         if self._hashed:
             # before the buffers: building the header JSON takes more memory
@@ -506,13 +505,12 @@ class CheckpointReader:
                 values = values.view()
                 values.setflags(write=False)
                 if digest is not None:
-                    updates[turn] = _hasher().submit(digest.update, values)
+                    updates[turn] = submit(digest.update, values)
                 yield name, start, values
                 turn = (turn + 1) % len(buffers)
         if digest is not None:
-            for update in updates:
-                if update is not None:
-                    update.result()
+            for update in filter(None, updates):
+                update.result()
             self._hash = digest.hexdigest()
 
     @property
@@ -551,17 +549,19 @@ def zip_chunks(*sources) -> Iterator[tuple[str, int, list]]:
 
     A source's next chunk is taken only when the caller asks for the next
     key, so a reader never refills a buffer under a chunk still in use.
+    Hashed readers share one helper thread, joined when the streams end or raise.
     """
     length = chunk_length(len(sources))
-    streams = [source.chunks(length) for source in sources]
-    heads: list = [None] * len(streams)
-    taken = range(len(streams))
-    while True:
-        for i in taken:
-            heads[i] = next(streams[i], None)
-        keys = [head[:2] for head in heads if head is not None]
-        if not keys:
-            return
-        key = min(keys)
-        taken = [i for i, head in enumerate(heads) if head is not None and head[:2] == key]
-        yield *key, [heads[i][2] if i in taken else None for i in range(len(heads))]
+    with _hash_thread() as submit:
+        streams = [source.chunks(length, submit) for source in sources]
+        heads: list = [None] * len(streams)
+        taken = range(len(streams))
+        while True:
+            for i in taken:
+                heads[i] = next(streams[i], None)
+            keys = [head[:2] for head in heads if head is not None]
+            if not keys:
+                return
+            key = min(keys)
+            taken = [i for i, head in enumerate(heads) if head is not None and head[:2] == key]
+            yield *key, [heads[i][2] if i in taken else None for i in range(len(heads))]

@@ -4,6 +4,7 @@ import os
 import re
 import signal
 import struct
+import subprocess
 import sys
 import threading
 import time
@@ -13,6 +14,8 @@ import numpy as np
 import pytest
 
 from fapft import checkpoint
+from fapft.angles import compute_angles
+from fapft.arch import describe_arch
 from fapft.checkpoint import (
     _CHUNK,
     _CHUNK_BUDGET,
@@ -492,7 +495,7 @@ class TestReader:
                 with pytest.raises(RuntimeError):
                     reader.content_hash
 
-    def test_readers_on_many_threads_share_the_hash_thread(self, tmp_path):
+    def test_streams_on_many_threads_hash_in_order(self, tmp_path):
         # more reading threads than cores, switching often: every stream's
         # updates must still reach its own digest, in order
         rng = np.random.default_rng(31)
@@ -525,8 +528,9 @@ class TestReader:
     # Python 3.12 and later warn that a multi-threaded process forks
     @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     def test_forked_child_starts_its_own_hash_thread(self, tmp_path):
-        # a forked child has no copy of the parent's hash thread, so a child
-        # that handed its hash updates to the parent's pool would wait forever
+        # a forked child has no copy of a thread that runs in its parent, so a
+        # child whose hash updates went to a thread the parent started would
+        # wait forever; each stream starts its own, whether forked or not
         p = tmp_path / "fork.ckpt"
         expected = write_checkpoint(random_checkpoint(np.random.default_rng(41)), p)
 
@@ -607,6 +611,78 @@ class TestReader:
         for read in (read_checkpoint, CheckpointReader):
             with pytest.raises(error, match=f"^{re.escape(str(p))}: "):
                 read(p)
+
+
+def hash_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith("fapft-hash")]
+
+
+class TestHashThread:
+    """The helper thread that hashes streamed files lives only while they are read."""
+
+    ARCH = describe_arch("toy_vit", depth=1, model_dim=8, heads=2, ffn_dim=16, seq_len=4)
+
+    @pytest.fixture
+    def files(self, tmp_path):
+        """Two toy_vit checkpoint files and their content hashes."""
+        rng = np.random.default_rng(43)
+        shapes = self.ARCH.schema_shapes(2)
+        files = []
+        for i in range(2):
+            p = tmp_path / f"{i}.ckpt"
+            ckpt = Checkpoint({n: rng.normal(size=s) for n, s in shapes.items()})
+            files.append((p, write_checkpoint(ckpt, p)))
+        return files
+
+    def test_none_after_angles_of_two_readers(self, files):
+        (pre, pre_hash), (ft, ft_hash) = files
+        with CheckpointReader(pre) as a, CheckpointReader(ft) as b:
+            report = compute_angles(a, b, self.ARCH)
+        assert (report.pretrained_hash, report.finetuned_hash) == (pre_hash, ft_hash)
+        assert hash_threads() == []
+
+    def test_one_while_a_reader_streams_alone_none_after(self, files):
+        path, expected = files[0]
+        with CheckpointReader(path) as reader:
+            for _ in reader.chunks():
+                assert len(hash_threads()) == 1
+            assert reader.content_hash == expected
+        assert hash_threads() == []
+
+    def test_one_for_two_zipped_readers(self, files):
+        with CheckpointReader(files[0][0]) as a, CheckpointReader(files[1][0]) as b:
+            for _ in zip_chunks(a, b):
+                assert len(hash_threads()) == 1
+            assert [a.content_hash, b.content_hash] == [h for _, h in files]
+        assert hash_threads() == []
+
+    @pytest.mark.parametrize("zipped", [False, True])
+    def test_none_after_a_stream_raises(self, files, zipped):
+        # NaN in the last element of the last tensor: the stream raises as
+        # it ends, with hash updates of earlier chunks submitted
+        path, _ = files[1]
+        blob = path.read_bytes()
+        path.write_bytes(blob[:-4] + np.array([np.nan], dtype="<f4").tobytes())
+        with CheckpointReader(files[0][0]) as a, CheckpointReader(path) as b:
+            stream = zip_chunks(a, b) if zipped else b.chunks()
+            with pytest.raises(CorruptFile, match="contains non-finite"):
+                for _ in stream:
+                    assert len(hash_threads()) == 1
+        assert hash_threads() == []
+
+    def test_in_memory_zip_starts_no_thread(self):
+        # nothing is hashed, so concurrent.futures (about 1 MB) is not even imported
+        code = (
+            "import sys\n"
+            "from fapft.checkpoint import Checkpoint, zip_chunks\n"
+            "c = Checkpoint({'w': [1.0, 2.0]})\n"
+            "assert len(list(zip_chunks(c, c))) == 1\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+        )
+        src = os.path.dirname(os.path.dirname(checkpoint.__file__))
+        done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": src}, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestWrite:

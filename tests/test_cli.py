@@ -777,6 +777,16 @@ BAD_INPUTS = [
     ("report_accuracy_int_beyond_float", ["report", "--dir", "@."],
      {"run.json": b'{"final_val_accuracy": 1%s}' % (b"0" * 399)}, 0,
      "  run.json                     summary\n"),
+    # a layer ranked twice, and an angle below 0, which no two vectors make
+    ("rank_report_names_a_layer_twice", ["rank", "--reports", "@a.json", "@a.json"],
+     {"a.json": _report(("entries", 1, "layer_id"), "s0.b0.ATTN")}, 2,
+     "angle report names a layer twice: ['s0.b0.ATTN', 's0.b0.ATTN']"),
+    ("rank_report_negative_angle", ["rank", "--reports", "@a.json", "@a.json"],
+     {"a.json": _report(("entries", 0, "angle"), -0.1)}, 2,
+     "invalid angle report: angle must be >= 0, got -0.1"),
+    ("plan_report_negative_whole_model_angle", [*SMALL_PLAN, "--report", "@a.json"],
+     {"a.json": _report(("whole_model_angle",), -1)}, 2,
+     "invalid angle report: whole_model_angle must be >= 0, got -1.0"),
     ("report_json_accuracy_nan", ["report", "--dir", "@.", "--json"],
      {"run.json": b'{"final_val_accuracy": NaN}'}, 0,
      '"file": "run.json",\n      "kind": "summary"\n'),
