@@ -126,6 +126,14 @@ def _negate_first_angle(report: dict) -> None:
     report["entries"][0]["angle"] = -0.1
 
 
+def _rename_first_layer(report: dict) -> None:
+    report["entries"][0]["layer_id"] = "s0.b9.ATTN"
+
+
+def _misrank_first_layer(report: dict) -> None:
+    report["entries"][0]["rank_in_group"] += 1
+
+
 # files copied from one that an invocation wrote, with their JSON (a
 # checkpoint's header) edited: name -> (source, edit)
 DERIVED = {
@@ -134,9 +142,12 @@ DERIVED = {
     # a planned run whose frozen pos_embed holds the same bytes under another shape
     "reshaped_run.ckpt": ("ftp_text/run.ckpt", _transpose_pos_embed),
     # the text-mode angle report, naming s0.b0.ATTN twice (the second in
-    # place of s0.b1.ATTN), and with a negative angle
+    # place of s0.b1.ATTN), with a negative angle, naming a layer its model
+    # lacks, and ranking its first layer one place too low
     "angles_twice.json": ("angles_text.json", _repeat_first_layer),
     "angles_negative.json": ("angles_text.json", _negate_first_angle),
+    "angles_renamed.json": ("angles_text.json", _rename_first_layer),
+    "angles_misranked.json": ("angles_text.json", _misrank_first_layer),
 }
 
 
@@ -223,8 +234,10 @@ def _commands(mode: str, j: list):
     yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "bad_plan.json",
            "--classes", "4", *j]
     yield ["rank", "--reports", "bad_report.json", "bad_report.json", *j]
-    # reports that parse as JSON but rank a layer twice, or hold an angle below 0
-    for report in ("angles_twice.json", "angles_negative.json"):
+    # reports that parse as JSON but rank a layer twice, hold an angle below 0,
+    # name a layer their model lacks, or give a layer a rank its angle does not
+    for report in ("angles_twice.json", "angles_negative.json", "angles_renamed.json",
+                   "angles_misranked.json"):
         yield ["rank", "--reports", report, report, *j]
         yield ["plan", "--report", report, "--arch", "toy_vit", "--dims", D,
                "--difficulty", "easy", *j]

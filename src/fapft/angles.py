@@ -21,8 +21,9 @@ import json
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import zip_longest
 
-from .arch import ArchDescriptor
+from .arch import ArchDescriptor, describe_arch
 from .checkpoint import zip_chunks
 from .errors import (
     FormatError,
@@ -113,10 +114,34 @@ def _angle(name: str, value) -> float:
     return angle
 
 
+def _check_layers(report: AngleReport, name: str, arch_id: str, layer_ids, what: str) -> None:
+    """Raise ``IncompatibleReports`` unless ``report`` (called ``name``) is
+    for ``arch_id`` and holds the layers ``layer_ids`` of ``what``, in order.
+    The message names the first difference: the two arch ids, or the first
+    position whose layer ids differ, with both."""
+    if report.arch_id != arch_id:
+        raise IncompatibleReports(f"{name} is for {report.arch_id}, not {arch_id}")
+    held = (e.layer_id for e in report.entries)
+    for position, (got, want) in enumerate(zip_longest(held, layer_ids)):
+        if got != want:
+            raise IncompatibleReports(
+                f"{name} has {_layer(got)} at position {position} where {what} has {_layer(want)}"
+            )
+
+
+def _layer(layer_id: str | None) -> str:
+    return "no layer" if layer_id is None else f"layer {layer_id}"
+
+
 def report_from_json(data) -> AngleReport:
     """Rebuild a report from its JSON form. Ids, hashes and excluded tensor
     names must be strings, angles finite numbers of at least 0, ranks
-    positive ints and layer ids unique; anything else is a ``FormatError``."""
+    positive ints and layer ids unique; anything else is a ``FormatError``.
+    The entries must then be those :func:`compute_angles` gives the report's
+    model (a ``toy_vit`` of two layers per block): its layer ids in order
+    (else ``IncompatibleReports``), each in its group, ranked by
+    :func:`rank_entries` (else a ``FormatError``); an unknown ``arch_id`` is
+    an ``UnknownArchitecture``."""
     data = parse_json(data, "angle report")
     with reading("angle report"):
         provenance = data["provenance"]
@@ -135,7 +160,7 @@ def report_from_json(data) -> AngleReport:
         layer_ids = [e.layer_id for e in entries]
         if len(set(layer_ids)) < len(layer_ids):
             raise FormatError(f"angle report names a layer twice: {layer_ids}")
-        return AngleReport(
+        report = AngleReport(
             arch_id=require_str("arch_id", data["arch_id"]),
             entries=entries,
             whole_model_angle=_angle("whole_model_angle", data["whole_model_angle"]),
@@ -143,6 +168,20 @@ def report_from_json(data) -> AngleReport:
             finetuned_hash=require_str("finetuned_hash", provenance["finetuned_hash"]),
             excluded_tensors=tuple(require_str("excluded tensor", name) for name in excluded),
         )
+        # toy_vit layer ids depend on its depth alone
+        dims = {"depth": len(entries) // 2} if report.arch_id == "toy_vit" else {}
+        arch = describe_arch(report.arch_id, **dims)
+        model = f"the {arch.arch_id} model"
+        _check_layers(report, "angle report", arch.arch_id, [l.layer_id for l in arch.layers], model)
+        ranked = rank_entries(arch, {e.layer_id: e.angle for e in entries})
+        for got, want in zip(entries, ranked):
+            if got != want:
+                raise FormatError(
+                    f"angle report puts layer {got.layer_id} in group {got.group_id} at rank "
+                    f"{got.rank_in_group}, where {model} and its angles give group "
+                    f"{want.group_id} and rank {want.rank_in_group}"
+                )
+        return report
 
 
 def rank_entries(arch: ArchDescriptor, angles: Mapping[str, float]) -> tuple[AngleEntry, ...]:
@@ -228,12 +267,10 @@ def rank_consistency(reports: list[AngleReport]) -> ConsistencyMatrix:
     """
     if len(reports) < 2:
         raise InvalidValue("need at least 2 reports for consistency")
-    models = {(r.arch_id, tuple(e.layer_id for e in r.entries)) for r in reports}
-    if len(models) != 1:
-        raise IncompatibleReports(
-            f"reports disagree on the architecture or its layers: "
-            f"{sorted((arch_id, len(layers)) for arch_id, layers in models)}"
-        )
+    first = reports[0]
+    layer_ids = [e.layer_id for e in first.entries]
+    for i, report in enumerate(reports[1:], 2):
+        _check_layers(report, f"report {i}", first.arch_id, layer_ids, "report 1")
 
     vectors = [r.angles_in_order() for r in reports]
     n = len(reports)

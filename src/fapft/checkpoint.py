@@ -16,14 +16,15 @@ content hash is the SHA-256 of those canonical bytes (lowercase hex). A
 checkpoint hashes (or writes) its header and then each tensor's bytes in
 canonical order, without assembling the whole serialization.
 
-Every file is read by ``CheckpointReader``: it yields each tensor as flat
-float32 chunks through two reusable buffers (one if unhashed), and SHA-256 of
-the canonical bytes runs on a helper thread, alive only while the file is
-read, as the caller works on a chunk and the next is read. Files read in step
-by ``zip_chunks`` share that thread and one budget of chunk buffers: the more
-files, the shorter the chunks (:func:`chunk_length`). Memory is bounded by
-that budget, not by the tensor, the file or the number of files.
-``read_checkpoint`` joins an unhashed reader's chunks into one array each.
+Every file is read by ``CheckpointReader`` and streamed, alone or in step
+with others, by ``zip_chunks``: each tensor comes as flat float32 chunks
+through two reusable buffers per file (one if unhashed), and SHA-256 of the
+canonical bytes runs on the zip's one helper thread, alive only while the
+files are read, as the caller works on a chunk and the next is read. The
+files share one budget of chunk buffers: the more files, the shorter the
+chunks (:func:`chunk_length`). Memory is bounded by that budget, not by the
+tensor, the file or the number of files. ``read_checkpoint`` joins an
+unhashed reader's chunks into one array each.
 
 Writes go to a temporary file beside the target, which then replaces it.
 """
@@ -183,9 +184,9 @@ class Checkpoint:
         """Tensor shapes in name order, as :class:`CheckpointReader` has them."""
         return {name: self._tensors[name].shape for name in sorted(self._tensors)}
 
-    def chunks(self, length: int = _CHUNK, submit=None) -> Iterator[tuple[str, int, np.ndarray]]:
-        """(name, start, chunk) in the order :meth:`CheckpointReader.chunks`
-        yields them, as flat views of the tensors; ``submit`` is unused."""
+    def _chunks(self, length: int, submit) -> Iterator[tuple[str, int, np.ndarray]]:
+        """This checkpoint's stream in :func:`zip_chunks`, in a reader's order,
+        as flat views of the tensors; nothing is hashed, so ``submit`` is unused."""
         for name in sorted(self._tensors):
             flat = self._tensors[name].reshape(-1)
             for start in _chunk_starts(flat.size, length):
@@ -415,15 +416,15 @@ class CheckpointReader:
     """A checkpoint file read in chunks, in name order.
 
     Opening it reads and validates the header; ``shapes`` (in name order)
-    and ``metadata`` are then known. :meth:`chunks` reads every tensor once
-    and yields it in flat read-only float32 chunks; F16 and F64 payloads are
-    converted to float32 (exactly, where the value is representable). Each
-    tensor is checked to be finite, and the canonical header and float32
-    bytes go to SHA-256 on a helper thread, alive only while the file is
-    read (``hashlib`` releases the GIL), so once every chunk has been taken,
-    ``content_hash`` equals ``read_checkpoint(path).content_hash``, whether
-    or not the file is canonical; ``hashed=False`` skips the hash. Close it,
-    or use it as a context manager.
+    and ``metadata`` are then known. Streamed through :func:`zip_chunks`, it
+    reads every tensor once and yields it in flat read-only float32 chunks;
+    F16 and F64 payloads are converted to float32 (exactly, where the value
+    is representable). Each tensor is checked to be finite, and the
+    canonical header and float32 bytes go to SHA-256 on the stream's helper
+    thread (``hashlib`` releases the GIL), so once every chunk has been
+    taken, ``content_hash`` equals ``read_checkpoint(path).content_hash``,
+    whether or not the file is canonical; ``hashed=False`` skips the hash.
+    Close it, or use it as a context manager.
     """
 
     def __init__(self, path, hashed: bool = True):
@@ -454,23 +455,19 @@ class CheckpointReader:
         self.shapes = {name: self._entries[name][1] for name in sorted(self._entries)}
         self._hash: str | None = None
 
-    def chunks(self, length: int = _CHUNK, submit=None) -> Iterator[tuple[str, int, np.ndarray]]:
-        """(name, start, chunk) for every tensor in name order, and within a
-        tensor in offset order; ``start`` counts elements, and a chunk holds
-        at most ``length``.
+    def _chunks(self, length: int, submit) -> Iterator[tuple[str, int, np.ndarray]]:
+        """This reader's stream in :func:`zip_chunks`: (name, start, chunk)
+        for every tensor in name order, and within a tensor in offset order;
+        ``start`` counts elements, and a chunk holds at most ``length``.
 
         A chunk stays valid until the next one is taken. A hashed reader has
         two buffers that take turns, so the next chunk is read while the hash
         of the last one runs; a buffer is refilled only once the hash of the
-        chunk it last held is done. The updates go in order to ``submit``
-        (that of :func:`zip_chunks`), else to a thread of the stream's own. An
-        unhashed reader has one buffer. A tensor that holds a non-finite value
-        raises ``CorruptFile`` when its last chunk is taken.
+        chunk it last held is done. The updates go in order to ``submit``, the
+        zip's hash thread. An unhashed reader has one buffer. A tensor that
+        holds a non-finite value raises ``CorruptFile`` when its last chunk is
+        taken.
         """
-        if self._hashed and submit is None:
-            with _hash_thread() as submit:
-                yield from self.chunks(length, submit)
-            return
         digest = None
         if self._hashed:
             # before the buffers: building the header JSON takes more memory
@@ -536,16 +533,17 @@ def read_checkpoint(path) -> Checkpoint:
     value is representable), and a non-finite value is a ``CorruptFile``."""
     with CheckpointReader(path, hashed=False) as reader:
         arrays = {name: np.empty(shape, np.float32) for name, shape in reader.shapes.items()}
-        for name, start, chunk in reader.chunks():
+        for name, start, (chunk,) in zip_chunks(reader):
             arrays[name].reshape(-1)[start : start + chunk.size] = chunk
     return Checkpoint(arrays, reader.metadata)
 
 
 def zip_chunks(*sources) -> Iterator[tuple[str, int, list]]:
     """Every (name, start) of the chunks of ``sources`` (checkpoints or
-    readers) in order, with each source's chunk there, or None where it has
-    none: (name, start, chunks). Chunks hold ``chunk_length(len(sources))``
-    elements at most.
+    readers, one or more) in order, with each source's chunk there, or None
+    where it has none: (name, start, chunks). Chunks hold
+    ``chunk_length(len(sources))`` elements at most. It is the one way to
+    stream a checkpoint.
 
     A source's next chunk is taken only when the caller asks for the next
     key, so a reader never refills a buffer under a chunk still in use.
@@ -553,7 +551,7 @@ def zip_chunks(*sources) -> Iterator[tuple[str, int, list]]:
     """
     length = chunk_length(len(sources))
     with _hash_thread() as submit:
-        streams = [source.chunks(length, submit) for source in sources]
+        streams = [source._chunks(length, submit) for source in sources]
         heads: list = [None] * len(streams)
         taken = range(len(streams))
         while True:

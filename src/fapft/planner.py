@@ -12,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arch import ArchDescriptor, FreezePlan, _make_plan
-from .angles import AngleReport
-from .errors import IncompatibleReports, InvalidPolicy, InvalidValue, NoGuidelines, require_int
+from .angles import AngleReport, _check_layers
+from .errors import InvalidPolicy, InvalidValue, NoGuidelines, require_int
 
 __all__ = [
     "FapftPolicy",
@@ -104,12 +104,8 @@ def plan_fapft(
 ) -> FreezePlan:
     """Select per-group top-k layers by angle and return the resulting plan.
     ``report`` must hold the angles of ``arch``'s layers, no more, in order."""
-    layer_ids = [e.layer_id for e in report.entries]
-    if (report.arch_id, layer_ids) != (arch.arch_id, [l.layer_id for l in arch.layers]):
-        raise IncompatibleReports(
-            f"report is for {report.arch_id} with {len(report.entries)} layers, "
-            f"not for {arch!r} with {len(arch.layers)} layers"
-        )
+    layer_ids = [l.layer_id for l in arch.layers]
+    _check_layers(report, "report", arch.arch_id, layer_ids, f"the {arch.arch_id} model")
     policy.validate_for(arch)
 
     # members are in depth order and the sort is stable, so ties go to the

@@ -312,7 +312,7 @@ def uniform_soup(recipe: SoupRecipe, out) -> tuple[str, list[str], list[FreezePl
             fh.seek(0)
             write_all(fh, header)
     with CheckpointReader(out) as written:
-        for _ in written.chunks():
+        for _ in zip_chunks(written):
             pass
     return written.content_hash, hashes, plans
 

@@ -3,6 +3,7 @@ import math
 import re
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -533,6 +534,13 @@ class TestConsistency:
         r1 = synthetic_report([0.1, 0.2])
         r2 = synthetic_report([0.1, 0.2], arch_id="vit_b16")
         with pytest.raises(IncompatibleReports):
+            rank_consistency([r1, r2])
+
+    def test_differing_layer_is_named(self):
+        r1 = synthetic_report([0.1, 0.2])
+        r2 = replace(r1, entries=(r1.entries[0], replace(r1.entries[1], layer_id="s0.b9.ATTN")))
+        with pytest.raises(IncompatibleReports, match=r"^report 2 has layer s0\.b9\.ATTN at "
+                           r"position 1 where report 1 has layer s0\.b1\.ATTN$"):
             rank_consistency([r1, r2])
 
     def test_single_report_rejected(self):

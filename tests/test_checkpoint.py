@@ -395,7 +395,7 @@ class TestReader:
             assert reader.shapes == whole.shapes == {n: a.shape for n, a in written.items()}
             assert reader.metadata == dict(whole.metadata)
             keys = []
-            for name, start, chunk in reader.chunks():
+            for name, start, (chunk,) in zip_chunks(reader):
                 keys.append((name, start))
                 assert not chunk.flags.writeable
                 assert chunk.dtype == np.float32
@@ -425,7 +425,7 @@ class TestReader:
         whole = read_checkpoint(p)
         with CheckpointReader(p) as reader:
             joined = {}
-            for name, start, chunk in reader.chunks():
+            for name, start, (chunk,) in zip_chunks(reader):
                 assert chunk.ndim == 1 and 0 < chunk.size <= _CHUNK
                 assert not chunk.flags.writeable
                 assert start == sum(c.size for c in joined.get(name, []))
@@ -456,13 +456,13 @@ class TestReader:
         p = tmp_path / "long.ckpt"
         write_checkpoint(Checkpoint({"w": np.ones(3 * _CHUNK)}), p)
         with CheckpointReader(p) as reader:  # starts the hash thread before tracing
-            for _ in reader.chunks():
+            for _ in zip_chunks(reader):
                 pass
         for hashed, buffers in ((False, 1), (True, 2)):
             tracemalloc.start()
             try:
                 with CheckpointReader(p, hashed=hashed) as reader:
-                    for _ in reader.chunks():
+                    for _ in zip_chunks(reader):
                         pass
                 _, peak = tracemalloc.get_traced_memory()
             finally:
@@ -474,10 +474,10 @@ class TestReader:
         ckpt = Checkpoint({"a": np.zeros((2, 0)), "b": [1.0]})
         write_checkpoint(ckpt, p)
         with CheckpointReader(p) as reader:
-            got = [(name, start, chunk.size) for name, start, chunk in reader.chunks()]
+            got = [(name, start, chunk.size) for name, start, (chunk,) in zip_chunks(reader)]
             assert reader.content_hash == ckpt.content_hash
         assert got == [("a", 0, 0), ("b", 0, 1)]
-        assert [(n, s, c.size) for n, s, c in ckpt.chunks()] == got
+        assert [(n, s, c.size) for n, s, (c,) in zip_chunks(ckpt)] == got
 
     def test_hash_of_many_tensors(self, tmp_path):
         rng = np.random.default_rng(29)
@@ -486,11 +486,11 @@ class TestReader:
             p = tmp_path / f"r{i}.ckpt"
             h = write_checkpoint(ckpt, p)
             with CheckpointReader(p) as reader:
-                for _ in reader.chunks():
+                for _ in zip_chunks(reader):
                     pass
                 assert reader.content_hash == h
             with CheckpointReader(p, hashed=False) as reader:
-                for _ in reader.chunks():
+                for _ in zip_chunks(reader):
                     pass
                 with pytest.raises(RuntimeError):
                     reader.content_hash
@@ -508,7 +508,7 @@ class TestReader:
         def work(path, expected):
             for _ in range(5):
                 with CheckpointReader(path) as reader:
-                    for _ in reader.chunks():
+                    for _ in zip_chunks(reader):
                         pass
                     results.append(reader.content_hash == expected)
 
@@ -536,7 +536,7 @@ class TestReader:
 
         def stream_hash():
             with CheckpointReader(p) as reader:
-                for _ in reader.chunks():
+                for _ in zip_chunks(reader):
                     pass
             return reader.content_hash
 
@@ -561,7 +561,7 @@ class TestReader:
         p = tmp_path / "two.ckpt"
         write_checkpoint(Checkpoint({"a": [1.0], "b": [2.0]}), p)
         with CheckpointReader(p) as reader:
-            stream = reader.chunks()
+            stream = zip_chunks(reader)
             next(stream)
             with pytest.raises(RuntimeError, match="no content hash"):
                 reader.content_hash
@@ -575,7 +575,7 @@ class TestReader:
         p = tmp_path / "inf.ckpt"
         p.write_bytes(blob)
         with CheckpointReader(p) as reader:
-            stream = reader.chunks()
+            stream = zip_chunks(reader)
             assert next(stream)[0] == "a"
             with pytest.raises(CorruptFile, match="inf.ckpt: tensor b contains non-finite"):
                 next(stream)
@@ -586,7 +586,7 @@ class TestReader:
         with CheckpointReader(p) as reader:
             os.truncate(p, p.stat().st_size - 4)
             with pytest.raises(IoError, match="short read"):
-                list(reader.chunks())
+                list(zip_chunks(reader))
 
     def test_header_errors_at_open(self, tmp_path):
         q = tmp_path / "tiny.ckpt"
@@ -644,7 +644,7 @@ class TestHashThread:
     def test_one_while_a_reader_streams_alone_none_after(self, files):
         path, expected = files[0]
         with CheckpointReader(path) as reader:
-            for _ in reader.chunks():
+            for _ in zip_chunks(reader):
                 assert len(hash_threads()) == 1
             assert reader.content_hash == expected
         assert hash_threads() == []
@@ -664,7 +664,7 @@ class TestHashThread:
         blob = path.read_bytes()
         path.write_bytes(blob[:-4] + np.array([np.nan], dtype="<f4").tobytes())
         with CheckpointReader(files[0][0]) as a, CheckpointReader(path) as b:
-            stream = zip_chunks(a, b) if zipped else b.chunks()
+            stream = zip_chunks(a, b) if zipped else zip_chunks(b)
             with pytest.raises(CorruptFile, match="contains non-finite"):
                 for _ in stream:
                     assert len(hash_threads()) == 1

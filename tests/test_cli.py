@@ -680,8 +680,7 @@ BAD_INPUTS = [
      {"a.json": compute_angles(_small_ckpt(1, depth=2), _small_ckpt(2, depth=2),
                                describe_arch("toy_vit", **{**SMALL_DIMS, "depth": 2}))
       .to_json_text().encode()}, 2,
-     "report is for toy_vit with 4 layers, not for ArchDescriptor('toy_vit', depth=1, "
-     "model_dim=4, heads=1, ffn_dim=8, seq_len=2) with 2 layers"),
+     "report has layer s0.b1.ATTN at position 2 where the toy_vit model has no layer"),
     ("plan_int_hash", [*SMALL_PLAN, "--report", "@a.json", "--out", "@p.json"],
      {"a.json": _report(("provenance", "pretrained_hash"), 5)}, 2,
      "pretrained_hash must be a string, got 5"),
@@ -787,6 +786,28 @@ BAD_INPUTS = [
     ("plan_report_negative_whole_model_angle", [*SMALL_PLAN, "--report", "@a.json"],
      {"a.json": _report(("whole_model_angle",), -1)}, 2,
      "invalid angle report: whole_model_angle must be >= 0, got -1.0"),
+    # a report holds its model's layers, in order, each in its group and
+    # ranked by its angle, though rank reads only the angles and plan neither
+    # groups nor ranks
+    ("rank_report_of_an_unknown_arch", ["rank", "--reports", "@a.json", "@a.json"],
+     {"a.json": _report(("arch_id",), "toy_vitt")}, 2, "unknown architecture 'toy_vitt'"),
+    ("rank_report_renames_a_layer", ["rank", "--reports", "@a.json", "@a.json"],
+     {"a.json": _report(("entries", 0, "layer_id"), "s0.b9.ATTN")}, 2,
+     "angle report has layer s0.b9.ATTN at position 0 where the toy_vit model has layer "
+     "s0.b0.ATTN"),
+    # toy_vit layer ids come two per block, so three entries hold a layer too many
+    ("rank_report_odd_toy_vit_entries", ["rank", "--reports", "@a.json", "@a.json"],
+     {"a.json": _report(("entries",), [*json.loads(_report())["entries"], {
+         "layer_id": "s0.b1.ATTN", "group_id": "s0.ATTN", "angle": 0.5, "rank_in_group": 1}])},
+     2, "angle report has layer s0.b1.ATTN at position 2 where the toy_vit model has no layer"),
+    ("rank_report_wrong_rank", ["rank", "--reports", "@a.json", "@a.json"],
+     {"a.json": _report(("entries", 0, "rank_in_group"), 2)}, 2,
+     "angle report puts layer s0.b0.ATTN in group s0.ATTN at rank 2, where the toy_vit model "
+     "and its angles give group s0.ATTN and rank 1"),
+    ("plan_report_wrong_group", [*SMALL_PLAN, "--report", "@a.json"],
+     {"a.json": _report(("entries", 0, "group_id"), "s0.FFN")}, 2,
+     "angle report puts layer s0.b0.ATTN in group s0.FFN at rank 1, where the toy_vit model "
+     "and its angles give group s0.ATTN and rank 1"),
     ("report_json_accuracy_nan", ["report", "--dir", "@.", "--json"],
      {"run.json": b'{"final_val_accuracy": NaN}'}, 0,
      '"file": "run.json",\n      "kind": "summary"\n'),
@@ -1066,6 +1087,21 @@ class TestRank:
         assert code == 0
         check_schema("rank", out)
         assert json.loads(out)["mean_tau"] == 1.0
+
+    def test_rank_and_plan_name_the_differing_layer(self, capsys, tmp_path):
+        # a depth-1 and a depth-2 report first differ at the third layer
+        deep = describe_arch("toy_vit", **{**SMALL_DIMS, "depth": 2})
+        shallow, deeper = tmp_path / "a.json", tmp_path / "b.json"
+        shallow.write_bytes(_report())
+        deeper.write_text(
+            compute_angles(_small_ckpt(1, depth=2), _small_ckpt(2, depth=2), deep).to_json_text()
+        )
+        code, _, err = run_cli(capsys, "rank", "--reports", str(shallow), str(deeper))
+        assert code == 2
+        assert "report 2 has layer s0.b1.ATTN at position 2 where report 1 has no layer" in err
+        code, _, err = run_cli(capsys, *SMALL_PLAN, "--report", str(deeper))
+        assert code == 2
+        assert "report has layer s0.b1.ATTN at position 2 where the toy_vit model has no layer" in err
 
 
 class TestTrainCommand:

@@ -353,13 +353,13 @@ class TestRecipe:
         runs = [toy_run(base, rng) for _ in range(3)]
         reshaped = toy_run(base, rng, **{FROZEN: base.tensors[FROZEN].T})
         reads = []
-        chunks = checkpoint.CheckpointReader.chunks
+        chunks = checkpoint.CheckpointReader._chunks
 
         def counted(reader, *args, **kwargs):
             reads.append(reader.path)
             yield from chunks(reader, *args, **kwargs)
 
-        monkeypatch.setattr(checkpoint.CheckpointReader, "chunks", counted)
+        monkeypatch.setattr(checkpoint.CheckpointReader, "_chunks", counted)
         bad = replace(write_recipe(tmp_path / "bad", base, [*runs[:2], reshaped]), mode="greedy")
         message = f"run2.ckpt: tensor '{FROZEN}' has shape (8, 32), the base's toy_vit model needs"
         with pytest.raises(IncompatibleCheckpoints, match=re.escape(message)):
