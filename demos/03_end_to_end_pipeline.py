@@ -15,6 +15,7 @@ from fapft import (
     ScheduleConfig,
     SyntheticSpec,
     TrainConfig,
+    default_policy,
     render_rank_table,
     run_fapft_pipeline,
     train,
@@ -47,13 +48,15 @@ print(f"  done in {time.monotonic() - t0:.1f}s, checkpoint {pretrained.content_h
 
 print("\nrunning the four-step pipeline on the shifted task (difficulty: challenging) ...")
 t0 = time.monotonic()
-result = run_fapft_pipeline(pretrained, replace(config, task="finetune", seed=2), "challenging")
+config = replace(config, task="finetune", seed=2)
+result = run_fapft_pipeline(pretrained, config, default_policy(config.descriptor(), "challenging"))
 print(f"  done in {time.monotonic() - t0:.1f}s")
 
 print("\nper-layer fine-tuned angles (rank 1 = largest):")
 print(render_rank_table(result.angle_report))
 
-print(f"policy: {result.policy.magnitude} angles, topk={list(result.policy.topk_per_stage)}")
+policy = result.plan.policy
+print(f"policy: {policy.magnitude} angles, topk={list(policy.topk_per_stage)}")
 print(f"selected layers: {', '.join(result.plan.trainable_layer_ids)}")
 
 from fapft import describe_arch

@@ -95,6 +95,11 @@ INPUTS = {
     "bad_plan.json": {"arch_id": "toy_vit", "strategy_tag": "B", "policy": None,
                       "trainable_layers": "s0.b0.ATTN", "head_trainable": True,
                       "non_residual_trainable": False},
+    # a policy the published plan schema refuses: no such magnitude, a negative top-k
+    "bad_policy_plan.json": {"arch_id": "toy_vit", "strategy_tag": "FAPFT",
+                             "policy": {"magnitude": "huge", "topk_per_stage": [-3]},
+                             "trainable_layers": ["s0.b0.ATTN"], "head_trainable": True,
+                             "non_residual_trainable": False},
     # one sample, so no training sample after the 80/20 split
     "one_sample_spec.json": {"num_classes": 1, "seq_len": 2, "samples_per_class": 1,
                              "feature_dim": 4, "seed": 1},
@@ -134,6 +139,11 @@ def _misrank_first_layer(report: dict) -> None:
     report["entries"][0]["rank_in_group"] += 1
 
 
+def _shorten_finetuned_hash(report: dict) -> None:
+    provenance = report["provenance"]
+    provenance["finetuned_hash"] = provenance["finetuned_hash"][:12]
+
+
 # files copied from one that an invocation wrote, with their JSON (a
 # checkpoint's header) edited: name -> (source, edit)
 DERIVED = {
@@ -143,11 +153,13 @@ DERIVED = {
     "reshaped_run.ckpt": ("ftp_text/run.ckpt", _transpose_pos_embed),
     # the text-mode angle report, naming s0.b0.ATTN twice (the second in
     # place of s0.b1.ATTN), with a negative angle, naming a layer its model
-    # lacks, and ranking its first layer one place too low
+    # lacks, ranking its first layer one place too low, and with a 12-digit
+    # fine-tuned hash
     "angles_twice.json": ("angles_text.json", _repeat_first_layer),
     "angles_negative.json": ("angles_text.json", _negate_first_angle),
     "angles_renamed.json": ("angles_text.json", _rename_first_layer),
     "angles_misranked.json": ("angles_text.json", _misrank_first_layer),
+    "angles_short_hash.json": ("angles_text.json", _shorten_finetuned_hash),
 }
 
 
@@ -233,6 +245,10 @@ def _commands(mode: str, j: list):
     yield ["soup", "--recipe", "bad_recipe.json", "--out", f"bad_{mode}.ckpt", *j]
     yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "bad_plan.json",
            "--classes", "4", *j]
+    yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "bad_policy_plan.json",
+           "--classes", "4", *j]
+    yield ["train", "--config", "config.json", "--plan", "bad_policy_plan.json",
+           "--init", "pre_text/run.ckpt", "--out", f"ftbp_{mode}", *j]
     yield ["rank", "--reports", "bad_report.json", "bad_report.json", *j]
     # reports that parse as JSON but rank a layer twice, hold an angle below 0,
     # name a layer their model lacks, or give a layer a rank its angle does not
@@ -241,6 +257,7 @@ def _commands(mode: str, j: list):
         yield ["rank", "--reports", report, report, *j]
         yield ["plan", "--report", report, "--arch", "toy_vit", "--dims", D,
                "--difficulty", "easy", *j]
+    yield ["rank", "--reports", "angles_short_hash.json", "angles_short_hash.json", *j]
     yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "ft_text/run.ckpt",
            "--arch", "toy_vit", "--dims", json.dumps({**DIMS, "model_dim": 8}),
            "--out", f"angles_narrow_{mode}.json", *j]

@@ -22,6 +22,7 @@ from .angles import (
 )
 from .arch import (
     ArchDescriptor,
+    FapftPolicy,
     FreezePlan,
     HomogeneousGroup,
     LayerRef,
@@ -35,7 +36,7 @@ from .arch import (
 )
 from .checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from .model import ModelDims
-from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
+from .planner import default_policy, plan_fapft, plan_series
 from .soup import (
     SoupInput,
     SoupRecipe,

@@ -18,9 +18,9 @@ blocks, whatever the tensor sizes.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import zip_longest
 
 from .arch import ArchDescriptor, describe_arch
@@ -72,13 +72,6 @@ class AngleReport:
     finetuned_hash: str
     excluded_tensors: tuple[str, ...]
 
-    def angle_of(self, layer_id: str) -> float:
-        return self._by_layer[layer_id].angle
-
-    @cached_property
-    def _by_layer(self) -> dict[str, AngleEntry]:
-        return {e.layer_id: e for e in self.entries}
-
     def angles_in_order(self) -> list[float]:
         """Angle values in the canonical layer order (depth-major)."""
         return [e.angle for e in self.entries]
@@ -114,6 +107,13 @@ def _angle(name: str, value) -> float:
     return angle
 
 
+def _hash(name: str, value) -> str:
+    digest = require_str(name, value)
+    if not re.fullmatch("[0-9a-f]{64}", digest):
+        raise InvalidValue(f"{name} must be 64 lowercase hex digits, got {digest!r}")
+    return digest
+
+
 def _check_layers(report: AngleReport, name: str, arch_id: str, layer_ids, what: str) -> None:
     """Raise ``IncompatibleReports`` unless ``report`` (called ``name``) is
     for ``arch_id`` and holds the layers ``layer_ids`` of ``what``, in order.
@@ -134,14 +134,14 @@ def _layer(layer_id: str | None) -> str:
 
 
 def report_from_json(data) -> AngleReport:
-    """Rebuild a report from its JSON form. Ids, hashes and excluded tensor
-    names must be strings, angles finite numbers of at least 0, ranks
-    positive ints and layer ids unique; anything else is a ``FormatError``.
-    The entries must then be those :func:`compute_angles` gives the report's
-    model (a ``toy_vit`` of two layers per block): its layer ids in order
-    (else ``IncompatibleReports``), each in its group, ranked by
-    :func:`rank_entries` (else a ``FormatError``); an unknown ``arch_id`` is
-    an ``UnknownArchitecture``."""
+    """Rebuild a report from its JSON form. Ids and excluded tensor names
+    must be strings, hashes 64 lowercase hex digits, angles finite numbers of
+    at least 0, ranks positive ints and layer ids unique; anything else is a
+    ``FormatError``. The entries must then be those :func:`compute_angles`
+    gives the report's model (a ``toy_vit`` of two layers per block): its
+    layer ids in order (else ``IncompatibleReports``), each in its group,
+    ranked by :func:`rank_entries` (else a ``FormatError``); an unknown
+    ``arch_id`` is an ``UnknownArchitecture``."""
     data = parse_json(data, "angle report")
     with reading("angle report"):
         provenance = data["provenance"]
@@ -164,8 +164,8 @@ def report_from_json(data) -> AngleReport:
             arch_id=require_str("arch_id", data["arch_id"]),
             entries=entries,
             whole_model_angle=_angle("whole_model_angle", data["whole_model_angle"]),
-            pretrained_hash=require_str("pretrained_hash", provenance["pretrained_hash"]),
-            finetuned_hash=require_str("finetuned_hash", provenance["finetuned_hash"]),
+            pretrained_hash=_hash("pretrained_hash", provenance["pretrained_hash"]),
+            finetuned_hash=_hash("finetuned_hash", provenance["finetuned_hash"]),
             excluded_tensors=tuple(require_str("excluded tensor", name) for name in excluded),
         )
         # toy_vit layer ids depend on its depth alone
@@ -289,25 +289,21 @@ def rank_consistency(reports: list[AngleReport]) -> ConsistencyMatrix:
 
 
 def render_rank_table(report: AngleReport) -> str:
-    """Aligned text table, one section per group in (stage, category) order;
-    within a group, depth increases downward and each row gives its rank."""
+    """Aligned text table, one section per group in the order the entries
+    first name them; within a group, rows keep the entries' order and give their rank."""
     groups: dict[str, list[AngleEntry]] = {}
     for entry in report.entries:
         groups.setdefault(entry.group_id, []).append(entry)
-
-    def group_key(gid: str):
-        stage, category = gid.split(".")
-        return (int(stage[1:]), category)
 
     lines = [
         f"arch: {report.arch_id}",
         f"whole-model angle: {report.whole_model_angle:.6f} rad",
     ]
-    for gid in sorted(groups, key=group_key):
+    for gid, entries in groups.items():
         lines.append("")
         lines.append(f"group {gid}")
         lines.append(f"  {'layer':<14} {'angle(rad)':>12} {'rank':>5}")
-        for e in groups[gid]:
+        for e in entries:
             lines.append(f"  {e.layer_id:<14} {e.angle:>12.6f} {e.rank_in_group:>5}")
     if report.excluded_tensors:
         lines.append("")

@@ -25,9 +25,11 @@ from typing import Iterable, Mapping, Sequence
 from .errors import (
     FormatError,
     IncompatiblePlan,
+    InvalidPolicy,
     InvalidValue,
     UnknownArchitecture,
     parse_json,
+    reading,
     require_int,
 )
 
@@ -38,6 +40,7 @@ __all__ = [
     "LayerRef",
     "HomogeneousGroup",
     "ArchDescriptor",
+    "FapftPolicy",
     "FreezePlan",
     "describe_arch",
     "manual_strategy",
@@ -333,6 +336,38 @@ def describe_arch(arch_id: str, /, **dims) -> ArchDescriptor:
 # freeze plans
 # ---------------------------------------------------------------------------
 
+MAGNITUDES = ("large", "small")
+
+
+@dataclass(frozen=True)
+class FapftPolicy:
+    """Angle magnitude plus per-stage top-k; one-stage models use length 1."""
+
+    magnitude: str
+    topk_per_stage: tuple[int, ...]
+
+    def __post_init__(self):
+        if self.magnitude not in MAGNITUDES:
+            raise InvalidPolicy(f"magnitude must be one of {MAGNITUDES}")
+        for k in self.topk_per_stage:
+            try:
+                require_int("topk value", k, 0)
+            except InvalidValue as exc:
+                raise InvalidPolicy(str(exc)) from None
+
+    def validate_for(self, arch: ArchDescriptor):
+        """Raise ``InvalidPolicy`` unless ``arch`` has one stage per top-k
+        value and at least k blocks in each stage."""
+        if len(self.topk_per_stage) != len(arch.stages):
+            raise InvalidPolicy(f"{arch.arch_id} has {len(arch.stages)} stages but policy "
+                                f"has {len(self.topk_per_stage)} topk values")
+        for stage, k in zip(arch.stages, self.topk_per_stage):
+            if k > stage.blocks:
+                raise InvalidPolicy(f"topk {k} exceeds stage {stage.index} size {stage.blocks}")
+
+    def to_json_obj(self) -> dict:
+        return {"magnitude": self.magnitude, "topk_per_stage": list(self.topk_per_stage)}
+
 
 @dataclass(frozen=True)
 class FreezePlan:
@@ -350,7 +385,7 @@ class FreezePlan:
     strategy_tag: str
     trainable: tuple[LayerRef, ...]
     non_residual_trainable: bool = False
-    policy: Mapping[str, object] | None = None
+    policy: FapftPolicy | None = None
 
     @property
     def arch_id(self) -> str:
@@ -380,7 +415,7 @@ class FreezePlan:
         return {
             "arch_id": self.arch_id,
             "strategy_tag": self.strategy_tag,
-            "policy": dict(self.policy) if self.policy is not None else None,
+            "policy": self.policy.to_json_obj() if self.policy is not None else None,
             "trainable_layers": list(self.trainable_layer_ids),
             "head_trainable": True,
             "non_residual_trainable": self.non_residual_trainable,
@@ -398,7 +433,7 @@ def _make_plan(
     tag: str,
     layers: Iterable[LayerRef],
     non_residual_trainable: bool = False,
-    policy: Mapping[str, object] | None = None,
+    policy: FapftPolicy | None = None,
 ) -> FreezePlan:
     return FreezePlan(
         arch=arch,
@@ -419,18 +454,9 @@ def _class_count(key) -> int | None:
     return count if count > 0 and key == str(count) else None
 
 
-def _valid_policy(value) -> bool:
-    """None, or an object that JSON writes: no NaN or Infinity, which it has no token for."""
-    try:
-        return value is None or isinstance(value, dict) and bool(json.dumps(value, allow_nan=False))
-    except (TypeError, ValueError):
-        return False
-
-
 # the fields of a plan's JSON form, what each must hold, and a test of it
 _PLAN_FIELDS = (
     ("strategy_tag", "a string", lambda v: isinstance(v, str)),
-    ("policy", "an object without NaN or Infinity, or null", _valid_policy),
     ("trainable_layers", "a list of strings",
      lambda v: isinstance(v, list) and all(isinstance(lid, str) for lid in v)),
     ("head_trainable", "true in every plan", lambda v: v is True),
@@ -440,16 +466,24 @@ _PLAN_FIELDS = (
 
 def plan_from_json(data: Mapping | str, arch: ArchDescriptor) -> FreezePlan:
     """Rebuild a plan from its JSON form, resolving layers against ``arch``.
-    A field that does not hold its JSON type is a ``FormatError``."""
+    A field that does not hold its JSON type is a ``FormatError``; a ``policy``
+    holds null or exactly a magnitude and a list of top-k ints."""
     data = parse_json(data, "plan")
     if not isinstance(data, Mapping):
         raise FormatError(f"plan JSON must be an object, got {data!r}")
-    missing = {"arch_id", *(key for key, _, _ in _PLAN_FIELDS)} - set(data)
+    missing = {"arch_id", "policy", *(key for key, _, _ in _PLAN_FIELDS)} - set(data)
     if missing:
         raise FormatError(f"plan JSON missing fields: {sorted(missing)}")
     for key, kind, valid in _PLAN_FIELDS:
         if not valid(data[key]):
             raise FormatError(f"plan {key} must be {kind}, got {data[key]!r}")
+    policy = data["policy"]
+    if policy is not None:
+        with reading("plan policy"):
+            if not (isinstance(policy, Mapping) and policy.keys() == {"magnitude", "topk_per_stage"}
+                    and isinstance(policy["topk_per_stage"], list)):
+                raise TypeError(f"expected a magnitude and a topk_per_stage list, got {policy!r}")
+            policy = FapftPolicy(policy["magnitude"], tuple(policy["topk_per_stage"]))
     counts = data.get("param_count_by_classes")
     counts = {} if counts is None else counts
     if not isinstance(counts, Mapping) or not all(
@@ -473,7 +507,7 @@ def plan_from_json(data: Mapping | str, arch: ArchDescriptor) -> FreezePlan:
         data["strategy_tag"],
         [arch.layer_map[lid] for lid in layer_ids],
         non_residual_trainable=data["non_residual_trainable"],
-        policy=data["policy"],
+        policy=policy,
     )
     for key, stored in counts.items():
         recomputed = plan.trainable_param_count(_class_count(key))

@@ -339,10 +339,12 @@ def _cmd_train(args):
 def _cmd_pipeline(args):
     config = _train_config(args.config)
     arch = config.descriptor()
-    policy = default_policy(arch, args.difficulty)
-    # every top-k value is checked against the architecture before any training
-    for topk in ([args.topk] if args.topk else []) + [(k,) for k in args.series or ()]:
-        replace(policy, topk_per_stage=topk).validate_for(arch)
+    default = default_policy(arch, args.difficulty)
+    policy = FapftPolicy(args.magnitude or default.magnitude, args.topk or default.topk_per_stage)
+    # the policy and every series value are checked before any input is read
+    policy.validate_for(arch)
+    for k in args.series or ():
+        replace(policy, topk_per_stage=(k,)).validate_for(arch)
     pre_ckpt = _init_checkpoint(args.pre, config)
     out_dir = _out_dir(args.out)
 
@@ -351,9 +353,7 @@ def _cmd_pipeline(args):
         pre_ckpt = pre_result.final_checkpoint
         _record_run(out_dir, "pretrained", pre_result)
 
-    result = run_fapft_pipeline(
-        pre_ckpt, config, args.difficulty, topk=args.topk, magnitude=args.magnitude
-    )
+    result = run_fapft_pipeline(pre_ckpt, config, policy)
     summaries = {
         name: _record_run(out_dir, name, getattr(result, name))
         for name in ("full", "fapft", "linear_probe")
@@ -361,7 +361,7 @@ def _cmd_pipeline(args):
     classes = config.arch.num_classes
     obj = {
         "difficulty": args.difficulty,
-        "policy": result.policy.to_json_obj(),
+        "policy": policy.to_json_obj(),
         "pretrained_hash": pre_ckpt.content_hash,
         "angle_report": result.angle_report.to_json_obj(),
         "plan": result.plan.to_json_obj(classes=(classes,)),
@@ -376,7 +376,7 @@ def _cmd_pipeline(args):
 
     if args.series:
         series = run_plan_series(
-            pre_ckpt, config, result.angle_report, result.policy.magnitude, args.series
+            pre_ckpt, config, result.angle_report, policy.magnitude, args.series
         )
         inputs = []  # the soup manifest's (path, hash, weight) of each run
         for k, run in zip(args.series, series.runs):
@@ -398,8 +398,8 @@ def _cmd_pipeline(args):
     if out_dir:
         _write_text(out_dir / "pipeline.json", _emit_json(obj))
     text = (
-        f"pipeline [{args.difficulty}] policy={result.policy.magnitude} "
-        f"topk={list(result.policy.topk_per_stage)}\n"
+        f"pipeline [{args.difficulty}] policy={policy.magnitude} "
+        f"topk={list(policy.topk_per_stage)}\n"
     )
     for name, s in summaries.items():
         text += (

@@ -183,10 +183,11 @@ def parse_json(data, what: str):
 @contextmanager
 def reading(what: str):
     """Map a missing field or wrong type met while building ``what`` to a
-    "malformed", and a failed value check to an "invalid", ``FormatError``."""
+    "malformed", and a failed value or policy check to an "invalid",
+    ``FormatError``."""
     try:
         yield
     except (KeyError, TypeError, OverflowError) as exc:
         raise FormatError(f"malformed {what}: {exc}") from exc
-    except InvalidValue as exc:
+    except (InvalidValue, InvalidPolicy) as exc:
         raise FormatError(f"invalid {what}: {exc}") from exc

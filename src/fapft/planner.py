@@ -9,11 +9,9 @@ model with topk 2 trains 2 attention and 2 feed-forward layers plus the head.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .arch import ArchDescriptor, FreezePlan, _make_plan
-from .angles import AngleReport, _check_layers
-from .errors import InvalidPolicy, InvalidValue, NoGuidelines, require_int
+from .arch import ArchDescriptor, FapftPolicy, FreezePlan, _make_plan
+from .angles import AngleReport, _check_layers, rank_entries
+from .errors import InvalidValue, NoGuidelines
 
 __all__ = [
     "FapftPolicy",
@@ -23,7 +21,6 @@ __all__ = [
     "GUIDELINE_DEFAULTS",
 ]
 
-MAGNITUDES = ("large", "small")
 DIFFICULTIES = ("easy", "challenging")
 
 # Per-architecture starting points: magnitude follows task difficulty (small
@@ -41,41 +38,6 @@ GUIDELINE_DEFAULTS: dict[str, dict[str, tuple[str, tuple[int, ...]]]] = {
         "challenging": ("large", (0, 0, 6, 2)),
     },
 }
-
-
-@dataclass(frozen=True)
-class FapftPolicy:
-    """Angle magnitude plus per-stage top-k; one-stage models use length 1."""
-
-    magnitude: str
-    topk_per_stage: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.magnitude not in MAGNITUDES:
-            raise InvalidPolicy(f"magnitude must be one of {MAGNITUDES}")
-        for k in self.topk_per_stage:
-            try:
-                require_int("topk value", k, 0)
-            except InvalidValue as exc:
-                raise InvalidPolicy(str(exc)) from None
-
-    def validate_for(self, arch: ArchDescriptor):
-        if len(self.topk_per_stage) != len(arch.stages):
-            raise InvalidPolicy(
-                f"{arch.arch_id} has {len(arch.stages)} stages but policy "
-                f"has {len(self.topk_per_stage)} topk values"
-            )
-        for stage, k in zip(arch.stages, self.topk_per_stage):
-            if k > stage.blocks:
-                raise InvalidPolicy(
-                    f"topk {k} exceeds stage {stage.index} size {stage.blocks}"
-                )
-
-    def to_json_obj(self) -> dict:
-        return {
-            "magnitude": self.magnitude,
-            "topk_per_stage": list(self.topk_per_stage),
-        }
 
 
 def default_policy(arch: ArchDescriptor, difficulty: str) -> FapftPolicy:
@@ -108,16 +70,13 @@ def plan_fapft(
     _check_layers(report, "report", arch.arch_id, layer_ids, f"the {arch.arch_id} model")
     policy.validate_for(arch)
 
-    # members are in depth order and the sort is stable, so ties go to the
-    # shallower layer
-    sign = -1.0 if policy.magnitude == "large" else 1.0
-    selected = []
-    for group in arch.groups:
-        k = policy.topk_per_stage[group.stage]
-        selected.extend(
-            sorted(group.members, key=lambda l: sign * report.angle_of(l.layer_id))[:k]
-        )
-    return _make_plan(arch, "FAPFT", selected, policy=policy.to_json_obj())
+    # rank_entries ranks the largest angle first and ties to the shallower
+    # layer, so negated angles rank the smallest first
+    sign = 1.0 if policy.magnitude == "large" else -1.0
+    ranked = rank_entries(arch, {e.layer_id: sign * e.angle for e in report.entries})
+    selected = [layer for layer, entry in zip(arch.layers, ranked)
+                if entry.rank_in_group <= policy.topk_per_stage[layer.stage]]
+    return _make_plan(arch, "FAPFT", selected, policy=policy)
 
 
 def plan_series(

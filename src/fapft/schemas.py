@@ -61,6 +61,7 @@ FREEZE_PLAN_SCHEMA = {
         "policy": {
             "type": ["object", "null"],
             "required": ["magnitude", "topk_per_stage"],
+            "additionalProperties": False,
             "properties": {
                 "magnitude": {"enum": ["large", "small"]},
                 "topk_per_stage": {

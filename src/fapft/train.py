@@ -49,7 +49,7 @@ from .model import (
     predict,
     reinit_head,
 )
-from .planner import FapftPolicy, default_policy, plan_fapft, plan_series
+from .planner import FapftPolicy, plan_fapft, plan_series
 from .soup import uniform_soup_checkpoints
 
 __all__ = [
@@ -603,7 +603,6 @@ def grad_check(
 @dataclass(frozen=True)
 class PipelineResult:
     angle_report: AngleReport
-    policy: FapftPolicy
     plan: FreezePlan
     fapft: RunResult
     full: RunResult
@@ -613,30 +612,22 @@ class PipelineResult:
 def run_fapft_pipeline(
     pre_ckpt: Checkpoint,
     config: TrainConfig,
-    difficulty: str,
-    topk: tuple[int, ...] | None = None,
-    magnitude: str | None = None,
+    policy: FapftPolicy,
 ) -> PipelineResult:
     """Angle-guided partial fine-tuning, end to end, with shared hyper-parameters.
 
-    1. resolve the policy (guideline defaults for the difficulty, with
-       optional explicit overrides) and check it against the architecture,
-       so a bad policy is refused before any training;
+    1. check ``policy`` against the architecture, so a bad policy is refused
+       before any training;
     2. fully fine-tune the pre-trained weights on the task;
     3. compute per-layer angles against the pre-trained weights and select
        layers per group;
     4. partially fine-tune the pre-trained weights under the resulting plan,
        using the same hyper-parameters as the full run.
 
-    Full fine-tuning and linear probing come back as baselines.
+    Full fine-tuning and linear probing come back as baselines; the plan
+    holds ``policy``.
     """
     arch = config.descriptor()
-    policy = default_policy(arch, difficulty)
-    if topk is not None or magnitude is not None:
-        policy = FapftPolicy(
-            magnitude=magnitude or policy.magnitude,
-            topk_per_stage=tuple(topk) if topk is not None else policy.topk_per_stage,
-        )
     policy.validate_for(arch)
 
     full_config = replace(config, task="finetune", freeze=None)
@@ -648,7 +639,6 @@ def run_fapft_pipeline(
     probe = train(replace(full_config, freeze=linear_probe_plan(arch)), init=pre_ckpt)
     return PipelineResult(
         angle_report=report,
-        policy=policy,
         plan=plan,
         fapft=fapft,
         full=full,

@@ -46,7 +46,7 @@ from fapft.checkpoint import Checkpoint, read_checkpoint, write_checkpoint
 from fapft.cli import main as cli_main
 from fapft.errors import CorruptFile, FormatError, InvalidValue, UnsupportedDtype
 from fapft.model import ModelDims
-from fapft.planner import FapftPolicy, plan_fapft, plan_series
+from fapft.planner import FapftPolicy, default_policy, plan_fapft, plan_series
 from fapft.soup import uniform_soup_checkpoints
 from fapft.tensors import bits_equal, kendall_tau, vec_angle
 from fapft.train import (
@@ -464,7 +464,9 @@ def test_criterion_7_rank_consistency_mirror():
 def test_criterion_8_pipeline_end_to_end(hard_pretrained):
     started = time.monotonic()
     arch = toy_arch(HARD_DIMS)
-    result = run_fapft_pipeline(hard_pretrained, hard_config(seed=2), "challenging")
+    result = run_fapft_pipeline(
+        hard_pretrained, hard_config(seed=2), default_policy(arch, "challenging")
+    )
 
     fapft_acc = result.fapft.final_val_accuracy
     probe_acc = result.linear_probe.final_val_accuracy

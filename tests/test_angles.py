@@ -106,7 +106,8 @@ class TestComputeAngles:
             )
 
         report = compute_angles(pre, flip({negated}), toy)
-        assert 0.0 < report.angle_of("s0.b1.FFN") < math.pi
+        angles = {e.layer_id: e.angle for e in report.entries}
+        assert 0.0 < angles["s0.b1.FFN"] < math.pi
         assert 0.0 < report.whole_model_angle < math.pi
         for e in report.entries:
             if e.layer_id != "s0.b1.FFN":
@@ -141,10 +142,8 @@ class TestComputeAngles:
             )
             return math.acos(float((u @ v) / np.sqrt((u @ u) * (v @ v))))
 
-        for layer in arch.layers:
-            assert report.angle_of(layer.layer_id) == pytest.approx(
-                oracle(layer.tensors), rel=1e-12
-            )
+        for layer, entry in zip(arch.layers, report.entries, strict=True):
+            assert entry.angle == pytest.approx(oracle(layer.tensors), rel=1e-12)
         residual = {n for layer in arch.layers for n in layer.tensors}
         assert report.whole_model_angle == pytest.approx(oracle(residual), rel=1e-12)
 
@@ -166,7 +165,7 @@ class TestComputeAngles:
             return math.acos(min(1.0, max(-1.0, ab / math.sqrt(aa * bb))))
 
         whole = [0.0, 0.0, 0.0]
-        for layer in arch.layers:
+        for layer, entry in zip(arch.layers, report.entries, strict=True):
             sums = [0.0, 0.0, 0.0]
             for name in sorted(layer.tensors):
                 a = pre.tensors[name].astype(np.float64).ravel()
@@ -174,7 +173,7 @@ class TestComputeAngles:
                 for i, (x, y) in enumerate([(a, b), (a, a), (b, b)]):
                     sums[i] += float(np.dot(x, y))
                     whole[i] += float(np.dot(x, y))
-            assert report.angle_of(layer.layer_id) == reference(sums)
+            assert entry.angle == reference(sums)
         assert report.whole_model_angle == reference(whole)
 
     def test_chunked_tensors_match_whole_array_pair_stats(self, wide, monkeypatch):
@@ -266,7 +265,7 @@ class TestComputeAngles:
         expected = math.acos(
             float(u @ v) / (math.sqrt(float(u @ u)) * math.sqrt(float(v @ v)))
         )
-        got = report.angle_of("s0.b1.FFN")
+        (got,) = [e.angle for e in report.entries if e.layer_id == "s0.b1.FFN"]
         assert got == pytest.approx(expected, abs=1e-12)
         assert got > 0.0
 
@@ -460,8 +459,8 @@ class TestRanks:
                 if e1.group_id == e2.group_id and e1.angle > e2.angle:
                     assert e1.rank_in_group < e2.rank_in_group
 
-    def test_render_orders_groups_by_stage_then_category(self):
-        # stage indices sort as numbers (s2 before s10); layers keep report order
+    def test_render_lists_groups_in_the_order_entries_name_them(self):
+        # groups and, within each, layers keep the report's order
         entries = (
             AngleEntry("s10.b0.ATTN", "s10.ATTN", 0.5, 1),
             AngleEntry("s2.b0.FFN", "s2.FFN", 0.25, 2),
@@ -473,18 +472,18 @@ class TestRanks:
             "arch: swin_b\n"
             "whole-model angle: 0.062500 rad\n"
             "\n"
-            "group s2.ATTN\n"
+            "group s10.ATTN\n"
             "  layer            angle(rad)  rank\n"
-            "  s2.b0.ATTN         0.125000     1\n"
+            "  s10.b0.ATTN        0.500000     1\n"
             "\n"
             "group s2.FFN\n"
             "  layer            angle(rad)  rank\n"
             "  s2.b0.FFN          0.250000     2\n"
             "  s2.b1.FFN          0.750000     1\n"
             "\n"
-            "group s10.ATTN\n"
+            "group s2.ATTN\n"
             "  layer            angle(rad)  rank\n"
-            "  s10.b0.ATTN        0.500000     1\n"
+            "  s2.b0.ATTN         0.125000     1\n"
             "\n"
             "excluded tensors: head.weight\n"
         )
@@ -556,13 +555,10 @@ class TestSerialization:
         again = report_from_json(report.to_json_text())
         assert again == report
 
-    def test_layer_map_is_built_once(self, toy):
+    def test_parsed_report_equals_and_hashes_as_computed(self, toy):
         rng = np.random.default_rng(15)
         report = compute_angles(make_ckpt(toy, 5, rng), make_ckpt(toy, 5, rng), toy)
         fresh = report_from_json(report.to_json_text())
-        angles = [report.angle_of(e.layer_id) for e in report.entries]
-        assert angles == report.angles_in_order()
-        assert report._by_layer is report._by_layer
-        # the cached map takes no part in equality, hashing or serialization
+        assert [e.angle for e in report.entries] == report.angles_in_order()
         assert report == fresh and hash(report) == hash(fresh)
         assert report.to_json_obj() == fresh.to_json_obj()

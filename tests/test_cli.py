@@ -664,6 +664,17 @@ BAD_INPUTS = [
     ("params_plan_layer_twice", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
      {"p.json": _plan(trainable_layers=["s0.b0.ATTN", "s0.b0.ATTN"])}, 2,
      "plan names a layer twice"),
+    # a policy is null or exactly a magnitude and a list of top-k ints >= 0,
+    # as the published schema says
+    ("params_plan_bad_policy", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": _plan(policy={"magnitude": "huge", "topk_per_stage": [-3]})}, 2,
+     "invalid plan policy: magnitude must be one of ('large', 'small')"),
+    ("params_plan_policy_other_key", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": _plan(policy={"foo": 1})}, 2,
+     "malformed plan policy: expected a magnitude and a topk_per_stage list, got {'foo': 1}"),
+    ("params_plan_policy_float_topk", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
+     {"p.json": _plan(policy={"magnitude": "large", "topk_per_stage": [1.5]})}, 2,
+     "invalid plan policy: topk value must be an int, got 1.5"),
     # a plan needs a toy_vit descriptor, and so at least one block
     ("grad_check_depth_zero_plan", ["grad-check", "--config", "@c.json", "--out", "@g.json"],
      {"c.json": json.dumps({**CONFIG, "arch": {**CONFIG["arch"], "depth": 0},
@@ -687,6 +698,9 @@ BAD_INPUTS = [
     ("plan_excluded_a_string", [*SMALL_PLAN, "--report", "@a.json", "--out", "@p.json"],
      {"a.json": _report(("provenance", "excluded_tensors"), "abc")}, 2,
      "excluded_tensors must be a list, got 'abc'"),
+    ("rank_report_short_hash", ["rank", "--reports", "@a.json", "@a.json"],
+     {"a.json": _report(("provenance", "finetuned_hash"), "zz")}, 2,
+     "invalid angle report: finetuned_hash must be 64 lowercase hex digits, got 'zz'"),
     # an int of more digits than Python converts is malformed JSON
     ("train_config_too_many_digits", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": b'{"seed": ' + b"1" * 5000 + b"}"}, 2, "malformed train config JSON"),

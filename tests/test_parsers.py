@@ -2,7 +2,8 @@
 an angle report holds, and whatever text a checkpoint's ``pft.arch_config``
 holds, its parser returns or raises a ``PftError`` with exit code 2 (a data
 error), never another exception. All of them map bad data through
-``errors.parse_json`` and ``errors.reading``, which are tested here too.
+``errors.parse_json`` and ``errors.reading``, which are tested here too. A
+plan or report that parses writes JSON its published schema allows.
 
 Only the parsers run here: a generated spec may ask for 10^9 samples per
 class, so nothing is trained or generated from one.
@@ -11,6 +12,7 @@ class, so nothing is trained or generated from one.
 import copy
 import json
 
+import jsonschema
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,10 +21,12 @@ from hypothesis import strategies as st
 from fapft.angles import compute_angles, report_from_json
 from fapft.arch import MAX_TOY_DEPTH, describe_arch, manual_strategy, plan_from_json
 from fapft.checkpoint import Checkpoint
+from fapft.schemas import ANGLE_REPORT_SCHEMA, FREEZE_PLAN_SCHEMA
 from fapft.errors import (
     DivergenceError,
     FormatError,
     IncompatiblePlan,
+    InvalidPolicy,
     InvalidValue,
     PftError,
     parse_json,
@@ -134,9 +138,14 @@ def test_any_dataset_spec_parses_or_is_a_data_error(doc):
 @example(doc={**PLAN, "non_residual_trainable": "no"})
 @example(doc={**PLAN, "trainable_layers": ["s0.b0.ATTN", "s0.b0.ATTN"]})
 @example(doc={**PLAN, "policy": {"": float("nan")}})
+@example(doc={**PLAN, "policy": {"magnitude": "huge", "topk_per_stage": [-3]}})
+@example(doc={**PLAN, "policy": {"foo": 1}})
+@example(doc={**PLAN, "policy": {"magnitude": "large", "topk_per_stage": [1.5]}})
 def test_any_plan_parses_or_is_a_data_error(doc):
     plan = _parse(lambda data: plan_from_json(data, ARCH), doc)
     if plan is not None:
+        # and what it writes is what the published schema allows
+        jsonschema.validate(plan.to_json_obj(), FREEZE_PLAN_SCHEMA)
         # a plan that comes back holds the document's values, of JSON's types
         assert plan.strategy_tag == doc["strategy_tag"] and type(doc["strategy_tag"]) is str
         assert plan.non_residual_trainable is doc["non_residual_trainable"]
@@ -150,9 +159,12 @@ def test_any_plan_parses_or_is_a_data_error(doc):
 @example(doc=_with(REPORT, ("entries", 0, "rank_in_group"), 1.7))
 @example(doc=_with(REPORT, ("provenance", "pretrained_hash"), 5))
 @example(doc=_with(REPORT, ("provenance", "excluded_tensors"), "abc"))
+@example(doc=_with(REPORT, ("provenance", "finetuned_hash"), "zz"))
 def test_any_angle_report_parses_or_is_a_data_error(doc):
     report = _parse(report_from_json, doc)
     if report is not None:
+        # and what it writes is what the published schema allows
+        jsonschema.validate(report.to_json_obj(), ANGLE_REPORT_SCHEMA)
         # a report that comes back holds the document's values, of JSON's types
         for entry, raw in zip(report.entries, doc["entries"], strict=True):
             assert type(raw["angle"]) in (int, float) and entry.angle == float(raw["angle"])
@@ -204,6 +216,7 @@ def test_any_arch_config_gives_a_descriptor_or_is_a_data_error(config):
     (TypeError("t"), "malformed thing: "),
     (OverflowError("o"), "malformed thing: "),
     (InvalidValue("v"), "invalid thing: "),
+    (InvalidPolicy("p"), "invalid thing: "),
 ])
 def test_reading_maps_bad_data_to_a_format_error(exc, prefix):
     with pytest.raises(FormatError) as info, reading("thing"):

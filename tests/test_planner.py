@@ -122,9 +122,10 @@ class TestPlanFapft:
         report = report_for(vit, lambda l: rng.uniform(0, 1))
         plan = plan_fapft(report, vit, FapftPolicy("large", (5,)))
         chosen = set(plan.trainable_layer_ids)
+        angles = {e.layer_id: e.angle for e in report.entries}
         for group in vit.groups:
-            inside = [report.angle_of(l.layer_id) for l in group.members if l.layer_id in chosen]
-            outside = [report.angle_of(l.layer_id) for l in group.members if l.layer_id not in chosen]
+            inside = [angles[l.layer_id] for l in group.members if l.layer_id in chosen]
+            outside = [angles[l.layer_id] for l in group.members if l.layer_id not in chosen]
             assert min(inside) >= max(outside)
 
     def test_limiting_cases(self, vit, vit_report):

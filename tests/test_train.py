@@ -37,7 +37,7 @@ from fapft.model import (
     loss_and_grads,
     reinit_head,
 )
-from fapft.planner import FapftPolicy, plan_fapft, plan_series
+from fapft.planner import FapftPolicy, default_policy, plan_fapft, plan_series
 from fapft.soup import uniform_soup_checkpoints
 from fapft.tensors import bits_equal
 from fapft.train import (
@@ -664,17 +664,16 @@ class TestMemory:
 class TestPipeline:
     def test_limiting_cases_and_artifacts(self, pretrained):
         arch = toy_arch()
-        result = run_fapft_pipeline(
-            pretrained, config(), "challenging", topk=(DIMS.depth,)
-        )
+        result = run_fapft_pipeline(pretrained, config(), FapftPolicy("large", (DIMS.depth,)))
         assert set(result.plan.trainable_layer_ids) == {
             l.layer_id for l in arch.layers
         }
-        probe = run_fapft_pipeline(pretrained, config(), "easy", topk=(0,))
+        probe = run_fapft_pipeline(pretrained, config(), FapftPolicy("small", (0,)))
         assert probe.plan.same_selection(linear_probe_plan(arch))
         assert len(result.angle_report.entries) == len(arch.layers)
 
-    @pytest.mark.parametrize("bad", [{"topk": (99,)}, {"magnitude": "medium"}],
+    # an over-deep top-k is refused by the pipeline, a bad magnitude by the policy itself
+    @pytest.mark.parametrize("bad", [("large", (99,)), ("medium", (1,))],
                              ids=["topk", "magnitude"])
     def test_bad_policy_is_refused_before_training(self, pretrained, monkeypatch, bad):
         def no_training(*args, **kwargs):
@@ -683,18 +682,19 @@ class TestPipeline:
         module = importlib.import_module("fapft.train")  # ``fapft.train`` is also a function
         monkeypatch.setattr(module, "train", no_training)
         with pytest.raises(InvalidPolicy):
-            run_fapft_pipeline(pretrained, config(), "challenging", **bad)
+            run_fapft_pipeline(pretrained, config(), FapftPolicy(*bad))
 
     def test_default_policy_used(self, pretrained):
-        result = run_fapft_pipeline(pretrained, config(), "challenging")
-        assert result.policy.magnitude == "large"
+        result = run_fapft_pipeline(pretrained, config(), default_policy(toy_arch(), "challenging"))
+        assert result.plan.policy.magnitude == "large"
         # depth 2 -> topk max(1, 2 // 3) == 1: one layer per group plus head
-        assert result.policy.topk_per_stage == (1,)
+        assert result.plan.policy.topk_per_stage == (1,)
         assert len(result.plan.trainable) == 2
 
     def test_deterministic(self, pretrained):
-        r1 = run_fapft_pipeline(pretrained, config(), "challenging")
-        r2 = run_fapft_pipeline(pretrained, config(), "challenging")
+        policy = default_policy(toy_arch(), "challenging")
+        r1 = run_fapft_pipeline(pretrained, config(), policy)
+        r2 = run_fapft_pipeline(pretrained, config(), policy)
         assert (
             r1.fapft.final_checkpoint.content_hash
             == r2.fapft.final_checkpoint.content_hash
