@@ -6,7 +6,8 @@ each command's ``--json`` output against its schema.
 
 from __future__ import annotations
 
-_HEX64 = {"type": "string", "pattern": "^[0-9a-f]{64}$"}
+# "$" also matches before a final newline, so the length is bounded too
+_HEX64 = {"type": "string", "pattern": "^[0-9a-f]{64}$", "maxLength": 64}
 
 
 ANGLE_REPORT_SCHEMA = {

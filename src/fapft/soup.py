@@ -9,9 +9,9 @@ that is -0.0 becomes +0.0 when two or more runs are averaged, as in any
 float64 mean (a soup of one run keeps it).
 
 A soup is an elementwise mean, so it needs one chunk at a time: the files of
-a recipe are streamed in step, chunk by chunk, straight into the output file,
-and a chunk that no run changed is copied rather than averaged. The files
-share one 4 MB budget of chunk buffers, so more inputs make shorter chunks
+a recipe are streamed in step, chunk by chunk, and every chunk is averaged in
+float64 straight into the output file. The files share one 4 MB budget of
+chunk buffers, so more inputs make shorter chunks
 (``checkpoint.chunk_length``), and the merge reuses one set of scratch
 buffers of a chunk each: memory stays flat whatever the tensor sizes and the
 number of inputs.
@@ -170,30 +170,19 @@ def _check_compatible(sources, paths=()) -> dict[str, tuple[int, ...]]:
     return first
 
 
-def _mean_of_equal(arrays: Sequence[np.ndarray], out: np.ndarray | None = None) -> np.ndarray:
-    """The unweighted mean of arrays that hold the same bits, without arithmetic.
-
-    N <= 2**29 equal float32 values sum exactly in float64 and divide back
-    exactly, so the mean is the input itself, except where an element is
-    -0.0: the float64 mean of two or more is +0.0 there, and adding +0.0 in
-    float32 (into ``out``) clears just that sign.
-    """
-    return np.add(arrays[0], np.float32(0), out=out) if len(arrays) > 1 else arrays[0]
-
-
-def _checked_chunks(inputs, base, frozen, mask):
+def _checked_chunks(inputs, base, frozen):
     """(name, start, chunks) for every chunk of ``inputs`` (checked
     compatible), in name and offset order, taking one chunk of each input,
     and of ``base`` when given, at a time, so that every base tensor is read,
     and so validated, on the way. The inputs' tensors named in ``frozen``
     (their shapes checked by :func:`_frozen_names`) must equal the base's
     bitwise; a mismatch is raised once the tensor's last chunk is taken,
-    naming the first input (a reader) that differs anywhere in it. ``mask``,
-    a bool array a chunk long, holds the comparisons."""
+    naming the first input (a reader) that differs anywhere in it."""
     if base is None:
         yield from zip_chunks(*inputs)
         return
     sizes = {name: math.prod(shape) for name, shape in inputs[0].shapes.items()}
+    mask = np.empty(chunk_length(len(inputs) + 1), bool)  # the bitwise comparisons
     # the first input whose current frozen tensor differs from the base; a
     # mismatch raises at the end of its tensor, so this never carries over
     differs = len(inputs)
@@ -216,25 +205,16 @@ def _checked_chunks(inputs, base, frozen, mask):
 
 def _merged(inputs, weights, base=None, frozen=frozenset()):
     """(name, start, mean) for every chunk of ``inputs`` (checked compatible),
-    in name and offset order: the chunks of :func:`_checked_chunks`, which
-    checks the ``frozen`` tensors against ``base`` when given.
-
-    With every weight 1.0, a chunk that no input changed is copied
-    (:func:`_mean_of_equal`); any other chunk is averaged in float64. A mean
-    is valid until the next one is taken: the merge writes every chunk into
-    one set of buffers, allocated here."""
-    unit = all(w == 1.0 for w in weights)
+    in name and offset order: the float64 mean (:func:`mean_arrays`) of the
+    chunks of :func:`_checked_chunks`, which checks the ``frozen`` tensors
+    against ``base`` when given. A mean is valid until the next one is taken:
+    the merge writes every chunk into one set of buffers, allocated here."""
     sizes = [math.prod(shape) for shape in inputs[0].shapes.values()]
     length = min(chunk_length(len(inputs) + (base is not None)), max(sizes, default=0))
     out = np.empty(length, np.float32)  # the mean of a chunk
-    mask = np.empty(length, bool)  # the bitwise comparisons
     work = mean_scratch(length)  # the float64 sums
-    for name, start, chunks in _checked_chunks(inputs, base, frozen, mask):
-        mean = out[: chunks[0].size]
-        if unit and (name in frozen or all(bits_equal(c, chunks[0], mask) for c in chunks[1:])):
-            yield name, start, _mean_of_equal(chunks, mean)
-        else:
-            yield name, start, mean_arrays(chunks, weights, mean, work)
+    for name, start, chunks in _checked_chunks(inputs, base, frozen):
+        yield name, start, mean_arrays(chunks, weights, out[: chunks[0].size], work)
 
 
 def _soup_metadata(inputs, weights, hashes) -> dict[str, str]:
@@ -255,9 +235,9 @@ def uniform_soup_checkpoints(
     ckpts: Sequence[Checkpoint], weights: Sequence[float] | None = None
 ) -> Checkpoint:
     """Weighted elementwise mean of already-loaded checkpoints."""
-    weights = mean_weights(weights, len(ckpts))
     if not ckpts:
         raise InvalidValue("no checkpoints to merge")
+    weights = mean_weights(weights, len(ckpts))
     means = {name: np.empty(shape, np.float32) for name, shape in _check_compatible(ckpts).items()}
     for name, start, mean in _merged(ckpts, weights):
         means[name].reshape(-1)[start : start + mean.size] = mean
@@ -325,8 +305,7 @@ def read_inputs(recipe: SoupRecipe) -> tuple[list[Checkpoint], list[FreezePlan] 
     with ExitStack() as stack:
         base, inputs, plans, frozen, shapes = _open_recipe(recipe, stack, hashed=False)
         arrays = [{n: np.empty(shape, np.float32) for n, shape in shapes.items()} for _ in inputs]
-        mask = np.empty(chunk_length(len(inputs) + 1), bool)
-        for name, start, chunks in _checked_chunks(inputs, base, frozen, mask):
+        for name, start, chunks in _checked_chunks(inputs, base, frozen):
             for held, chunk in zip(arrays, chunks):
                 held[name].reshape(-1)[start : start + chunk.size] = chunk
     return [Checkpoint(held, inp.metadata) for held, inp in zip(arrays, inputs)], plans

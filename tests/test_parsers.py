@@ -183,6 +183,14 @@ def test_any_angle_report_parses_or_is_a_data_error(doc):
         assert report_from_json(json.dumps(report.to_json_obj())) == report
 
 
+@pytest.mark.parametrize("field", ["pretrained_hash", "finetuned_hash"])
+def test_a_hash_with_a_trailing_newline_is_refused(field):
+    doc = _with(REPORT, ("provenance", field), "a" * 64 + "\n")
+    assert not jsonschema.Draft7Validator(ANGLE_REPORT_SCHEMA).is_valid(doc)
+    with pytest.raises(FormatError, match=f"^invalid angle report: {field} must be 64"):
+        report_from_json(doc)
+
+
 # pft.arch_config text: JSON of any value, objects of toy_vit dimensions (and
 # keys that describe_arch takes otherwise), and text that is not JSON
 ARCH_CONFIGS = (

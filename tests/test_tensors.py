@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from fapft.errors import (
     DegenerateRanking,
@@ -20,6 +23,15 @@ from fapft.tensors import (
     pair_stats,
     vec_angle,
 )
+
+F32_INFO = np.finfo(np.float32)
+# exact float32 values at the edges: signed zeros, the smallest subnormal and
+# normal magnitudes, and the largest finite magnitude
+SPECIAL_F32 = [
+    float(v) for v in (0.0, -0.0, F32_INFO.smallest_subnormal, -F32_INFO.smallest_subnormal,
+                       F32_INFO.smallest_normal, -F32_INFO.smallest_normal,
+                       F32_INFO.max, -F32_INFO.max)
+]
 
 
 def brute_force_tau_b(a, b):
@@ -291,6 +303,22 @@ class TestMeanStack:
         for weights in (None, [0.5, 2.0]):
             assert not np.signbit(mean_stack([zeros, zeros], weights)).any()
         assert bits_equal(mean_stack([zeros], [0.37]), zeros)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        count=st.integers(1, 6),
+        x=hnp.arrays(np.float32, st.integers(1, 40), elements=st.one_of(
+            st.sampled_from(SPECIAL_F32), st.floats(width=32, allow_nan=False, allow_infinity=False)
+        )),
+    )
+    def test_mean_of_equal_inputs_keeps_their_bits(self, count, x):
+        # what keeps a soup's frozen tensors bitwise equal to the base: at
+        # weight 1.0, equal float32 values sum exactly in float64 and divide
+        # back exactly, and only a zero of two or more inputs becomes +0.0
+        expected = x.copy()
+        if count > 1:
+            expected[x == 0] = 0.0
+        assert mean_arrays([x] * count, [1.0] * count).tobytes() == expected.tobytes()
 
     def test_blocked_sums_match_whole_array_sums(self):
         # several blocks of float64 sums, and the last one partial; the oracle
