@@ -3,7 +3,7 @@
     python scripts/compare_cli.py OLD_SRC NEW_SRC
 
 Each tree (a directory holding the ``fapft`` package, such as ``src`` of two
-checkouts) runs the same invocations of all ten subcommands, in text and
+checkouts) runs the same invocations of all nine subcommands, in text and
 ``--json`` mode, each command in its own process, in one working directory
 per tree; comments in ``_commands`` explain the less obvious ones. Stdout,
 stderr (with timings masked), exit codes and the bytes of every file left
@@ -45,7 +45,6 @@ INPUTS = {
     "deep_config.json": {**CONFIG, "arch": {**CONFIG["arch"], "depth": 3}},
     # and one block shallower
     "shallow_config.json": {**CONFIG, "arch": {**CONFIG["arch"], "depth": 1}},
-    "spec.json": CONFIG["dataset"],
     "recipe.json": RECIPE,
     "recipe_plain.json": {"inputs": [{"path": "ft_text/run.ckpt", "weight": 2.0},
                                      {"path": "pre_text/run.ckpt"}]},
@@ -74,8 +73,8 @@ INPUTS = {
     **{f"recipe_own_{mode}.json": {"inputs": [{"path": "ft_text/run.ckpt"},
                                               {"path": f"soupp_{mode}.ckpt"}]}
        for mode in ("text", "json")},
-    # a dataset container as the base of planned runs: it declares no model
-    "recipe_no_arch.json": {**RECIPE, "base": "d_text.ckpt"},
+    # a base of planned runs that declares no model
+    "recipe_no_arch.json": {**RECIPE, "base": "noarch_pre.ckpt"},
     # recipe.json's runs, merged greedily, the last one's frozen pos_embed reshaped
     "greedy_reshaped.json": {
         **RECIPE, "mode": "greedy",
@@ -90,7 +89,7 @@ INPUTS = {
     "recipe_plans_no_base.json": {"inputs": RECIPE["inputs"]},
     # one value of the wrong type in each kind of JSON input
     "bad_config.json": {**CONFIG, "seed": "7"},
-    "bad_spec.json": {**CONFIG["dataset"], "noise_scale": "0.5"},
+    "bad_dataset_config.json": {**CONFIG, "dataset": {**CONFIG["dataset"], "noise_scale": "0.5"}},
     "bad_recipe.json": {"inputs": [{"path": "ft_text/run.ckpt", "weight": "2"}]},
     "bad_plan.json": {"arch_id": "toy_vit", "strategy_tag": "B", "policy": None,
                       "trainable_layers": "s0.b0.ATTN", "head_trainable": True,
@@ -101,8 +100,8 @@ INPUTS = {
                              "trainable_layers": ["s0.b0.ATTN"], "head_trainable": True,
                              "non_residual_trainable": False},
     # one sample, so no training sample after the 80/20 split
-    "one_sample_spec.json": {"num_classes": 1, "seq_len": 2, "samples_per_class": 1,
-                             "feature_dim": 4, "seed": 1},
+    "one_sample_config.json": {
+        **CONFIG, "dataset": {**CONFIG["dataset"], "num_classes": 1, "samples_per_class": 1}},
     "bad_report.json": {"arch_id": 5, "entries": [], "whole_model_angle": 0.5,
                         "provenance": {"pretrained_hash": "a", "finetuned_hash": "b",
                                        "excluded_tensors": []}},
@@ -117,6 +116,15 @@ SUMMARIES = {
 
 def _declare_vit_b16(header: dict) -> None:
     header["__metadata__"] = {"pft.arch_id": "vit_b16", "pft.arch_config": "{}"}
+
+
+def _drop_metadata(header: dict) -> None:
+    del header["__metadata__"]
+
+
+def _prefix_names(header: dict) -> None:
+    for name in [n for n in header if n != "__metadata__"]:
+        header[f"x.{name}"] = header.pop(name)
 
 
 def _transpose_pos_embed(header: dict) -> None:
@@ -149,6 +157,9 @@ def _shorten_finetuned_hash(report: dict) -> None:
 DERIVED = {
     # the pre-trained toy run, declaring a vit_b16 model
     "vit_pre.ckpt": ("pre_text/run.ckpt", _declare_vit_b16),
+    # the same run declaring no model, and with every tensor renamed
+    "noarch_pre.ckpt": ("pre_text/run.ckpt", _drop_metadata),
+    "prefixed_pre.ckpt": ("pre_text/run.ckpt", _prefix_names),
     # a planned run whose frozen pos_embed holds the same bytes under another shape
     "reshaped_run.ckpt": ("ftp_text/run.ckpt", _transpose_pos_embed),
     # the text-mode angle report, naming s0.b0.ATTN twice (the second in
@@ -183,7 +194,6 @@ def _derive(work: Path) -> None:
 def _commands(mode: str, j: list):
     """The invocations of one mode; later ones read what the text-mode runs
     of earlier ones wrote."""
-    yield ["dataset", "--spec", "spec.json", "--out", f"d_{mode}.ckpt", *j]
     yield ["train", "--config", "pre_config.json", "--out", f"pre_{mode}", *j]
     yield ["train", "--config", "config.json", "--init", "pre_text/run.ckpt",
            "--out", f"ft_{mode}", *j]
@@ -241,7 +251,7 @@ def _commands(mode: str, j: list):
            "--out", f"deep_{mode}", *j]
     yield ["train", "--config", "shallow_config.json", "--init", "pre_text/run.ckpt",
            "--out", f"shallow_{mode}", *j]
-    yield ["dataset", "--spec", "bad_spec.json", "--out", f"bad_{mode}.ckpt", *j]
+    yield ["train", "--config", "bad_dataset_config.json", "--out", f"badd_{mode}", *j]
     yield ["soup", "--recipe", "bad_recipe.json", "--out", f"bad_{mode}.ckpt", *j]
     yield ["params", "--arch", "toy_vit", "--dims", D, "--plan", "bad_plan.json",
            "--classes", "4", *j]
@@ -261,13 +271,13 @@ def _commands(mode: str, j: list):
     yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "ft_text/run.ckpt",
            "--arch", "toy_vit", "--dims", json.dumps({**DIMS, "model_dim": 8}),
            "--out", f"angles_narrow_{mode}.json", *j]
-    # a dataset container as the fine-tuned side: it holds no tensor of the model
-    yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "d_text.ckpt",
+    # a fine-tuned side that holds no tensor of the model
+    yield ["angles", "--pre", "pre_text/run.ckpt", "--ft", "prefixed_pre.ckpt",
            "--arch", "toy_vit", "--dims", D, *j]
     # a report of depth 2 planned for depth 1: it holds every layer id of depth 1
     yield ["plan", "--report", "angles_text.json", "--arch", "toy_vit",
            "--dims", json.dumps({**DIMS, "depth": 1}), "--magnitude", "large", "--topk", "1", *j]
-    yield ["dataset", "--spec", "one_sample_spec.json", "--out", f"d1_{mode}.ckpt", *j]
+    yield ["train", "--config", "one_sample_config.json", "--out", f"d1_{mode}", *j]
     yield ["train", "--config", "shallow_config.json", "--out", f"shallowrun_{mode}", *j]
     yield ["soup", "--recipe", "recipe_shallow.json", "--out", f"soups_{mode}.ckpt", *j]
     yield ["soup", "--recipe", "recipe_no_arch.json", "--out", f"soupna_{mode}.ckpt", *j]
@@ -279,9 +289,15 @@ def _commands(mode: str, j: list):
            "--out", f"angles_vit_{mode}.json", *j]
     yield ["soup", "--recipe", "greedy_reshaped.json", "--eval-config", "config.json",
            "--out", f"soupgr_{mode}.ckpt", *j]
-    # last, since a tree that lets the manifest through overwrites the input
+    # a repeated series value, which would train and soup the same run twice
+    yield ["pipeline", "--config", "config.json", "--difficulty", "easy",
+           "--pre", "pre_text/run.ckpt", "--series", "1,1", *j]
+    # last, since a tree that lets the manifest or --out through overwrites the input
     yield ["soup", "--recipe", f"recipe_own_{mode}.json", "--out", f"soupo_{mode}.ckpt",
            "--manifest", f"soupp_{mode}.ckpt", *j]
+    yield ["soup", "--recipe", f"recipe_own_{mode}.json", "--out", f"soupp_{mode}.ckpt", *j]
+    yield ["plan", "--report", f"angles_self_{mode}.json", "--arch", "toy_vit", "--dims", D,
+           "--difficulty", "easy", "--out", f"angles_self_{mode}.json", *j]
 
 
 def invocations():

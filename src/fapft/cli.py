@@ -56,7 +56,6 @@ from .soup import (
     uniform_soup,
 )
 from .train import (
-    SyntheticSpec,
     TrainConfig,
     _params_from_init,
     accuracy,
@@ -88,6 +87,16 @@ def _write_out(args, obj):
     """Write ``obj`` as indented JSON to ``--out`` when given."""
     if args.out:
         _write_text(args.out, _emit_json(obj))
+
+
+_OUT_READ = "{0.command} --out {0.out} would overwrite a file it reads"
+
+
+def _refuse_overwrite(path, reads, message: str):
+    """Refuse (exit 1) to write ``path`` when it names one of the files ``reads``
+    (None entries aside), which writing it would replace."""
+    if path and Path(path).resolve() in {Path(p).resolve() for p in reads if p is not None}:
+        raise UsageError(message)
 
 
 def _resolve_arch(arch_id: str, dims_raw: str | None, pre: CheckpointReader | None = None):
@@ -193,6 +202,7 @@ def _record_run(out_dir: Path | None, stem: str, result) -> dict:
 
 
 def _cmd_angles(args):
+    _refuse_overwrite(args.out, [args.pre, args.ft], _OUT_READ.format(args))
     with CheckpointReader(args.pre) as pre, CheckpointReader(args.ft) as ft:
         arch = _resolve_arch(args.arch, args.dims, pre)
         report = compute_angles(pre, ft, arch)
@@ -204,6 +214,7 @@ def _cmd_angles(args):
 def _cmd_rank(args):
     if len(args.reports) < 2:
         raise UsageError("rank needs at least 2 --reports")
+    _refuse_overwrite(args.out, args.reports, _OUT_READ.format(args))
     reports = [report_from_json(read_text(path)) for path in args.reports]
     matrix = rank_consistency(reports)
     obj = matrix.to_json_obj()
@@ -220,6 +231,7 @@ def _cmd_plan(args):
         raise UsageError("--difficulty excludes --magnitude/--topk")
     if not args.difficulty and not (args.magnitude and args.topk):
         raise UsageError("supply either --difficulty or --magnitude with --topk")
+    _refuse_overwrite(args.out, [args.report], _OUT_READ.format(args))
     report = report_from_json(read_text(args.report))
     arch = _resolve_arch(args.arch, args.dims)
     if args.difficulty:
@@ -243,6 +255,7 @@ def _cmd_params(args):
     arch = _resolve_arch(args.arch, args.dims)
     if (args.plan is None) == (args.strategy is None):
         raise UsageError("supply exactly one of --plan or --strategy")
+    _refuse_overwrite(args.out, [args.plan], _OUT_READ.format(args))
     if args.plan:
         plan = plan_from_json(read_text(args.plan), arch)
     else:
@@ -267,14 +280,17 @@ def _cmd_params(args):
 def _cmd_soup(args):
     if not args.out:
         raise UsageError("soup requires --out for the merged checkpoint")
-    if args.manifest and Path(args.manifest).resolve() == Path(args.out).resolve():
-        raise UsageError("soup --manifest must name another file than --out")
+    _refuse_overwrite(
+        args.manifest, [args.out], "soup --manifest must name another file than --out"
+    )
     recipe = SoupRecipe.from_file(args.recipe)
     manifest_path = args.manifest or f"{args.out}.manifest.json"
     reads = [args.recipe, args.eval_config, recipe.base]
     reads += [path for i in recipe.inputs for path in (i.path, i.plan_path)]
-    if Path(manifest_path).resolve() in {Path(p).resolve() for p in reads if p is not None}:
-        raise UsageError(f"soup manifest {manifest_path} would overwrite a file the soup reads")
+    _refuse_overwrite(args.out, reads, _OUT_READ.format(args))
+    _refuse_overwrite(
+        manifest_path, reads, f"soup manifest {manifest_path} would overwrite a file the soup reads"
+    )
     if recipe.mode == "greedy":
         if not args.eval_config:
             raise UsageError("greedy recipes need --eval-config for held-out accuracy")
@@ -343,6 +359,8 @@ def _cmd_pipeline(args):
     policy = FapftPolicy(args.magnitude or default.magnitude, args.topk or default.topk_per_stage)
     # the policy and every series value are checked before any input is read
     policy.validate_for(arch)
+    if args.series and len(set(args.series)) < len(args.series):
+        raise UsageError(f"--series values must differ, got {','.join(map(str, args.series))}")
     for k in args.series or ():
         replace(policy, topk_per_stage=(k,)).validate_for(arch)
     pre_ckpt = _init_checkpoint(args.pre, config)
@@ -480,6 +498,7 @@ _GRADCHECK_DEFAULT = {
 
 
 def _cmd_grad_check(args):
+    _refuse_overwrite(args.out, [args.config], _OUT_READ.format(args))
     config = TrainConfig.from_json(
         read_text(args.config) if args.config else _GRADCHECK_DEFAULT
     )
@@ -493,40 +512,6 @@ def _cmd_grad_check(args):
         f"{'PASS' if passed else 'FAIL'} at tolerance {args.tolerance:.1e}\n"
     )
     return obj, text, 0 if passed else 3
-
-
-def _cmd_dataset(args):
-    if not args.out:
-        raise UsageError("dataset requires --out for the container file")
-    spec = SyntheticSpec.from_dict(parse_json(read_text(args.spec), "dataset spec"))
-    data = generate_dataset(spec)
-    tensors = {
-        "pretrain.features": data.pretrain_x,
-        "pretrain.labels": data.pretrain_y,
-        "finetune.features": data.finetune_x,
-        "finetune.labels": data.finetune_y,
-    }
-    container = Checkpoint(
-        tensors,
-        {
-            "pft.producer": "fapft-dataset",
-            "pft.dataset_spec": json.dumps(spec.to_dict(), sort_keys=True),
-        },
-    )
-    write_checkpoint(container, args.out)
-    _, train_y, _, val_y = data.task_split("finetune")
-    obj = {
-        "content_hash": data.content_hash(),
-        "samples": len(data.finetune_y),
-        "train_samples": len(train_y),
-        "val_samples": len(val_y),
-        "path": str(args.out),
-    }
-    return obj, (
-        f"dataset {obj['content_hash']}\n"
-        f"{obj['samples']} samples ({obj['train_samples']} train / "
-        f"{obj['val_samples']} val) -> {args.out}\n"
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -613,11 +598,6 @@ def _build_parser() -> _Parser:
     p.add_argument("--tolerance", type=_positive_number, default=1e-4)
     common(p)
     p.set_defaults(func=_cmd_grad_check)
-
-    p = sub.add_parser("dataset", help="materialize a synthetic dataset container")
-    p.add_argument("--spec", required=True)
-    common(p)
-    p.set_defaults(func=_cmd_dataset)
 
     return parser
 

@@ -6,8 +6,8 @@ Two broad families matter to callers (and to the CLI exit-code contract):
 ``DataError`` covers malformed or incompatible inputs (files, plans,
 checkpoints), ``NumericError`` covers degenerate or diverging numerics.
 
-Every JSON input (train config, dataset spec, plan, angle report, soup
-recipe, a checkpoint's ``pft.arch_config``) crosses one boundary, so a bad
+Every JSON input (train config and its dataset spec, plan, angle report,
+soup recipe, a checkpoint's ``pft.arch_config``) crosses one boundary, so a bad
 value read from a file is bad data (exit 2), never a numerical failure
 (exit 3). :func:`parse_json` parses the text, and :func:`reading` maps what
 building the object raises: a missing field or a wrong type is "malformed",

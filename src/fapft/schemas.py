@@ -176,19 +176,6 @@ GRAD_CHECK_SCHEMA = {
     },
 }
 
-DATASET_SCHEMA = {
-    "type": "object",
-    "required": ["content_hash", "samples", "train_samples", "val_samples", "path"],
-    "additionalProperties": False,
-    "properties": {
-        "content_hash": _HEX64,
-        "samples": {"type": "integer", "minimum": 1},
-        "train_samples": {"type": "integer", "minimum": 1},
-        "val_samples": {"type": "integer", "minimum": 0},
-        "path": {"type": ["string", "null"]},
-    },
-}
-
 PIPELINE_SCHEMA = {
     "type": "object",
     "required": [
@@ -269,5 +256,4 @@ COMMAND_SCHEMAS = {
     "pipeline": PIPELINE_SCHEMA,
     "report": REPORT_SCHEMA,
     "grad-check": GRAD_CHECK_SCHEMA,
-    "dataset": DATASET_SCHEMA,
 }

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,13 @@ def run_cli(capsys, *argv):
 
 def check_schema(command, out):
     jsonschema.validate(json.loads(out), COMMAND_SCHEMAS[command])
+
+
+def test_every_subcommand_has_one_schema(capsys):
+    # usage lists the subcommands as {angles,rank,...}; a deleted command takes its schema along
+    code, out, _ = run_cli(capsys, "--help")
+    listed = re.search(r"\{([\w,-]+)\}", out).group(1).split(",")
+    assert code == 0 and set(listed) == set(COMMAND_SCHEMAS)
 
 
 class TestExitCodes:
@@ -212,10 +220,6 @@ NOT_UTF8 = b'{"seed": "\xff"}\n'
 def _recipe(entry=(), **fields) -> bytes:
     """A recipe of one input, x.ckpt, with ``entry``'s fields and the recipe's ``fields``."""
     return json.dumps({"inputs": [{"path": "x.ckpt", **dict(entry)}], **fields}).encode()
-
-
-def _spec(**over) -> bytes:
-    return json.dumps({**CONFIG["dataset"], **over}).encode()
 
 
 def _config(section, **over) -> bytes:
@@ -437,12 +441,6 @@ BAD_INPUTS = [
     ("report_skips_not_utf8", ["report", "--dir", "@.", "--json"],
      {"bad.json": NOT_UTF8, "run.ckpt": b""}, 0,
      '"artifacts": [\n    {\n      "file": "run.ckpt"'),
-    ("dataset_spec_malformed_json", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
-     {"spec.json": b"{not json"}, 2, "malformed dataset spec JSON"),
-    ("dataset_spec_negative_classes", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
-     {"spec.json": _spec(num_classes=-1)}, 2, "num_classes must be positive"),
-    ("dataset_checks_out_first", ["dataset", "--spec", "@missing.json"],
-     {}, 1, "dataset requires --out"),
     ("soup_checks_out_first", ["soup", "--recipe", "@missing.json"],
      {}, 1, "soup requires --out"),
     # the manifest would overwrite the soup; refused before the recipe is read
@@ -456,6 +454,16 @@ BAD_INPUTS = [
     ("soup_manifest_is_the_base",
      ["soup", "--recipe", "@r.json", "--out", "@s.ckpt", "--manifest", "@base.ckpt"],
      _uniform_planned(), 1, "would overwrite a file the soup reads"),
+    # no --out may replace a file its command reads, checked before any input is opened
+    ("soup_out_is_an_input", ["soup", "--recipe", "@r.json", "--out", "@r2.ckpt"],
+     _uniform_planned(), 1, "r2.ckpt would overwrite a file it reads"),
+    ("soup_out_is_the_base", ["soup", "--recipe", "@r.json", "--out", "@base.ckpt"],
+     _uniform_planned(), 1, "base.ckpt would overwrite a file it reads"),
+    ("plan_out_is_its_report", [*SMALL_PLAN, "--report", "@a.json", "--out", "@a.json"],
+     {"a.json": _report()}, 1, "a.json would overwrite a file it reads"),
+    ("angles_out_is_its_pre", [*ANGLES_TOY[:-1], "@pre.ckpt"],
+     {"pre.ckpt": _small_ckpt(1).canonical_bytes(), "ft.ckpt": _small_ckpt(2).canonical_bytes()},
+     1, "pre.ckpt would overwrite a file it reads"),
     ("soup_negative_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      {"r.json": _recipe({"weight": -1})}, 2, "weights must be finite and positive"),
     # JSON's NaN token
@@ -578,8 +586,11 @@ BAD_INPUTS = [
      ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--topk", "1,1",
       "--out", "@out"],
      {"c.json": _config("arch")}, 2, "toy_vit has 1 stages but policy has 2 topk values"),
-    ("dataset_spec_float_count", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
-     {"spec.json": _spec(samples_per_class=1.5)}, 2, "samples_per_class must be an int"),
+    # a repeated series value would train the same run twice and soup it twice
+    ("pipeline_series_repeats_a_value",
+     ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--series", "1,1",
+      "--out", "@out"],
+     {"c.json": _config("arch")}, 1, "--series values must differ, got 1,1"),
     ("train_config_float_count", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("dataset", samples_per_class=1.5)}, 2,
      "samples_per_class must be an int"),
@@ -595,11 +606,6 @@ BAD_INPUTS = [
      "invalid dataset spec: dataset must hold at least 2 samples per task"),
     ("grad_check_one_sample", ["grad-check", "--config", "@c.json", "--out", "@g.json"],
      {"c.json": _config("dataset", num_classes=1, samples_per_class=1)}, 2,
-     "invalid dataset spec: dataset must hold at least 2 samples per task"),
-    # a container with no training sample, which the dataset schema refuses
-    ("dataset_one_sample", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
-     {"spec.json": json.dumps({"num_classes": 1, "seq_len": 2, "samples_per_class": 1,
-                               "feature_dim": 4, "seed": 1}).encode()}, 2,
      "invalid dataset spec: dataset must hold at least 2 samples per task"),
     # an --out that cannot become a directory, because a file holds its place
     ("train_out_is_a_file", ["train", "--config", "@c.json", "--out", "@out"],
@@ -628,10 +634,14 @@ BAD_INPUTS = [
      "weight_decay must be a number, got False"),
     ("train_config_bool_noise_scale", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("dataset", noise_scale=True)}, 2, "noise_scale must be a number"),
-    ("dataset_spec_bool_shift", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
-     {"spec.json": _spec(shift_magnitude=True)}, 2, "shift_magnitude must be a number"),
-    ("dataset_spec_bool_center_scale", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
-     {"spec.json": _spec(class_center_scale=False)}, 2, "class_center_scale must be a number"),
+    ("train_config_bool_shift", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("dataset", shift_magnitude=True)}, 2,
+     "shift_magnitude must be a number"),
+    ("train_config_bool_center_scale", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("dataset", class_center_scale=False)}, 2,
+     "class_center_scale must be a number"),
+    ("train_config_negative_classes", ["train", "--config", "@c.json", "--out", "@out"],
+     {"c.json": _config("dataset", num_classes=-1)}, 2, "num_classes must be positive"),
     # a non-finite stored value is bad data; the soup fails on the last tensor
     # of its stream, and neither the output nor its temporary file is left
     ("soup_nan_input", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
@@ -704,8 +714,6 @@ BAD_INPUTS = [
     # an int of more digits than Python converts is malformed JSON
     ("train_config_too_many_digits", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": b'{"seed": ' + b"1" * 5000 + b"}"}, 2, "malformed train config JSON"),
-    ("dataset_spec_too_many_digits", ["dataset", "--spec", "@spec.json", "--out", "@d.ckpt"],
-     {"spec.json": b'{"seed": ' + b"1" * 5000 + b"}"}, 2, "malformed dataset spec JSON"),
     ("params_plan_too_many_digits", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
      {"p.json": b'{"x": ' + b"1" * 5000 + b"}"}, 2, "malformed plan JSON"),
     ("rank_report_too_many_digits", ["rank", "--reports", "@a.json", "@a.json", "--out", "@o.json"],
@@ -1205,30 +1213,6 @@ class TestSoupCommand:
             merged.tensors["norm.weight"], expected.astype(np.float32)
         )
 
-    def test_out_may_name_an_input(self, capsys, workdir, tmp_path):
-        from fapft.soup import uniform_soup_checkpoints
-
-        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
-        for src, dst in zip((workdir["pre"], workdir["ft"]), paths):
-            dst.write_bytes(src.read_bytes())
-        originals = [read_checkpoint(p) for p in paths]
-        recipe_path = tmp_path / "recipe.json"
-        recipe_path.write_text(
-            json.dumps({"inputs": [{"path": str(p)} for p in paths], "mode": "uniform"})
-        )
-        code, out, _ = run_cli(
-            capsys, "soup", "--recipe", str(recipe_path), "--out", str(paths[0]), "--json"
-        )
-        assert code == 0
-        manifest = json.loads(out)
-        expected = uniform_soup_checkpoints(originals, [1.0, 1.0])
-        merged = read_checkpoint(paths[0])
-        assert merged.content_hash == expected.content_hash == manifest["output_hash"]
-        assert [i["hash"] for i in manifest["inputs"]] == [c.content_hash for c in originals]
-        assert sorted(os.listdir(tmp_path)) == [
-            "a.ckpt", "a.ckpt.manifest.json", "b.ckpt", "recipe.json",
-        ]
-
     def test_greedy_soup_bytes_are_pinned(self, capsys, tmp_path, monkeypatch):
         # five runs that differ only in the head: four heads are the task's
         # class centers plus noise, and the middle run's head is louder noise,
@@ -1436,25 +1420,6 @@ class TestPlannedSoup:
             capsys, "soup", "--recipe", str(recipe_path), "--out", str(tmp_path / "x.ckpt")
         )
         assert code == 1
-
-
-class TestDatasetCommand:
-    def test_dataset_container(self, capsys, workdir, tmp_path):
-        spec_path = tmp_path / "spec.json"
-        spec_path.write_text(json.dumps(CONFIG["dataset"]))
-        out_path = tmp_path / "data.ckpt"
-        code, out, _ = run_cli(
-            capsys, "dataset", "--spec", str(spec_path), "--out", str(out_path), "--json"
-        )
-        assert code == 0
-        check_schema("dataset", out)
-        container = read_checkpoint(out_path)
-        assert set(container.tensors) == {
-            "pretrain.features",
-            "pretrain.labels",
-            "finetune.features",
-            "finetune.labels",
-        }
 
 
 class TestGradCheckCommand:

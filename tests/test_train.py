@@ -140,6 +140,21 @@ class TestDataset:
         assert len(yt) == 64 and len(yv) == 16
         assert np.array_equal(xt[0], data.finetune_x[0])
 
+    @pytest.mark.parametrize("per_class", [40, 250])
+    def test_a_larger_draw_holds_unseen_finetune_tokens(self, per_class):
+        # a held-out split is replace(spec, samples_per_class=m) with m >= 2n:
+        # the generator draws the centers first and each task's tokens in turn,
+        # so the larger draw's fine-tune tokens come after every smaller draw
+        small = generate_dataset(SPEC)
+        large = generate_dataset(replace(SPEC, samples_per_class=per_class))
+        assert large.base_centers.tobytes() == small.base_centers.tobytes()
+        assert large.shifted_centers.tobytes() == small.shifted_centers.tobytes()
+        n = len(small.pretrain_y)
+        assert large.pretrain_x[:n].tobytes() == small.pretrain_x.tobytes()
+        assert np.array_equal(large.pretrain_y[:n], small.pretrain_y)
+        rows = lambda x: {row.tobytes() for row in x.reshape(-1, SPEC.feature_dim)}
+        assert not rows(large.finetune_x) & (rows(small.pretrain_x) | rows(small.finetune_x))
+
     def test_degenerate_spec_rejected(self):
         with pytest.raises(InvalidValue):
             SyntheticSpec(num_classes=0, seq_len=4, samples_per_class=5, feature_dim=8)
