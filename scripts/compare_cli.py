@@ -45,6 +45,10 @@ INPUTS = {
     "deep_config.json": {**CONFIG, "arch": {**CONFIG["arch"], "depth": 3}},
     # and one block shallower
     "shallow_config.json": {**CONFIG, "arch": {**CONFIG["arch"], "depth": 1}},
+    # no block at all, which no toy_vit model has
+    "depth0_config.json": {**CONFIG, "arch": {**CONFIG["arch"], "depth": 0}},
+    # a config in the --out directory of its run, under the name of its summary
+    **{f"own_{mode}/run.json": CONFIG for mode in ("text", "json")},
     "recipe.json": RECIPE,
     "recipe_plain.json": {"inputs": [{"path": "ft_text/run.ckpt", "weight": 2.0},
                                      {"path": "pre_text/run.ckpt"}]},
@@ -244,6 +248,7 @@ def _commands(mode: str, j: list):
     yield ["report", "--dir", "summaries", "--out", f"report_summaries_{mode}.json", *j]
     yield ["grad-check", "--out", f"gc_{mode}.json", *j]
     yield ["grad-check", "--tolerance", "1e-30", "--out", f"gcf_{mode}.json", *j]
+    yield ["grad-check", "--config", "depth0_config.json", "--out", f"gc0_{mode}.json", *j]
     yield ["params", "--arch", "vit_b16", "--strategy", "zz", "--classes", "10", *j]
     yield ["plan", "--report", "missing.json", "--arch", "toy_vit", "--difficulty", "easy", *j]
     yield ["train", "--config", "bad_config.json", "--out", f"bad_{mode}", *j]
@@ -298,6 +303,8 @@ def _commands(mode: str, j: list):
     yield ["soup", "--recipe", f"recipe_own_{mode}.json", "--out", f"soupp_{mode}.ckpt", *j]
     yield ["plan", "--report", f"angles_self_{mode}.json", "--arch", "toy_vit", "--dims", D,
            "--difficulty", "easy", "--out", f"angles_self_{mode}.json", *j]
+    yield ["train", "--config", f"own_{mode}/run.json", "--out", f"own_{mode}", *j]
+    yield ["report", "--dir", "pipe_text", "--out", "pipe_text/full.json", *j]
 
 
 def invocations():
@@ -310,6 +317,7 @@ def invocations():
 def record(src: str, work: Path) -> dict:
     """What every invocation printed and returned, and the hash of every file."""
     for name, obj in INPUTS.items():
+        (work / name).parent.mkdir(exist_ok=True)
         (work / name).write_text(json.dumps(obj))
     (work / "summaries").mkdir()
     for name, text in SUMMARIES.items():

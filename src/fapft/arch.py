@@ -46,7 +46,6 @@ __all__ = [
     "manual_strategy",
     "full_plan",
     "linear_probe_plan",
-    "toy_vit_arch",
     "millions_str",
     "soup_millions_str",
     "MANUAL_STRATEGY_ALIASES",
@@ -167,7 +166,7 @@ class ArchDescriptor:
         self.head_feature_dim = head_feature_dim
         self.dims = dict(dims or {})
         layers, groups = [], []
-        for stage in self.stages:  # depth order; a stage of no blocks has no groups
+        for stage in self.stages:  # depth order
             blocks = [
                 (LayerRef(stage.index, b, ATTN, _attn_tensors(f"{stage.prefix}.{b}", stage)),
                  LayerRef(stage.index, b, FFN, _ffn_tensors(f"{stage.prefix}.{b}", stage)))
@@ -276,6 +275,8 @@ MAX_TOY_DEPTH = 1024
 
 
 def _build_toy_vit(**overrides) -> ArchDescriptor:
+    """The ``toy_vit`` descriptor, the one tensor-name schema and the one rule
+    for the dimensions of the desk-scale model in :mod:`fapft.model`."""
     unknown = set(overrides) - {*_TOY_DEFAULTS, "ffn_dim"}
     if unknown:
         raise InvalidValue(f"unknown toy_vit dimensions: {sorted(unknown)}")
@@ -284,31 +285,17 @@ def _build_toy_vit(**overrides) -> ArchDescriptor:
         bound = MAX_TOY_DEPTH if key == "depth" else None
         require_int(f"toy_vit dimension {key}", value, 1, bound)
     dims.setdefault("ffn_dim", 4 * dims["model_dim"])
-    if dims["model_dim"] % dims["heads"] != 0:
+    model_dim = dims["model_dim"]
+    if model_dim % dims["heads"] != 0:
         raise InvalidValue("model_dim must be divisible by heads")
-    return toy_vit_arch(**dims)
-
-
-def toy_vit_arch(
-    depth: int, model_dim: int, heads: int, ffn_dim: int, seq_len: int
-) -> ArchDescriptor:
-    """The ``toy_vit`` descriptor for dimensions the caller has already checked.
-
-    It is the one tensor-name schema of the desk-scale model in
-    :mod:`fapft.model`. Depth 0, a head-only model, is allowed here for the
-    model's sake; :func:`describe_arch` asks for at least one block.
-    """
-    stage = StageSpec(index=0, prefix="blocks", blocks=depth, dim=model_dim, heads=heads,
-                      ffn_dim=ffn_dim)
+    stage = StageSpec(index=0, prefix="blocks", blocks=dims["depth"], dim=model_dim,
+                      heads=dims["heads"], ffn_dim=dims["ffn_dim"])
     non_residual = {
-        "pos_embed": (seq_len, model_dim),
+        "pos_embed": (dims["seq_len"], model_dim),
         "norm.weight": (model_dim,),
         "norm.bias": (model_dim,),
     }
-    dims = {
-        "depth": depth, "model_dim": model_dim, "heads": heads,
-        "ffn_dim": ffn_dim, "seq_len": seq_len,
-    }
+    dims = {key: dims[key] for key in ("depth", "model_dim", "heads", "ffn_dim", "seq_len")}
     return ArchDescriptor("toy_vit", [stage], non_residual, model_dim, dims)
 
 

@@ -176,6 +176,15 @@ def _out_dir(out: str | None) -> Path | None:
     return path
 
 
+def _refuse_run_overwrite(args, reads, stems, names=()):
+    """Refuse (exit 1) an ``--out`` directory where the files of a run ``stem``
+    (see :func:`_record_run`) or one of ``names`` would replace a file it reads."""
+    if args.out:
+        runs = [f"{stem}{ext}" for stem in stems for ext in (".ckpt", ".json", ".metrics.jsonl")]
+        for name in (*runs, *names):
+            _refuse_overwrite(Path(args.out) / name, reads, f"{_OUT_READ.format(args)}: {name}")
+
+
 def _record_run(out_dir: Path | None, stem: str, result) -> dict:
     """A run's summary, after writing its artifacts under ``out_dir`` when given."""
     config = result.config
@@ -316,14 +325,6 @@ def _cmd_soup(args):
     return manifest, text
 
 
-def _train_config(path) -> TrainConfig:
-    """A config file to train from; unlike ``grad-check``, it needs at least one block."""
-    config = TrainConfig.from_json(read_text(path))
-    if config.arch.depth < 1:
-        raise FormatError(f"{path}: arch depth must be >= 1 to train")
-    return config
-
-
 def _init_checkpoint(path: str | None, config: TrainConfig) -> Checkpoint | None:
     """The ``--init``/``--pre`` checkpoint, checked against the config's model
     as ``train`` checks it, so a mismatch fails before ``--out`` is made."""
@@ -335,7 +336,8 @@ def _init_checkpoint(path: str | None, config: TrainConfig) -> Checkpoint | None
 
 
 def _cmd_train(args):
-    config = _train_config(args.config)
+    _refuse_run_overwrite(args, [args.config, args.plan, args.init], ["run"])
+    config = TrainConfig.from_json(read_text(args.config))
     if args.plan:
         config = replace(config, freeze=plan_from_json(read_text(args.plan), config.descriptor()))
     init = _init_checkpoint(args.init, config)
@@ -353,7 +355,13 @@ def _cmd_train(args):
 
 
 def _cmd_pipeline(args):
-    config = _train_config(args.config)
+    series = [f"series_k{k}" for k in args.series or ()]
+    stems = ["full", "fapft", "linear_probe", *series] + ([] if args.pre else ["pretrained"])
+    names = ["angles.json", "angles.txt", "plan.json", "pipeline.json"]
+    if series:
+        names += [f"{stem}.plan.json" for stem in series] + ["soup.ckpt", "soup.manifest.json"]
+    _refuse_run_overwrite(args, [args.config, args.pre], stems, names)
+    config = TrainConfig.from_json(read_text(args.config))
     arch = config.descriptor()
     default = default_policy(arch, args.difficulty)
     policy = FapftPolicy(args.magnitude or default.magnitude, args.topk or default.topk_per_stage)
@@ -472,6 +480,8 @@ def _cmd_report(args):
                 entry["final_val_accuracy"] = accuracy
                 entry["strategy_tag"] = data.get("strategy_tag")
         artifacts.append(entry)
+    listed = [root / entry["file"] for entry in artifacts]
+    _refuse_overwrite(args.out, listed, f"report --out {args.out} would overwrite a file it lists")
     obj = {"directory": str(root), "artifacts": artifacts}
     _write_out(args, obj)
     text = f"artifacts under {root}\n"

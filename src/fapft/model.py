@@ -10,10 +10,11 @@ All math runs in float64 numpy with a fixed reduction order, so results are
 bit-deterministic. The kernels work in place, each step one product or sum of
 the textbook formula on its operands, and ``np.add.reduce(a, axis) / n`` is
 what ``a.mean(axis)`` computes. Parameters live in a plain ``name -> ndarray``
-dict whose names match the ``toy_vit`` descriptor schema. Backward computes
-gradients for the trainable tensors only and stops at the shallowest one; a
-pass can also start from a cached hidden state when the blocks below it are
-frozen. :func:`predict` and :func:`hidden_state` run their forward pass in
+dict whose names match the schema of the ``toy_vit`` descriptor that
+:class:`ModelDims` holds, so every model has at least one block. Backward
+computes gradients for the trainable tensors only and stops at the shallowest
+one; a pass can also start from a cached hidden state when the blocks below it
+are frozen. :func:`predict` and :func:`hidden_state` run their forward pass in
 slices of ``_SLICE`` samples, so their working memory follows the slice,
 not the number of samples; every operation but the head GEMM is per
 sample, so slicing keeps the output bits.
@@ -29,7 +30,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .arch import MAX_TOY_DEPTH, toy_vit_arch
+from .arch import ArchDescriptor, describe_arch
 from .errors import InvalidValue, require_int, require_shapes
 
 __all__ = [
@@ -52,6 +53,9 @@ _GELU_A = 0.044715
 
 @dataclass(frozen=True)
 class ModelDims:
+    """The model's dimensions: valid exactly when their ``toy_vit`` descriptor
+    is and ``num_classes`` is positive. :attr:`descriptor` holds it."""
+
     depth: int
     model_dim: int
     heads: int
@@ -60,13 +64,16 @@ class ModelDims:
     num_classes: int
 
     def __post_init__(self):
-        for name, value in vars(self).items():
-            if name == "depth":
-                require_int(name, value, 0, MAX_TOY_DEPTH)
-            else:
-                require_int(name, value, 1)
-        if self.model_dim % self.heads != 0:
-            raise InvalidValue("model_dim must be divisible by heads")
+        require_int("num_classes", self.num_classes, 1)
+        self.descriptor  # noqa: B018 - built and cached here, so invalid dims raise
+
+    @functools.cached_property
+    def descriptor(self) -> ArchDescriptor:
+        dims = self.to_dict()
+        del dims["num_classes"]
+        if None in dims.values():  # which describe_arch would read as its default
+            raise InvalidValue(f"toy_vit dimensions must be ints, got {dims}")
+        return describe_arch("toy_vit", **dims)
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -86,8 +93,7 @@ def _trunc_normal(rng: np.random.Generator, shape, std: float) -> np.ndarray:
 def _schema(dims: ModelDims) -> Mapping[str, tuple[int, ...]]:
     """Tensor names and shapes of the ``toy_vit`` descriptor for ``dims``, with
     ``pos_embed`` first: the order in which :func:`init_params` draws them."""
-    arch = toy_vit_arch(dims.depth, dims.model_dim, dims.heads, dims.ffn_dim, dims.seq_len)
-    shapes = arch.schema_shapes(dims.num_classes)
+    shapes = dims.descriptor.schema_shapes(dims.num_classes)
     return MappingProxyType({"pos_embed": shapes.pop("pos_embed"), **shapes})
 
 

@@ -26,7 +26,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .arch import ArchDescriptor, FreezePlan, describe_arch, linear_probe_plan, plan_from_json
+from .arch import ArchDescriptor, FreezePlan, linear_probe_plan, plan_from_json
 from .angles import AngleReport, compute_angles
 from .checkpoint import Checkpoint
 from .errors import (
@@ -251,9 +251,7 @@ class TrainConfig:
             )
 
     def descriptor(self) -> ArchDescriptor:
-        dims = self.arch.to_dict()
-        del dims["num_classes"]
-        return describe_arch("toy_vit", **dims)
+        return self.arch.descriptor
 
     def to_json_obj(self) -> dict:
         return {
@@ -287,7 +285,6 @@ class TrainConfig:
                 freeze=None,
             )
             if data.get("freeze"):
-                # a plan needs a toy_vit descriptor, which needs depth >= 1
                 plan = plan_from_json(data["freeze"], config.descriptor())
                 config = replace(config, freeze=plan)
         return config

@@ -12,7 +12,6 @@ from fapft.arch import (
     millions_str,
     plan_from_json,
     soup_millions_str,
-    toy_vit_arch,
 )
 from fapft.errors import (
     InvalidValue,
@@ -136,7 +135,7 @@ class TestDescriptors:
         dims = {"model_dim": 8, "heads": 2, "ffn_dim": 16, "seq_len": 4, "num_classes": 2}
         assert ModelDims(depth=MAX_TOY_DEPTH, **dims).depth == MAX_TOY_DEPTH
         # a depth above the bound is refused before any layer is built
-        monkeypatch.setattr("fapft.arch.toy_vit_arch", lambda **_: pytest.fail("descriptor built"))
+        monkeypatch.setattr("fapft.arch.ArchDescriptor", lambda *_: pytest.fail("descriptor built"))
         for depth in (MAX_TOY_DEPTH + 1, 10**9):
             with pytest.raises(InvalidValue, match=f"depth must be <= {MAX_TOY_DEPTH}"):
                 describe_arch("toy_vit", depth=depth)
@@ -145,7 +144,7 @@ class TestDescriptors:
 
     def test_descriptors_compare_by_value(self):
         toy = describe_arch("toy_vit", depth=2)
-        apart = toy_vit_arch(depth=2, model_dim=32, heads=4, ffn_dim=128, seq_len=8)
+        apart = describe_arch("toy_vit", depth=2, model_dim=32, heads=4, ffn_dim=128, seq_len=8)
         assert toy is not apart and toy == apart and hash(toy) == hash(apart)
         assert describe_arch("vit_b16") == describe_arch("vit_b16")
         assert repr(toy) == (

@@ -186,15 +186,7 @@ class TestExitCodes:
         path.write_text(json.dumps(bad))
         code, _, err = run_cli(capsys, *command, "--config", str(path))
         assert code == 2
-        assert "depth must be >= 1" in err
-
-    def test_depth_zero_config_still_grad_checks(self, capsys, tmp_path):
-        head_only = json.loads(json.dumps(CONFIG))
-        head_only["arch"]["depth"] = 0
-        path = tmp_path / "depth0.json"
-        path.write_text(json.dumps(head_only))
-        code, _, _ = run_cli(capsys, "grad-check", "--config", str(path))
-        assert code == 0
+        assert "invalid train config: toy_vit dimension depth must be positive" in err
 
     def test_failed_text_write_keeps_old_file(self, capsys, tmp_path, monkeypatch):
         out = tmp_path / "params.json"
@@ -464,6 +456,16 @@ BAD_INPUTS = [
     ("angles_out_is_its_pre", [*ANGLES_TOY[:-1], "@pre.ckpt"],
      {"pre.ckpt": _small_ckpt(1).canonical_bytes(), "ft.ckpt": _small_ckpt(2).canonical_bytes()},
      1, "pre.ckpt would overwrite a file it reads"),
+    # a training command checks each file it would write under --out
+    ("train_config_is_its_run_summary", ["train", "--config", "@run.json", "--out", "@."],
+     {"run.json": _config("arch")}, 1, "would overwrite a file it reads: run.json"),
+    ("pipeline_pre_is_its_full_run",
+     ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--pre", "@full.ckpt",
+      "--out", "@."],
+     {"c.json": _config("arch"), "full.ckpt": _small_ckpt(1).canonical_bytes()}, 1,
+     "would overwrite a file it reads: full.ckpt"),
+    ("report_out_is_a_listed_summary", ["report", "--dir", "@.", "--out", "@run.json"],
+     {"run.json": b'{"final_val_accuracy": 0.5}'}, 1, "would overwrite a file it lists"),
     ("soup_negative_weight", ["soup", "--recipe", "@r.json", "--out", "@s.ckpt"],
      {"r.json": _recipe({"weight": -1})}, 2, "weights must be finite and positive"),
     # JSON's NaN token
@@ -572,8 +574,12 @@ BAD_INPUTS = [
      "r1.ckpt: tensor 'head.weight' has shape (2, 4), the --eval-config model needs (3, 4)"),
     ("soup_greedy_eval_config_deeper", GREEDY_SMALL, _greedy_scored_by(depth=2), 2,
      "r1.ckpt: lacks tensor 'blocks.1.norm1.weight' of the --eval-config model"),
-    ("soup_greedy_eval_config_shallower", GREEDY_SMALL, _greedy_scored_by(depth=0), 2,
-     "r1.ckpt: tensor 'blocks.0.attn.proj.bias' is not in the --eval-config model"),
+    ("soup_greedy_eval_config_shallower", GREEDY_SMALL,
+     {**_greedy_scored_by(), "r1.ckpt": _small_ckpt(1, depth=2).canonical_bytes(),
+      "r2.ckpt": _small_ckpt(2, depth=2).canonical_bytes()}, 2,
+     "r1.ckpt: tensor 'blocks.1.attn.proj.bias' is not in the --eval-config model"),
+    ("soup_greedy_eval_config_depth_zero", GREEDY_SMALL, _greedy_scored_by(depth=0), 2,
+     "invalid train config: toy_vit dimension depth must be positive"),
     # top-k values are checked before any training, so no artifact is left behind
     ("pipeline_series_exceeds_depth",
      ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--series", "1,5",
@@ -614,7 +620,8 @@ BAD_INPUTS = [
      ["pipeline", "--config", "@c.json", "--difficulty", "easy", "--out", "@out/x"],
      {"c.json": _config("arch"), "out": b""}, 2, "out/x: [Errno 20] Not a directory"),
     ("train_config_float_depth", ["train", "--config", "@c.json", "--out", "@out"],
-     {"c.json": _config("arch", depth=2.0)}, 2, "depth must be an int"),
+     {"c.json": _config("arch", depth=2.0)}, 2,
+     "invalid train config: toy_vit dimension depth must be an int, got 2.0"),
     ("train_config_float_epochs", ["train", "--config", "@c.json", "--out", "@out"],
      {"c.json": _config("schedule", epochs=1.5)}, 2, "epochs must be an int"),
     ("train_config_float_batch_size", ["train", "--config", "@c.json", "--out", "@out"],
@@ -685,7 +692,10 @@ BAD_INPUTS = [
     ("params_plan_policy_float_topk", [*SMALL_PARAMS, "--plan", "@p.json", "--out", "@o.json"],
      {"p.json": _plan(policy={"magnitude": "large", "topk_per_stage": [1.5]})}, 2,
      "invalid plan policy: topk value must be an int, got 1.5"),
-    # a plan needs a toy_vit descriptor, and so at least one block
+    # every toy_vit model has at least one block, a grad-check model included
+    ("grad_check_depth_zero", ["grad-check", "--config", "@c.json", "--out", "@g.json"],
+     {"c.json": _config("arch", depth=0)}, 2,
+     "invalid train config: toy_vit dimension depth must be positive"),
     ("grad_check_depth_zero_plan", ["grad-check", "--config", "@c.json", "--out", "@g.json"],
      {"c.json": json.dumps({**CONFIG, "arch": {**CONFIG["arch"], "depth": 0},
                             "freeze": json.loads(_plan())}).encode()}, 2,
@@ -747,7 +757,8 @@ BAD_INPUTS = [
      "error: base.ckpt: pft.arch_config metadata must be a JSON object, got '[1]'"),
     # a descriptor holds a layer per block, so a toy_vit depth is bounded
     ("train_config_depth_above_bound", ["train", "--config", "@c.json", "--out", "@out"],
-     {"c.json": _config("arch", depth=1025)}, 2, "invalid train config: depth must be <= 1024"),
+     {"c.json": _config("arch", depth=1025)}, 2,
+     "invalid train config: toy_vit dimension depth must be <= 1024"),
     ("angles_arch_config_depth_above_bound", ANGLES_TOY, _angles_arch_config('{"depth": 1025}'),
      2, "invalid pft.arch_config metadata: toy_vit dimension depth must be <= 1024"),
     # each checkpoint must hold the residual tensors of the --dims model
@@ -854,6 +865,8 @@ def test_bad_input_exit_code(capsys, tmp_path, monkeypatch, argv, files, code, f
     assert got == code, err
     assert fragment in out + err
     assert sorted(os.listdir(tmp_path)) == sorted(files)
+    for name, data in files.items():
+        assert (tmp_path / name).read_bytes() == data, name
 
 
 # a recipe field names one of these files, or holds any JSON value

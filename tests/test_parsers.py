@@ -32,6 +32,7 @@ from fapft.errors import (
     parse_json,
     reading,
 )
+from fapft.model import ModelDims
 from fapft.soup import arch_from_checkpoint
 from fapft.train import SyntheticSpec, TrainConfig
 
@@ -217,6 +218,38 @@ def test_any_arch_config_gives_a_descriptor_or_is_a_data_error(config):
     arch = _parse(arch_from_checkpoint, {"pft.arch_id": "toy_vit", "pft.arch_config": config})
     if arch is not None:
         assert arch.arch_id == "toy_vit" and len(arch.layers) <= 2 * MAX_TOY_DEPTH
+
+
+# a model dimension: an int (0 and negatives included), a depth around the
+# bound, a bool, None or a float
+DIM_VALUES = (
+    st.integers(-1, 9) | st.integers(MAX_TOY_DEPTH - 1, MAX_TOY_DEPTH + 1)
+    | st.booleans() | st.none() | st.sampled_from([2.0, 1.5])
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dims=st.fixed_dictionaries({name: DIM_VALUES for name in CONFIG["arch"]}))
+@example(dims={**CONFIG["arch"], "depth": 0})
+@example(dims={**CONFIG["arch"], "depth": MAX_TOY_DEPTH + 1})
+@example(dims={**CONFIG["arch"], "ffn_dim": None})
+@example(dims={**CONFIG["arch"], "num_classes": True})
+def test_model_dims_are_valid_exactly_when_their_descriptor_is(dims):
+    toy = {name: value for name, value in dims.items() if name != "num_classes"}
+    try:
+        arch = describe_arch("toy_vit", **toy)
+    except InvalidValue:
+        arch = None
+    classes = dims["num_classes"]
+    # describe_arch reads a None as its default; a model dimension must be an int
+    valid = (arch is not None and None not in toy.values()
+             and type(classes) is int and classes >= 1)
+    try:
+        model = ModelDims(**dims)
+    except InvalidValue:
+        assert not valid
+    else:
+        assert valid and model.descriptor == arch and model.descriptor is model.descriptor
 
 
 @pytest.mark.parametrize("exc, prefix", [

@@ -16,7 +16,6 @@ from fapft.arch import (
     full_plan,
     linear_probe_plan,
     manual_strategy,
-    toy_vit_arch,
 )
 from fapft.checkpoint import Checkpoint
 from fapft.errors import (
@@ -90,9 +89,8 @@ def toy_arch(dims=DIMS):
 
 
 def schema_names(dims=DIMS):
-    """Every tensor name of the model, from the toy_vit descriptor (depth 0 included)."""
-    arch = toy_vit_arch(dims.depth, dims.model_dim, dims.heads, dims.ffn_dim, dims.seq_len)
-    return set(arch.schema_shapes(dims.num_classes))
+    """Every tensor name of the model, from the toy_vit descriptor."""
+    return set(toy_arch(dims).schema_shapes(dims.num_classes))
 
 
 def assert_unchanged_outside(before: Checkpoint, after: Checkpoint, trained: set) -> set:
@@ -196,18 +194,6 @@ class TestGradCheck:
         assert result.max_rel_error <= 1e-4
         assert set(result.per_tensor) == schema_names()
 
-    def test_head_only_model_is_tighter(self):
-        dims = ModelDims(depth=0, model_dim=8, heads=1, ffn_dim=16, seq_len=4, num_classes=3)
-        spec = SyntheticSpec(num_classes=3, seq_len=4, samples_per_class=10, feature_dim=8, seed=5)
-        cfg = TrainConfig(
-            arch=dims,
-            optimizer=OPT,
-            schedule=ScheduleConfig(epochs=1, warmup_epochs=0, batch_size=8),
-            seed=1,
-            dataset=spec,
-        )
-        assert grad_check(cfg, samples=200).max_rel_error <= 1e-7
-
     def test_corruption_detected_and_named(self, monkeypatch):
         module = importlib.import_module("fapft.train")
         exact = module.loss_and_grads
@@ -291,9 +277,6 @@ class TestFreezing:
             config(freeze=manual_strategy(arch, "B"))
 
 
-DEPTH0 = ModelDims(depth=0, model_dim=16, heads=2, ffn_dim=32, seq_len=4, num_classes=4)
-
-
 def _layers_plan(arch, layer_ids, non_residual=False):
     layers = [arch.layer_map[lid] for lid in layer_ids]
     return _make_plan(arch, "TEST", layers, non_residual_trainable=non_residual)
@@ -313,38 +296,30 @@ class TestFreezeAware:
     """Gradients of a freeze-aware step, started where ``train`` starts it,
     equal the all-tensor gradients bit for bit."""
 
-    HEAD = {"head.weight", "head.bias"}
-    NON_RESIDUAL = {"pos_embed", "norm.weight", "norm.bias"}
     PLANS = {
-        "linear_probe": (DIMS, (), False, DIMS.depth),
-        "first_attn_last_ffn": (DIMS, ("s0.b0.ATTN", f"s0.b{DIMS.depth - 1}.FFN"), False, 0),
-        "deep_only": (DIMS, (f"s0.b{DIMS.depth - 1}.FFN",), False, DIMS.depth - 1),
-        "non_residual": (DIMS, (f"s0.b{DIMS.depth - 1}.FFN",), True, None),
-        # toy_vit descriptors need depth >= 1, so depth 0 names its tensors directly
-        "depth0_probe": (DEPTH0, HEAD, None, 0),
-        "depth0_non_residual": (DEPTH0, HEAD | NON_RESIDUAL, None, None),
+        "linear_probe": ((), False, DIMS.depth),
+        "first_attn_last_ffn": (("s0.b0.ATTN", f"s0.b{DIMS.depth - 1}.FFN"), False, 0),
+        "deep_only": ((f"s0.b{DIMS.depth - 1}.FFN",), False, DIMS.depth - 1),
+        "non_residual": ((f"s0.b{DIMS.depth - 1}.FFN",), True, None),
     }
 
     @pytest.mark.parametrize("case", sorted(PLANS))
     def test_gradients_equal_full_backward(self, case):
-        dims, selection, non_residual, expected_start = self.PLANS[case]
-        if non_residual is None:
-            trainable = set(selection)
-        else:
-            trainable = _layers_plan(toy_arch(dims), selection, non_residual).trainable_names
-        start = _frozen_prefix(trainable, dims)
+        selection, non_residual, expected_start = self.PLANS[case]
+        trainable = _layers_plan(toy_arch(), selection, non_residual).trainable_names
+        start = _frozen_prefix(trainable, DIMS)
         assert start == expected_start
-        params, x, y = _batch(dims)
-        full_loss, full = loss_and_grads(params, x, y, dims, trainable=None)
-        assert set(full) == schema_names(dims)
-        h = x if start is None else hidden_state(params, x, dims, start)
-        loss, grads = loss_and_grads(params, h, y, dims, trainable, start=start)
+        params, x, y = _batch(DIMS)
+        full_loss, full = loss_and_grads(params, x, y, DIMS, trainable=None)
+        assert set(full) == schema_names()
+        h = x if start is None else hidden_state(params, x, DIMS, start)
+        loss, grads = loss_and_grads(params, h, y, DIMS, trainable, start=start)
         assert loss == full_loss
         assert set(grads) == trainable
         for name, grad in grads.items():
             assert np.array_equal(grad, full[name]), name
 
-    @pytest.mark.parametrize("dims", [DIMS, DEPTH0], ids=["depth2", "depth0"])
+    @pytest.mark.parametrize("dims", [DIMS], ids=["depth2"])
     def test_prefix_started_logits_equal_full_forward(self, dims):
         params, x, _ = _batch(dims)
         p64, x64 = _params64(params), np.asarray(x, dtype=np.float64)
@@ -559,7 +534,7 @@ class TestTrain:
         params = init_params(dims, np.random.default_rng([7, 101]))
         assert list(params) == [
             "pos_embed",
-            *(n for n in toy_vit_arch(2, 8, 2, 12, 3).schema_shapes(5) if n != "pos_embed"),
+            *(n for n in toy_arch(dims).schema_shapes(5) if n != "pos_embed"),
         ]
         assert (
             Checkpoint(params).content_hash
